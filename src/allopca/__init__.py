@@ -28,6 +28,7 @@ from .estimators import (
     estimate_abcd,
     gamma1_hat,
     loo_cv_mspe,
+    loo_cv_scores,
     mse_up_to_sign,
     reduced_rank_coefficients,
     w_star,
@@ -98,6 +99,7 @@ __all__ = [
     "grid_argmin_bound",
     "lemma1_fluctuation",
     "loo_cv_mspe",
+    "loo_cv_scores",
     "mse_up_to_sign",
     "mse_upper_bound",
     "random_gamma",

@@ -36,7 +36,7 @@ from .estimators import (
     PluginRule,
     estimate_abcd,
     gamma1_hat,
-    loo_cv_mspe,
+    loo_cv_scores,
     w_star,
 )
 from .harness import (
@@ -343,8 +343,9 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rule", "mspe"])
-    for label, rule in rules:
-        writer.writerow([label, f"{loo_cv_mspe(data, rule):.3f}"])
+    scores = loo_cv_scores(data, [rule for _, rule in rules])
+    for (label, _), mspe in zip(rules, scores):
+        writer.writerow([label, f"{mspe:.3f}"])
     _deliver(args, buf.getvalue())
     return 0
 

@@ -273,6 +273,70 @@ def sym_eig(m: np.ndarray) -> SymEig:
     return SymEig(vals, vecs)
 
 
+def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`sym_eig` of each matrix in a stack (k, p, p), in one LAPACK call.
+
+    The matrices must already be exactly symmetric.  As in `sym_eig`, each
+    is divided by the largest power of two not above its peak entry, the
+    eigenpairs come back with eigenvalues descending and eigenvectors
+    under the package sign convention, and each decomposition must
+    reconstruct its matrix and have orthonormal eigenvectors.  Returns
+    (values (k, p), vectors (k, p, p)).
+
+    Raises
+    ------
+    ValueError
+        If some decomposition fails its reconstruction or orthonormality check.
+    """
+    peak = np.max(np.abs(m), axis=(1, 2))
+    scale = np.where(peak > 0.0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
+    vals, vecs = np.linalg.eigh(m / scale[:, None, None])
+    vals = vals[:, ::-1] * scale[:, None]
+    vecs = vecs[:, :, ::-1]
+    lead = np.argmax(np.abs(vecs), axis=1)[:, None, :]
+    vecs = np.where(np.take_along_axis(vecs, lead, axis=1) < 0.0, -vecs, vecs)
+    vecs_t = np.swapaxes(vecs, 1, 2)
+    resid = np.linalg.norm(vecs @ (vals[:, :, None] * vecs_t) - m, axis=(1, 2))
+    if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(m, axis=(1, 2)), 1e-300)):
+        raise ValueError("eigendecomposition failed to reconstruct the input")
+    gram_err = np.max(np.abs(vecs_t @ vecs - np.eye(m.shape[-1])))
+    if gram_err > 1e-8:
+        raise ValueError(f"`vectors` not orthonormal: max|V'V - I| = {gram_err:.3e}")
+    return vals, vecs
+
+
+def _check_scatter_stack(s_reg: np.ndarray, s_resid: np.ndarray, s_total: np.ndarray) -> np.ndarray:
+    """The `SumOfSquares` checks, applied to each triple of stacked (k, p, p) matrices.
+
+    Each matrix must be finite, symmetric and positive semidefinite within
+    the tolerances `SumOfSquares` uses, and each triple additive.  Returns
+    the ascending eigenvalues of `s_resid`, shape (k, p).
+
+    Raises
+    ------
+    ValueError
+        If some matrix or triple fails a check.
+    """
+    evals = {}
+    for name, m in (("s_reg", s_reg), ("s_resid", s_resid), ("s_total", s_total)):
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"fold `{name}` contains non-finite entries")
+        peak = np.max(np.abs(m), axis=(1, 2))
+        asym = np.max(np.abs(m - np.swapaxes(m, 1, 2)), axis=(1, 2))
+        if np.any(asym > SYM_STORED_TOL * np.maximum(peak, 1e-300)):
+            raise ValueError(f"fold `{name}` is not symmetric: max|M - M'| = {np.max(asym):.3e}")
+        evals[name] = np.linalg.eigvalsh(m)
+        lo = evals[name][:, 0]
+        if np.any(lo < -PSD_TOL * np.maximum(np.trace(m, axis1=1, axis2=2), 0.0)):
+            raise ValueError(
+                f"fold `{name}` is not positive semidefinite: min eigenvalue {np.min(lo):.3e}"
+            )
+    gap = np.max(np.abs(s_total - s_reg - s_resid), axis=(1, 2))
+    if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(s_total), axis=(1, 2)), 1e-300)):
+        raise ValueError(f"fold s_total != s_reg + s_resid: max entry gap {np.max(gap):.3e}")
+    return evals["s_resid"]
+
+
 def center_columns(x: np.ndarray) -> np.ndarray:
     """Subtract the column means from a 2-D array."""
     x = np.asarray(x, dtype=float)

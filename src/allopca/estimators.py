@@ -26,7 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, SumOfSquares, sums_of_squares, sym_eig, weighted_matrix
+from .core import (
+    COND_LIMIT,
+    Dataset,
+    SumOfSquares,
+    _check_scatter_stack,
+    _sym_eig_stack,
+    sym_eig,
+    weighted_matrix,
+)
 from .errors import DegreesOfFreedomError, RankDeficiencyError
 
 # An eigenvalue tie is declared when the top gap is this small relative to
@@ -263,21 +271,13 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
     sigma_hat = ss.s_resid / m
     evals = np.linalg.eigvalsh(sigma_hat)[::-1]
     lam1, lam2 = float(evals[0]), float(evals[1])
-    tr_sig = float(np.trace(sigma_hat))
-    tr_se = float(np.trace(ss.s_resid))
-    tr_se2 = float(np.sum(ss.s_resid * ss.s_resid))
-    tr_sigma2_hat = (tr_se2 - tr_se ** 2 / m) / ((n + 1 - q) * (n - 2 - q))
-    a_hat = tr_sigma2_hat + tr_sig ** 2
-    b_hat = lam1 + tr_sig
-    c_hat = float(np.trace(ss.s_reg)) - q * tr_sig
-    d_hat = max(lam1 - lam2, 0.0)
-    num = a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat
-    den = 2.0 * a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat + a_hat * c_hat
-    w_raw = num / den if den != 0.0 else float("nan")
-    if den <= 0.0:
-        w_hat = 0.0
-    else:
-        w_hat = min(max(w_raw, 0.0), WEIGHT_CAP)
+    tr_sigma2_hat, a_hat, b_hat, c_hat, d_hat, w_raw, w_hat = _plugin_weight(
+        n, q, lam1, lam2,
+        tr_sig=float(np.trace(sigma_hat)),
+        tr_se=float(np.trace(ss.s_resid)),
+        tr_se2=float(np.sum(ss.s_resid * ss.s_resid)),
+        tr_sr=float(np.trace(ss.s_reg)),
+    )
     return PluginWeights(
         sigma_hat=sigma_hat,
         lambda1_hat=lam1,
@@ -290,6 +290,30 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
         w_hat_raw=w_raw,
         w_hat=w_hat,
     )
+
+
+def _plugin_weight(n, q, lam1, lam2, tr_sig, tr_se, tr_se2, tr_sr):
+    """Plug-in summaries and weight from the scalar statistics of one fit.
+
+    `lam1`, `lam2` are the two largest eigenvalues of Sigma_hat and
+    `tr_sig` its trace; `tr_se`, `tr_se2` are tr(s_resid) and
+    ||s_resid||_F^2, and `tr_sr` is tr(s_reg).  The statistics may be
+    scalars or equal-shape arrays (one entry per fit), and the arithmetic
+    is elementwise.  Returns (tr_sigma2_hat, a_hat, b_hat, c_hat, d_hat,
+    w_hat_raw, w_hat), with w_hat = 0 where the weight's denominator is
+    <= 0 and w_hat clamped into [0, 2/3] elsewhere.
+    """
+    m = n - 1 - q
+    tr_sigma2_hat = (tr_se2 - tr_se ** 2 / m) / ((n + 1 - q) * (n - 2 - q))
+    a_hat = tr_sigma2_hat + tr_sig ** 2
+    b_hat = lam1 + tr_sig
+    c_hat = tr_sr - q * tr_sig
+    d_hat = np.maximum(lam1 - lam2, 0.0)
+    num = a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat
+    den = 2.0 * a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat + a_hat * c_hat
+    w_raw = np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den != 0.0)
+    w_hat = np.where(den <= 0.0, 0.0, np.minimum(np.maximum(w_raw, 0.0), WEIGHT_CAP))
+    return tr_sigma2_hat, a_hat, b_hat, c_hat, d_hat, w_raw, w_hat
 
 
 # --------------------------------------------------------------------------
@@ -362,12 +386,195 @@ def reduced_rank_coefficients(
     return np.outer(coef @ g, g), mu
 
 
-def loo_cv_mspe(data: Dataset, rule) -> float:
-    """Leave-one-out mean squared prediction error of a weight rule.
+# Folds are built in blocks whose fold-stacked arrays hold about this many
+# entries in all, so the leave-one-out path needs well under a megabyte of
+# temporaries for any n; at n = 50, p = 10 and ten rules that is three blocks.
+_LOO_BLOCK_ENTRIES = 1 << 15
 
-    For each held-out observation the remaining rows are re-centered, the
-    model is refit under `rule`, and the held-out response is predicted;
-    the average of ||y_i - yhat_i||^2 over all n folds is returned.
+
+def _check_fold_designs(x: np.ndarray, folds: np.ndarray) -> None:
+    """Raise unless every fold's re-centered design is well conditioned.
+
+    Leaving out row i of a centered design re-centers the other rows to
+    x_j + x_i / (n - 1); the fold design holds those rows, with row i
+    zeroed (which leaves its singular values unchanged).
+    """
+    n = x.shape[0]
+    designs = x + x[folds, None, :] / (n - 1)
+    designs[np.arange(folds.size), folds] = 0.0
+    sv = np.linalg.svd(designs, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = (sv[:, 0] / sv[:, -1]) ** 2
+    bad = ~(cond <= COND_LIMIT)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise RankDeficiencyError(
+            f"leaving out row {int(folds[k])} gives cond(X'X) = {cond[k]:.3e}, "
+            f"above {COND_LIMIT:g}; design columns are too collinear"
+        )
+
+
+def _loo_fit(data: Dataset):
+    """One thin-QR fit of the full data, from which every fold follows.
+
+    Returns (Q, centered responses, residual rows, leverages), where the
+    leverage h_i = 1/n + ||Q_i||^2 includes the intercept.
+    """
+    x, y = data.x, data.y
+    qmat = np.linalg.qr(x, mode="reduced")[0]
+    centered = y - y.mean(axis=0)
+    resid = centered - qmat @ (qmat.T @ centered)
+    lev = 1.0 / data.n + np.sum(qmat * qmat, axis=1)
+    if np.any(lev >= 1.0):
+        raise RankDeficiencyError(
+            f"row {int(np.argmax(lev >= 1.0))} has leverage 1, so the fold that "
+            f"leaves it out has a rank-deficient design"
+        )
+    return qmat, centered, resid, lev
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    g = np.swapaxes(rows, -2, -1) @ rows
+    return (g + np.swapaxes(g, -2, -1)) / 2.0
+
+
+def _fold_scatter(qmat, centered, resid, lev, folds):
+    """Checked scatter matrices of the folds that leave out rows `folds`.
+
+    Each fold's matrices are Grams of corrected full-data rows, so they are
+    semidefinite by construction: residual rows e_j + H_ji e_i / (1 - h_i),
+    re-centered responses d_j + d_i / (n - 1), and fitted rows as their
+    difference, with row i zeroed in fold i.  (The rank-one downdate
+    s_resid - e_i e_i' / (1 - h_i) is equal in exact arithmetic but can
+    lose semidefiniteness to roundoff, as on noiseless data.)  Returns
+    (s_reg, s_resid, resid_evals), stacked over folds, where resid_evals
+    are the ascending eigenvalues of s_resid.
+    """
+    n = lev.size
+    rows = np.arange(folds.size)
+    hat = 1.0 / n + qmat[folds] @ qmat.T
+    r = resid + (hat / (1.0 - lev[folds, None]))[:, :, None] * resid[folds, None, :]
+    t = centered + centered[folds, None, :] / (n - 1)
+    r[rows, folds] = 0.0
+    t[rows, folds] = 0.0
+    s_reg, s_resid = _gram(t - r), _gram(r)
+    return s_reg, s_resid, _check_scatter_stack(s_reg, s_resid, _gram(t))
+
+
+def _fold_plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> np.ndarray:
+    """`estimate_abcd(...).w_hat` of each stacked fold fit with n rows."""
+    m = n - 1 - q
+    lam = resid_evals[:, ::-1] / m
+    tr_se = np.trace(s_resid, axis1=1, axis2=2)
+    return _plugin_weight(
+        n, q, lam[:, 0], lam[:, 1],
+        tr_sig=tr_se / m,
+        tr_se=tr_se,
+        tr_se2=np.sum(s_resid * s_resid, axis=(1, 2)),
+        tr_sr=np.trace(s_reg, axis1=1, axis2=2),
+    )[-1]
+
+
+def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
+    """Leave-one-out mean squared prediction error of several weight rules.
+
+    Each fold leaves out one observation, refits the model on the other
+    n - 1 rows (re-centered) under each rule, and predicts the left-out
+    response; the score of a rule is the average of ||y_i - yhat_i||^2
+    over the n folds.  Nothing is refit: every fold comes from one thin QR
+    factorization X = QR of the full data through the deletion identities
+    of regression diagnostics (Belsley, Kuh & Welsch 1980; Cook &
+    Weisberg 1982).  With leverages h_i = 1/n + ||Q_i||^2, hat matrix
+    H = 11'/n + QQ', residual rows e_i and centered responses d_i:
+
+    - the fold OLS prediction is y_i - e_i / (1 - h_i);
+    - the fold residual of row j is e_j + H_ji e_i / (1 - h_i), and the
+      fold's re-centered response is d_j + d_i / (n - 1), so the fold
+      scatter matrices are Grams of those rows (and of their difference)
+      and need no refit;
+    - a rank-one rule with fold axis g predicts
+      mu_i + ((yhat_ols_i - mu_i) . g) g, where mu_i = (n ybar - y_i)/(n - 1)
+      is the fold mean.
+
+    The fold scatter matrices are shared by all rules.  Plug-in weights
+    for all folds come from one batched eigenvalue solve, and the axes of
+    all distinct (weight, fold) pairs from one batched eigensolve under the
+    `sym_eig` rescaling and sign convention.  Every check of a refit is
+    applied to each fold: design conditioning, and the symmetry,
+    semidefiniteness and additivity of its scatter matrices.
+
+    Parameters
+    ----------
+    data : Dataset
+    rules : iterable of FixedWeight | PluginRule | OlsRule
+
+    Returns
+    -------
+    tuple of float
+        One mean squared prediction error per rule, in order.
+
+    Raises
+    ------
+    ValueError
+        If a rule is of an unknown type.
+    DegreesOfFreedomError
+        If n <= q + 3, so some fold could not support every rule.
+    RankDeficiencyError
+        If some fold's design is too ill-conditioned, for example because
+        a row has leverage 1.
+    """
+    rules = tuple(rules)
+    for rule in rules:
+        if not isinstance(rule, (FixedWeight, PluginRule, OlsRule)):
+            raise ValueError(f"unknown rule: {rule!r}")
+    x, y = data.x, data.y
+    n, p, q = data.n, data.p, data.q
+    if n <= q + 3:
+        raise DegreesOfFreedomError(
+            f"leave-one-out folds have {n - 1} training rows but need more "
+            f"than {q + 2} (n > q + 3); got n = {n}, q = {q}"
+        )
+    projected = [k for k, rule in enumerate(rules) if not isinstance(rule, OlsRule)]
+    if projected and p < 2:
+        raise ValueError("need at least two response coordinates")
+    fit = _loo_fit(data)
+    _, _, resid, lev = fit
+    y_ols = y - resid / (1.0 - lev)[:, None]
+    mu = (n * y.mean(axis=0) - y) / (n - 1)
+    sse = np.zeros(len(rules))
+    ols = [k for k in range(len(rules)) if k not in projected]
+    block = max(1, _LOO_BLOCK_ENTRIES // (n * (p + q) + p * p * len(rules)))
+    for start in range(0, n, block):
+        folds = np.arange(start, min(start + block, n))
+        _check_fold_designs(x, folds)
+        err = y[folds] - y_ols[folds]
+        sse[ols] += float(np.sum(err * err))
+        if not projected:
+            continue
+        s_reg, s_resid, resid_evals = _fold_scatter(*fit, folds)
+        w_hat = _fold_plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)
+        weights = np.stack([w_hat if isinstance(rules[k], PluginRule)
+                            else np.full(folds.size, rules[k].w) for k in projected])
+        fold_of = np.broadcast_to(np.arange(folds.size), weights.shape)
+        pairs, which = np.unique(np.stack([fold_of.ravel(), weights.ravel()], axis=1),
+                                 axis=0, return_inverse=True)
+        pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
+        _, vecs = _sym_eig_stack((1.0 - pw) * s_reg[pf] + pw * s_resid[pf])
+        g = vecs[:, :, 0][which.reshape(weights.shape)]
+        base = mu[folds]
+        pred = base + np.sum((y_ols[folds] - base) * g, axis=-1, keepdims=True) * g
+        err = y[folds] - pred
+        sse[projected] += np.sum(err * err, axis=(1, 2))
+    return tuple(float(v) / n for v in sse)
+
+
+def loo_cv_mspe(data: Dataset, rule) -> float:
+    """Leave-one-out mean squared prediction error of one weight rule.
+
+    Equal to ``loo_cv_scores(data, (rule,))[0]``; see `loo_cv_scores` for
+    the closed-form fold identities (Belsley, Kuh & Welsch 1980; Cook &
+    Weisberg 1982), which replace a refit per fold.  Scoring several
+    rules in one `loo_cv_scores` call shares the fold scatter matrices.
 
     Parameters
     ----------
@@ -376,35 +583,11 @@ def loo_cv_mspe(data: Dataset, rule) -> float:
 
     Raises
     ------
+    ValueError
+        If `rule` is of an unknown type.
     DegreesOfFreedomError
         If n <= q + 3, so some fold could not support every rule.
+    RankDeficiencyError
+        If some fold's design is too ill-conditioned.
     """
-    if not isinstance(rule, (FixedWeight, PluginRule, OlsRule)):
-        raise ValueError(f"unknown rule: {rule!r}")
-    x, y = data.x, data.y
-    n, q = data.n, data.q
-    if n <= q + 3:
-        raise DegreesOfFreedomError(
-            f"leave-one-out folds have {n - 1} training rows but need more "
-            f"than {q + 2} (n > q + 3); got n = {n}, q = {q}"
-        )
-    sse = 0.0
-    for i in range(n):
-        mask = np.arange(n) != i
-        x_tr = x[mask]
-        fold_means = x_tr.mean(axis=0)
-        fold = Dataset(y[mask], x_tr - fold_means)
-        if isinstance(rule, OlsRule):
-            coef, mu = _ols_fit(fold)
-        else:
-            ss = sums_of_squares(fold)
-            if isinstance(rule, FixedWeight):
-                w = rule.w
-            else:
-                w = estimate_abcd(ss).w_hat
-            g = gamma1_hat(ss, w).vector
-            coef, mu = reduced_rank_coefficients(fold, g)
-        pred = mu + (x[i] - fold_means) @ coef
-        resid = y[i] - pred
-        sse += float(resid @ resid)
-    return sse / n
+    return loo_cv_scores(data, (rule,))[0]

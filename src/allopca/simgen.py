@@ -123,7 +123,9 @@ class ModelSpec:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        for name, arr in (("mu", mu), ("alpha", alpha), ("lambdas", lam), ("gamma_basis", gamma)):
+        sigma = (gamma * lam) @ gamma.T
+        for name, arr in (("mu", mu), ("alpha", alpha), ("lambdas", lam), ("gamma_basis", gamma),
+                          ("_sigma", (sigma + sigma.T) / 2.0)):
             frozen = np.array(arr, dtype=float)
             frozen.flags.writeable = False
             object.__setattr__(self, name, frozen)
@@ -142,9 +144,11 @@ class ModelSpec:
         return float(self.lambdas[1])
 
     def sigma(self) -> np.ndarray:
-        """The noise covariance Gamma diag(lambdas) Gamma'."""
-        s = (self.gamma_basis * self.lambdas) @ self.gamma_basis.T
-        return (s + s.T) / 2.0
+        """The noise covariance Gamma diag(lambdas) Gamma' (read-only).
+
+        Formed once, when the spec is built, and shared by every call.
+        """
+        return self._sigma
 
 
 def gen_dataset(spec: ModelSpec, replication: int = 0) -> tuple[Dataset, np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from allopca import (
     gen_dataset,
     grid_argmin_bound,
     lemma1_fluctuation,
-    loo_cv_mspe,
+    loo_cv_scores,
     mse_up_to_sign,
     random_gamma,
     run_experiment,
@@ -241,9 +241,10 @@ def test_criterion_9_data_driven_weight_cv_tournament():
                          alpha=np.full(q, 1.0 / np.sqrt(q)), lambdas=lam,
                          gamma_basis=random_gamma(p, 11), master_seed=seed)
         data, _, _ = gen_dataset(spec, 0)
-        plugin_scores.append(loo_cv_mspe(data, PluginRule()))
-        for w in fixed_grid:
-            fixed_scores[w].append(loo_cv_mspe(data, FixedWeight(w)))
+        plugin, *fixed = loo_cv_scores(data, (PluginRule(), *map(FixedWeight, fixed_grid)))
+        plugin_scores.append(plugin)
+        for w, score in zip(fixed_grid, fixed):
+            fixed_scores[w].append(score)
     best_fixed = min(np.median(vals) for vals in fixed_scores.values())
     plugin_median = float(np.median(plugin_scores))
     assert plugin_median <= 1.02 * best_fixed, (plugin_median, best_fixed)

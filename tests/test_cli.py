@@ -284,6 +284,20 @@ def test_cv_noiseless_everything_near_zero(tmp_path, capsys):
         assert r[1] == "0.000"
 
 
+def test_cv_more_responses_than_fold_rows_matches_refit(tmp_path, capsys, loo_refit):
+    # p = 15 > n - 1 = 11: every fold's scatter matrices are rank deficient
+    ypath, xpath, _ = dataset_files(tmp_path, n=12, p=15, q=2)
+    code, out, _ = run_cli(["cv", "--y", ypath, "--x", xpath], capsys)
+    assert code == 0
+    y = _read_matrix_csv(ypath, "y")
+    x = _read_matrix_csv(xpath, "x")
+    data = allopca.Dataset(y, allopca.center_columns(x))
+    rules = [allopca.FixedWeight(w) for w in (0.5, 1.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.6)]
+    rules += [allopca.PluginRule(), allopca.OlsRule()]
+    printed = [r[1] for r in parse_csv(out)[1:]]
+    assert printed == [f"{loo_refit(data, rule):.3f}" for rule in rules]
+
+
 def test_cv_degrees_of_freedom_exit(tmp_path, capsys):
     ypath, xpath, _ = dataset_files(tmp_path, n=5, p=3, q=2)
     code, _, err = run_cli(["cv", "--y", ypath, "--x", xpath], capsys)

@@ -20,14 +20,19 @@ from allopca import (
     estimate_abcd,
     gamma1_hat,
     gen_dataset,
+    ModelSpec,
+    RankDeficiencyError,
     loo_cv_mspe,
+    loo_cv_scores,
     mse_up_to_sign,
+    random_gamma,
     reduced_rank_coefficients,
     scenario_table1,
     sums_of_squares,
     w_star,
 )
-from allopca.estimators import WEIGHT_CAP
+from allopca import estimators
+from allopca.estimators import WEIGHT_CAP, _fold_plugin_weights, _fold_scatter, _loo_fit
 
 
 def diag_ss(reg, resid, n=10, q=2):
@@ -384,3 +389,117 @@ def test_loo_cv_rejects_unknown_rule():
     data = Dataset(*_simple_data(31, n=15))
     with pytest.raises(ValueError):
         loo_cv_mspe(data, "plugin")
+
+
+ALL_RULES = (FixedWeight(0.5), FixedWeight(1.0), FixedWeight(0.0), FixedWeight(0.1),
+             FixedWeight(0.2), FixedWeight(0.3), FixedWeight(0.4), FixedWeight(0.6),
+             PluginRule(), OlsRule())
+
+
+def _rank_one_data(seed, n, p, q, signal=1.0, noise=1.0):
+    rng = np.random.default_rng(seed)
+    x = center_columns(rng.standard_normal((n, q)))
+    gamma = rng.standard_normal(p)
+    gamma /= np.linalg.norm(gamma)
+    y = rng.standard_normal(p) + signal * np.outer(x @ rng.standard_normal(q), gamma)
+    return y + noise * rng.standard_normal((n, p)), x
+
+
+def _no_signal_dataset(replication):
+    # table1 shape (p = 10, q = 5, lambdas 2, 1, ..., 1) with alpha = 0, n = 20
+    p, q = 10, 5
+    lam = np.ones(p)
+    lam[0] = 2.0
+    spec = ModelSpec(p=p, q=q, n=20, mu=np.zeros(p), alpha=np.zeros(q), lambdas=lam,
+                     gamma_basis=random_gamma(p, 0), master_seed=5)
+    return gen_dataset(spec, replication)[0]
+
+
+def _assert_matches_refit(data, loo_refit, rules=ALL_RULES, floor=0.0):
+    fast = loo_cv_scores(data, rules)
+    for rule, got in zip(rules, fast):
+        want = loo_refit(data, rule)
+        assert abs(got - want) <= 1e-9 * max(want, floor), (rule, got, want)
+
+
+@pytest.mark.parametrize("n, p, q", [(8, 2, 1), (12, 4, 2), (30, 10, 5), (40, 3, 4),
+                                     (10, 15, 2), (9, 30, 3), (20, 19, 1)])
+def test_loo_cv_scores_match_refit_shapes(loo_refit, n, p, q):
+    # the last three shapes have p > n - 1 in every fold
+    data = Dataset(*_rank_one_data(40 + n + p + q, n, p, q))
+    _assert_matches_refit(data, loo_refit)
+
+
+@pytest.mark.parametrize("exponent", range(-6, 7, 2))
+def test_loo_cv_scores_match_refit_power_of_ten_scales(loo_refit, exponent):
+    y, x = _rank_one_data(41, 15, 6, 2)
+    _assert_matches_refit(Dataset(10.0 ** exponent * y, x), loo_refit)
+
+
+def test_loo_cv_scores_match_refit_no_signal(loo_refit):
+    for rep in range(3):
+        _assert_matches_refit(_no_signal_dataset(rep), loo_refit)
+
+
+def test_loo_cv_scores_match_refit_noiseless(loo_refit):
+    # with no residual scatter the w = 1 axis is roundoff, so that rule is
+    # left out; the others recover the signal to roundoff on either path
+    y, x = _rank_one_data(42, 14, 5, 2, noise=0.0)
+    scale = float(np.mean(np.sum(y ** 2, axis=1)))
+    rules = tuple(r for r in ALL_RULES if r != FixedWeight(1.0))
+    _assert_matches_refit(Dataset(y, x), loo_refit, rules, floor=1e-12 * scale)
+
+
+def test_loo_cv_scores_order_and_single_rule():
+    data = Dataset(*_rank_one_data(43, 16, 5, 2))
+    scores = loo_cv_scores(data, ALL_RULES)
+    assert np.allclose(scores, loo_cv_scores(data, ALL_RULES[::-1])[::-1], rtol=1e-14, atol=0)
+    assert loo_cv_mspe(data, PluginRule()) == loo_cv_scores(data, (PluginRule(),))[0]
+    assert loo_cv_scores(data, ()) == ()
+
+
+def test_loo_cv_leverage_one_design_raises(loo_refit):
+    # a dummy column that is nonzero in one row gives that row leverage 1:
+    # leaving it out leaves the dummy column constant
+    rng = np.random.default_rng(44)
+    n = 15
+    dummy = np.zeros((n, 1))
+    dummy[6] = 1.0
+    x = center_columns(np.hstack([rng.standard_normal((n, 2)), dummy]))
+    data = Dataset(rng.standard_normal((n, 4)), x)
+    for rule in (OlsRule(), FixedWeight(0.5), PluginRule()):
+        with pytest.raises(RankDeficiencyError):
+            loo_cv_mspe(data, rule)
+        with pytest.raises(RankDeficiencyError):
+            loo_refit(data, rule)
+
+
+def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
+    fallbacks = 0
+    for rep in range(6):
+        data = _no_signal_dataset(rep)
+        n, q = data.n, data.q
+        folds = np.arange(n)
+        s_reg, s_resid, resid_evals = _fold_scatter(*_loo_fit(data), folds)
+        fast = _fold_plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)
+        for i in folds:
+            mask = folds != i
+            x_tr = data.x[mask]
+            pw = estimate_abcd(sums_of_squares(Dataset(data.y[mask], x_tr - x_tr.mean(axis=0))))
+            den = (2.0 * pw.a_hat * pw.d_hat * q + 2.0 * pw.b_hat * pw.c_hat * pw.d_hat
+                   + pw.a_hat * pw.c_hat)
+            fallbacks += den <= 0.0
+            assert abs(fast[i] - pw.w_hat) <= 1e-9, (rep, i, fast[i], pw.w_hat)
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("folds_per_block", [1, 3])
+def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block):
+    n, p, q = 11, 4, 2
+    data = Dataset(*_rank_one_data(45, n, p, q))
+    whole = loo_cv_scores(data, ALL_RULES)
+    per_fold = n * (p + q) + p * p * len(ALL_RULES)
+    monkeypatch.setattr(estimators, "_LOO_BLOCK_ENTRIES", folds_per_block * per_fold)
+    blocked = loo_cv_scores(data, ALL_RULES)
+    assert np.allclose(blocked, whole, rtol=1e-12, atol=0)
+    _assert_matches_refit(data, loo_refit)

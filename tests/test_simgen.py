@@ -104,6 +104,18 @@ def test_model_spec_sigma_and_properties():
     assert np.allclose(spec.gamma_basis[:, 0], spec.gamma1)
 
 
+def test_sigma_formed_once_and_read_only():
+    spec = small_spec(seed=5, n=12)
+    sigma = spec.sigma()
+    gamma = spec.gamma_basis
+    assert np.allclose(sigma, gamma @ np.diag(spec.lambdas) @ gamma.T, rtol=0, atol=1e-12)
+    assert not sigma.flags.writeable
+    with pytest.raises(ValueError):
+        sigma[0, 0] = 0.0
+    assert spec.sigma() is sigma
+    assert all(gen_dataset(spec, rep)[2] is sigma for rep in range(3))
+
+
 # --------------------------------------------------------------------------
 # gen_dataset
 # --------------------------------------------------------------------------
