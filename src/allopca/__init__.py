@@ -43,12 +43,11 @@ from .harness import (
     emit_table,
     estimate_runtime_seconds,
     run_experiment,
-    table1_plan,
-    table2_plan,
-    table3_plan,
+    scenario_plan,
 )
 from .simgen import (
-    TABLE3_CASES,
+    STRONG_SPIKE,
+    WEAK_SPIKE,
     LargePLargeN,
     ModelSpec,
     RegimeSpec,
@@ -56,10 +55,6 @@ from .simgen import (
     WeakIdentifiability,
     gen_dataset,
     random_gamma,
-    scenario_large_p,
-    scenario_table1,
-    scenario_table2,
-    scenario_table3,
     substream,
 )
 
@@ -83,11 +78,12 @@ __all__ = [
     "PluginWeights",
     "RankDeficiencyError",
     "RegimeSpec",
+    "STRONG_SPIKE",
     "SumOfSquares",
     "SweepResult",
     "SymEig",
-    "TABLE3_CASES",
     "Traditional",
+    "WEAK_SPIKE",
     "WeakIdentifiability",
     "center_columns",
     "consistency_sweep",
@@ -105,16 +101,10 @@ __all__ = [
     "random_gamma",
     "reduced_rank_coefficients",
     "run_experiment",
-    "scenario_large_p",
-    "scenario_table1",
-    "scenario_table2",
-    "scenario_table3",
+    "scenario_plan",
     "substream",
     "sums_of_squares",
     "sym_eig",
-    "table1_plan",
-    "table2_plan",
-    "table3_plan",
     "w_star",
     "weighted_matrix",
 ]

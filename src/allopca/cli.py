@@ -39,23 +39,21 @@ from .estimators import (
     loo_cv_scores,
     w_star,
 )
-from .harness import (
-    DEFAULT_ROWS,
-    ExperimentPlan,
-    emit_table,
-    run_experiment,
-    table1_plan,
-    table2_plan,
-    table3_plan,
+from .harness import DEFAULT_ROWS, emit_table, run_experiment, scenario_plan
+from .simgen import (
+    STRONG_SPIKE,
+    WEAK_SPIKE,
+    LargePLargeN,
+    Traditional,
+    WeakIdentifiability,
 )
-from .simgen import scenario_large_p
 
 WORKERS_ENV = "ALLOPCA_WORKERS"
 
 DEFAULT_N_GRID = (20, 50, 100, 200, 500)
 DEFAULT_P_GRID = (20, 50, 100)
 DEFAULT_WEIGHT_GRID = (0.1, 0.2, 0.3, 0.4, 0.6)
-SCENARIOS = ("table1", "table2", "table3a", "table3b", "custom")
+_SCENARIO_NAMES = "table1, table2, table3a, table3b, custom"
 
 
 class CliError(Exception):
@@ -237,16 +235,40 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 
 
 def _fixed_rows(weights) -> list[tuple[str, FixedWeight]]:
-    rows = [
-        ("total(w=0.5)", FixedWeight(0.5)),
-        ("residual(w=1)", FixedWeight(1.0)),
-        ("regression(w=0)", FixedWeight(0.0)),
-    ]
+    rows = list(DEFAULT_ROWS[:3])  # total, residual and regression
     for w in weights:
         if not 0.0 <= w <= 1.0:
             raise CliError(f"`--weights` entries must lie in [0, 1], got {w}")
         rows.append((f"w={w:g}", FixedWeight(float(w))))
     return rows
+
+
+def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
+    """The regime kind named by `--scenario` (and `--eta`/`--delta`/`--beta`/`--beta2`).
+
+    `custom` needs the growth exponents, which only `simulate` takes; the
+    `bound` command passes `custom_ok=False` to refuse it.
+    """
+    scenario = getattr(args, "scenario", None)
+    if scenario is None:
+        raise CliError(f"`--scenario` is required; choose from {_SCENARIO_NAMES}")
+    if scenario == "table1":
+        return Traditional()
+    if scenario == "table2":
+        if args.eta is None:
+            raise CliError("`--eta` is required for scenario table2")
+        return WeakIdentifiability(args.eta)
+    if scenario == "table3a":
+        return WEAK_SPIKE
+    if scenario == "table3b":
+        return STRONG_SPIKE
+    if scenario == "custom":
+        if not custom_ok:
+            raise CliError("scenario 'custom' cannot parameterize the bound")
+        if args.delta is None or args.beta is None:
+            raise CliError("custom scenario needs `--delta` and `--beta`")
+        return LargePLargeN(args.delta, args.beta, args.beta2 if args.beta2 is not None else 0.0)
+    raise CliError(f"unknown `--scenario` value {scenario!r}; choose from {_SCENARIO_NAMES}")
 
 
 # --------------------------------------------------------------------------
@@ -255,46 +277,15 @@ def _fixed_rows(weights) -> list[tuple[str, FixedWeight]]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = getattr(args, "scenario", None)
-    if scenario is None:
-        raise CliError(f"`--scenario` is required; choose from {SCENARIOS}")
-    if scenario not in SCENARIOS:
-        raise CliError(f"unknown `--scenario` value {scenario!r}; choose from {SCENARIOS}")
+    kind = _scenario_kind(args)
     reps = args.reps if args.reps is not None else 200
     seed = args.seed if args.seed is not None else 0
     fmt = args.format if args.format is not None else "csv"
     workers = _resolve_workers(args)
-    limit = getattr(args, "cost_limit", None)
+    sizes = getattr(args, kind.axis) or (DEFAULT_N_GRID if kind.axis == "n" else DEFAULT_P_GRID)
+    plan = scenario_plan(kind, sizes, reps, seed, cost_limit_seconds=args.cost_limit)
 
-    if scenario == "table1":
-        ns = args.n or DEFAULT_N_GRID
-        plan = table1_plan(ns, reps, seed, cost_limit_seconds=limit)
-    elif scenario == "table2":
-        if args.eta is None:
-            raise CliError("`--eta` is required for scenario table2")
-        ns = args.n or DEFAULT_N_GRID
-        plan = table2_plan(args.eta, ns, reps, seed, cost_limit_seconds=limit)
-    elif scenario in ("table3a", "table3b"):
-        ps = args.p or DEFAULT_P_GRID
-        case = "weak_spike" if scenario == "table3a" else "strong_spike"
-        plan = table3_plan(case, ps, reps, seed, cost_limit_seconds=limit)
-    else:  # custom growing-dimension regime
-        if args.delta is None or args.beta is None:
-            raise CliError("custom scenario needs `--delta` and `--beta`")
-        ps = args.p or DEFAULT_P_GRID
-        beta2 = args.beta2 if args.beta2 is not None else 0.0
-        labels, specs = zip(*DEFAULT_ROWS)
-        plan = ExperimentPlan(
-            points=tuple(scenario_large_p(int(p), args.delta, args.beta, beta2, seed) for p in ps),
-            point_labels=tuple(f"p={int(p)}" for p in ps),
-            estimators=tuple(specs),
-            estimator_labels=tuple(labels),
-            replications=reps,
-            master_seed=seed,
-            cost_limit_seconds=limit,
-        )
-
-    print(f"scenario {scenario}: replications={plan.replications} "
+    print(f"scenario {args.scenario}: replications={plan.replications} "
           f"seed={plan.master_seed} workers={workers}", file=sys.stderr)
     for label, spec in zip(plan.point_labels, plan.points):
         print(
@@ -351,28 +342,12 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _derive_bound_params(args: argparse.Namespace) -> AbcdParams:
-    scenario = getattr(args, "scenario", None)
-    if scenario is not None:
-        from .simgen import scenario_table1, scenario_table2, scenario_table3
-
-        seed = args.seed if args.seed is not None else 0
-        if scenario in ("table1", "table2"):
-            if not args.n or len(args.n) != 1:
-                raise CliError(f"scenario {scenario} needs a single `--n` value")
-            n = args.n[0]
-            if scenario == "table1":
-                spec = scenario_table1(n, seed)
-            else:
-                if args.eta is None:
-                    raise CliError("`--eta` is required for scenario table2")
-                spec = scenario_table2(n, args.eta, seed)
-        elif scenario in ("table3a", "table3b"):
-            if not args.p or len(args.p) != 1:
-                raise CliError(f"scenario {scenario} needs a single `--p` value")
-            case = "weak_spike" if scenario == "table3a" else "strong_spike"
-            spec = scenario_table3(args.p[0], case, seed)
-        else:
-            raise CliError(f"scenario {scenario!r} cannot parameterize the bound")
+    if getattr(args, "scenario", None) is not None:
+        kind = _scenario_kind(args, custom_ok=False)
+        sizes = getattr(args, kind.axis)
+        if not sizes or len(sizes) != 1:
+            raise CliError(f"scenario {args.scenario} needs a single `--{kind.axis}` value")
+        spec = kind.model_spec(sizes[0], args.seed if args.seed is not None else 0)
         # expected signal energy for a centered standard-normal design
         c = float(spec.alpha @ spec.alpha) * (spec.n - 1)
         return AbcdParams.from_spectrum(spec.lambdas, c, spec.q, spec.n)
@@ -435,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="run a Monte Carlo scenario")
-    sim.add_argument("--scenario", help=f"one of {', '.join(SCENARIOS)}")
+    sim.add_argument("--scenario", help=f"one of {_SCENARIO_NAMES}")
     sim.add_argument("--n", type=_int_list, help="comma-separated sample sizes")
     sim.add_argument("--p", type=_int_list, help="comma-separated dimensions")
     sim.add_argument("--eta", type=float, help="eigengap exponent (table2)")

@@ -347,6 +347,16 @@ def center_columns(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=0)
 
 
+def _check_conditioning(x: np.ndarray) -> None:
+    """Raise `RankDeficiencyError` unless cond(X'X) <= COND_LIMIT."""
+    sv = np.linalg.svd(x, compute_uv=False)
+    if sv[-1] <= 0.0 or (sv[0] / sv[-1]) ** 2 > COND_LIMIT:
+        raise RankDeficiencyError(
+            f"cond(X'X) = {(sv[0] / max(sv[-1], 1e-300)) ** 2:.3e} exceeds "
+            f"{COND_LIMIT:g}; design columns are too collinear"
+        )
+
+
 def sums_of_squares(data: Dataset) -> SumOfSquares:
     """Decompose the centered response scatter along and off the design span.
 
@@ -367,12 +377,7 @@ def sums_of_squares(data: Dataset) -> SumOfSquares:
         If cond(X'X) exceeds 1e12.
     """
     x, y = data.x, data.y
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= 0.0 or (sv[0] / sv[-1]) ** 2 > COND_LIMIT:
-        raise RankDeficiencyError(
-            f"cond(X'X) = {(sv[0] / max(sv[-1], 1e-300)) ** 2:.3e} exceeds "
-            f"{COND_LIMIT:g}; design columns are too collinear"
-        )
+    _check_conditioning(x)
     qmat = np.linalg.qr(x, mode="reduced")[0]
     yc = y - y.mean(axis=0)
     proj = qmat.T @ yc

@@ -30,6 +30,7 @@ from .core import (
     COND_LIMIT,
     Dataset,
     SumOfSquares,
+    _check_conditioning,
     _check_scatter_stack,
     _sym_eig_stack,
     sym_eig,
@@ -255,14 +256,19 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
     - c_hat = tr(s_reg) - q tr(Sigma_hat);
     - d_hat = lambda1_hat - lambda2_hat.
 
-    Requires n > 2 + q so the variance-correction factor is positive.
+    Requires p >= 2 (lambda2_hat needs a second eigenvalue) and n > 2 + q
+    so the variance-correction factor is positive.
 
     Raises
     ------
+    ValueError
+        If p < 2.
     DegreesOfFreedomError
         If n <= 2 + q.
     """
     n, q = ss.n, ss.q
+    if ss.p < 2:
+        raise ValueError("need at least two response coordinates")
     if n <= 2 + q:
         raise DegreesOfFreedomError(
             f"plug-in weight needs n > q + 2; got n = {n}, q = {q}"
@@ -347,12 +353,7 @@ class OlsRule:
 def _ols_fit(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients (q x p) and intercept for centered x."""
     x, y = data.x, data.y
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= 0.0 or (sv[0] / sv[-1]) ** 2 > 1e12:
-        raise RankDeficiencyError(
-            f"cond(X'X) = {(sv[0] / max(sv[-1], 1e-300)) ** 2:.3e} too large "
-            f"for a least-squares fit"
-        )
+    _check_conditioning(x)
     qmat, rmat = np.linalg.qr(x, mode="reduced")
     coef = np.linalg.solve(rmat, qmat.T @ y)
     mu = y.mean(axis=0)

@@ -1,7 +1,9 @@
 """Monte Carlo driver: replicated experiments, trend sweeps, table output.
 
 A plan pairs a tuple of fully resolved models (one per scenario point)
-with a tuple of estimator rows.  Within a replication every estimator row
+with a tuple of estimator rows.  `scenario_plan` builds the plan of one
+regime kind of `simgen` (the paper's tables, a consistency sweep or a CLI
+scenario) over a list of sizes.  Within a replication every estimator row
 sees the same draw and the same sum-of-squares matrices, so rows differ
 only through their weights (common random numbers).  Replication r of a
 point is keyed by (master_seed, r), which makes results independent of
@@ -30,7 +32,14 @@ from .estimators import (
     mse_up_to_sign,
     w_star,
 )
-from .simgen import ModelSpec, RegimeSpec, gen_dataset, scenario_table1, scenario_table2, scenario_table3
+from .simgen import (
+    LargePLargeN,
+    ModelSpec,
+    RegimeSpec,
+    Traditional,
+    WeakIdentifiability,
+    gen_dataset,
+)
 
 
 @dataclass(frozen=True)
@@ -303,52 +312,22 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> McResult:
 
 
 # --------------------------------------------------------------------------
-# plan builders for the named scenarios
+# plan builder
 # --------------------------------------------------------------------------
 
 
-def _split_rows(rows) -> tuple[tuple[str, ...], tuple[EstimatorSpec, ...]]:
+def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
+                  replications: int, seed: int, rows=DEFAULT_ROWS,
+                  cost_limit_seconds: float | None = None) -> ExperimentPlan:
+    """One regime kind at the given sizes, in the given order.
+
+    `sizes` runs along `kind.axis` (sample sizes n or dimensions p); a
+    single size is allowed.  `rows` is a sequence of (label, estimator).
+    """
     labels, specs = zip(*rows)
-    return tuple(labels), tuple(specs)
-
-
-def table1_plan(n_values, replications: int, seed: int, rows=DEFAULT_ROWS,
-                cost_limit_seconds: float | None = None) -> ExperimentPlan:
-    """Baseline scenario across a grid of sample sizes."""
-    labels, specs = _split_rows(rows)
     return ExperimentPlan(
-        points=tuple(scenario_table1(int(n), seed) for n in n_values),
-        point_labels=tuple(f"n={int(n)}" for n in n_values),
-        estimators=specs,
-        estimator_labels=labels,
-        replications=replications,
-        master_seed=seed,
-        cost_limit_seconds=cost_limit_seconds,
-    )
-
-
-def table2_plan(eta: float, n_values, replications: int, seed: int, rows=DEFAULT_ROWS,
-                cost_limit_seconds: float | None = None) -> ExperimentPlan:
-    """Shrinking-eigengap scenario across a grid of sample sizes."""
-    labels, specs = _split_rows(rows)
-    return ExperimentPlan(
-        points=tuple(scenario_table2(int(n), eta, seed) for n in n_values),
-        point_labels=tuple(f"n={int(n)}" for n in n_values),
-        estimators=specs,
-        estimator_labels=labels,
-        replications=replications,
-        master_seed=seed,
-        cost_limit_seconds=cost_limit_seconds,
-    )
-
-
-def table3_plan(case: str, p_values, replications: int, seed: int, rows=DEFAULT_ROWS,
-                cost_limit_seconds: float | None = None) -> ExperimentPlan:
-    """Growing-dimension scenario across a grid of dimensions."""
-    labels, specs = _split_rows(rows)
-    return ExperimentPlan(
-        points=tuple(scenario_table3(int(p), case, seed) for p in p_values),
-        point_labels=tuple(f"p={int(p)}" for p in p_values),
+        points=tuple(kind.model_spec(int(s), seed) for s in sizes),
+        point_labels=tuple(f"{kind.axis}={int(s)}" for s in sizes),
         estimators=specs,
         estimator_labels=labels,
         replications=replications,
@@ -388,16 +367,7 @@ def consistency_sweep(
         raise ValueError(
             f"trend classification needs at least 3 grid points, got {len(regime.grid)}"
         )
-    labels, specs = _split_rows(rows)
-    plan = ExperimentPlan(
-        points=tuple(regime.model_spec(s, seed) for s in regime.grid),
-        point_labels=tuple(regime.point_label(s) for s in regime.grid),
-        estimators=specs,
-        estimator_labels=labels,
-        replications=replications,
-        master_seed=seed,
-        cost_limit_seconds=cost_limit_seconds,
-    )
+    plan = scenario_plan(regime.kind, regime.grid, replications, seed, rows, cost_limit_seconds)
     result = run_experiment(plan, workers=workers)
     verdicts = {}
     for i, lab in enumerate(result.estimator_labels):

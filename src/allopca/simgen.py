@@ -14,6 +14,15 @@ from (master_seed, r, 1), so any subset of replications can be generated
 independently, in any order, on any number of workers, with identical
 results.  The orthonormal basis uses the one-element key (2,) and so never
 collides with a replication stream.
+
+The simulated models are defined by three regime kinds, one per model
+family of the paper: `Traditional` (fixed dimension, table 1),
+`WeakIdentifiability(eta)` (shrinking eigengap, table 2) and
+`LargePLargeN(delta, beta, beta2)` (growing dimension with a spiked
+spectrum; `WEAK_SPIKE` and `STRONG_SPIKE` are tables 3a and 3b).  Each
+kind names the size it grows along (`axis`, "n" or "p") and builds the
+model at one size with `model_spec(size, seed)`; `RegimeSpec` pairs a
+kind with a grid of sizes for consistency sweeps.
 """
 
 from __future__ import annotations
@@ -180,110 +189,57 @@ def gen_dataset(spec: ModelSpec, replication: int = 0) -> tuple[Dataset, np.ndar
 
 
 # --------------------------------------------------------------------------
-# named scenarios
+# regime kinds: the simulated models
 # --------------------------------------------------------------------------
 
-TABLE3_CASES = ("weak_spike", "strong_spike")
 
+def _spiked_model(p: int, n: int, lambda1: float, lambda2: float, seed: int) -> ModelSpec:
+    """The model recipe shared by every regime kind.
 
-def scenario_table1(n: int, seed: int) -> ModelSpec:
-    """Baseline scenario: p = 10, q = 5, lambdas = (2, 1, ..., 1), alpha = 1.
-
-    Any n > 7 is accepted so the plug-in weight is always defined.
+    q = 5, lambdas = (lambda1, lambda2, 1, ..., 1), mu = 0, alpha = 1 and
+    the basis `random_gamma(p, seed)`.  Requires n > 2 + q, so that the
+    plug-in weight is defined.
     """
-    if n <= 7:
-        raise DegreesOfFreedomError(f"baseline scenario needs n > 7, got n = {n}")
-    p, q = 10, 5
-    lam = np.ones(p)
-    lam[0] = 2.0
-    return ModelSpec(
-        p=p, q=q, n=int(n),
-        mu=np.zeros(p), alpha=np.ones(q),
-        lambdas=lam, gamma_basis=random_gamma(p, seed),
-        master_seed=int(seed),
-    )
-
-
-def scenario_table2(n: int, eta: float, seed: int) -> ModelSpec:
-    """Shrinking-eigengap scenario: lambda_1 = 1 + n^(-eta), others 1."""
-    if eta <= 0:
-        raise ValueError(f"`eta` must be > 0, got {eta}")
-    if n <= 7:
-        raise DegreesOfFreedomError(f"shrinking-gap scenario needs n > 7, got n = {n}")
-    p, q = 10, 5
-    lam = np.ones(p)
-    lam[0] = 1.0 + float(n) ** (-float(eta))
-    return ModelSpec(
-        p=p, q=q, n=int(n),
-        mu=np.zeros(p), alpha=np.ones(q),
-        lambdas=lam, gamma_basis=random_gamma(p, seed),
-        master_seed=int(seed),
-    )
-
-
-def scenario_large_p(p: int, delta: float, beta: float, beta2: float, seed: int) -> ModelSpec:
-    """Growing-dimension model: n = floor(p^delta), spiked lambdas."""
     q = 5
-    n = int(math.floor(float(p) ** float(delta)))
     if n <= 2 + q:
         raise DegreesOfFreedomError(
-            f"p = {p} gives n = {n} <= q + 2 = {q + 2}; increase p or delta"
+            f"model has n = {n} <= q + 2 = {q + 2} (p = {p}); the plug-in weight needs n > q + 2"
         )
     lam = np.ones(p)
-    lam[0] = float(p) ** beta if beta > 0 else 1.0 + float(p) ** beta
-    lam[1] = float(p) ** beta2
-    if not lam[0] > lam[1] >= 1.0:
-        raise ValueError(
-            f"spike exponents give lambda_1 = {lam[0]}, lambda_2 = {lam[1]}; "
-            f"need lambda_1 > lambda_2 >= 1"
-        )
+    lam[0] = lambda1
+    lam[1] = lambda2
     return ModelSpec(
-        p=int(p), q=q, n=n,
+        p=p, q=q, n=n,
         mu=np.zeros(p), alpha=np.ones(q),
-        lambdas=lam, gamma_basis=random_gamma(int(p), seed),
+        lambdas=lam, gamma_basis=random_gamma(p, seed),
         master_seed=int(seed),
     )
-
-
-def scenario_table3(p: int, case: str, seed: int) -> ModelSpec:
-    """Growing-dimension scenario: q = 5, n = floor(p^0.8), spiked spectrum.
-
-    `case` selects the spike strength:
-
-    - "weak_spike": lambda_1 = p^0.25, lambda_2 = 1;
-    - "strong_spike": lambda_1 = p^0.8, lambda_2 = p^0.4.
-
-    Remaining eigenvalues are 1.  Requires p > 10.
-    """
-    if case not in TABLE3_CASES:
-        raise ValueError(f"`case` must be one of {TABLE3_CASES}, got {case!r}")
-    if p <= 10:
-        raise ValueError(f"`p` must be > 10, got {p}")
-    if case == "weak_spike":
-        return scenario_large_p(p, 0.8, 0.25, 0.0, seed)
-    return scenario_large_p(p, 0.8, 0.8, 0.4, seed)
-
-
-# --------------------------------------------------------------------------
-# asymptotic regimes for consistency sweeps
-# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Traditional:
-    """Fixed model (baseline scenario), sample size grows."""
+    """Fixed model (table 1): p = 10, lambdas = (2, 1, ..., 1); n grows."""
+
+    axis = "n"
+
+    def model_spec(self, n: int, seed: int) -> ModelSpec:
+        return _spiked_model(10, int(n), 2.0, 1.0, seed)
 
 
 @dataclass(frozen=True)
 class WeakIdentifiability:
-    """Eigengap shrinks with n: lambda_1 = 1 + n^(-eta)."""
+    """Eigengap shrinks with n (table 2): p = 10, lambda_1 = 1 + n^(-eta)."""
 
     eta: float
+    axis = "n"
 
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError(f"`eta` must be > 0, got {self.eta}")
         object.__setattr__(self, "eta", float(self.eta))
+
+    def model_spec(self, n: int, seed: int) -> ModelSpec:
+        return _spiked_model(10, int(n), 1.0 + float(n) ** (-self.eta), 1.0, seed)
 
 
 @dataclass(frozen=True)
@@ -291,12 +247,14 @@ class LargePLargeN:
     """Dimension grows with n = floor(p^delta); spikes are powers of p.
 
     lambda_1 = p^beta (or 1 + p^beta when beta <= 0, keeping the spectrum
-    ordered), lambda_2 = p^beta2, the rest 1.
+    ordered), lambda_2 = p^beta2, the rest 1.  Accepts delta > 0 and
+    beta <= 1, with 0 <= beta2 < beta when beta > 0 and beta2 = 0 otherwise.
     """
 
     delta: float
     beta: float
     beta2: float = 0.0
+    axis = "p"
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -313,13 +271,32 @@ class LargePLargeN:
         for name in ("delta", "beta", "beta2"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
+    def model_spec(self, p: int, seed: int) -> ModelSpec:
+        p = int(p)
+        if p < 2:
+            raise ValueError(f"`p` must be >= 2, got {p}")
+        lam1 = float(p) ** self.beta if self.beta > 0 else 1.0 + float(p) ** self.beta
+        lam2 = float(p) ** self.beta2
+        if not lam1 > lam2 >= 1.0:
+            raise ValueError(
+                f"spike exponents give lambda_1 = {lam1}, lambda_2 = {lam2}; "
+                f"need lambda_1 > lambda_2 >= 1"
+            )
+        return _spiked_model(p, int(math.floor(float(p) ** self.delta)), lam1, lam2, seed)
+
+
+# The growing-dimension cases of tables 3a and 3b: n = floor(p^0.8) with a
+# weak spike (lambda_1 = p^0.25) or a strong one (p^0.8, lambda_2 = p^0.4).
+WEAK_SPIKE = LargePLargeN(0.8, 0.25, 0.0)
+STRONG_SPIKE = LargePLargeN(0.8, 0.8, 0.4)
+
 
 @dataclass(frozen=True)
 class RegimeSpec:
     """An asymptotic regime plus the grid of sizes to sweep.
 
-    `grid` holds sample sizes n for `Traditional` and `WeakIdentifiability`
-    and dimensions p for `LargePLargeN`; it must be strictly increasing.
+    `grid` holds the sizes along `kind.axis` (sample sizes n, or dimensions
+    p for `LargePLargeN`); it must be strictly increasing.
     """
 
     kind: Traditional | WeakIdentifiability | LargePLargeN
@@ -336,13 +313,8 @@ class RegimeSpec:
         object.__setattr__(self, "grid", grid)
 
     def point_label(self, size: int) -> str:
-        axis = "p" if isinstance(self.kind, LargePLargeN) else "n"
-        return f"{axis}={size}"
+        return f"{self.kind.axis}={size}"
 
     def model_spec(self, size: int, seed: int) -> ModelSpec:
         """The model at one grid point."""
-        if isinstance(self.kind, Traditional):
-            return scenario_table1(size, seed)
-        if isinstance(self.kind, WeakIdentifiability):
-            return scenario_table2(size, self.kind.eta, seed)
-        return scenario_large_p(size, self.kind.delta, self.kind.beta, self.kind.beta2, seed)
+        return self.kind.model_spec(size, seed)

@@ -9,11 +9,14 @@ import time
 import numpy as np
 
 from allopca import (
+    STRONG_SPIKE,
     Dataset,
     FixedWeight,
     ModelSpec,
     PluginRule,
     SumOfSquares,
+    Traditional,
+    WeakIdentifiability,
     center_columns,
     estimate_abcd,
     gamma1_hat,
@@ -24,10 +27,8 @@ from allopca import (
     mse_up_to_sign,
     random_gamma,
     run_experiment,
+    scenario_plan,
     sums_of_squares,
-    table1_plan,
-    table2_plan,
-    table3_plan,
     w_star,
 )
 from allopca.estimators import AbcdParams
@@ -41,7 +42,7 @@ def row(result, label):
 
 def test_criterion_1_small_dimension_tables():
     t0 = time.perf_counter()
-    res = run_experiment(table1_plan((20, 500), 1000, SEED))
+    res = run_experiment(scenario_plan(Traditional(), (20, 500), 1000, SEED))
     wall = time.perf_counter() - t0
     targets = {
         ("total(w=0.5)", 0): 0.10517, ("total(w=0.5)", 1): 0.00349,
@@ -63,7 +64,7 @@ def test_criterion_1_small_dimension_tables():
 
 
 def test_criterion_2_shrinking_gap_tables():
-    res = run_experiment(table2_plan(1.0, (20, 500), 1000, SEED))
+    res = run_experiment(scenario_plan(WeakIdentifiability(1.0), (20, 500), 1000, SEED))
     resid = res.mean_mse[row(res, "residual(w=1)")]
     reg = res.mean_mse[row(res, "regression(w=0)")]
     assert resid[0] > 1.0 and resid[1] > 1.0, resid
@@ -75,7 +76,7 @@ def test_criterion_2_shrinking_gap_tables():
 
 def test_criterion_3_growing_dimension_spot_check():
     t0 = time.perf_counter()
-    res = run_experiment(table3_plan("strong_spike", (50,), 1000, SEED))
+    res = run_experiment(scenario_plan(STRONG_SPIKE, (50,), 1000, SEED))
     wall = time.perf_counter() - t0
     total = res.mean_mse[row(res, "total(w=0.5)"), 0]
     reg = res.mean_mse[row(res, "regression(w=0)"), 0]
@@ -221,7 +222,7 @@ def test_criterion_8_algebraic_properties():
         if abs(gamma1_hat(scaled_ss, w).vector @ base) < 1.0 - 1e-10:
             failures.append((seed, "scaling"))
     assert failures == [], failures[:5]
-    plan = table1_plan((10, 12), 32, SEED)
+    plan = scenario_plan(Traditional(), (10, 12), 32, SEED)
     runs = [run_experiment(plan, workers=k) for k in (1, 2, 4)]
     for other in runs[1:]:
         assert runs[0].mean_mse.tobytes() == other.mean_mse.tobytes()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import allopca
+from allopca import LargePLargeN, Traditional, WeakIdentifiability
 from allopca.cli import WORKERS_ENV, _read_matrix_csv, main, write_matrix_csv
 
 
@@ -142,6 +143,53 @@ def test_simulate_custom_runs(capsys):
     assert parse_csv(out)[0] == ["estimator", "p=30"]
 
 
+def test_simulate_custom_beta_above_one_exits_2(capsys):
+    code, _, err = run_cli(
+        ["simulate", "--scenario", "custom", "--p", "30", "--delta", "0.9",
+         "--beta", "1.2", "--reps", "2"], capsys)
+    assert code == 2
+    assert "error:" in err and "beta" in err
+
+
+def test_simulate_custom_second_spike_needs_positive_beta(capsys):
+    code, _, err = run_cli(
+        ["simulate", "--scenario", "custom", "--p", "30", "--delta", "0.9",
+         "--beta", "0", "--beta2", "0.1", "--reps", "2"], capsys)
+    assert code == 2
+    assert "error:" in err and "beta2" in err
+
+
+def test_simulate_keeps_grid_order(capsys):
+    code, out, err = run_cli(
+        ["simulate", "--scenario", "table3a", "--p", "30,20", "--reps", "2"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0] == ["estimator", "p=30", "p=20"]
+    assert err.index("p=30:") < err.index("p=20:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "table1", "--n", "20"],
+    ["--scenario", "table2", "--eta", "0.5", "--n", "50"],
+    ["--scenario", "table3a", "--p", "30"],
+    ["--scenario", "table3b", "--p", "30"],
+])
+def test_simulate_and_bound_build_the_same_model(argv, capsys, monkeypatch):
+    built = []
+    for kind in (Traditional, WeakIdentifiability, LargePLargeN):
+        def recording(self, size, seed, _model_spec=kind.model_spec):
+            spec = _model_spec(self, size, seed)
+            built.append(spec)
+            return spec
+        monkeypatch.setattr(kind, "model_spec", recording)
+    assert main(["simulate", *argv, "--seed", "4", "--reps", "1", "--workers", "1"]) == 0
+    assert main(["bound", *argv, "--seed", "4"]) == 0
+    capsys.readouterr()
+    sim, bnd = built
+    assert (sim.p, sim.q, sim.n, sim.master_seed) == (bnd.p, bnd.q, bnd.n, bnd.master_seed)
+    assert sim.lambdas.tobytes() == bnd.lambdas.tobytes()
+    assert sim.gamma_basis.tobytes() == bnd.gamma_basis.tobytes()
+
+
 def test_simulate_markdown(capsys):
     code, out, _ = run_cli(
         ["simulate", "--scenario", "table1", "--n", "10", "--reps", "2",
@@ -229,6 +277,13 @@ def test_estimate_requires_both_files(tmp_path, capsys):
     code, _, err = run_cli(["estimate", "--y", ypath], capsys)
     assert code == 2
     assert "--x" in err
+
+
+def test_estimate_one_response_column_exits_2(tmp_path, capsys):
+    ypath, xpath, _ = dataset_files(tmp_path, n=20, p=1, q=2)
+    code, _, err = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
+    assert code == 2
+    assert "error: need at least two response coordinates" in err
 
 
 def test_estimate_custom_weight_grid(tmp_path, capsys):
@@ -346,6 +401,18 @@ def test_bound_invalid_params_exit_2(capsys):
          "--q", "1", "--n", "12"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def test_bound_refuses_custom_scenario(capsys):
+    code, _, err = run_cli(["bound", "--scenario", "custom", "--p", "50"], capsys)
+    assert code == 2
+    assert "custom" in err
+
+
+def test_bound_scenario_needs_a_single_size(capsys):
+    code, _, err = run_cli(["bound", "--scenario", "table3b", "--p", "50,100"], capsys)
+    assert code == 2
+    assert "single `--p`" in err
 
 
 def test_bound_from_scenario(capsys):

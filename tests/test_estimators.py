@@ -16,6 +16,7 @@ from allopca import (
     OlsRule,
     PluginRule,
     SumOfSquares,
+    Traditional,
     center_columns,
     estimate_abcd,
     gamma1_hat,
@@ -27,11 +28,10 @@ from allopca import (
     mse_up_to_sign,
     random_gamma,
     reduced_rank_coefficients,
-    scenario_table1,
     sums_of_squares,
     w_star,
 )
-from allopca import estimators
+from allopca import core, estimators
 from allopca.estimators import WEIGHT_CAP, _fold_plugin_weights, _fold_scatter, _loo_fit
 
 
@@ -219,6 +219,13 @@ def test_estimate_abcd_needs_degrees_of_freedom():
         estimate_abcd(ss)
 
 
+def test_estimate_abcd_needs_two_responses():
+    # lambda2_hat needs a second eigenvalue of Sigma_hat
+    ss = SumOfSquares.from_parts(np.diag([1.0]), np.diag([2.0]), n=20, q=2)
+    with pytest.raises(ValueError, match="two response coordinates"):
+        estimate_abcd(ss)
+
+
 def test_estimate_abcd_degenerate_cases():
     # flat residual spectrum and c_hat exactly 0: raw weight undefined
     n, q = 20, 5
@@ -274,7 +281,7 @@ def test_plugin_weight_approaches_oracle():
     # median |w_hat - w*| shrinks as n grows in the baseline scenario
     medians = []
     for n in (50, 200, 1000):
-        spec = scenario_table1(n, seed=0)
+        spec = Traditional().model_spec(n, seed=0)
         gaps = []
         for rep in range(200):
             data, _, _ = gen_dataset(spec, rep)
@@ -340,6 +347,22 @@ def test_reduced_rank_validates_axis():
         reduced_rank_coefficients(data, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         reduced_rank_coefficients(data, np.array([1.0, 0.0]))
+
+
+def test_reduced_rank_shares_the_conditioning_limit(monkeypatch):
+    # the least-squares fit refuses exactly the designs the scatter fit refuses
+    rng = np.random.default_rng(28)
+    base = center_columns(rng.standard_normal((30, 1)))
+    x = np.hstack([base, base + 1e-3 * center_columns(rng.standard_normal((30, 1)))])
+    data = Dataset(rng.standard_normal((30, 3)), x)
+    g = np.array([1.0, 0.0, 0.0])
+    reduced_rank_coefficients(data, g)
+    sums_of_squares(data)
+    monkeypatch.setattr(core, "COND_LIMIT", 1e3)
+    with pytest.raises(RankDeficiencyError, match=r"cond\(X'X\) = .* exceeds 1000"):
+        reduced_rank_coefficients(data, g)
+    with pytest.raises(RankDeficiencyError, match=r"cond\(X'X\) = .* exceeds 1000"):
+        sums_of_squares(data)
 
 
 def _simple_data(seed, n=20, p=3, q=2):

@@ -24,9 +24,7 @@ from allopca import (
     estimate_runtime_seconds,
     random_gamma,
     run_experiment,
-    table1_plan,
-    table2_plan,
-    table3_plan,
+    scenario_plan,
 )
 from allopca.harness import DEFAULT_ROWS, default_label
 
@@ -40,7 +38,7 @@ BASIC_ROWS = (
 
 
 def tiny_plan(reps=5, ns=(10, 12), rows=BASIC_ROWS, seed=0):
-    return table1_plan(ns, replications=reps, seed=seed, rows=rows)
+    return scenario_plan(Traditional(), ns, replications=reps, seed=seed, rows=rows)
 
 
 # --------------------------------------------------------------------------
@@ -63,7 +61,7 @@ def test_default_label():
 
 
 def test_plan_validation():
-    spec = table1_plan((10,), 5, 0).points[0]
+    spec = scenario_plan(Traditional(), (10,), 5, 0).points[0]
     with pytest.raises(ValueError):
         ExperimentPlan(points=(), point_labels=(), estimators=(FixedWeight(0.5),),
                        replications=5, master_seed=0)
@@ -170,8 +168,8 @@ def test_plugin_degrees_of_freedom_checked_before_running():
 def test_cost_guard():
     plan = tiny_plan(reps=1000)
     assert estimate_runtime_seconds(plan) > 0
-    limited = table1_plan((10, 12), 1000, 0, rows=BASIC_ROWS,
-                          cost_limit_seconds=1e-9)
+    limited = scenario_plan(Traditional(), (10, 12), 1000, 0, rows=BASIC_ROWS,
+                            cost_limit_seconds=1e-9)
     with pytest.raises(CostLimitError, match="exceeds"):
         run_experiment(limited)
 
@@ -196,7 +194,7 @@ def test_degenerate_model_is_uninformative():
 
 
 def test_oracle_weight_never_loses_badly():
-    res = run_experiment(table1_plan((500,), 500, 0, rows=BASIC_ROWS))
+    res = run_experiment(scenario_plan(Traditional(), (500,), 500, 0, rows=BASIC_ROWS))
     labels = list(res.estimator_labels)
     oracle = res.mean_mse[labels.index("oracle"), 0]
     total = res.mean_mse[labels.index("total(w=0.5)"), 0]
@@ -207,8 +205,8 @@ def test_oracle_weight_never_loses_badly():
 
 def test_standard_errors_shrink_like_root_replications():
     rows = BASIC_ROWS[:4]
-    small = run_experiment(table1_plan((20, 50), 400, 0, rows=rows))
-    large = run_experiment(table1_plan((20, 50), 800, 0, rows=rows))
+    small = run_experiment(scenario_plan(Traditional(), (20, 50), 400, 0, rows=rows))
+    large = run_experiment(scenario_plan(Traditional(), (20, 50), 800, 0, rows=rows))
     ratios = (large.se_mse / small.se_mse).ravel()
     assert 0.6 <= np.median(ratios) <= 0.82
 
@@ -302,7 +300,7 @@ def test_emit_table_markdown_layout():
 
 
 def test_emit_table_default_rows_shape():
-    res = run_experiment(table1_plan((10,), 3, 0))
+    res = run_experiment(scenario_plan(Traditional(), (10,), 3, 0))
     rows = list(csv.reader(io.StringIO(emit_table(res, "csv"))))
     assert len(rows) == 1 + 11 + 2  # header, estimators, weight rows
     with pytest.raises(ValueError):

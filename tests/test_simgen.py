@@ -5,6 +5,8 @@ import pytest
 from scipy.stats import chi2
 
 from allopca import (
+    STRONG_SPIKE,
+    WEAK_SPIKE,
     DegreesOfFreedomError,
     LargePLargeN,
     ModelSpec,
@@ -13,10 +15,6 @@ from allopca import (
     WeakIdentifiability,
     gen_dataset,
     random_gamma,
-    scenario_large_p,
-    scenario_table1,
-    scenario_table2,
-    scenario_table3,
     substream,
     sums_of_squares,
 )
@@ -183,62 +181,60 @@ def test_gen_dataset_noiseless_limit():
 
 
 def test_scenario_table1_settings():
-    spec = scenario_table1(20, seed=0)
+    spec = Traditional().model_spec(20, seed=0)
     assert (spec.p, spec.q, spec.n) == (10, 5, 20)
     assert spec.lambda1 - spec.lambda2 == 1.0
     assert np.all(spec.lambdas[1:] == 1.0)
     assert np.all(spec.alpha == 1.0)
     assert np.all(spec.mu == 0.0)
-    again = scenario_table1(20, seed=0)
+    again = Traditional().model_spec(20, seed=0)
     assert spec.gamma_basis.tobytes() == again.gamma_basis.tobytes()
     with pytest.raises(DegreesOfFreedomError):
-        scenario_table1(7, seed=0)
+        Traditional().model_spec(7, seed=0)
 
 
 def test_scenario_table2_settings():
-    assert scenario_table2(100, 1.0, 0).lambda1 == pytest.approx(1.01)
-    assert scenario_table2(20, 0.5, 0).lambda1 == pytest.approx(1.0 + 20 ** -0.5)
+    assert WeakIdentifiability(1.0).model_spec(100, 0).lambda1 == pytest.approx(1.01)
+    assert WeakIdentifiability(0.5).model_spec(20, 0).lambda1 == pytest.approx(1.0 + 20 ** -0.5)
     # continuity with the baseline scenario as eta -> 0
-    assert scenario_table2(100, 1e-9, 0).lambda1 == pytest.approx(2.0, abs=1e-6)
+    assert WeakIdentifiability(1e-9).model_spec(100, 0).lambda1 == pytest.approx(2.0, abs=1e-6)
     with pytest.raises(ValueError):
-        scenario_table2(100, 0.0, 0)
+        WeakIdentifiability(0.0).model_spec(100, 0)
     with pytest.raises(DegreesOfFreedomError):
-        scenario_table2(6, 1.0, 0)
+        WeakIdentifiability(1.0).model_spec(6, 0)
 
 
 def test_scenario_table3_settings():
-    spec = scenario_table3(20, "weak_spike", 0)
+    spec = WEAK_SPIKE.model_spec(20, 0)
     assert spec.n == 10 and spec.q == 5 and spec.p == 20
-    strong = scenario_table3(100, "strong_spike", 0)
+    strong = STRONG_SPIKE.model_spec(100, 0)
     assert strong.lambda1 == pytest.approx(100 ** 0.8)
     assert strong.lambda2 == pytest.approx(100 ** 0.4)
-    weak = scenario_table3(500, "weak_spike", 0)
+    weak = WEAK_SPIKE.model_spec(500, 0)
     assert weak.lambda1 == pytest.approx(500 ** 0.25)
     assert weak.lambda2 == 1.0
     with pytest.raises(ValueError):
-        scenario_table3(50, "no_such_case", 0)
-    with pytest.raises(ValueError):
-        scenario_table3(10, "weak_spike", 0)
+        WEAK_SPIKE.model_spec(10, 0)
     with pytest.raises(DegreesOfFreedomError):
-        scenario_table3(11, "weak_spike", 0)
+        WEAK_SPIKE.model_spec(11, 0)
 
 
 def test_scenario_grids_all_valid():
     for n in (20, 50, 100, 200, 500):
-        scenario_table1(n, 0)
+        Traditional().model_spec(n, 0)
         for eta in (1.0 / 3.0, 0.5, 1.0):
-            scenario_table2(n, eta, 0)
+            WeakIdentifiability(eta).model_spec(n, 0)
     for p in (20, 50, 100):
-        scenario_table3(p, "weak_spike", 0)
-        scenario_table3(p, "strong_spike", 0)
+        WEAK_SPIKE.model_spec(p, 0)
+        STRONG_SPIKE.model_spec(p, 0)
 
 
 def test_scenario_large_p_custom():
-    spec = scenario_large_p(40, 0.9, -0.5, 0.0, 0)
+    spec = LargePLargeN(0.9, -0.5, 0.0).model_spec(40, 0)
     assert spec.n == int(40 ** 0.9)
     assert spec.lambda1 == pytest.approx(1.0 + 40 ** -0.5)
     with pytest.raises(ValueError):
-        scenario_large_p(40, 0.9, 0.3, 0.5, 0)  # beta2 >= beta
+        LargePLargeN(0.9, 0.3, 0.5).model_spec(40, 0)  # beta2 >= beta
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +255,19 @@ def test_regime_validation():
         RegimeSpec(Traditional(), (50, 50))
     with pytest.raises(ValueError):
         RegimeSpec("traditional", (20, 50))
+
+
+def test_regime_kind_axes_and_table3_cases():
+    assert Traditional.axis == WeakIdentifiability.axis == "n"
+    assert LargePLargeN.axis == "p"
+    assert WEAK_SPIKE == LargePLargeN(0.8, 0.25, 0.0)
+    assert STRONG_SPIKE == LargePLargeN(0.8, 0.8, 0.4)
+    for p in (-5, 1):
+        with pytest.raises(ValueError, match="`p` must be >= 2"):
+            WEAK_SPIKE.model_spec(p, 0)
+    # 1 + 100^-60 rounds to 1 = lambda_2: no eigengap left
+    with pytest.raises(ValueError, match="lambda_1 > lambda_2"):
+        LargePLargeN(0.9, -60.0).model_spec(100, 0)
 
 
 def test_regime_dispatch():
