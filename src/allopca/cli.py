@@ -247,28 +247,35 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
     """The regime kind named by `--scenario` (and `--eta`/`--delta`/`--beta`/`--beta2`).
 
     `custom` needs the growth exponents, which only `simulate` takes; the
-    `bound` command passes `custom_ok=False` to refuse it.
+    `bound` command passes `custom_ok=False` to refuse it.  The size flag
+    off the kind's axis is refused, not ignored.
     """
     scenario = getattr(args, "scenario", None)
     if scenario is None:
         raise CliError(f"`--scenario` is required; choose from {_SCENARIO_NAMES}")
     if scenario == "table1":
-        return Traditional()
-    if scenario == "table2":
+        kind = Traditional()
+    elif scenario == "table2":
         if args.eta is None:
             raise CliError("`--eta` is required for scenario table2")
-        return WeakIdentifiability(args.eta)
-    if scenario == "table3a":
-        return WEAK_SPIKE
-    if scenario == "table3b":
-        return STRONG_SPIKE
-    if scenario == "custom":
+        kind = WeakIdentifiability(args.eta)
+    elif scenario == "table3a":
+        kind = WEAK_SPIKE
+    elif scenario == "table3b":
+        kind = STRONG_SPIKE
+    elif scenario == "custom":
         if not custom_ok:
             raise CliError("scenario 'custom' cannot parameterize the bound")
         if args.delta is None or args.beta is None:
             raise CliError("custom scenario needs `--delta` and `--beta`")
-        return LargePLargeN(args.delta, args.beta, args.beta2 if args.beta2 is not None else 0.0)
-    raise CliError(f"unknown `--scenario` value {scenario!r}; choose from {_SCENARIO_NAMES}")
+        kind = LargePLargeN(args.delta, args.beta, args.beta2 if args.beta2 is not None else 0.0)
+    else:
+        raise CliError(f"unknown `--scenario` value {scenario!r}; choose from {_SCENARIO_NAMES}")
+    off_axis = "p" if kind.axis == "n" else "n"
+    if getattr(args, off_axis) is not None:
+        raise CliError(f"scenario {scenario} grows along `--{kind.axis}`; "
+                       f"`--{off_axis}` does not apply")
+    return kind
 
 
 # --------------------------------------------------------------------------

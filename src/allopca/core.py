@@ -19,11 +19,13 @@ which satisfy S_total = S_reg + S_resid because the column span of a
 centered X lies inside the range of C.  All three are computed from a thin
 QR factorization of X; the explicit normal-equations inverse is never
 formed.
+
+`_sym_eig_stack` is the one symmetric eigensolver (`sym_eig` is a stack of
+one) and `_check_scatter_stack` the one set of scatter-matrix checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,8 @@ SYM_STORED_TOL = 1e-10  # asymmetry allowed in stored S matrices
 PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace
 ADDITIVITY_TOL = 1e-9   # |S_total - S_reg - S_resid| entrywise
 COND_LIMIT = 1e12       # condition-number cap for X'X
+
+_SCATTER_NAMES = ("s_reg", "s_resid", "s_total")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -61,15 +65,6 @@ def _check_symmetric(m: np.ndarray, rtol: float, name: str) -> None:
         raise ValueError(
             f"`{name}` is not symmetric: max|M - M'| = {asym:.3e} exceeds "
             f"relative tolerance {rtol:g}"
-        )
-
-
-def _check_psd(m: np.ndarray, name: str) -> None:
-    lo = float(np.linalg.eigvalsh(m)[0])
-    floor = -PSD_TOL * max(float(np.trace(m)), 0.0)
-    if lo < floor:
-        raise ValueError(
-            f"`{name}` is not positive semidefinite: min eigenvalue {lo:.3e}"
         )
 
 
@@ -163,10 +158,10 @@ class SumOfSquares:
 
     def __post_init__(self):
         mats = {}
-        for name in ("s_reg", "s_resid", "s_total"):
+        for name in _SCATTER_NAMES:
             m = np.asarray(getattr(self, name), dtype=float)
-            _check_symmetric(m, SYM_STORED_TOL, name)
-            _check_psd(m, name)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"`{name}` must be a square matrix, got shape {m.shape}")
             mats[name] = m
         shapes = {m.shape for m in mats.values()}
         if len(shapes) != 1:
@@ -177,11 +172,7 @@ class SumOfSquares:
         object.__setattr__(self, "q", int(self.q))
         if self.q < 1 or self.n <= 1 + self.q:
             raise ValueError(f"need q >= 1 and n > 1 + q; got n = {self.n}, q = {self.q}")
-        gap = _max_abs(mats["s_total"] - mats["s_reg"] - mats["s_resid"])
-        if gap > ADDITIVITY_TOL * max(_max_abs(mats["s_total"]), 1e-300):
-            raise ValueError(
-                f"s_total != s_reg + s_resid: max entry gap {gap:.3e}"
-            )
+        _check_scatter_stack(*(m[None] for m in mats.values()))
         for name, m in mats.items():
             object.__setattr__(self, name, _readonly(m))
 
@@ -225,22 +216,13 @@ class SymEig:
         object.__setattr__(self, "vectors", _readonly(vecs))
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so each column's peak entry is positive."""
-    lead = np.argmax(np.abs(vecs), axis=0)
-    flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
-    out = vecs.copy()
-    out[:, flip] *= -1.0
-    return out
-
-
 def sym_eig(m: np.ndarray) -> SymEig:
     """Eigendecompose a symmetric matrix deterministically.
 
-    The input is symmetrized as (M + M') / 2, rescaled by a power of two
-    (so that positive power-of-two rescalings of M produce bit-identical
-    eigenvectors), and passed to LAPACK.  Eigenvalues are returned in
-    descending order under the package sign convention.
+    The input is symmetrized as (M + M') / 2 and passed to `_sym_eig_stack`
+    as a stack of one, so positive power-of-two rescalings of M produce
+    bit-identical eigenvectors.  Eigenvalues are returned in descending
+    order under the package sign convention.
 
     Parameters
     ----------
@@ -258,30 +240,19 @@ def sym_eig(m: np.ndarray) -> SymEig:
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m, SYM_INPUT_TOL, "m")
-    sym = (m + m.T) / 2.0
-    peak = _max_abs(sym)
-    scale = 2.0 ** math.floor(math.log2(peak)) if peak > 0.0 else 1.0
-    vals, vecs = np.linalg.eigh(sym / scale)
-    vals = vals[::-1] * scale
-    vecs = _fix_signs(vecs[:, ::-1])
-    # eigh should hand back an exact reconstruction up to roundoff; a large
-    # residual here means the input was numerically pathological.
-    resid = vecs @ (vals[:, None] * vecs.T) - sym
-    fro = float(np.linalg.norm(sym))
-    if float(np.linalg.norm(resid)) > 1e-8 * max(fro, 1e-300):
-        raise ValueError("eigendecomposition failed to reconstruct the input")
-    return SymEig(vals, vecs)
+    vals, vecs = _sym_eig_stack(((m + m.T) / 2.0)[None])
+    return SymEig(vals[0], vecs[0])
 
 
 def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`sym_eig` of each matrix in a stack (k, p, p), in one LAPACK call.
+    """Eigendecompose each exactly symmetric matrix of a stack (k, p, p) in one LAPACK call.
 
-    The matrices must already be exactly symmetric.  As in `sym_eig`, each
-    is divided by the largest power of two not above its peak entry, the
-    eigenpairs come back with eigenvalues descending and eigenvectors
-    under the package sign convention, and each decomposition must
-    reconstruct its matrix and have orthonormal eigenvectors.  Returns
-    (values (k, p), vectors (k, p, p)).
+    Each matrix is divided by the largest power of two not above its peak
+    entry (exact, from `frexp`), so power-of-two rescalings give
+    bit-identical eigenvectors.  Eigenvalues come back descending, and each
+    eigenvector with its largest-magnitude entry positive (ties toward the
+    lowest index); each decomposition must reconstruct its matrix and have
+    orthonormal eigenvectors.  Returns (values (k, p), vectors (k, p, p)).
 
     Raises
     ------
@@ -296,6 +267,8 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lead = np.argmax(np.abs(vecs), axis=1)[:, None, :]
     vecs = np.where(np.take_along_axis(vecs, lead, axis=1) < 0.0, -vecs, vecs)
     vecs_t = np.swapaxes(vecs, 1, 2)
+    # eigh should hand back an exact reconstruction up to roundoff; a large
+    # residual here means the input was numerically pathological.
     resid = np.linalg.norm(vecs @ (vals[:, :, None] * vecs_t) - m, axis=(1, 2))
     if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(m, axis=(1, 2)), 1e-300)):
         raise ValueError("eigendecomposition failed to reconstruct the input")
@@ -305,36 +278,47 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _check_scatter_stack(s_reg: np.ndarray, s_resid: np.ndarray, s_total: np.ndarray) -> np.ndarray:
+def _check_scatter_stack(s_reg: np.ndarray, s_resid: np.ndarray, s_total: np.ndarray,
+                         where: str = "") -> np.ndarray:
     """The `SumOfSquares` checks, applied to each triple of stacked (k, p, p) matrices.
 
-    Each matrix must be finite, symmetric and positive semidefinite within
-    the tolerances `SumOfSquares` uses, and each triple additive.  Returns
-    the ascending eigenvalues of `s_resid`, shape (k, p).
+    Each matrix must be finite, symmetric and positive semidefinite, and
+    each triple additive, within the module tolerances.  `where` follows the
+    matrix name in error messages (" of a leave-one-out fold"; empty for a
+    single fit).  Returns the ascending eigenvalues of `s_resid`, (k, p).
 
     Raises
     ------
     ValueError
         If some matrix or triple fails a check.
     """
-    evals = {}
-    for name, m in (("s_reg", s_reg), ("s_resid", s_resid), ("s_total", s_total)):
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"fold `{name}` contains non-finite entries")
-        peak = np.max(np.abs(m), axis=(1, 2))
-        asym = np.max(np.abs(m - np.swapaxes(m, 1, 2)), axis=(1, 2))
-        if np.any(asym > SYM_STORED_TOL * np.maximum(peak, 1e-300)):
-            raise ValueError(f"fold `{name}` is not symmetric: max|M - M'| = {np.max(asym):.3e}")
-        evals[name] = np.linalg.eigvalsh(m)
-        lo = evals[name][:, 0]
-        if np.any(lo < -PSD_TOL * np.maximum(np.trace(m, axis1=1, axis2=2), 0.0)):
-            raise ValueError(
-                f"fold `{name}` is not positive semidefinite: min eigenvalue {np.min(lo):.3e}"
-            )
+    mats = np.stack((s_reg, s_resid, s_total))
+    finite = np.all(np.isfinite(mats), axis=(1, 2, 3))
+    if not np.all(finite):
+        raise ValueError(f"`{_SCATTER_NAMES[int(np.argmin(finite))]}`{where} "
+                         f"contains non-finite entries")
+    peak = np.maximum(np.max(np.abs(mats), axis=(2, 3)), 1e-300)
+    asym = np.max(np.abs(mats - np.swapaxes(mats, 2, 3)), axis=(2, 3))
+    bad = np.any(asym > SYM_STORED_TOL * peak, axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"`{_SCATTER_NAMES[i]}`{where} is not symmetric: max|M - M'| = "
+            f"{np.max(asym[i]):.3e} exceeds relative tolerance {SYM_STORED_TOL:g}"
+        )
+    evals = np.linalg.eigvalsh(mats)
+    lo = evals[:, :, 0]
+    bad = np.any(lo < -PSD_TOL * np.maximum(np.trace(mats, axis1=2, axis2=3), 0.0), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"`{_SCATTER_NAMES[i]}`{where} is not positive semidefinite: "
+            f"min eigenvalue {np.min(lo[i]):.3e}"
+        )
     gap = np.max(np.abs(s_total - s_reg - s_resid), axis=(1, 2))
-    if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(s_total), axis=(1, 2)), 1e-300)):
-        raise ValueError(f"fold s_total != s_reg + s_resid: max entry gap {np.max(gap):.3e}")
-    return evals["s_resid"]
+    if np.any(gap > ADDITIVITY_TOL * peak[2]):
+        raise ValueError(f"s_total != s_reg + s_resid{where}: max entry gap {np.max(gap):.3e}")
+    return evals[1]
 
 
 def center_columns(x: np.ndarray) -> np.ndarray:

@@ -28,10 +28,12 @@ import numpy as np
 
 from .core import (
     COND_LIMIT,
+    SYM_STORED_TOL,
     Dataset,
     SumOfSquares,
     _check_conditioning,
     _check_scatter_stack,
+    _check_symmetric,
     _sym_eig_stack,
     sym_eig,
     weighted_matrix,
@@ -223,11 +225,7 @@ class PluginWeights:
 
     def __post_init__(self):
         s = np.asarray(self.sigma_hat, dtype=float)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError(f"`sigma_hat` must be square, got shape {s.shape}")
-        asym = float(np.max(np.abs(s - s.T))) if s.size else 0.0
-        if asym > 1e-10 * max(float(np.max(np.abs(s))), 1e-300):
-            raise ValueError("`sigma_hat` must be symmetric")
+        _check_symmetric(s, SYM_STORED_TOL, "sigma_hat")
         if float(np.linalg.eigvalsh(s)[0]) < -1e-8 * max(float(np.trace(s)), 0.0):
             raise ValueError("`sigma_hat` must be positive semidefinite")
         if self.d_hat < 0.0:
@@ -387,10 +385,11 @@ def reduced_rank_coefficients(
     return np.outer(coef @ g, g), mu
 
 
-# Folds are built in blocks whose fold-stacked arrays hold about this many
-# entries in all, so the leave-one-out path needs well under a megabyte of
-# temporaries for any n; at n = 50, p = 10 and ten rules that is three blocks.
-_LOO_BLOCK_ENTRIES = 1 << 15
+# Stacked arrays hold about this many entries, so their temporaries stay
+# near a megabyte for any n and p: leave-one-out folds are built in blocks of
+# that size (three blocks at n = 50, p = 10 and ten rules), and the batched
+# eigensolves of `_leading_axes` run in chunks of that size.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _check_fold_designs(x: np.ndarray, folds: np.ndarray) -> None:
@@ -459,7 +458,8 @@ def _fold_scatter(qmat, centered, resid, lev, folds):
     r[rows, folds] = 0.0
     t[rows, folds] = 0.0
     s_reg, s_resid = _gram(t - r), _gram(r)
-    return s_reg, s_resid, _check_scatter_stack(s_reg, s_resid, _gram(t))
+    return s_reg, s_resid, _check_scatter_stack(s_reg, s_resid, _gram(t),
+                                                " of a leave-one-out fold")
 
 
 def _fold_plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> np.ndarray:
@@ -474,6 +474,23 @@ def _fold_plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> np.ndar
         tr_se2=np.sum(s_resid * s_resid, axis=(1, 2)),
         tr_sr=np.trace(s_reg, axis1=1, axis2=2),
     )[-1]
+
+
+def _leading_axes(s_reg: np.ndarray, s_resid: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Leading axes (rules, k, p) of S(w) for stacked fits (k, p, p) and (rule x fit) weights.
+
+    Solves each distinct (fit, weight) pair once, in one `_sym_eig_stack` call
+    per `_BLOCK_ENTRIES` matrix entries (one call unless p is large).
+    """
+    fit_of = np.broadcast_to(np.arange(weights.shape[1]), weights.shape)
+    pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
+                             axis=0, return_inverse=True)
+    pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
+    chunk = max(1, _BLOCK_ENTRIES // s_reg[0].size)
+    axes = [_sym_eig_stack((1.0 - pw[i:i + chunk]) * s_reg[pf[i:i + chunk]]
+                           + pw[i:i + chunk] * s_resid[pf[i:i + chunk]])[1][:, :, 0]
+            for i in range(0, len(pf), chunk)]
+    return np.concatenate(axes)[which.reshape(weights.shape)]
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
@@ -499,10 +516,9 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
 
     The fold scatter matrices are shared by all rules.  Plug-in weights
     for all folds come from one batched eigenvalue solve, and the axes of
-    all distinct (weight, fold) pairs from one batched eigensolve under the
-    `sym_eig` rescaling and sign convention.  Every check of a refit is
-    applied to each fold: design conditioning, and the symmetry,
-    semidefiniteness and additivity of its scatter matrices.
+    all distinct (weight, fold) pairs from one batched eigensolve.  Every
+    check of a refit is applied to each fold: design conditioning, and the
+    symmetry, semidefiniteness and additivity of its scatter matrices.
 
     Parameters
     ----------
@@ -544,7 +560,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     mu = (n * y.mean(axis=0) - y) / (n - 1)
     sse = np.zeros(len(rules))
     ols = [k for k in range(len(rules)) if k not in projected]
-    block = max(1, _LOO_BLOCK_ENTRIES // (n * (p + q) + p * p * len(rules)))
+    block = max(1, _BLOCK_ENTRIES // (n * (p + q) + p * p * len(rules)))
     for start in range(0, n, block):
         folds = np.arange(start, min(start + block, n))
         _check_fold_designs(x, folds)
@@ -556,12 +572,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
         w_hat = _fold_plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)
         weights = np.stack([w_hat if isinstance(rules[k], PluginRule)
                             else np.full(folds.size, rules[k].w) for k in projected])
-        fold_of = np.broadcast_to(np.arange(folds.size), weights.shape)
-        pairs, which = np.unique(np.stack([fold_of.ravel(), weights.ravel()], axis=1),
-                                 axis=0, return_inverse=True)
-        pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
-        _, vecs = _sym_eig_stack((1.0 - pw) * s_reg[pf] + pw * s_resid[pf])
-        g = vecs[:, :, 0][which.reshape(weights.shape)]
+        g = _leading_axes(s_reg, s_resid, weights)
         base = mu[folds]
         pred = base + np.sum((y_ols[folds] - base) * g, axis=-1, keepdims=True) * g
         err = y[folds] - pred

@@ -1,16 +1,21 @@
-"""Shared test helpers: the brute-force leave-one-out oracle."""
+"""Shared test helpers: the brute-force leave-one-out and replication oracles."""
 
 import numpy as np
 import pytest
 
 from allopca import (
+    AbcdParams,
     Dataset,
     FixedWeight,
     OlsRule,
+    PluginRule,
     estimate_abcd,
     gamma1_hat,
+    gen_dataset,
+    mse_up_to_sign,
     reduced_rank_coefficients,
     sums_of_squares,
+    w_star,
 )
 from allopca.estimators import _ols_fit
 
@@ -45,3 +50,38 @@ def refit_loo_mspe(data, rule):
 @pytest.fixture
 def loo_refit():
     return refit_loo_mspe
+
+
+def per_weight_replication(spec, estimators, reps):
+    """Errors and weights of replications `reps`, one eigensolve per distinct weight.
+
+    The reference for `harness._replicate_block`: each replication resolves
+    its row weights (fixed, plug-in from `estimate_abcd`, oracle from
+    `w_star` on the realized design), calls `gamma1_hat` once per distinct
+    weight, and scores each row with `mse_up_to_sign`.  Returns (errors,
+    weights), each (len(reps), len(estimators)).
+    """
+    mse = np.empty((len(reps), len(estimators)))
+    wts = np.empty((len(reps), len(estimators)))
+    for j, r in enumerate(reps):
+        dataset, gamma1, _ = gen_dataset(spec, int(r))
+        ss = sums_of_squares(dataset)
+        cache = {}
+        for k, est in enumerate(estimators):
+            if isinstance(est, FixedWeight):
+                w = est.w
+            elif isinstance(est, PluginRule):
+                w = estimate_abcd(ss).w_hat
+            else:
+                xa = dataset.x @ spec.alpha
+                w = w_star(AbcdParams.from_spectrum(spec.lambdas, float(xa @ xa), spec.q, spec.n))
+            if w not in cache:
+                cache[w] = gamma1_hat(ss, w).vector
+            mse[j, k] = mse_up_to_sign(cache[w], gamma1)
+            wts[j, k] = w
+    return mse, wts
+
+
+@pytest.fixture
+def replication_oracle():
+    return per_weight_replication

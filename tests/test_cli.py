@@ -167,6 +167,19 @@ def test_simulate_keeps_grid_order(capsys):
     assert err.index("p=30:") < err.index("p=20:")
 
 
+@pytest.mark.parametrize("argv, axis, off_axis", [
+    (["--scenario", "table3a", "--n", "20"], "p", "n"),
+    (["--scenario", "custom", "--delta", "0.8", "--beta", "0.8", "--n", "20"], "p", "n"),
+    (["--scenario", "table1", "--p", "50"], "n", "p"),
+])
+def test_simulate_refuses_off_axis_size(capsys, argv, axis, off_axis):
+    code, out, err = run_cli(["simulate", *argv, "--reps", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"grows along `--{axis}`" in err and f"`--{off_axis}`" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "table1", "--n", "20"],
     ["--scenario", "table2", "--eta", "0.5", "--n", "50"],
@@ -413,6 +426,18 @@ def test_bound_scenario_needs_a_single_size(capsys):
     code, _, err = run_cli(["bound", "--scenario", "table3b", "--p", "50,100"], capsys)
     assert code == 2
     assert "single `--p`" in err
+
+
+@pytest.mark.parametrize("argv, axis, off_axis", [
+    (["--scenario", "table1", "--n", "20", "--p", "50"], "n", "p"),
+    (["--scenario", "table3b", "--p", "100", "--n", "20"], "p", "n"),
+])
+def test_bound_refuses_off_axis_size(capsys, argv, axis, off_axis):
+    code, out, err = run_cli(["bound", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"grows along `--{axis}`" in err and f"`--{off_axis}`" in err
 
 
 def test_bound_from_scenario(capsys):

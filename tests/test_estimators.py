@@ -522,7 +522,7 @@ def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block
     data = Dataset(*_rank_one_data(45, n, p, q))
     whole = loo_cv_scores(data, ALL_RULES)
     per_fold = n * (p + q) + p * p * len(ALL_RULES)
-    monkeypatch.setattr(estimators, "_LOO_BLOCK_ENTRIES", folds_per_block * per_fold)
+    monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", folds_per_block * per_fold)
     blocked = loo_cv_scores(data, ALL_RULES)
     assert np.allclose(blocked, whole, rtol=1e-12, atol=0)
     _assert_matches_refit(data, loo_refit)

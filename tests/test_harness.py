@@ -26,7 +26,9 @@ from allopca import (
     run_experiment,
     scenario_plan,
 )
-from allopca.harness import DEFAULT_ROWS, default_label
+from allopca import estimators
+from allopca.harness import DEFAULT_ROWS, _replicate_block, default_label
+from allopca.simgen import STRONG_SPIKE
 
 BASIC_ROWS = (
     ("total(w=0.5)", FixedWeight(0.5)),
@@ -146,6 +148,43 @@ def test_common_random_numbers_duplicate_weight_rows():
     res = run_experiment(tiny_plan(reps=10, rows=rows))
     assert res.mean_mse[0].tobytes() == res.mean_mse[1].tobytes()
     assert res.mean_mse[0].tobytes() != res.mean_mse[2].tobytes()
+
+
+def _no_signal_spec():
+    # table1 shape (p = 10, q = 5, lambdas 2, 1, ..., 1) with alpha = 0, n = 20
+    lam = np.ones(10)
+    lam[0] = 2.0
+    return ModelSpec(p=10, q=5, n=20, mu=np.zeros(10), alpha=np.zeros(5), lambdas=lam,
+                     gamma_basis=random_gamma(10, 0), master_seed=5)
+
+
+@pytest.mark.parametrize("case, chunk", [
+    ("table1", None), ("table3b", None), ("no-signal", None),
+    ("table1", 3),  # the eigensolves split into chunks of 3 matrices
+])
+def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", chunk * 10 * 10)
+    spec = {"table1": lambda: Traditional().model_spec(50, 3),
+            "table3b": lambda: STRONG_SPIKE.model_spec(50, 3),
+            "no-signal": _no_signal_spec}[case]()
+    rows = tuple(est for _, est in DEFAULT_ROWS)
+    reps = np.arange(12)
+    mse, wts = _replicate_block(spec, rows, reps)
+    want_mse, want_wts = replication_oracle(spec, rows, reps)
+    assert mse.tobytes() == want_mse.tobytes()
+    assert wts.tobytes() == want_wts.tobytes()
+    labels = [label for label, _ in DEFAULT_ROWS]
+    # total(w=0.5) and w=0.5 share one axis
+    assert np.array_equal(mse[:, labels.index("total(w=0.5)")], mse[:, labels.index("w=0.5")])
+    if case == "table3b":
+        assert spec.p > spec.n - 1
+    if case == "no-signal":
+        # the plug-in fallback w_hat = 0 fires and shares the regression(w=0) axis
+        fallback = wts[:, labels.index("plugin")] == 0.0
+        assert np.any(fallback)
+        assert np.array_equal(mse[fallback, labels.index("plugin")],
+                              mse[fallback, labels.index("regression(w=0)")])
 
 
 def test_plugin_degrees_of_freedom_checked_before_running():
