@@ -247,8 +247,8 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
     """The regime kind named by `--scenario` (and `--eta`/`--delta`/`--beta`/`--beta2`).
 
     `custom` needs the growth exponents, which only `simulate` takes; the
-    `bound` command passes `custom_ok=False` to refuse it.  The size flag
-    off the kind's axis is refused, not ignored.
+    `bound` command passes `custom_ok=False` to refuse it.  A size off the
+    kind's axis, from a flag or a config file, is refused, not ignored.
     """
     scenario = getattr(args, "scenario", None)
     if scenario is None:
@@ -274,7 +274,7 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
     off_axis = "p" if kind.axis == "n" else "n"
     if getattr(args, off_axis) is not None:
         raise CliError(f"scenario {scenario} grows along `--{kind.axis}`; "
-                       f"`--{off_axis}` does not apply")
+                       f"`--{off_axis}` (config key `{off_axis}`) does not apply")
     return kind
 
 

@@ -241,7 +241,9 @@ def sym_eig(m: np.ndarray) -> SymEig:
     m = np.asarray(m, dtype=float)
     _check_symmetric(m, SYM_INPUT_TOL, "m")
     vals, vecs = _sym_eig_stack(((m + m.T) / 2.0)[None])
-    return SymEig(vals[0], vecs[0])
+    out = object.__new__(SymEig)  # `_sym_eig_stack` checked order and orthonormality
+    vars(out).update(values=_readonly(vals[0]), vectors=_readonly(vecs[0]))
+    return out
 
 
 def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,7 @@ from .estimators import (
     PluginRule,
     _leading_axes,
     estimate_abcd,
+    mse_up_to_sign,
     w_star,
 )
 from .simgen import (
@@ -191,8 +192,7 @@ def _replicate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a block of replications; rows follow `reps` order.
 
-    Each replication solves all its distinct weights in one batched eigensolve
-    and scores an axis g with the arithmetic of `mse_up_to_sign(g, gamma1)`.
+    Each replication solves all its distinct weights in one batched eigensolve.
     """
     mse = np.empty((reps.size, len(estimators)))
     wts = np.empty((reps.size, len(estimators)))
@@ -214,7 +214,7 @@ def _replicate_block(
                         spec.lambdas, float(xa @ xa), spec.q, spec.n))
                 wts[j, k] = oracle_w
         axes = _leading_axes(ss.s_reg[None], ss.s_resid[None], wts[j][:, None])
-        mse[j] = [max(0.0, 2.0 - 2.0 * abs(float(np.dot(g, gamma1)))) for g in axes[:, 0]]
+        mse[j] = [mse_up_to_sign(g, gamma1) for g in axes[:, 0]]
     return mse, wts
 
 

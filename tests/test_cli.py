@@ -471,6 +471,19 @@ def test_config_flags_win(tmp_path, capsys):
     assert "replications=2" in err
 
 
+@pytest.mark.parametrize("command, scenario, axis, off_axis", [
+    ("simulate", "table3a", "p", "n"),
+    ("bound", "table1", "n", "p"),
+])
+def test_config_off_axis_size_is_refused(tmp_path, capsys, command, scenario, axis, off_axis):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {scenario}\n{axis} = 50\n{off_axis} = 20\nreps = 1\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"grows along `--{axis}`" in err and f"config key `{off_axis}`" in err
+
+
 def test_config_unknown_key_diagnostic(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("verbose = 1\n")
