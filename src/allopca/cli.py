@@ -11,8 +11,10 @@ Four subcommands:
 
 Exit codes: 0 on success, 2 for usage or validation problems (bad flags,
 malformed files, infeasible sizes), 1 for internal numeric failures.
-Options may also be supplied via ``--config FILE`` holding flat
-``key = value`` lines; explicit flags win.
+Each subcommand takes only the options it reads.  They may also be
+supplied via ``--config FILE`` holding flat ``key = value`` lines, whose
+keys are the subcommand's option names (``cost_limit`` for
+``--cost-limit``) parsed as the flags are; explicit flags win.
 """
 
 from __future__ import annotations
@@ -66,46 +68,24 @@ class NumericFailure(Exception):
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-# config keys and how to parse their values
-_CONFIG_PARSERS = {
-    "scenario": str,
-    "n": _int_list,
-    "p": _int_list,
-    "eta": float,
-    "delta": float,
-    "beta": float,
-    "beta2": float,
-    "reps": int,
-    "seed": int,
-    "weights": _float_list,
-    "y": str,
-    "x": str,
-    "out": str,
-    "format": str,
-    "step": float,
-    "a": float,
-    "b": float,
-    "c": float,
-    "d": float,
-    "q": int,
-    "workers": int,
-    "cost_limit": float,
-}
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str, actions) -> dict:
+    """Read `key = value` lines; each key is an option of `command`, parsed as its flag."""
+    options = {a.dest: a for a in actions if a.option_strings and a.dest not in ("help", "config")}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -120,28 +100,30 @@ def _load_config(path: str) -> dict:
             raise CliError(f"{path}:{lineno}: expected `key = value`, got {text!r}")
         key, _, raw = text.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
-            raise CliError(f"{path}:{lineno}: unknown config key `{key}`")
+        action = options.get(key)
+        if action is None:
+            raise CliError(f"{path}:{lineno}: `{command}` takes no config key `{key}`")
         try:
-            values[key] = parser(raw)
-        except ValueError as exc:
+            values[key] = (action.type or str)(raw.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise CliError(f"{path}:{lineno}: bad value for `{key}`: {exc}")
+        if action.choices is not None and values[key] not in action.choices:
+            raise CliError(f"{path}:{lineno}: bad value for `{key}`: choose from "
+                           f"{', '.join(action.choices)}")
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
+    if not args.config:
         return
-    values = _load_config(args.config)
+    values = _load_config(args.config, args.command, args.actions)
     for key, val in values.items():
-        if getattr(args, key, None) is None:
+        if getattr(args, key) is None:
             setattr(args, key, val)
 
 
 def _resolve_workers(args: argparse.Namespace) -> int:
-    workers = getattr(args, "workers", None)
+    workers = args.workers
     if workers is None:
         raw = os.environ.get(WORKERS_ENV)
         if raw is not None:
@@ -215,14 +197,14 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _deliver(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
-    if not getattr(args, "y", None) or not getattr(args, "x", None):
+    if not args.y or not args.x:
         raise CliError("both `--y` and `--x` CSV files are required")
     ymat = _read_matrix_csv(args.y, "--y")
     xmat = _read_matrix_csv(args.x, "--x")
@@ -250,7 +232,7 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
     `bound` command passes `custom_ok=False` to refuse it.  A size off the
     kind's axis, from a flag or a config file, is refused, not ignored.
     """
-    scenario = getattr(args, "scenario", None)
+    scenario = args.scenario
     if scenario is None:
         raise CliError(f"`--scenario` is required; choose from {_SCENARIO_NAMES}")
     if scenario == "table1":
@@ -349,7 +331,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _derive_bound_params(args: argparse.Namespace) -> AbcdParams:
-    if getattr(args, "scenario", None) is not None:
+    if args.scenario is not None:
         kind = _scenario_kind(args, custom_ok=False)
         sizes = getattr(args, kind.axis)
         if not sizes or len(sizes) != 1:
@@ -400,13 +382,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value option file; flags win")
+def _add_common(sub: argparse.ArgumentParser, func) -> None:
+    sub.add_argument("--config", help="flat key = value file of this command's options; flags win")
     sub.add_argument("--out", help="output path (atomic write); default stdout")
-    sub.add_argument("--format", choices=("csv", "markdown"), help="table format")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--workers", type=int,
-                     help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    sub.set_defaults(func=func, actions=sub._actions)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,24 +406,25 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, help="replications per point (default 200)")
     sim.add_argument("--cost-limit", dest="cost_limit", type=float,
                      help="refuse plans estimated to exceed this many seconds")
-    _add_common(sim)
-    sim.set_defaults(func=_cmd_simulate)
+    sim.add_argument("--format", choices=("csv", "markdown"), help="table format")
+    sim.add_argument("--seed", type=int, help="master seed (default 0)")
+    sim.add_argument("--workers", type=int,
+                     help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    _add_common(sim, _cmd_simulate)
 
     est = subs.add_parser("estimate", help="fit estimators to CSV data")
     est.add_argument("--y", help="response matrix CSV (n rows, p columns)")
     est.add_argument("--x", help="design matrix CSV (n rows, q columns)")
     est.add_argument("--weights", type=_float_list,
                      help="fixed weight grid (default 0.1,0.2,0.3,0.4,0.6)")
-    _add_common(est)
-    est.set_defaults(func=_cmd_estimate)
+    _add_common(est, _cmd_estimate)
 
     cv = subs.add_parser("cv", help="leave-one-out comparison of weight rules")
     cv.add_argument("--y", help="response matrix CSV")
     cv.add_argument("--x", help="design matrix CSV")
     cv.add_argument("--weights", type=_float_list,
                     help="fixed weight grid (default 0.1,0.2,0.3,0.4,0.6)")
-    _add_common(cv)
-    cv.set_defaults(func=_cmd_cv)
+    _add_common(cv, _cmd_cv)
 
     bnd = subs.add_parser("bound", help="closed-form error bound and its optimum")
     bnd.add_argument("--a", type=float, help="tr(Sigma^2) + (tr Sigma)^2")
@@ -457,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--eta", type=float, help="eigengap exponent (table2)")
     bnd.add_argument("--scenario", help="derive parameters from a scenario")
     bnd.add_argument("--step", type=float, help="grid spacing (default 1e-4)")
-    _add_common(bnd)
-    bnd.set_defaults(func=_cmd_bound)
+    bnd.add_argument("--seed", type=int, help="basis seed of a scenario (default 0)")
+    _add_common(bnd, _cmd_bound)
 
     return parser
 

@@ -20,8 +20,10 @@ centered X lies inside the range of C.  All three are computed from a thin
 QR factorization of X; the explicit normal-equations inverse is never
 formed.
 
-`_sym_eig_stack` is the one symmetric eigensolver (`sym_eig` is a stack of
-one) and `_check_scatter_stack` the one set of scatter-matrix checks.
+`_scatter_stack` is the one scatter builder (`sums_of_squares` is a stack
+of one), `_sym_eig_stack` the one symmetric eigensolver (`sym_eig` is a
+stack of one) and `_check_scatter_stack` the one set of scatter-matrix
+checks.
 """
 
 from __future__ import annotations
@@ -333,21 +335,42 @@ def center_columns(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=0)
 
 
-def _check_conditioning(x: np.ndarray) -> None:
-    """Raise `RankDeficiencyError` unless cond(X'X) <= COND_LIMIT."""
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= 0.0 or (sv[0] / sv[-1]) ** 2 > COND_LIMIT:
+def _conditioned_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factors (Q, R) of stacked designs (k, n, q), each well conditioned.
+
+    cond(X'X) is the squared ratio of the extreme singular values of the
+    q x q factor R, which are those of X.
+
+    Raises
+    ------
+    RankDeficiencyError
+        If some design has cond(X'X) > COND_LIMIT.
+    """
+    qmat, rmat = np.linalg.qr(x, mode="reduced")
+    sv = np.linalg.svd(rmat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = (sv[:, 0] / sv[:, -1]) ** 2
+    bad = ~(cond <= COND_LIMIT)
+    if np.any(bad):
         raise RankDeficiencyError(
-            f"cond(X'X) = {(sv[0] / max(sv[-1], 1e-300)) ** 2:.3e} exceeds "
+            f"cond(X'X) = {cond[int(np.argmax(bad))]:.3e} exceeds "
             f"{COND_LIMIT:g}; design columns are too collinear"
         )
+    return qmat, rmat
 
 
-def sums_of_squares(data: Dataset) -> SumOfSquares:
-    """Decompose the centered response scatter along and off the design span.
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """Symmetrized Gram matrices rows' rows of stacked (..., m, p) rows."""
+    g = np.swapaxes(rows, -2, -1) @ rows
+    return (g + np.swapaxes(g, -2, -1)) / 2.0
 
-    Uses a thin QR factorization of `x`: with Q the orthonormal basis of the
-    design span and Yc the column-centered response,
+
+def _scatter_stack(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unchecked (s_reg, s_resid, s_total) of stacked fits, each (k, p, p).
+
+    `y` is (k, n, p) and `x` (k, n, q), each design column-centered.  With Q
+    the thin-QR basis of a design's span and Yc the column-centered
+    response,
 
         s_reg   = (Q'Yc)' (Q'Yc),
         s_resid = R'R for R = Yc - Q Q'Yc,
@@ -355,26 +378,33 @@ def sums_of_squares(data: Dataset) -> SumOfSquares:
 
     each formed as a Gram matrix so positive semidefiniteness holds by
     construction.  Centering Yc leaves s_reg unchanged because the centered
-    design span is orthogonal to the constant vector.
+    design span is orthogonal to the constant vector.  Every slice is
+    computed as if it were alone, so a fit gives the same bytes in any
+    stack.
 
     Raises
     ------
     RankDeficiencyError
-        If cond(X'X) exceeds 1e12.
+        If some design has cond(X'X) > COND_LIMIT.
     """
-    x, y = data.x, data.y
-    _check_conditioning(x)
-    qmat = np.linalg.qr(x, mode="reduced")[0]
-    yc = y - y.mean(axis=0)
-    proj = qmat.T @ yc
-    resid = yc - qmat @ proj
-    s_reg = proj.T @ proj
-    s_resid = resid.T @ resid
-    s_total = yc.T @ yc
-    s_reg = (s_reg + s_reg.T) / 2.0
-    s_resid = (s_resid + s_resid.T) / 2.0
-    s_total = (s_total + s_total.T) / 2.0
-    return SumOfSquares(s_reg, s_resid, s_total, data.n, data.q)
+    qmat = _conditioned_qr(x)[0]
+    yc = y - y.mean(axis=1, keepdims=True)
+    proj = np.swapaxes(qmat, 1, 2) @ yc
+    return _gram(proj), _gram(yc - qmat @ proj), _gram(yc)
+
+
+def sums_of_squares(data: Dataset) -> SumOfSquares:
+    """Decompose the centered response scatter along and off the design span.
+
+    The checked slice of `_scatter_stack` for a stack of one fit.
+
+    Raises
+    ------
+    RankDeficiencyError
+        If cond(X'X) exceeds COND_LIMIT (1e12).
+    """
+    s_reg, s_resid, s_total = _scatter_stack(data.y[None], data.x[None])
+    return SumOfSquares(s_reg[0], s_resid[0], s_total[0], data.n, data.q)
 
 
 def weighted_matrix(ss: SumOfSquares, w: float) -> np.ndarray:

@@ -31,9 +31,10 @@ from .core import (
     SYM_STORED_TOL,
     Dataset,
     SumOfSquares,
-    _check_conditioning,
     _check_scatter_stack,
     _check_symmetric,
+    _conditioned_qr,
+    _gram,
     _sym_eig_stack,
     sym_eig,
     weighted_matrix,
@@ -271,53 +272,40 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
         raise DegreesOfFreedomError(
             f"plug-in weight needs n > q + 2; got n = {n}, q = {q}"
         )
-    m = n - 1 - q
-    sigma_hat = ss.s_resid / m
-    evals = np.linalg.eigvalsh(sigma_hat)[::-1]
-    lam1, lam2 = float(evals[0]), float(evals[1])
-    tr_sigma2_hat, a_hat, b_hat, c_hat, d_hat, w_raw, w_hat = _plugin_weight(
-        n, q, lam1, lam2,
-        tr_sig=float(np.trace(sigma_hat)),
-        tr_se=float(np.trace(ss.s_resid)),
-        tr_se2=float(np.sum(ss.s_resid * ss.s_resid)),
-        tr_sr=float(np.trace(ss.s_reg)),
-    )
-    return PluginWeights(
-        sigma_hat=sigma_hat,
-        lambda1_hat=lam1,
-        lambda2_hat=lam2,
-        tr_sigma2_hat=tr_sigma2_hat,
-        a_hat=a_hat,
-        b_hat=b_hat,
-        c_hat=c_hat,
-        d_hat=d_hat,
-        w_hat_raw=w_raw,
-        w_hat=w_hat,
-    )
+    fields = _plugin_weights(ss.s_reg[None], ss.s_resid[None],
+                             np.linalg.eigvalsh(ss.s_resid)[None], n, q)
+    return PluginWeights(sigma_hat=ss.s_resid / (n - 1 - q),
+                         **{name: v[0] for name, v in fields.items()})
 
 
-def _plugin_weight(n, q, lam1, lam2, tr_sig, tr_se, tr_se2, tr_sr):
-    """Plug-in summaries and weight from the scalar statistics of one fit.
+def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
+    """Plug-in summaries and weight of stacked fits (k, p, p) with n rows each.
 
-    `lam1`, `lam2` are the two largest eigenvalues of Sigma_hat and
-    `tr_sig` its trace; `tr_se`, `tr_se2` are tr(s_resid) and
-    ||s_resid||_F^2, and `tr_sr` is tr(s_reg).  The statistics may be
-    scalars or equal-shape arrays (one entry per fit), and the arithmetic
-    is elementwise.  Returns (tr_sigma2_hat, a_hat, b_hat, c_hat, d_hat,
-    w_hat_raw, w_hat), with w_hat = 0 where the weight's denominator is
-    <= 0 and w_hat clamped into [0, 2/3] elsewhere.
+    `resid_evals` are the ascending eigenvalues (k, p) of `s_resid`.  With
+    m = n - 1 - q, lambda1_hat and lambda2_hat are the two largest of them
+    over m and tr Sigma_hat = tr(s_resid) / m; the rest follows
+    `estimate_abcd`.  Returns the `PluginWeights` fields other than
+    `sigma_hat`, each a (k,) array, with w_hat = 0 where the weight's
+    denominator is <= 0 (w_hat_raw NaN where it is 0) and w_hat clamped
+    into [0, 2/3] elsewhere.
     """
     m = n - 1 - q
-    tr_sigma2_hat = (tr_se2 - tr_se ** 2 / m) / ((n + 1 - q) * (n - 2 - q))
+    lam = resid_evals[:, ::-1] / m
+    tr_se = np.trace(s_resid, axis1=1, axis2=2)
+    tr_sig = tr_se / m
+    tr_sigma2_hat = ((np.sum(s_resid * s_resid, axis=(1, 2)) - tr_se ** 2 / m)
+                     / ((n + 1 - q) * (n - 2 - q)))
     a_hat = tr_sigma2_hat + tr_sig ** 2
-    b_hat = lam1 + tr_sig
-    c_hat = tr_sr - q * tr_sig
-    d_hat = np.maximum(lam1 - lam2, 0.0)
+    b_hat = lam[:, 0] + tr_sig
+    c_hat = np.trace(s_reg, axis1=1, axis2=2) - q * tr_sig
+    d_hat = np.maximum(lam[:, 0] - lam[:, 1], 0.0)
     num = a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat
     den = 2.0 * a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat + a_hat * c_hat
-    w_raw = np.divide(num, den, out=np.full(np.shape(den), np.nan), where=den != 0.0)
+    w_raw = np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0.0)
     w_hat = np.where(den <= 0.0, 0.0, np.minimum(np.maximum(w_raw, 0.0), WEIGHT_CAP))
-    return tr_sigma2_hat, a_hat, b_hat, c_hat, d_hat, w_raw, w_hat
+    return dict(lambda1_hat=lam[:, 0], lambda2_hat=lam[:, 1], tr_sigma2_hat=tr_sigma2_hat,
+                a_hat=a_hat, b_hat=b_hat, c_hat=c_hat, d_hat=d_hat, w_hat_raw=w_raw,
+                w_hat=w_hat)
 
 
 # --------------------------------------------------------------------------
@@ -351,9 +339,8 @@ class OlsRule:
 def _ols_fit(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients (q x p) and intercept for centered x."""
     x, y = data.x, data.y
-    _check_conditioning(x)
-    qmat, rmat = np.linalg.qr(x, mode="reduced")
-    coef = np.linalg.solve(rmat, qmat.T @ y)
+    qmat, rmat = _conditioned_qr(x[None])
+    coef = np.linalg.solve(rmat[0], qmat[0].T @ y)
     mu = y.mean(axis=0)
     return coef, mu
 
@@ -386,8 +373,9 @@ def reduced_rank_coefficients(
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
-# near a megabyte for any n and p: leave-one-out folds are built in blocks of
-# that size (three blocks at n = 50, p = 10 and ten rules), and the batched
+# near a megabyte for any n and p: leave-one-out folds and Monte Carlo
+# replications (`harness._replicate_block`) are fit in blocks of that size
+# (three fold blocks at n = 50, p = 10 and ten rules), and the batched
 # eigensolves of `_leading_axes` run in chunks of that size.
 _BLOCK_ENTRIES = 1 << 15
 
@@ -433,11 +421,6 @@ def _loo_fit(data: Dataset):
     return qmat, centered, resid, lev
 
 
-def _gram(rows: np.ndarray) -> np.ndarray:
-    g = np.swapaxes(rows, -2, -1) @ rows
-    return (g + np.swapaxes(g, -2, -1)) / 2.0
-
-
 def _fold_scatter(qmat, centered, resid, lev, folds):
     """Checked scatter matrices of the folds that leave out rows `folds`.
 
@@ -460,20 +443,6 @@ def _fold_scatter(qmat, centered, resid, lev, folds):
     s_reg, s_resid = _gram(t - r), _gram(r)
     return s_reg, s_resid, _check_scatter_stack(s_reg, s_resid, _gram(t),
                                                 " of a leave-one-out fold")
-
-
-def _fold_plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> np.ndarray:
-    """`estimate_abcd(...).w_hat` of each stacked fold fit with n rows."""
-    m = n - 1 - q
-    lam = resid_evals[:, ::-1] / m
-    tr_se = np.trace(s_resid, axis1=1, axis2=2)
-    return _plugin_weight(
-        n, q, lam[:, 0], lam[:, 1],
-        tr_sig=tr_se / m,
-        tr_se=tr_se,
-        tr_se2=np.sum(s_resid * s_resid, axis=(1, 2)),
-        tr_sr=np.trace(s_reg, axis1=1, axis2=2),
-    )[-1]
 
 
 def _leading_axes(s_reg: np.ndarray, s_resid: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -569,7 +538,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
         if not projected:
             continue
         s_reg, s_resid, resid_evals = _fold_scatter(*fit, folds)
-        w_hat = _fold_plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)
+        w_hat = _plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)["w_hat"]
         weights = np.stack([w_hat if isinstance(rules[k], PluginRule)
                             else np.full(folds.size, rules[k].w) for k in projected])
         g = _leading_axes(s_reg, s_resid, weights)

@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import sums_of_squares
+from .core import _check_scatter_stack, _scatter_stack
 from .errors import CostLimitError, DegreesOfFreedomError
 from .estimators import (
+    _BLOCK_ENTRIES,
     AbcdParams,
     FixedWeight,
     PluginRule,
     _leading_axes,
-    estimate_abcd,
+    _plugin_weights,
     mse_up_to_sign,
     w_star,
 )
@@ -192,29 +193,37 @@ def _replicate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a block of replications; rows follow `reps` order.
 
-    Each replication solves all its distinct weights in one batched eigensolve.
+    The draws are stacked about `_BLOCK_ENTRIES` entries at a time and fit
+    together: one scatter build, one scatter check (whose eigenvalues of
+    s_resid feed the plug-in weights) and one batched solve of the
+    distinct (replication, weight) pairs.  Every replication is computed
+    as if it were alone, so results do not depend on how `reps` is split.
     """
+    n, p, q = spec.n, spec.p, spec.q
     mse = np.empty((reps.size, len(estimators)))
     wts = np.empty((reps.size, len(estimators)))
-    for j, r in enumerate(reps):
-        dataset, gamma1, _ = gen_dataset(spec, int(r))
-        ss = sums_of_squares(dataset)
-        plugin_w = oracle_w = None
-        for k, est in enumerate(estimators):
-            if isinstance(est, FixedWeight):
-                wts[j, k] = est.w
-            elif isinstance(est, PluginRule):
-                if plugin_w is None:
-                    plugin_w = estimate_abcd(ss).w_hat
-                wts[j, k] = plugin_w
-            else:
-                if oracle_w is None:
-                    xa = dataset.x @ spec.alpha
-                    oracle_w = w_star(AbcdParams.from_spectrum(
-                        spec.lambdas, float(xa @ xa), spec.q, spec.n))
-                wts[j, k] = oracle_w
-        axes = _leading_axes(ss.s_reg[None], ss.s_resid[None], wts[j][:, None])
-        mse[j] = [mse_up_to_sign(g, gamma1) for g in axes[:, 0]]
+    fixed = [est.w if isinstance(est, FixedWeight) else np.nan for est in estimators]
+    plugin = [k for k, est in enumerate(estimators) if isinstance(est, PluginRule)]
+    oracle = [k for k, est in enumerate(estimators) if isinstance(est, OracleWeight)]
+    chunk = max(1, _BLOCK_ENTRIES // (n * (p + q) + p * p * len(estimators)))
+    for start in range(0, reps.size, chunk):
+        rows = np.arange(start, min(start + chunk, reps.size))
+        draws = [gen_dataset(spec, int(r))[0] for r in reps[rows]]
+        wts[rows] = fixed
+        if oracle:
+            for j, dataset in zip(rows, draws):
+                xa = dataset.x @ spec.alpha
+                wts[j, oracle] = w_star(AbcdParams.from_spectrum(
+                    spec.lambdas, float(xa @ xa), q, n))
+        s_reg, s_resid, s_total = _scatter_stack(np.stack([d.y for d in draws]),
+                                                 np.stack([d.x for d in draws]))
+        resid_evals = _check_scatter_stack(s_reg, s_resid, s_total)
+        if plugin:
+            wts[np.ix_(rows, plugin)] = _plugin_weights(
+                s_reg, s_resid, resid_evals, n, q)["w_hat"][:, None]
+        axes = _leading_axes(s_reg, s_resid, wts[rows].T)
+        mse[rows] = [[mse_up_to_sign(g, spec.gamma1) for g in axes[:, i]]
+                     for i in range(rows.size)]
     return mse, wts
 
 

@@ -477,7 +477,8 @@ def test_config_flags_win(tmp_path, capsys):
 ])
 def test_config_off_axis_size_is_refused(tmp_path, capsys, command, scenario, axis, off_axis):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"scenario = {scenario}\n{axis} = 50\n{off_axis} = 20\nreps = 1\n")
+    reps = "reps = 1\n" if command == "simulate" else ""  # `bound` takes no `reps`
+    cfg.write_text(f"scenario = {scenario}\n{axis} = 50\n{off_axis} = 20\n{reps}")
     code, out, err = run_cli([command, "--config", str(cfg)], capsys)
     assert code == 2
     assert out == ""
@@ -505,6 +506,65 @@ def test_config_missing_file(tmp_path, capsys):
         ["simulate", "--config", str(tmp_path / "nope.cfg")], capsys)
     assert code == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--workers", "0", "--format", "markdown"],
+    ["cv", "--seed", "1"],
+    ["estimate", "--format", "markdown"],
+    ["estimate", "--workers", "2"],
+    ["bound", "--format", "markdown"],
+    ["bound", "--workers", "2"],
+])
+def test_subcommands_take_only_their_options(tmp_path, argv):
+    ypath, xpath, _ = dataset_files(tmp_path)
+    data = ["--y", ypath, "--x", xpath] if argv[0] != "bound" else ["--scenario", "table1", "--n", "20"]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *data, *argv[1:]])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, key", [
+    ("estimate", "reps"), ("estimate", "scenario"), ("estimate", "cost_limit"),
+    ("cv", "workers"), ("cv", "format"), ("bound", "format"), ("bound", "reps"),
+])
+def test_config_key_of_another_command_is_refused(tmp_path, capsys, command, key):
+    ypath, xpath, _ = dataset_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    base = f"y = {ypath}\nx = {xpath}\n" if command != "bound" else "scenario = table1\nn = 20\n"
+    cfg.write_text(base + f"{key} = 3\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:3" in err and f"`{command}` takes no config key `{key}`" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("format = latex", "choose from csv, markdown"),
+    ("cost_limit = soon", "bad value for `cost_limit`"),
+    ("workers = 1.5", "bad value for `workers`"),
+])
+def test_config_values_parse_like_their_flags(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = table1\nn = 10\nreps = 1\n{line}\n")
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:4" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "bound"])
+def test_empty_size_list_exits_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", "table1", "--n", ","])
+    assert exc.value.code == 2
+    assert "expected at least one integer" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = table1\nn = ,\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:2: bad value for `n`: expected at least one integer" in err
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from allopca import (
     w_star,
 )
 from allopca import core, estimators
-from allopca.estimators import WEIGHT_CAP, _fold_plugin_weights, _fold_scatter, _loo_fit
+from allopca.estimators import WEIGHT_CAP, _fold_scatter, _loo_fit, _plugin_weights
 
 
 def diag_ss(reg, resid, n=10, q=2):
@@ -504,7 +504,7 @@ def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
         n, q = data.n, data.q
         folds = np.arange(n)
         s_reg, s_resid, resid_evals = _fold_scatter(*_loo_fit(data), folds)
-        fast = _fold_plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)
+        fast = _plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)
         for i in folds:
             mask = folds != i
             x_tr = data.x[mask]
@@ -512,7 +512,11 @@ def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
             den = (2.0 * pw.a_hat * pw.d_hat * q + 2.0 * pw.b_hat * pw.c_hat * pw.d_hat
                    + pw.a_hat * pw.c_hat)
             fallbacks += den <= 0.0
-            assert abs(fast[i] - pw.w_hat) <= 1e-9, (rep, i, fast[i], pw.w_hat)
+            assert abs(fast["w_hat"][i] - pw.w_hat) <= 1e-9, (rep, i, fast["w_hat"][i], pw.w_hat)
+            for name in ("a_hat", "b_hat", "c_hat", "d_hat", "w_hat_raw"):
+                got, want = fast[name][i], getattr(pw, name)
+                assert (np.isnan(got) and np.isnan(want)) or abs(got - want) <= 1e-9, \
+                    (rep, i, name, got, want)
     assert fallbacks > 0
 
 

@@ -26,7 +26,7 @@ from allopca import (
     run_experiment,
     scenario_plan,
 )
-from allopca import estimators
+from allopca import RankDeficiencyError, core, estimators, harness
 from allopca.harness import DEFAULT_ROWS, _replicate_block, default_label
 from allopca.simgen import STRONG_SPIKE
 
@@ -185,6 +185,62 @@ def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, 
         assert np.any(fallback)
         assert np.array_equal(mse[fallback, labels.index("plugin")],
                               mse[fallback, labels.index("regression(w=0)")])
+
+
+def _counting(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _orig=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("reps_per_block", [None, 5])
+def test_replication_block_is_one_stacked_fit(monkeypatch, reps_per_block):
+    spec = Traditional().model_spec(50, 3)
+    rows = tuple(est for _, est in DEFAULT_ROWS)
+    if reps_per_block is not None:
+        per_rep = spec.n * (spec.p + spec.q) + spec.p * spec.p * len(rows)
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", reps_per_block * per_rep)
+    blocks = 1 if reps_per_block is None else 3  # 12 replications
+    calls = _counting(monkeypatch, ("qr", "eigvalsh", "eigh"))
+    _replicate_block(spec, rows, np.arange(12))
+    assert calls == {"qr": blocks, "eigvalsh": blocks, "eigh": blocks}
+
+
+def test_replication_block_bypasses_single_fit_functions(monkeypatch, replication_oracle):
+    spec = Traditional().model_spec(50, 3)
+    rows = tuple(est for _, est in DEFAULT_ROWS)
+    want = replication_oracle(spec, rows, np.arange(12))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("single-fit path called")
+
+    monkeypatch.setattr(core, "sums_of_squares", refuse)
+    monkeypatch.setattr(estimators, "estimate_abcd", refuse)
+    mse, wts = _replicate_block(spec, rows, np.arange(12))
+    assert mse.tobytes() == want[0].tobytes() and wts.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["table1", "table3b"])
+def test_replication_block_split_invariance(case):
+    spec = (Traditional() if case == "table1" else STRONG_SPIKE).model_spec(50, 3)
+    rows = tuple(est for _, est in DEFAULT_ROWS)
+    whole = _replicate_block(spec, rows, np.arange(12))
+    halves = [_replicate_block(spec, rows, r) for r in (np.arange(5), np.arange(5, 12))]
+    singles = [_replicate_block(spec, rows, np.array([r])) for r in range(12)]
+    for parts in (halves, singles):
+        for k in range(2):
+            assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+
+
+def test_replication_block_checks_design_conditioning(monkeypatch):
+    spec = Traditional().model_spec(50, 3)
+    monkeypatch.setattr(core, "COND_LIMIT", 1.0)
+    with pytest.raises(RankDeficiencyError, match=r"cond\(X'X\) = .* exceeds 1;"):
+        _replicate_block(spec, (FixedWeight(0.5),), np.arange(3))
 
 
 def test_plugin_degrees_of_freedom_checked_before_running():
