@@ -56,6 +56,9 @@ DEFAULT_N_GRID = (20, 50, 100, 200, 500)
 DEFAULT_P_GRID = (20, 50, 100)
 DEFAULT_WEIGHT_GRID = (0.1, 0.2, 0.3, 0.4, 0.6)
 _SCENARIO_NAMES = "table1, table2, table3a, table3b, custom"
+# Options a scenario reads (or, for `bound`, derives); `_scenario_kind`
+# refuses each one that the named scenario leaves unread.
+_SCENARIO_OPTIONS = ("n", "p", "eta", "delta", "beta", "beta2", "a", "b", "c", "d", "q")
 
 
 class CliError(Exception):
@@ -229,18 +232,22 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
     """The regime kind named by `--scenario` (and `--eta`/`--delta`/`--beta`/`--beta2`).
 
     `custom` needs the growth exponents, which only `simulate` takes; the
-    `bound` command passes `custom_ok=False` to refuse it.  A size off the
-    kind's axis, from a flag or a config file, is refused, not ignored.
+    `bound` command passes `custom_ok=False` to refuse it.  A scenario
+    option the kind does not read (a size off its axis, another
+    scenario's exponent, or a bound summary the scenario derives), from a
+    flag or a config file, is refused, not ignored.
     """
     scenario = args.scenario
     if scenario is None:
         raise CliError(f"`--scenario` is required; choose from {_SCENARIO_NAMES}")
+    params = ()
     if scenario == "table1":
         kind = Traditional()
     elif scenario == "table2":
         if args.eta is None:
             raise CliError("`--eta` is required for scenario table2")
         kind = WeakIdentifiability(args.eta)
+        params = ("eta",)
     elif scenario == "table3a":
         kind = WEAK_SPIKE
     elif scenario == "table3b":
@@ -251,12 +258,13 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
         if args.delta is None or args.beta is None:
             raise CliError("custom scenario needs `--delta` and `--beta`")
         kind = LargePLargeN(args.delta, args.beta, args.beta2 if args.beta2 is not None else 0.0)
+        params = ("delta", "beta", "beta2")
     else:
         raise CliError(f"unknown `--scenario` value {scenario!r}; choose from {_SCENARIO_NAMES}")
-    off_axis = "p" if kind.axis == "n" else "n"
-    if getattr(args, off_axis) is not None:
-        raise CliError(f"scenario {scenario} grows along `--{kind.axis}`; "
-                       f"`--{off_axis}` (config key `{off_axis}`) does not apply")
+    for name in _SCENARIO_OPTIONS:
+        if name not in (kind.axis, *params) and getattr(args, name, None) is not None:
+            raise CliError(f"scenario {scenario} grows along `--{kind.axis}`; "
+                           f"`--{name}` (config key `{name}`) does not apply")
     return kind
 
 
@@ -340,6 +348,9 @@ def _derive_bound_params(args: argparse.Namespace) -> AbcdParams:
         # expected signal energy for a centered standard-normal design
         c = float(spec.alpha @ spec.alpha) * (spec.n - 1)
         return AbcdParams.from_spectrum(spec.lambdas, c, spec.q, spec.n)
+    for name in ("p", "eta", "seed"):
+        if getattr(args, name) is not None:
+            raise CliError(f"`--{name}` (config key `{name}`) needs `--scenario`")
     missing = [f"--{k}" for k in ("a", "b", "c", "d", "q") if getattr(args, k) is None]
     if not args.n or len(args.n) != 1:
         missing.append("--n")

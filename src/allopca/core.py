@@ -22,8 +22,8 @@ formed.
 
 `_scatter_stack` is the one scatter builder (`sums_of_squares` is a stack
 of one), `_sym_eig_stack` the one symmetric eigensolver (`sym_eig` is a
-stack of one) and `_check_scatter_stack` the one set of scatter-matrix
-checks.
+stack of one), `_check_scatter_stack` the one set of scatter-matrix
+checks and `_check_design_conditioning` the one cond(X'X) rule.
 """
 
 from __future__ import annotations
@@ -338,25 +338,28 @@ def center_columns(x: np.ndarray) -> np.ndarray:
 def _conditioned_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factors (Q, R) of stacked designs (k, n, q), each well conditioned.
 
-    cond(X'X) is the squared ratio of the extreme singular values of the
-    q x q factor R, which are those of X.
-
-    Raises
-    ------
-    RankDeficiencyError
-        If some design has cond(X'X) > COND_LIMIT.
+    The q x q factor R has the singular values of X, so the check runs on R.
     """
     qmat, rmat = np.linalg.qr(x, mode="reduced")
-    sv = np.linalg.svd(rmat, compute_uv=False)
+    _check_design_conditioning(rmat)
+    return qmat, rmat
+
+
+def _check_design_conditioning(x: np.ndarray, left_out: np.ndarray | None = None) -> None:
+    """Raise `RankDeficiencyError` unless cond(X'X) <= COND_LIMIT for each X of a stack.
+
+    cond(X'X) = (sv_max / sv_min)^2 over the singular values of X; NaN or
+    inf fails.  `left_out` names each leave-one-out fold's left-out row.
+    """
+    sv = np.linalg.svd(x, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = (sv[:, 0] / sv[:, -1]) ** 2
     bad = ~(cond <= COND_LIMIT)
     if np.any(bad):
-        raise RankDeficiencyError(
-            f"cond(X'X) = {cond[int(np.argmax(bad))]:.3e} exceeds "
-            f"{COND_LIMIT:g}; design columns are too collinear"
-        )
-    return qmat, rmat
+        k = int(np.argmax(bad))
+        where = "" if left_out is None else f"leaving out row {int(left_out[k])}: "
+        raise RankDeficiencyError(f"{where}cond(X'X) = {cond[k]:.3e} exceeds {COND_LIMIT:g}; "
+                                  f"design columns are too collinear")
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:

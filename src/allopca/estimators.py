@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    COND_LIMIT,
+    PSD_TOL,
     SYM_STORED_TOL,
     Dataset,
     SumOfSquares,
+    _check_design_conditioning,
     _check_scatter_stack,
     _check_symmetric,
     _conditioned_qr,
@@ -112,10 +113,13 @@ def w_star(params: AbcdParams) -> float:
     (0, 2/3), and equals exactly 0.5 when c = 0 (no signal through the
     design, so the blend should fall back to total-scatter PCA).
     """
-    a, b, c, d, q = params.a, params.b, params.c, params.d, params.q
-    num = a * d * q + 2.0 * b * c * d
-    den = 2.0 * a * d * q + 2.0 * b * c * d + a * c
+    num, den = _w_star_terms(params.a, params.b, params.c, params.d, params.q)
     return num / den
+
+
+def _w_star_terms(a, b, c, d, q):
+    """Numerator and denominator of `w_star`, broadcast over array summaries."""
+    return a * d * q + 2.0 * b * c * d, 2.0 * a * d * q + 2.0 * b * c * d + a * c
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,29 +182,37 @@ def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
     return Gamma1Estimate(eig.vectors[:, 0], float(w), gap, tie)
 
 
-def mse_up_to_sign(g_hat: np.ndarray, g_true: np.ndarray) -> float:
+def mse_up_to_sign(g_hat: np.ndarray, g_true: np.ndarray) -> float | np.ndarray:
     """Squared error between unit vectors, minimized over the sign of g_hat.
 
     Returns min over s in {-1, +1} of ||s * g_hat - g_true||^2, which for
-    unit vectors equals 2 - 2 |<g_hat, g_true>| and lies in [0, 2].
+    unit vectors equals 2 - 2 |<g_hat, g_true>| and lies in [0, 2]: a float
+    for one vector `g_hat`, an array (...) for a stack (..., p), whose rows
+    score the bytes they score alone.
 
     Raises
     ------
     ValueError
-        If the inputs are not unit length within 1e-8.
+        If the shapes disagree, or some input is not unit length within 1e-8.
     """
     g_hat = np.asarray(g_hat, dtype=float)
     g_true = np.asarray(g_true, dtype=float)
-    if g_hat.shape != g_true.shape or g_hat.ndim != 1:
-        raise ValueError(
-            f"inputs must be 1-D of equal length, got {g_hat.shape} and {g_true.shape}"
-        )
+    if g_true.ndim != 1 or g_hat.ndim < 1 or g_hat.shape[-1] != g_true.size:
+        raise ValueError(f"inputs must be (..., p) and (p,), got {g_hat.shape} and {g_true.shape}")
     for name, v in (("g_hat", g_hat), ("g_true", g_true)):
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"`{name}` must be unit length, got norm {nrm!r}")
-    dot = float(np.dot(g_hat, g_true))
-    return max(0.0, 2.0 - 2.0 * abs(dot))
+        nrm = np.linalg.norm(v, axis=-1)
+        bad = ~(np.abs(nrm - 1.0) <= 1e-8)
+        if np.any(bad):
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"`{name}`{list(at) if at else ''} must be unit length, "
+                             f"got norm {float(nrm[at])!r}")
+    err = np.maximum(0.0, 2.0 - 2.0 * np.abs(_dots(g_hat, g_true)))
+    return float(err) if g_hat.ndim == 1 else err
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner products of stacked vectors (..., m), each bit for bit its pair's `np.dot`."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +239,7 @@ class PluginWeights:
     def __post_init__(self):
         s = np.asarray(self.sigma_hat, dtype=float)
         _check_symmetric(s, SYM_STORED_TOL, "sigma_hat")
-        if float(np.linalg.eigvalsh(s)[0]) < -1e-8 * max(float(np.trace(s)), 0.0):
+        if float(np.linalg.eigvalsh(s)[0]) < -PSD_TOL * max(float(np.trace(s)), 0.0):
             raise ValueError("`sigma_hat` must be positive semidefinite")
         if self.d_hat < 0.0:
             raise ValueError(f"`d_hat` must be >= 0, got {self.d_hat!r}")
@@ -299,8 +311,7 @@ def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
     b_hat = lam[:, 0] + tr_sig
     c_hat = np.trace(s_reg, axis1=1, axis2=2) - q * tr_sig
     d_hat = np.maximum(lam[:, 0] - lam[:, 1], 0.0)
-    num = a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat
-    den = 2.0 * a_hat * d_hat * q + 2.0 * b_hat * c_hat * d_hat + a_hat * c_hat
+    num, den = _w_star_terms(a_hat, b_hat, c_hat, d_hat, q)
     w_raw = np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0.0)
     w_hat = np.where(den <= 0.0, 0.0, np.minimum(np.maximum(w_raw, 0.0), WEIGHT_CAP))
     return dict(lambda1_hat=lam[:, 0], lambda2_hat=lam[:, 1], tr_sigma2_hat=tr_sigma2_hat,
@@ -380,26 +391,15 @@ def reduced_rank_coefficients(
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _check_fold_designs(x: np.ndarray, folds: np.ndarray) -> None:
-    """Raise unless every fold's re-centered design is well conditioned.
+def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """Re-centered rows (folds, n, m) of the folds that leave out rows `folds`.
 
-    Leaving out row i of a centered design re-centers the other rows to
-    x_j + x_i / (n - 1); the fold design holds those rows, with row i
-    zeroed (which leaves its singular values unchanged).
+    Leaving out row i re-centers the others to r_j + r_i / (n - 1); row i is
+    zeroed, so Grams and singular values are those of the n - 1 fold rows.
     """
-    n = x.shape[0]
-    designs = x + x[folds, None, :] / (n - 1)
-    designs[np.arange(folds.size), folds] = 0.0
-    sv = np.linalg.svd(designs, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond = (sv[:, 0] / sv[:, -1]) ** 2
-    bad = ~(cond <= COND_LIMIT)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise RankDeficiencyError(
-            f"leaving out row {int(folds[k])} gives cond(X'X) = {cond[k]:.3e}, "
-            f"above {COND_LIMIT:g}; design columns are too collinear"
-        )
+    out = rows + rows[folds, None, :] / (rows.shape[0] - 1)
+    out[np.arange(folds.size), folds] = 0.0
+    return out
 
 
 def _loo_fit(data: Dataset):
@@ -437,9 +437,8 @@ def _fold_scatter(qmat, centered, resid, lev, folds):
     rows = np.arange(folds.size)
     hat = 1.0 / n + qmat[folds] @ qmat.T
     r = resid + (hat / (1.0 - lev[folds, None]))[:, :, None] * resid[folds, None, :]
-    t = centered + centered[folds, None, :] / (n - 1)
     r[rows, folds] = 0.0
-    t[rows, folds] = 0.0
+    t = _fold_rows(centered, folds)
     s_reg, s_resid = _gram(t - r), _gram(r)
     return s_reg, s_resid, _check_scatter_stack(s_reg, s_resid, _gram(t),
                                                 " of a leave-one-out fold")
@@ -532,7 +531,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     block = max(1, _BLOCK_ENTRIES // (n * (p + q) + p * p * len(rules)))
     for start in range(0, n, block):
         folds = np.arange(start, min(start + block, n))
-        _check_fold_designs(x, folds)
+        _check_design_conditioning(_fold_rows(x, folds), folds)
         err = y[folds] - y_ols[folds]
         sse[ols] += float(np.sum(err * err))
         if not projected:

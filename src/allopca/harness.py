@@ -28,10 +28,11 @@ from .estimators import (
     AbcdParams,
     FixedWeight,
     PluginRule,
+    _dots,
     _leading_axes,
     _plugin_weights,
+    _w_star_terms,
     mse_up_to_sign,
-    w_star,
 )
 from .simgen import (
     LargePLargeN,
@@ -193,11 +194,13 @@ def _replicate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a block of replications; rows follow `reps` order.
 
-    The draws are stacked about `_BLOCK_ENTRIES` entries at a time and fit
-    together: one scatter build, one scatter check (whose eigenvalues of
-    s_resid feed the plug-in weights) and one batched solve of the
-    distinct (replication, weight) pairs.  Every replication is computed
-    as if it were alone, so results do not depend on how `reps` is split.
+    The draws (one `gen_dataset` call each) are stacked about
+    `_BLOCK_ENTRIES` entries at a time and fit together: one scatter build
+    and check (whose s_resid eigenvalues feed the plug-in weights), oracle
+    weights from the model's (a, b, d) and the designs' c = ||X alpha||^2,
+    one batched solve of the distinct (replication, weight) pairs and one
+    `mse_up_to_sign` call.  Every replication is computed as if it were
+    alone, so results do not depend on how `reps` is split.
     """
     n, p, q = spec.n, spec.p, spec.q
     mse = np.empty((reps.size, len(estimators)))
@@ -205,25 +208,25 @@ def _replicate_block(
     fixed = [est.w if isinstance(est, FixedWeight) else np.nan for est in estimators]
     plugin = [k for k, est in enumerate(estimators) if isinstance(est, PluginRule)]
     oracle = [k for k, est in enumerate(estimators) if isinstance(est, OracleWeight)]
+    if oracle:  # a flat spectrum has no oracle weight, and needs none without an oracle row
+        model = AbcdParams.from_spectrum(spec.lambdas, 0.0, q, n)
     chunk = max(1, _BLOCK_ENTRIES // (n * (p + q) + p * p * len(estimators)))
     for start in range(0, reps.size, chunk):
         rows = np.arange(start, min(start + chunk, reps.size))
         draws = [gen_dataset(spec, int(r))[0] for r in reps[rows]]
+        x = np.stack([d.x for d in draws])
         wts[rows] = fixed
         if oracle:
-            for j, dataset in zip(rows, draws):
-                xa = dataset.x @ spec.alpha
-                wts[j, oracle] = w_star(AbcdParams.from_spectrum(
-                    spec.lambdas, float(xa @ xa), q, n))
-        s_reg, s_resid, s_total = _scatter_stack(np.stack([d.y for d in draws]),
-                                                 np.stack([d.x for d in draws]))
+            xa = x @ spec.alpha
+            num, den = _w_star_terms(model.a, model.b, _dots(xa, xa), model.d, q)
+            wts[np.ix_(rows, oracle)] = (num / den)[:, None]
+        s_reg, s_resid, s_total = _scatter_stack(np.stack([d.y for d in draws]), x)
         resid_evals = _check_scatter_stack(s_reg, s_resid, s_total)
         if plugin:
             wts[np.ix_(rows, plugin)] = _plugin_weights(
                 s_reg, s_resid, resid_evals, n, q)["w_hat"][:, None]
         axes = _leading_axes(s_reg, s_resid, wts[rows].T)
-        mse[rows] = [[mse_up_to_sign(g, spec.gamma1) for g in axes[:, i]]
-                     for i in range(rows.size)]
+        mse[rows] = mse_up_to_sign(axes, spec.gamma1).T
     return mse, wts
 
 

@@ -311,10 +311,3 @@ class RegimeSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"`grid` must be strictly increasing, got {grid}")
         object.__setattr__(self, "grid", grid)
-
-    def point_label(self, size: int) -> str:
-        return f"{self.kind.axis}={size}"
-
-    def model_spec(self, size: int, seed: int) -> ModelSpec:
-        """The model at one grid point."""
-        return self.kind.model_spec(size, seed)

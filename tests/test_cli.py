@@ -485,6 +485,32 @@ def test_config_off_axis_size_is_refused(tmp_path, capsys, command, scenario, ax
     assert f"grows along `--{axis}`" in err and f"config key `{off_axis}`" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["simulate", "--scenario", "table1", "--n", "20", "--reps", "1", "--eta", "0.5"], "eta"),
+    (["simulate", "--scenario", "table3b", "--p", "20", "--reps", "1",
+      "--delta", "0.5", "--beta", "0.3"], "delta"),
+    (["simulate", "--scenario", "table2", "--eta", "1", "--n", "20", "--reps", "1",
+      "--beta2", "0.4"], "beta2"),
+    (["bound", "--scenario", "table1", "--n", "20", "--eta", "3"], "eta"),
+    (["bound", "--scenario", "table3b", "--p", "50", "--a", "1", "--b", "2", "--c", "3",
+      "--d", "1", "--q", "2"], "a"),
+    (["bound", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--q", "1", "--n", "12",
+      "--eta", "3"], "eta"),
+    (["bound", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--q", "1", "--n", "12",
+      "--seed", "3"], "seed"),
+])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_unread_scenario_option_is_refused(tmp_path, capsys, argv, option, source):
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key[2:]} = {val}\n" for key, val in zip(argv[1::2], argv[2::2])))
+        argv = [argv[0], "--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"`--{option}` (config key `{option}`)" in err
+
+
 def test_config_unknown_key_diagnostic(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("verbose = 1\n")

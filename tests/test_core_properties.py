@@ -1,20 +1,33 @@
-"""Property tests for the one symmetric eigensolver and the scatter checks.
+"""Property tests for the one-definition numerical helpers.
 
 `sym_eig` must be a slice of `_sym_eig_stack` wherever the matrix sits in
 a stack, keep the package sign convention, and give bit-identical results
 under power-of-two rescaling; `SumOfSquares` must accept what
-`sums_of_squares` builds and refuse a triple with broken additivity.
+`sums_of_squares` builds and refuse a triple with broken additivity.  A
+stack of estimates must score the bytes that each scores alone under
+`mse_up_to_sign`, and the plug-in weight must be `w_star` of its plug-in
+summaries.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from allopca import Dataset, SumOfSquares, center_columns, sums_of_squares, sym_eig  # noqa: E402
+from allopca import (  # noqa: E402
+    AbcdParams,
+    Dataset,
+    SumOfSquares,
+    center_columns,
+    mse_up_to_sign,
+    sums_of_squares,
+    sym_eig,
+    w_star,
+)
 from allopca.core import _sym_eig_stack  # noqa: E402
+from allopca.estimators import _plugin_weights  # noqa: E402
 
 
 @st.composite
@@ -82,3 +95,59 @@ def test_sym_eig_bit_identical_under_power_of_two_rescaling(m, k):
     scaled = sym_eig(np.ldexp(m, k))
     assert scaled.vectors.tobytes() == base.vectors.tobytes()
     assert scaled.values.tobytes() == np.ldexp(base.values, k).tobytes()
+
+
+def _unit_rows(rng, shape):
+    g = rng.standard_normal(shape)
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(), (3,)]), st.integers(1, 6), st.integers(2, 400),
+       st.integers(0, 2**32 - 1))
+def test_stacked_mse_is_the_per_row_np_dot_score(outer, k, p, seed):
+    rng = np.random.default_rng(seed)
+    stack, g_true = _unit_rows(rng, (*outer, k, p)), _unit_rows(rng, p)
+    got = mse_up_to_sign(stack, g_true)
+    rows = stack.reshape(-1, p)
+    alone = np.array([mse_up_to_sign(g, g_true) for g in rows])
+    by_dot = np.array([max(0.0, 2.0 - 2.0 * abs(float(np.dot(g, g_true)))) for g in rows])
+    assert got.shape == (*outer, k)
+    assert got.tobytes() == alone.reshape(got.shape).tobytes()
+    assert got.tobytes() == by_dot.reshape(got.shape).tobytes()
+    assert type(mse_up_to_sign(rows[0], g_true)) is float
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(4,), (2, 3)]), st.integers(2, 20), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.5, 1.0 + 1e-6, 3.0, np.nan, np.inf]))
+def test_non_unit_row_anywhere_in_a_stack_is_refused(stack_shape, p, seed, scale):
+    rng = np.random.default_rng(seed)
+    stack, g_true = _unit_rows(rng, (*stack_shape, p)), _unit_rows(rng, p)
+    at = tuple(int(rng.integers(0, s)) for s in stack_shape)
+    stack[at] *= scale
+    with pytest.raises(ValueError, match="must be unit length"):
+        mse_up_to_sign(stack, g_true)
+    with pytest.raises(ValueError, match="must be unit length"):
+        mse_up_to_sign(stack[at], g_true)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scatter_inputs(), st.integers(1, 4), st.floats(0.0, 3.0))
+def test_plugin_raw_weight_is_w_star_of_the_plugin_summaries(shape, k, signal):
+    n, p, q, seed = shape
+    assume(n > q + 2)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, n, q))
+    x -= x.mean(axis=1, keepdims=True)
+    y = signal * x @ rng.standard_normal((q, p)) + rng.standard_normal((k, n, p))
+    fits = [sums_of_squares(Dataset(yi, xi)) for yi, xi in zip(y, x)]
+    s_reg = np.stack([ss.s_reg for ss in fits])
+    s_resid = np.stack([ss.s_resid for ss in fits])
+    fields = _plugin_weights(s_reg, s_resid, np.linalg.eigvalsh(s_resid), n, q)
+    for i in range(k):
+        try:
+            params = AbcdParams(*(fields[f"{v}_hat"][i] for v in "abcd"), q, n)
+        except ValueError:  # summaries outside the model's range
+            continue
+        assert fields["w_hat_raw"][i] == w_star(params)

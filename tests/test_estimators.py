@@ -497,6 +497,21 @@ def test_loo_cv_leverage_one_design_raises(loo_refit):
             loo_refit(data, rule)
 
 
+def test_loo_cv_fold_conditioning_names_the_left_out_row(monkeypatch):
+    # the folds share `core`'s cond(X'X) rule; the limit sits between the two
+    # worst folds' conditioning, so exactly one fold fails and is named
+    data = Dataset(*_simple_data(29))
+    conds = []
+    for i in range(data.n):
+        x_tr = data.x[np.arange(data.n) != i]
+        conds.append(np.linalg.cond(x_tr - x_tr.mean(axis=0)) ** 2)
+    worst, second = np.argsort(conds)[::-1][:2]
+    monkeypatch.setattr(core, "COND_LIMIT", (conds[worst] + conds[second]) / 2.0)
+    with pytest.raises(RankDeficiencyError,
+                       match=rf"^leaving out row {worst}: cond\(X'X\) = .* exceeds"):
+        loo_cv_scores(data, ALL_RULES)
+
+
 def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
     fallbacks = 0
     for rep in range(6):

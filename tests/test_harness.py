@@ -1,7 +1,10 @@
 """Monte Carlo driver tests: determinism, aggregation, sweeps, tables."""
 
+import ast
 import csv
+import importlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +244,39 @@ def test_replication_block_checks_design_conditioning(monkeypatch):
     monkeypatch.setattr(core, "COND_LIMIT", 1.0)
     with pytest.raises(RankDeficiencyError, match=r"cond\(X'X\) = .* exceeds 1;"):
         _replicate_block(spec, (FixedWeight(0.5),), np.arange(3))
+
+
+# The benchmark (bench/run.py) splits a simulate command into steps at each
+# `gen_dataset` entry, and bench/tracing.py patches the callables it traces
+# by (module, attribute); these tests pin what it relies on.
+
+
+@pytest.mark.parametrize("reps_per_block", [None, 5])
+def test_replication_block_draws_once_per_replication_in_order(monkeypatch, reps_per_block):
+    spec = Traditional().model_spec(50, 3)
+    rows = tuple(est for _, est in DEFAULT_ROWS)
+    if reps_per_block is not None:
+        per_rep = spec.n * (spec.p + spec.q) + spec.p * spec.p * len(rows)
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", reps_per_block * per_rep)
+    drawn = []
+
+    def recording(spec, replication=0, _orig=harness.gen_dataset):
+        drawn.append(replication)
+        return _orig(spec, replication)
+
+    monkeypatch.setattr(harness, "gen_dataset", recording)
+    reps = np.arange(3, 15)
+    _replicate_block(spec, rows, reps)
+    assert drawn == reps.tolist()
+
+
+def test_bench_traced_names_resolve():
+    source = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text()
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED")
+    for name, (module, attr) in traced.items():
+        owner = np.linalg if module == "linalg" else importlib.import_module(module)
+        assert callable(getattr(owner, attr, None)), name
 
 
 def test_plugin_degrees_of_freedom_checked_before_running():

@@ -15,6 +15,7 @@ from allopca import (
     WeakIdentifiability,
     gen_dataset,
     random_gamma,
+    scenario_plan,
     substream,
     sums_of_squares,
 )
@@ -272,14 +273,14 @@ def test_regime_kind_axes_and_table3_cases():
 
 def test_regime_dispatch():
     trad = RegimeSpec(Traditional(), (20, 50, 100))
-    assert trad.point_label(20) == "n=20"
-    assert trad.model_spec(20, 0).lambda1 == 2.0
+    assert scenario_plan(trad.kind, (20,), 1, 0).point_labels == ("n=20",)
+    assert trad.kind.model_spec(20, 0).lambda1 == 2.0
 
     weak = RegimeSpec(WeakIdentifiability(1.0), (20, 50, 100))
-    assert weak.model_spec(100, 0).lambda1 == pytest.approx(1.01)
+    assert weak.kind.model_spec(100, 0).lambda1 == pytest.approx(1.01)
 
     large = RegimeSpec(LargePLargeN(0.8, 0.8, 0.4), (20, 50))
-    assert large.point_label(20) == "p=20"
-    spec = large.model_spec(50, 0)
+    assert scenario_plan(large.kind, (20,), 1, 0).point_labels == ("p=20",)
+    spec = large.kind.model_spec(50, 0)
     assert spec.n == int(50 ** 0.8)
     assert spec.lambda1 == pytest.approx(50 ** 0.8)
