@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _check_sizes, _check_weight
 from .estimators import AbcdParams
 
 
@@ -64,10 +65,8 @@ def lemma1_fluctuation(
         raise ValueError(f"`lambda1` must lie in (0, tr Sigma], got {lambda1}")
     if c < 0:
         raise ValueError(f"`c` must be >= 0, got {c}")
-    if q < 1 or n <= 1 + q:
-        raise ValueError(f"need q >= 1 and n > 1 + q; got n = {n}, q = {q}")
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"weight w = {w!r} outside [0, 1]")
+    _check_sizes(n, q, ints=False)
+    _check_weight(w)
     lead = q * (1.0 - 2.0 * w) + (n - 1.0) * w * w
     return lead * (sigma_tr2 + sigma_tr ** 2) + 2.0 * (1.0 - w) ** 2 * (lambda1 + sigma_tr) * c
 
@@ -103,9 +102,7 @@ def mse_upper_bound(params: AbcdParams, w: float) -> float:
     float
         The bound; nonnegative, and finite for valid parameters.
     """
-    w = float(w)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"weight w = {w!r} outside [0, 1]")
+    w = _check_weight(float(w))
     return float(_bound_values(params, np.asarray(w)))
 
 

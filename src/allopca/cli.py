@@ -29,7 +29,7 @@ import tempfile
 import numpy as np
 
 from .bounds import grid_argmin_bound, mse_upper_bound
-from .core import Dataset, center_columns, sums_of_squares
+from .core import Dataset, _check_weight, center_columns, sums_of_squares
 from .errors import CostLimitError, DegreesOfFreedomError, RankDeficiencyError
 from .estimators import (
     AbcdParams,
@@ -69,21 +69,23 @@ class NumericFailure(Exception):
     """Internal numeric self-check failed; maps to exit code 1."""
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _number_list(text: str, parse, noun: str) -> tuple:
+    """The comma-separated values of a list flag or config key; an empty list is refused."""
     try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(parse(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}s, got {text!r}")
     if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at least one {noun}, got {text!r}")
     return values
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return _number_list(text, int, "integer")
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return _number_list(text, float, "number")
 
 
 def _load_config(path: str, command: str, actions) -> dict:
@@ -222,9 +224,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 def _fixed_rows(weights) -> list[tuple[str, FixedWeight]]:
     rows = list(DEFAULT_ROWS[:3])  # total, residual and regression
     for w in weights:
-        if not 0.0 <= w <= 1.0:
-            raise CliError(f"`--weights` entries must lie in [0, 1], got {w}")
-        rows.append((f"w={w:g}", FixedWeight(float(w))))
+        rows.append((f"w={w:g}", FixedWeight(_check_weight(w, "`--weights` entry"))))
     return rows
 
 

@@ -22,8 +22,17 @@ formed.
 
 `_scatter_stack` is the one scatter builder (`sums_of_squares` is a stack
 of one), `_sym_eig_stack` the one symmetric eigensolver (`sym_eig` is a
-stack of one), `_check_scatter_stack` the one set of scatter-matrix
-checks and `_check_design_conditioning` the one cond(X'X) rule.
+stack of one) and `_check_scatter_stack` the one set of scatter-matrix
+checks.
+
+Each validation rule of the package is one helper here, which takes the
+name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (q >= 1,
+n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_dimension` (p >= 2),
+`_check_index` (seeds and indices >= 0), `_check_unit`,
+`_check_orthonormal`, `_check_finite`, `_check_symmetric` (square, finite,
+symmetric and positive semidefinite matrices) and
+`_check_design_conditioning` (cond(X'X) <= COND_LIMIT, read off the R
+factor of each fit's thin QR; `Dataset` checks no rank).
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import DegreesOfFreedomError, RankDeficiencyError
 
 # Relative tolerances for validity checks.  "Relative" is always with
 # respect to the max-abs entry (or the trace, for semidefiniteness) of the
@@ -43,6 +52,7 @@ SYM_STORED_TOL = 1e-10  # asymmetry allowed in stored S matrices
 PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace
 ADDITIVITY_TOL = 1e-9   # |S_total - S_reg - S_resid| entrywise
 COND_LIMIT = 1e12       # condition-number cap for X'X
+UNIT_TOL = 1e-8         # |norm - 1| allowed in a unit vector, and max|V'V - I|
 
 _SCATTER_NAMES = ("s_reg", "s_resid", "s_total")
 
@@ -57,17 +67,94 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def _check_symmetric(m: np.ndarray, rtol: float, name: str) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"`{name}` must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"`{name}` contains non-finite entries")
-    asym = _max_abs(m - m.T)
-    if asym > rtol * max(_max_abs(m), 1e-300):
-        raise ValueError(
-            f"`{name}` is not symmetric: max|M - M'| = {asym:.3e} exceeds "
-            f"relative tolerance {rtol:g}"
-        )
+def _check_weight(w, name: str = "weight w"):
+    """Return blend weight `w` if it lies in [0, 1] (NaN fails)."""
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"{name} = {w!r} outside [0, 1]")
+    return w
+
+
+def _check_sizes(n, q, ints: bool = True) -> tuple:
+    """Return (n, q) if q >= 1 and n > 1 + q; with `ints`, both must be (and return as) ints."""
+    if ints and not (isinstance(n, (int, np.integer)) and isinstance(q, (int, np.integer))):
+        raise ValueError("`n` and `q` must be ints")
+    if q < 1 or n <= 1 + q:
+        raise ValueError(f"need q >= 1 and n > 1 + q; got n = {n}, q = {q}")
+    return (int(n), int(q)) if ints else (n, q)
+
+
+def _check_plugin_dof(n, q, where: str = "") -> None:
+    """Raise `DegreesOfFreedomError` unless n > q + 2; `where` prefixes the message."""
+    if n <= 2 + q:
+        raise DegreesOfFreedomError(
+            f"{where}the plug-in weight needs n > q + 2; got n = {n}, q = {q}")
+
+
+def _check_dimension(p) -> None:
+    """Raise unless there are p >= 2 response coordinates."""
+    if p < 2:
+        raise ValueError(f"need at least two response coordinates: `p` must be >= 2, got {p}")
+
+
+def _check_index(value, name: str):
+    """Return seed or index `value` if it is >= 0."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _check_unit(v: np.ndarray, name: str, tol: float = UNIT_TOL) -> None:
+    """Raise unless each vector of a stack (..., p) has |norm - 1| <= tol (NaN fails)."""
+    nrm = np.linalg.norm(v, axis=-1)
+    bad = ~(np.abs(nrm - 1.0) <= tol)
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"{name}{list(at) if at else ''} must be unit length, "
+                         f"got norm {float(nrm[at])!r}")
+
+
+def _check_orthonormal(v: np.ndarray, name: str) -> None:
+    """Raise unless max|V'V - I| <= UNIT_TOL over a matrix or stack (..., p, p)."""
+    err = _max_abs(np.swapaxes(v, -2, -1) @ v - np.eye(v.shape[-1]))
+    if err > UNIT_TOL:
+        raise ValueError(f"{name} not orthonormal: max|V'V - I| = {err:.3e}")
+
+
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+
+
+def _check_symmetric(mats: np.ndarray, names, rtol: float = SYM_STORED_TOL,
+                     psd: bool = True) -> np.ndarray | None:
+    """Check stacks of matrices `mats` (len(names), k, p, p); `names[i]` names stack i.
+
+    Each matrix must be square, finite, symmetric (max|M - M'| <= rtol
+    times its peak entry) and, if `psd`, positive semidefinite (min
+    eigenvalue >= -PSD_TOL * trace).  Returns the ascending eigenvalues
+    (len(names), k, p) when `psd`.
+    """
+    if mats.ndim != 4 or mats.shape[2] != mats.shape[3]:
+        raise ValueError(f"{names[0]} must be a square matrix, got shape {mats.shape[2:]}")
+    for name, m in zip(names, mats):
+        _check_finite(m, name)
+    peak = np.maximum(np.max(np.abs(mats), axis=(2, 3)), 1e-300)
+    asym = np.max(np.abs(mats - np.swapaxes(mats, 2, 3)), axis=(2, 3))
+    bad = np.any(asym > rtol * peak, axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"{names[i]} is not symmetric: max|M - M'| = {np.max(asym[i]):.3e} "
+                         f"exceeds relative tolerance {rtol:g}")
+    if not psd:
+        return None
+    evals = np.linalg.eigvalsh(mats)
+    lo = evals[:, :, 0]
+    bad = np.any(lo < -PSD_TOL * np.maximum(np.trace(mats, axis1=2, axis2=3), 0.0), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"{names[i]} is not positive semidefinite: "
+                         f"min eigenvalue {np.min(lo[i]):.3e}")
+    return evals
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +166,16 @@ class Dataset:
     y : ndarray of shape (n, p)
         Responses, one observation per row.
     x : ndarray of shape (n, q)
-        Explanatory variables.  Must already be column-centered and of
-        full column rank, with n > 1 + q.
+        Explanatory variables.  Must already be column-centered, with
+        n > 1 + q.  Rank is not checked here: each fit checks
+        cond(X'X) <= COND_LIMIT (1e12) from the R factor of its thin QR and
+        raises `RankDeficiencyError` ("cond(X'X) = ... exceeds 1e+12;
+        design columns are too collinear") for a collinear `x`.
 
     Raises
     ------
     ValueError
         If shapes are inconsistent, n <= 1 + q, or `x` is not centered.
-    RankDeficiencyError
-        If `x` has (numerically) deficient column rank.
     """
 
     y: np.ndarray
@@ -96,22 +184,13 @@ class Dataset:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         x = np.asarray(self.x, dtype=float)
-        if y.ndim != 2:
-            raise ValueError(f"`y` must be 2-D, got shape {y.shape}")
-        if x.ndim != 2:
-            raise ValueError(f"`x` must be 2-D, got shape {x.shape}")
+        for name, a in (("y", y), ("x", x)):
+            if a.ndim != 2:
+                raise ValueError(f"`{name}` must be 2-D, got shape {a.shape}")
+            _check_finite(a, f"`{name}`")
         if y.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"`y` has {y.shape[0]} rows but `x` has {x.shape[0]}"
-            )
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-            raise ValueError("`y` and `x` must be finite")
-        n, q = x.shape
-        if n <= 1 + q:
-            raise ValueError(
-                f"need n > 1 + q for the residual fit to have positive "
-                f"degrees of freedom; got n = {n}, q = {q}"
-            )
+            raise ValueError(f"`y` has {y.shape[0]} rows but `x` has {x.shape[0]}")
+        n, q = _check_sizes(*x.shape)
         col_sums = np.abs(x.sum(axis=0))
         limit = CENTER_TOL * n * max(_max_abs(x), 1e-300)
         if np.any(col_sums > limit):
@@ -119,12 +198,6 @@ class Dataset:
             raise ValueError(
                 f"`x` is not column-centered: column {j} sums to "
                 f"{x[:, j].sum():.3e}"
-            )
-        sv = np.linalg.svd(x, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise RankDeficiencyError(
-                f"`x` is rank deficient: singular values range from "
-                f"{sv[-1]:.3e} to {sv[0]:.3e}"
             )
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "x", _readonly(x))
@@ -159,21 +232,13 @@ class SumOfSquares:
     q: int
 
     def __post_init__(self):
-        mats = {}
-        for name in _SCATTER_NAMES:
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"`{name}` must be a square matrix, got shape {m.shape}")
-            mats[name] = m
+        mats = {name: np.asarray(getattr(self, name), dtype=float) for name in _SCATTER_NAMES}
         shapes = {m.shape for m in mats.values()}
         if len(shapes) != 1:
             raise ValueError(f"matrix shapes disagree: {sorted(shapes)}")
-        if not (isinstance(self.n, (int, np.integer)) and isinstance(self.q, (int, np.integer))):
-            raise ValueError("`n` and `q` must be ints")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "q", int(self.q))
-        if self.q < 1 or self.n <= 1 + self.q:
-            raise ValueError(f"need q >= 1 and n > 1 + q; got n = {self.n}, q = {self.q}")
+        n, q = _check_sizes(self.n, self.q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
         _check_scatter_stack(*(m[None] for m in mats.values()))
         for name, m in mats.items():
             object.__setattr__(self, name, _readonly(m))
@@ -211,9 +276,7 @@ class SymEig:
             )
         if np.any(np.diff(vals) > 0):
             raise ValueError("`values` must be non-increasing")
-        gram_err = _max_abs(vecs.T @ vecs - np.eye(vals.size))
-        if gram_err > 1e-8:
-            raise ValueError(f"`vectors` not orthonormal: max|V'V - I| = {gram_err:.3e}")
+        _check_orthonormal(vecs, "`vectors`")
         object.__setattr__(self, "values", _readonly(vals))
         object.__setattr__(self, "vectors", _readonly(vecs))
 
@@ -241,7 +304,7 @@ def sym_eig(m: np.ndarray) -> SymEig:
         If `m` is not square or is asymmetric beyond tolerance.
     """
     m = np.asarray(m, dtype=float)
-    _check_symmetric(m, SYM_INPUT_TOL, "m")
+    _check_symmetric(m[None, None], ("`m`",), SYM_INPUT_TOL, psd=False)
     vals, vecs = _sym_eig_stack(((m + m.T) / 2.0)[None])
     out = object.__new__(SymEig)  # `_sym_eig_stack` checked order and orthonormality
     vars(out).update(values=_readonly(vals[0]), vectors=_readonly(vecs[0]))
@@ -276,9 +339,7 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     resid = np.linalg.norm(vecs @ (vals[:, :, None] * vecs_t) - m, axis=(1, 2))
     if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(m, axis=(1, 2)), 1e-300)):
         raise ValueError("eigendecomposition failed to reconstruct the input")
-    gram_err = np.max(np.abs(vecs_t @ vecs - np.eye(m.shape[-1])))
-    if gram_err > 1e-8:
-        raise ValueError(f"`vectors` not orthonormal: max|V'V - I| = {gram_err:.3e}")
+    _check_orthonormal(vecs, "`vectors`")
     return vals, vecs
 
 
@@ -296,31 +357,10 @@ def _check_scatter_stack(s_reg: np.ndarray, s_resid: np.ndarray, s_total: np.nda
     ValueError
         If some matrix or triple fails a check.
     """
-    mats = np.stack((s_reg, s_resid, s_total))
-    finite = np.all(np.isfinite(mats), axis=(1, 2, 3))
-    if not np.all(finite):
-        raise ValueError(f"`{_SCATTER_NAMES[int(np.argmin(finite))]}`{where} "
-                         f"contains non-finite entries")
-    peak = np.maximum(np.max(np.abs(mats), axis=(2, 3)), 1e-300)
-    asym = np.max(np.abs(mats - np.swapaxes(mats, 2, 3)), axis=(2, 3))
-    bad = np.any(asym > SYM_STORED_TOL * peak, axis=1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"`{_SCATTER_NAMES[i]}`{where} is not symmetric: max|M - M'| = "
-            f"{np.max(asym[i]):.3e} exceeds relative tolerance {SYM_STORED_TOL:g}"
-        )
-    evals = np.linalg.eigvalsh(mats)
-    lo = evals[:, :, 0]
-    bad = np.any(lo < -PSD_TOL * np.maximum(np.trace(mats, axis1=2, axis2=3), 0.0), axis=1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"`{_SCATTER_NAMES[i]}`{where} is not positive semidefinite: "
-            f"min eigenvalue {np.min(lo[i]):.3e}"
-        )
+    evals = _check_symmetric(np.stack((s_reg, s_resid, s_total)),
+                             [f"`{name}`{where}" for name in _SCATTER_NAMES])
     gap = np.max(np.abs(s_total - s_reg - s_resid), axis=(1, 2))
-    if np.any(gap > ADDITIVITY_TOL * peak[2]):
+    if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(s_total), axis=(1, 2)), 1e-300)):
         raise ValueError(f"s_total != s_reg + s_resid{where}: max entry gap {np.max(gap):.3e}")
     return evals[1]
 
@@ -421,7 +461,5 @@ def weighted_matrix(ss: SumOfSquares, w: float) -> np.ndarray:
     ValueError
         If `w` is outside [0, 1].
     """
-    w = float(w)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"weight w = {w!r} outside [0, 1]")
+    w = _check_weight(float(w))
     return (1.0 - w) * ss.s_reg + w * ss.s_resid

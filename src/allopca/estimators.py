@@ -27,15 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PSD_TOL,
-    SYM_STORED_TOL,
     Dataset,
     SumOfSquares,
     _check_design_conditioning,
+    _check_dimension,
+    _check_plugin_dof,
     _check_scatter_stack,
+    _check_sizes,
     _check_symmetric,
+    _check_unit,
+    _check_weight,
     _conditioned_qr,
     _gram,
+    _readonly,
     _sym_eig_stack,
     sym_eig,
     weighted_matrix,
@@ -72,10 +76,9 @@ class AbcdParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not (isinstance(self.q, (int, np.integer)) and isinstance(self.n, (int, np.integer))):
-            raise ValueError("`q` and `n` must be ints")
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "n", int(self.n))
+        n, q = _check_sizes(self.n, self.q)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
         vals = (self.a, self.b, self.c, self.d)
         if not all(np.isfinite(v) for v in vals):
             raise ValueError(f"parameters must be finite, got {vals}")
@@ -83,8 +86,6 @@ class AbcdParams:
             raise ValueError(f"need a, b, d > 0; got a={self.a}, b={self.b}, d={self.d}")
         if self.c < 0:
             raise ValueError(f"need c >= 0, got c={self.c}")
-        if self.q < 1 or self.n <= 1 + self.q:
-            raise ValueError(f"need q >= 1 and n > 1 + q; got q={self.q}, n={self.n}")
         if self.b * self.d > self.a * (1.0 + 1e-12):
             raise ValueError(
                 f"need a >= b * d (true for any covariance spectrum); "
@@ -140,16 +141,11 @@ class Gamma1Estimate:
         v = np.asarray(self.vector, dtype=float)
         if v.ndim != 1:
             raise ValueError(f"`vector` must be 1-D, got shape {v.shape}")
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-10:
-            raise ValueError(f"`vector` must be unit length, got norm {nrm!r}")
-        if not 0.0 <= self.weight_used <= 1.0:
-            raise ValueError(f"`weight_used` outside [0, 1]: {self.weight_used!r}")
+        _check_unit(v, "`vector`", 1e-10)
+        _check_weight(self.weight_used, "`weight_used`")
         if self.leading_gap < 0.0:
             raise ValueError(f"`leading_gap` must be >= 0, got {self.leading_gap!r}")
-        arr = np.array(v, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "vector", arr)
+        object.__setattr__(self, "vector", _readonly(v))
         object.__setattr__(self, "weight_used", float(self.weight_used))
         object.__setattr__(self, "leading_gap", float(self.leading_gap))
         object.__setattr__(self, "tie_flag", bool(self.tie_flag))
@@ -172,8 +168,7 @@ def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
         of both scatter matrices, and stable up to roundoff under any other
         positive rescaling.
     """
-    if ss.p < 2:
-        raise ValueError("need at least two response coordinates")
+    _check_dimension(ss.p)
     m = weighted_matrix(ss, w)
     eig = sym_eig(m)
     gap = float(eig.values[0] - eig.values[1])
@@ -199,13 +194,8 @@ def mse_up_to_sign(g_hat: np.ndarray, g_true: np.ndarray) -> float | np.ndarray:
     g_true = np.asarray(g_true, dtype=float)
     if g_true.ndim != 1 or g_hat.ndim < 1 or g_hat.shape[-1] != g_true.size:
         raise ValueError(f"inputs must be (..., p) and (p,), got {g_hat.shape} and {g_true.shape}")
-    for name, v in (("g_hat", g_hat), ("g_true", g_true)):
-        nrm = np.linalg.norm(v, axis=-1)
-        bad = ~(np.abs(nrm - 1.0) <= 1e-8)
-        if np.any(bad):
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ValueError(f"`{name}`{list(at) if at else ''} must be unit length, "
-                             f"got norm {float(nrm[at])!r}")
+    _check_unit(g_hat, "`g_hat`")
+    _check_unit(g_true, "`g_true`")
     err = np.maximum(0.0, 2.0 - 2.0 * np.abs(_dots(g_hat, g_true)))
     return float(err) if g_hat.ndim == 1 else err
 
@@ -238,16 +228,12 @@ class PluginWeights:
 
     def __post_init__(self):
         s = np.asarray(self.sigma_hat, dtype=float)
-        _check_symmetric(s, SYM_STORED_TOL, "sigma_hat")
-        if float(np.linalg.eigvalsh(s)[0]) < -PSD_TOL * max(float(np.trace(s)), 0.0):
-            raise ValueError("`sigma_hat` must be positive semidefinite")
+        _check_symmetric(s[None, None], ("`sigma_hat`",))
         if self.d_hat < 0.0:
             raise ValueError(f"`d_hat` must be >= 0, got {self.d_hat!r}")
         if not 0.0 <= self.w_hat <= WEIGHT_CAP:
             raise ValueError(f"`w_hat` outside [0, 2/3]: {self.w_hat!r}")
-        arr = np.array(s, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "sigma_hat", arr)
+        object.__setattr__(self, "sigma_hat", _readonly(s))
         for name in ("lambda1_hat", "lambda2_hat", "tr_sigma2_hat", "a_hat",
                      "b_hat", "c_hat", "d_hat", "w_hat_raw", "w_hat"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -278,12 +264,8 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
         If n <= 2 + q.
     """
     n, q = ss.n, ss.q
-    if ss.p < 2:
-        raise ValueError("need at least two response coordinates")
-    if n <= 2 + q:
-        raise DegreesOfFreedomError(
-            f"plug-in weight needs n > q + 2; got n = {n}, q = {q}"
-        )
+    _check_dimension(ss.p)
+    _check_plugin_dof(n, q)
     fields = _plugin_weights(ss.s_reg[None], ss.s_resid[None],
                              np.linalg.eigvalsh(ss.s_resid)[None], n, q)
     return PluginWeights(sigma_hat=ss.s_resid / (n - 1 - q),
@@ -331,10 +313,7 @@ class FixedWeight:
     w: float
 
     def __post_init__(self):
-        w = float(self.w)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"weight w = {w!r} outside [0, 1]")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _check_weight(float(self.w)))
 
 
 @dataclass(frozen=True)
@@ -376,9 +355,7 @@ def reduced_rank_coefficients(
     g = np.asarray(g_hat, dtype=float)
     if g.ndim != 1 or g.size != data.p:
         raise ValueError(f"`g_hat` must have shape ({data.p},), got {g.shape}")
-    nrm = float(np.linalg.norm(g))
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"`g_hat` must be unit length, got norm {nrm!r}")
+    _check_unit(g, "`g_hat`")
     coef, mu = _ols_fit(data)
     return np.outer(coef @ g, g), mu
 
@@ -409,7 +386,7 @@ def _loo_fit(data: Dataset):
     leverage h_i = 1/n + ||Q_i||^2 includes the intercept.
     """
     x, y = data.x, data.y
-    qmat = np.linalg.qr(x, mode="reduced")[0]
+    qmat = _conditioned_qr(x[None])[0][0]
     centered = y - y.mean(axis=0)
     resid = centered - qmat @ (qmat.T @ centered)
     lev = 1.0 / data.n + np.sum(qmat * qmat, axis=1)
@@ -520,8 +497,8 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
             f"than {q + 2} (n > q + 3); got n = {n}, q = {q}"
         )
     projected = [k for k, rule in enumerate(rules) if not isinstance(rule, OlsRule)]
-    if projected and p < 2:
-        raise ValueError("need at least two response coordinates")
+    if projected:
+        _check_dimension(p)
     fit = _loo_fit(data)
     _, _, resid, lev = fit
     y_ols = y - resid / (1.0 - lev)[:, None]

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_scatter_stack, _scatter_stack
-from .errors import CostLimitError, DegreesOfFreedomError
+from .core import _check_index, _check_plugin_dof, _check_scatter_stack, _readonly, _scatter_stack
+from .errors import CostLimitError
 from .estimators import (
     _BLOCK_ENTRIES,
     AbcdParams,
@@ -130,9 +130,8 @@ class ExperimentPlan:
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ValueError(f"`replications` must be a positive int, got {self.replications!r}")
         object.__setattr__(self, "replications", int(self.replications))
-        if int(self.master_seed) < 0:
-            raise ValueError(f"`master_seed` must be >= 0, got {self.master_seed}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        seed = _check_index(int(self.master_seed), "`master_seed`")
+        object.__setattr__(self, "master_seed", seed)
         if self.cost_limit_seconds is not None and not self.cost_limit_seconds > 0:
             raise ValueError(f"`cost_limit_seconds` must be > 0, got {self.cost_limit_seconds}")
 
@@ -172,9 +171,7 @@ class McResult:
         if any(not 0 <= i < e for i in self.weight_rows):
             raise ValueError(f"`weight_rows` out of range: {self.weight_rows}")
         for name, a in arrs.items():
-            frozen = np.array(a)
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
+            object.__setattr__(self, name, _readonly(a))
         object.__setattr__(self, "weight_rows", tuple(int(i) for i in self.weight_rows))
 
 
@@ -250,11 +247,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> McResult:
         raise ValueError(f"`workers` must be >= 1, got {workers}")
     if any(isinstance(est, PluginRule) for est in plan.estimators):
         for lab, spec in zip(plan.point_labels, plan.points):
-            if spec.n <= 2 + spec.q:
-                raise DegreesOfFreedomError(
-                    f"point {lab!r} has n={spec.n} <= 2+q={2 + spec.q}; the "
-                    "data-driven weight needs n > 2+q"
-                )
+            _check_plugin_dof(spec.n, spec.q, f"point {lab!r}: ")
     est_seconds = estimate_runtime_seconds(plan)
     limit = plan.cost_limit_seconds
     if limit is not None and est_seconds > limit:

@@ -32,8 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, sym_eig
-from .errors import DegreesOfFreedomError
+from .core import (
+    Dataset,
+    _check_dimension,
+    _check_finite,
+    _check_index,
+    _check_orthonormal,
+    _check_plugin_dof,
+    _check_sizes,
+    _readonly,
+    sym_eig,
+)
 
 _STREAM_X = 0
 _STREAM_E = 1
@@ -46,10 +55,9 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     Distinct paths give statistically independent streams, and the mapping
     is stable across processes and platforms.
     """
-    if master_seed < 0:
-        raise ValueError(f"`master_seed` must be >= 0, got {master_seed}")
-    if any(k < 0 for k in path):
-        raise ValueError(f"stream path entries must be >= 0, got {path}")
+    _check_index(master_seed, "`master_seed`")
+    for k in path:
+        _check_index(k, "stream path entry")
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -61,8 +69,7 @@ def random_gamma(p: int, seed: int) -> np.ndarray:
     returns its eigenvector basis (descending eigenvalues, package sign
     convention).  The basis is exactly reproducible from `seed`.
     """
-    if p < 2:
-        raise ValueError(f"`p` must be >= 2, got {p}")
+    _check_dimension(p)
     rng = substream(seed, _STREAM_GAMMA)
     z = rng.standard_normal((2 * p, p))
     zc = z - z.mean(axis=0)
@@ -101,11 +108,9 @@ class ModelSpec:
     master_seed: int
 
     def __post_init__(self):
-        p, q, n = int(self.p), int(self.q), int(self.n)
-        if p < 2 or q < 1:
-            raise ValueError(f"need p >= 2 and q >= 1; got p = {p}, q = {q}")
-        if n <= 1 + q:
-            raise ValueError(f"need n > 1 + q; got n = {n}, q = {q}")
+        p = int(self.p)
+        _check_dimension(p)
+        n, q = _check_sizes(int(self.n), int(self.q))
         mu = np.asarray(self.mu, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         lam = np.asarray(self.lambdas, dtype=float)
@@ -119,25 +124,19 @@ class ModelSpec:
         if gamma.shape != (p, p):
             raise ValueError(f"`gamma_basis` must have shape ({p}, {p}), got {gamma.shape}")
         for name, arr in (("mu", mu), ("alpha", alpha), ("lambdas", lam), ("gamma_basis", gamma)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"`{name}` contains non-finite entries")
+            _check_finite(arr, f"`{name}`")
         if np.any(lam <= 0) or np.any(np.diff(lam) > 0):
             raise ValueError("`lambdas` must be positive and non-increasing")
-        ortho_err = float(np.max(np.abs(gamma.T @ gamma - np.eye(p))))
-        if ortho_err > 1e-8:
-            raise ValueError(f"`gamma_basis` not orthonormal: max|G'G - I| = {ortho_err:.3e}")
-        if int(self.master_seed) < 0:
-            raise ValueError(f"`master_seed` must be >= 0, got {self.master_seed}")
+        _check_orthonormal(gamma, "`gamma_basis`")
+        seed = _check_index(int(self.master_seed), "`master_seed`")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", seed)
         sigma = (gamma * lam) @ gamma.T
         for name, arr in (("mu", mu), ("alpha", alpha), ("lambdas", lam), ("gamma_basis", gamma),
                           ("_sigma", (sigma + sigma.T) / 2.0)):
-            frozen = np.array(arr, dtype=float)
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
+            object.__setattr__(self, name, _readonly(arr))
 
     @property
     def gamma1(self) -> np.ndarray:
@@ -174,8 +173,7 @@ def gen_dataset(spec: ModelSpec, replication: int = 0) -> tuple[Dataset, np.ndar
     (dataset, gamma1, sigma)
         The drawn data plus the ground-truth axis and covariance.
     """
-    if replication < 0:
-        raise ValueError(f"`replication` must be >= 0, got {replication}")
+    _check_index(replication, "`replication`")
     n, p, q = spec.n, spec.p, spec.q
     rng_x = substream(spec.master_seed, replication, _STREAM_X)
     x = rng_x.standard_normal((n, q))
@@ -198,13 +196,15 @@ def _spiked_model(p: int, n: int, lambda1: float, lambda2: float, seed: int) -> 
 
     q = 5, lambdas = (lambda1, lambda2, 1, ..., 1), mu = 0, alpha = 1 and
     the basis `random_gamma(p, seed)`.  Requires n > 2 + q, so that the
-    plug-in weight is defined.
+    plug-in weight is defined, and lambda1 > lambda2 >= 1, so that the
+    signal axis is identified (for every regime kind: 1 + n^(-eta) rounds
+    to 1 at large n).
     """
     q = 5
-    if n <= 2 + q:
-        raise DegreesOfFreedomError(
-            f"model has n = {n} <= q + 2 = {q + 2} (p = {p}); the plug-in weight needs n > q + 2"
-        )
+    _check_plugin_dof(n, q, f"model with p = {p}: ")
+    if not lambda1 > lambda2 >= 1.0:
+        raise ValueError(f"model with p = {p}, n = {n} has lambda_1 = {lambda1}, "
+                         f"lambda_2 = {lambda2}; need lambda_1 > lambda_2 >= 1")
     lam = np.ones(p)
     lam[0] = lambda1
     lam[1] = lambda2
@@ -273,15 +273,9 @@ class LargePLargeN:
 
     def model_spec(self, p: int, seed: int) -> ModelSpec:
         p = int(p)
-        if p < 2:
-            raise ValueError(f"`p` must be >= 2, got {p}")
+        _check_dimension(p)
         lam1 = float(p) ** self.beta if self.beta > 0 else 1.0 + float(p) ** self.beta
         lam2 = float(p) ** self.beta2
-        if not lam1 > lam2 >= 1.0:
-            raise ValueError(
-                f"spike exponents give lambda_1 = {lam1}, lambda_2 = {lam2}; "
-                f"need lambda_1 > lambda_2 >= 1"
-            )
         return _spiked_model(p, int(math.floor(float(p) ** self.delta)), lam1, lam2, seed)
 
 

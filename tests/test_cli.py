@@ -593,6 +593,23 @@ def test_empty_size_list_exits_2(tmp_path, capsys, command):
     assert f"{cfg}:2: bad value for `n`: expected at least one integer" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "cv"])
+@pytest.mark.parametrize("value", [",", "", " , "])
+def test_empty_weight_list_exits_2(tmp_path, capsys, command, value):
+    # an empty `--weights` list used to drop the whole fixed grid and exit 0
+    ypath, xpath, _ = dataset_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--y", ypath, "--x", xpath, "--weights", value])
+    assert exc.value.code == 2
+    assert "expected at least one number" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"y = {ypath}\nx = {xpath}\nweights = {value}\n")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:3: bad value for `weights`: expected at least one number" in err
+
+
 # --------------------------------------------------------------------------
 # CSV interchange
 # --------------------------------------------------------------------------

@@ -10,13 +10,19 @@ import pytest
 
 from allopca import (
     Dataset,
+    FixedWeight,
+    OlsRule,
+    PluginRule,
     RankDeficiencyError,
     SumOfSquares,
     center_columns,
+    loo_cv_scores,
+    reduced_rank_coefficients,
     sums_of_squares,
     sym_eig,
     weighted_matrix,
 )
+from allopca.cli import main, write_matrix_csv
 from allopca.core import _check_scatter_stack
 
 
@@ -80,12 +86,28 @@ def test_dataset_requires_centered_design():
     Dataset(y, center_columns(x))
 
 
-def test_dataset_requires_full_rank():
+def test_dataset_requires_full_rank(tmp_path, capsys):
+    # `Dataset` accepts an exactly collinear design; every fit refuses it,
+    # from the R factor of its thin QR, as a design problem
     rng = np.random.default_rng(1)
     base = center_columns(rng.standard_normal((15, 1)))
     x = np.hstack([base, base])  # exactly collinear
-    with pytest.raises(RankDeficiencyError):
-        Dataset(rng.standard_normal((15, 2)), x)
+    data = Dataset(rng.standard_normal((15, 2)), x)
+    pattern = r"^cond\(X'X\) = .* exceeds 1e\+12; design columns are too collinear"
+    with pytest.raises(RankDeficiencyError, match=pattern):
+        sums_of_squares(data)
+    with pytest.raises(RankDeficiencyError, match=pattern):
+        reduced_rank_coefficients(data, np.array([1.0, 0.0]))
+    with pytest.raises(RankDeficiencyError, match=pattern):
+        loo_cv_scores(data, (FixedWeight(0.5), PluginRule(), OlsRule()))
+    ypath, xpath = tmp_path / "y.csv", tmp_path / "x.csv"
+    write_matrix_csv(str(ypath), data.y)
+    write_matrix_csv(str(xpath), x)
+    for command in ("estimate", "cv"):
+        assert main([command, "--y", str(ypath), "--x", str(xpath)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: cond(X'X) = " in err and "design columns are too collinear" in err
 
 
 def test_dataset_requires_enough_rows():
@@ -175,8 +197,8 @@ def test_additivity_and_psd_over_seeded_datasets():
 def test_rejects_ill_conditioned_design():
     rng = np.random.default_rng(8)
     base = center_columns(rng.standard_normal((30, 1)))
-    # collinear at the 1e-8 level: passes the rank check (1e-10 cutoff) but
-    # cond(X'X) ~ 1e16 exceeds the 1e12 limit
+    # collinear at the 1e-8 level: `Dataset` accepts it (it checks no
+    # rank), and the fit refuses it because cond(X'X) ~ 1e16 exceeds 1e12
     x = np.hstack([base, base + 1e-8 * center_columns(rng.standard_normal((30, 1)))])
     data = Dataset(rng.standard_normal((30, 4)), x)
     with pytest.raises(RankDeficiencyError, match="cond"):
