@@ -65,7 +65,7 @@ def lemma1_fluctuation(
         raise ValueError(f"`lambda1` must lie in (0, tr Sigma], got {lambda1}")
     if c < 0:
         raise ValueError(f"`c` must be >= 0, got {c}")
-    _check_sizes(n, q, ints=False)
+    _check_sizes(n, q)
     _check_weight(w)
     lead = q * (1.0 - 2.0 * w) + (n - 1.0) * w * w
     return lead * (sigma_tr2 + sigma_tr ** 2) + 2.0 * (1.0 - w) ** 2 * (lambda1 + sigma_tr) * c

@@ -50,8 +50,6 @@ from .simgen import (
     WeakIdentifiability,
 )
 
-WORKERS_ENV = "ALLOPCA_WORKERS"
-
 DEFAULT_N_GRID = (20, 50, 100, 200, 500)
 DEFAULT_P_GRID = (20, 50, 100)
 DEFAULT_WEIGHT_GRID = (0.1, 0.2, 0.3, 0.4, 0.6)
@@ -86,6 +84,14 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return _number_list(text, float, "number")
+
+
+def _one_worker(text: str) -> int:
+    """`--workers` is kept so that existing command lines parse; only 1 is accepted."""
+    if text.strip() != "1":
+        raise argparse.ArgumentTypeError(
+            f"replications run in one process; `--workers` accepts only 1, got {text!r}")
+    return 1
 
 
 def _load_config(path: str, command: str, actions) -> dict:
@@ -125,22 +131,6 @@ def _merge_config(args: argparse.Namespace) -> None:
     for key, val in values.items():
         if getattr(args, key) is None:
             setattr(args, key, val)
-
-
-def _resolve_workers(args: argparse.Namespace) -> int:
-    workers = args.workers
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV)
-        if raw is not None:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise CliError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-        else:
-            workers = 1
-    if workers < 1:
-        raise CliError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
@@ -278,19 +268,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     reps = args.reps if args.reps is not None else 200
     seed = args.seed if args.seed is not None else 0
     fmt = args.format if args.format is not None else "csv"
-    workers = _resolve_workers(args)
     sizes = getattr(args, kind.axis) or (DEFAULT_N_GRID if kind.axis == "n" else DEFAULT_P_GRID)
     plan = scenario_plan(kind, sizes, reps, seed, cost_limit_seconds=args.cost_limit)
 
     print(f"scenario {args.scenario}: replications={plan.replications} "
-          f"seed={plan.master_seed} workers={workers}", file=sys.stderr)
+          f"seed={plan.master_seed}", file=sys.stderr)
     for label, spec in zip(plan.point_labels, plan.points):
         print(
             f"  {label}: p={spec.p} q={spec.q} n={spec.n} "
             f"lambda1={spec.lambda1:.6g} lambda2={spec.lambda2:.6g}",
             file=sys.stderr,
         )
-    result = run_experiment(plan, workers=workers)
+    result = run_experiment(plan)
     _deliver(args, emit_table(result, fmt))
     return 0
 
@@ -419,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="refuse plans estimated to exceed this many seconds")
     sim.add_argument("--format", choices=("csv", "markdown"), help="table format")
     sim.add_argument("--seed", type=int, help="master seed (default 0)")
-    sim.add_argument("--workers", type=int,
-                     help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    sim.add_argument("--workers", type=_one_worker,
+                     help="accepts only 1: replications run in one process")
     _add_common(sim, _cmd_simulate)
 
     est = subs.add_parser("estimate", help="fit estimators to CSV data")

@@ -26,8 +26,8 @@ stack of one) and `_check_scatter_stack` the one set of scatter-matrix
 checks.
 
 Each validation rule of the package is one helper here, which takes the
-name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (q >= 1,
-n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_dimension` (p >= 2),
+name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
+int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_dimension` (p >= 2),
 `_check_index` (seeds and indices >= 0), `_check_unit`,
 `_check_orthonormal`, `_check_finite`, `_check_symmetric` (square, finite,
 symmetric and positive semidefinite matrices) and
@@ -74,13 +74,13 @@ def _check_weight(w, name: str = "weight w"):
     return w
 
 
-def _check_sizes(n, q, ints: bool = True) -> tuple:
-    """Return (n, q) if q >= 1 and n > 1 + q; with `ints`, both must be (and return as) ints."""
-    if ints and not (isinstance(n, (int, np.integer)) and isinstance(q, (int, np.integer))):
+def _check_sizes(n, q) -> tuple:
+    """Return (n, q) as ints if both are ints with q >= 1 and n > 1 + q."""
+    if not (isinstance(n, (int, np.integer)) and isinstance(q, (int, np.integer))):
         raise ValueError("`n` and `q` must be ints")
     if q < 1 or n <= 1 + q:
         raise ValueError(f"need q >= 1 and n > 1 + q; got n = {n}, q = {q}")
-    return (int(n), int(q)) if ints else (n, q)
+    return int(n), int(q)
 
 
 def _check_plugin_dof(n, q, where: str = "") -> None:
@@ -114,9 +114,9 @@ def _check_unit(v: np.ndarray, name: str, tol: float = UNIT_TOL) -> None:
 
 
 def _check_orthonormal(v: np.ndarray, name: str) -> None:
-    """Raise unless max|V'V - I| <= UNIT_TOL over a matrix or stack (..., p, p)."""
+    """Raise unless max|V'V - I| <= UNIT_TOL over a matrix or stack (..., p, p) (NaN fails)."""
     err = _max_abs(np.swapaxes(v, -2, -1) @ v - np.eye(v.shape[-1]))
-    if err > UNIT_TOL:
+    if not err <= UNIT_TOL:
         raise ValueError(f"{name} not orthonormal: max|V'V - I| = {err:.3e}")
 
 

@@ -6,8 +6,8 @@ regime kind of `simgen` (the paper's tables, a consistency sweep or a CLI
 scenario) over a list of sizes.  Within a replication every estimator row
 sees the same draw and the same sum-of-squares matrices, so rows differ
 only through their weights (common random numbers).  Replication r of a
-point is keyed by (master_seed, r), which makes results independent of
-how replications are scheduled across workers.
+point is keyed by (master_seed, r), which makes results byte-identical
+for any block split.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import hashlib
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,24 +226,17 @@ def _replicate_block(
     return mse, wts
 
 
-def run_experiment(plan: ExperimentPlan, workers: int = 1) -> McResult:
+def run_experiment(plan: ExperimentPlan) -> McResult:
     """Execute a plan and aggregate to means, standard errors and weights.
 
-    Parameters
-    ----------
-    plan : ExperimentPlan
-    workers : int
-        Number of worker processes.  Results are bit-identical for any
-        worker count: replications are keyed by index, gathered into
-        index order, and only then aggregated.
+    Replications run in this process: one `_replicate_block` call per
+    point, over all of its replication indices.
 
     Raises
     ------
     CostLimitError
         If the plan declares a cost limit and the estimate exceeds it.
     """
-    if workers < 1:
-        raise ValueError(f"`workers` must be >= 1, got {workers}")
     if any(isinstance(est, PluginRule) for est in plan.estimators):
         for lab, spec in zip(plan.point_labels, plan.points):
             _check_plugin_dof(spec.n, spec.q, f"point {lab!r}: ")
@@ -261,21 +253,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> McResult:
     reps = plan.replications
     mse = np.empty((n_pts, reps, n_est))
     wts = np.empty((n_pts, reps, n_est))
-    if workers == 1:
-        for i, spec in enumerate(plan.points):
-            mse[i], wts[i] = _replicate_block(spec, plan.estimators, np.arange(reps))
-    else:
-        blocks = [b for b in np.array_split(np.arange(reps), workers) if b.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for i, spec in enumerate(plan.points):
-                for b in blocks:
-                    fut = pool.submit(_replicate_block, spec, plan.estimators, b)
-                    futures[fut] = (i, b)
-            for fut, (i, b) in futures.items():
-                m, v = fut.result()
-                mse[i, b[0]:b[-1] + 1] = m
-                wts[i, b[0]:b[-1] + 1] = v
+    for i, spec in enumerate(plan.points):
+        mse[i], wts[i] = _replicate_block(spec, plan.estimators, np.arange(reps))
     digests = {}
     for i, lab in enumerate(plan.point_labels):
         h = hashlib.blake2b(digest_size=16)
@@ -295,7 +274,6 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> McResult:
     meta = {
         "replications": reps,
         "master_seed": plan.master_seed,
-        "workers": workers,
         "estimated_seconds": est_seconds,
         "wall_seconds": time.perf_counter() - t0,
         "digests": digests,
@@ -359,7 +337,6 @@ def consistency_sweep(
     replications: int,
     seed: int,
     rows=DEFAULT_ROWS,
-    workers: int = 1,
     cost_limit_seconds: float | None = None,
 ) -> SweepResult:
     """Run a regime's grid and classify each estimator's error trend."""
@@ -368,7 +345,7 @@ def consistency_sweep(
             f"trend classification needs at least 3 grid points, got {len(regime.grid)}"
         )
     plan = scenario_plan(regime.kind, regime.grid, replications, seed, rows, cost_limit_seconds)
-    result = run_experiment(plan, workers=workers)
+    result = run_experiment(plan)
     verdicts = {}
     for i, lab in enumerate(result.estimator_labels):
         m = result.mean_mse[i]

@@ -11,7 +11,7 @@ centered, and redrawn every replication.
 Randomness is counter-based (Philox) and fully keyed: replication r of a
 model draws its design from the stream (master_seed, r, 0) and its noise
 from (master_seed, r, 1), so any subset of replications can be generated
-independently, in any order, on any number of workers, with identical
+independently, in any order and in any block split, with identical
 results.  The orthonormal basis uses the one-element key (2,) and so never
 collides with a replication stream.
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: the brute-force leave-one-out and replication oracles."""
+"""Shared test helpers: the brute-force leave-one-out and replication oracles,
+and a forced replication block size."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from allopca import (
     sums_of_squares,
     w_star,
 )
+from allopca import harness
 from allopca.estimators import _ols_fit
 
 
@@ -85,3 +87,24 @@ def per_weight_replication(spec, estimators, reps):
 @pytest.fixture
 def replication_oracle():
     return per_weight_replication
+
+
+@pytest.fixture
+def force_blocks(monkeypatch):
+    """`force_blocks(plan, k)` makes `run_experiment(plan)` fit `k` replications
+    per block; it returns the list into which each fitted block's size goes."""
+    scatter = harness._scatter_stack
+
+    def force(plan, k):
+        per_rep = max(s.n * (s.p + s.q) + s.p * s.p * len(plan.estimators) for s in plan.points)
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", k * per_rep)
+        sizes = []
+
+        def recording(y, x):
+            sizes.append(len(y))
+            return scatter(y, x)
+
+        monkeypatch.setattr(harness, "_scatter_stack", recording)
+        return sizes
+
+    return force

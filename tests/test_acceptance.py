@@ -191,7 +191,7 @@ def test_criterion_7_projection_cross_moment_vanishes():
     print("PASS criterion 7: projection cross moment centered at zero")
 
 
-def test_criterion_8_algebraic_properties():
+def test_criterion_8_algebraic_properties(force_blocks):
     failures = []
     for seed in range(1000):
         rng = np.random.default_rng(seed)
@@ -223,12 +223,15 @@ def test_criterion_8_algebraic_properties():
             failures.append((seed, "scaling"))
     assert failures == [], failures[:5]
     plan = scenario_plan(Traditional(), (10, 12), 32, SEED)
-    runs = [run_experiment(plan, workers=k) for k in (1, 2, 4)]
-    for other in runs[1:]:
-        assert runs[0].mean_mse.tobytes() == other.mean_mse.tobytes()
-        assert runs[0].metadata["digests"] == other.metadata["digests"]
+    whole = run_experiment(plan)
+    for k in (1, 5):
+        sizes = force_blocks(plan, k)
+        split = run_experiment(plan)
+        assert max(sizes) == k and sum(sizes) == 2 * 32
+        assert whole.mean_mse.tobytes() == split.mean_mse.tobytes()
+        assert whole.metadata["digests"] == split.metadata["digests"]
     print("PASS criterion 8: algebraic identities hold on 1000 cases; "
-          "results invariant to worker count")
+          "results invariant to the replication block size")
 
 
 def test_criterion_9_data_driven_weight_cv_tournament():

@@ -1,9 +1,11 @@
 """Command-line interface tests, mostly in-process through main()."""
 
+import argparse
 import csv
 import importlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 import allopca
 from allopca import LargePLargeN, Traditional, WeakIdentifiability
-from allopca.cli import WORKERS_ENV, _read_matrix_csv, main, write_matrix_csv
+from allopca.cli import _read_matrix_csv, build_parser, main, write_matrix_csv
 
 
 def run_cli(argv, capsys):
@@ -85,7 +87,7 @@ def test_simulate_table1_layout(capsys):
     code, out, err = run_cli(
         ["simulate", "--scenario", "table1", "--n", "10,12", "--reps", "3"], capsys)
     assert code == 0
-    assert "scenario table1: replications=3 seed=0 workers=1" in err
+    assert "scenario table1: replications=3 seed=0\n" in err
     assert "n=10: p=" in err and "lambda1=" in err
     rows = parse_csv(out)
     assert rows[0] == ["estimator", "n=10", "n=12"]
@@ -226,17 +228,24 @@ def test_simulate_cost_limit_exits_2(capsys):
     assert "exceeds" in err
 
 
-def test_workers_env_override(capsys, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    code, _, err = run_cli(
-        ["simulate", "--scenario", "table1", "--n", "10", "--reps", "4"], capsys)
-    assert code == 0
-    assert "workers=2" in err
-    monkeypatch.setenv(WORKERS_ENV, "lots")
-    code, _, err = run_cli(
-        ["simulate", "--scenario", "table1", "--n", "10", "--reps", "4"], capsys)
+def test_workers_accepts_only_one(tmp_path, capsys):
+    # `--workers` stays parseable for existing command lines; replications
+    # run in one process, so any count but 1 is refused
+    argv = ["simulate", "--scenario", "table1", "--n", "10", "--reps", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "replications run in one process" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = table1\nn = 10\nreps = 2\nworkers = 2\n")
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
     assert code == 2
-    assert WORKERS_ENV in err
+    assert out == ""
+    assert f"{cfg}:4: bad value for `workers`: replications run in one process" in err
+    code, out, _ = run_cli([*argv, "--workers", "1"], capsys)
+    assert code == 0
+    assert out == run_cli(argv, capsys)[1]
 
 
 # --------------------------------------------------------------------------
@@ -673,14 +682,46 @@ def check_entry_point(launcher, env=None):
     assert "simulate" in help_proc.stdout
 
 
-def test_entry_point_runs():
-    # The child must import the package under test, whatever else is
-    # installed and wherever pytest was started from.
+def child_env():
+    """Environment in which a child imports the package under test,
+    whatever else is installed and wherever pytest was started from."""
     src = str(Path(allopca.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    check_entry_point([sys.executable, "-m", "allopca"], env=env)
+    return env
+
+
+def test_entry_point_runs():
+    check_entry_point([sys.executable, "-m", "allopca"], env=child_env())
+
+
+def test_cli_import_loads_no_process_pool():
+    # a process pool's imports cost startup time and memory on every command
+    code = ("import sys, allopca.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent.futures'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.skipif(not README.is_file(), reason="README.md not found (not a source checkout)")
+def test_readme_option_table_matches_parser():
+    documented = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| `(\w+)` \| (`--.*) \|$", line)
+        if row:
+            documented[row[1]] = re.findall(r"`(--[\w-]+)`", row[2])
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actual = {name: [opt for a in sub._actions for opt in a.option_strings
+                     if opt.startswith("--") and opt != "--help"]
+              for name, sub in subparsers.choices.items()}
+    assert documented == actual
 
 
 @pytest.mark.skipif(shutil.which("allopca") is None,

@@ -118,7 +118,7 @@ def test_run_experiment_shapes_and_ranges():
     assert np.all(res.se_mse >= 0)
     assert np.all(res.avg_weight >= 0) and np.all(res.avg_weight <= 1)
     assert res.weight_rows == (3, 4)  # plugin and oracle
-    for key in ("replications", "master_seed", "workers", "wall_seconds", "digests"):
+    for key in ("replications", "master_seed", "wall_seconds", "digests"):
         assert key in res.metadata
     assert set(res.metadata["digests"]) == {"n=10", "n=12"}
 
@@ -137,12 +137,16 @@ def test_run_experiment_deterministic():
     assert a.metadata["digests"] == b.metadata["digests"]
 
 
-def test_run_experiment_worker_count_invariance():
-    serial = run_experiment(tiny_plan(reps=16), workers=1)
-    threaded = run_experiment(tiny_plan(reps=16), workers=3)
-    assert serial.mean_mse.tobytes() == threaded.mean_mse.tobytes()
-    assert serial.se_mse.tobytes() == threaded.se_mse.tobytes()
-    assert serial.metadata["digests"] == threaded.metadata["digests"]
+def test_run_experiment_block_size_invariance(force_blocks):
+    plan = tiny_plan(reps=16)
+    whole = run_experiment(plan)
+    for k in (1, 5):
+        sizes = force_blocks(plan, k)
+        split = run_experiment(plan)
+        assert sizes == [min(k, 16 - start) for start in range(0, 16, k)] * 2
+        assert whole.mean_mse.tobytes() == split.mean_mse.tobytes()
+        assert whole.se_mse.tobytes() == split.se_mse.tobytes()
+        assert whole.metadata["digests"] == split.metadata["digests"]
 
 
 def test_common_random_numbers_duplicate_weight_rows():

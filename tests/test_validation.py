@@ -144,6 +144,9 @@ LIBRARY_CASES = [
     ("sizes", "lemma1_fluctuation", lambda: lemma1_fluctuation(10.0, 20.0, 2.0, 1.0, 3, 2, 0.5)),
     ("ints", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 2 * np.eye(2), 10.0, 2)),
     ("ints", "AbcdParams", lambda: AbcdParams(22.0, 6.0, 40.0, 1.0, 2, 50.0)),
+    ("ints", "lemma1_fluctuation(nan)",
+     lambda: lemma1_fluctuation(10, 20, 2, 1, float("nan"), 2, 0.5)),
+    ("ints", "lemma1_fluctuation(50.5)", lambda: lemma1_fluctuation(10, 20, 2, 1, 50.5, 2.5, 0.5)),
     ("plugin_dof", "estimate_abcd", lambda: estimate_abcd(_ss(n=4, q=2))),
     ("plugin_dof", "run_experiment",
      lambda: run_experiment(_plan(_spec(q=5, n=7, alpha=np.ones(5))))),
@@ -170,6 +173,7 @@ LIBRARY_CASES = [
     ("unit", "reduced_rank_coefficients",
      lambda: reduced_rank_coefficients(_data(), np.array([1.0, 1.0, 0.0]))),
     ("orthonormal", "SymEig", lambda: SymEig(np.array([2.0, 1.0]), 2.0 * np.eye(2))),
+    ("orthonormal", "SymEig(nan)", lambda: SymEig(np.array([1.0, 0.0]), np.full((2, 2), np.nan))),
     ("orthonormal", "ModelSpec", lambda: _spec(gamma_basis=2.0 * np.eye(3))),
     ("square", "sym_eig", lambda: sym_eig(np.ones((2, 3)))),
     ("square", "SumOfSquares", lambda: SumOfSquares(*[np.ones((2, 3))] * 3, 10, 2)),
