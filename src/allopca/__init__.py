@@ -23,6 +23,7 @@ from .estimators import (
     FixedWeight,
     Gamma1Estimate,
     OlsRule,
+    OracleWeight,
     PluginRule,
     PluginWeights,
     estimate_abcd,
@@ -37,7 +38,6 @@ from .harness import (
     DEFAULT_ROWS,
     ExperimentPlan,
     McResult,
-    OracleWeight,
     SweepResult,
     consistency_sweep,
     emit_table,

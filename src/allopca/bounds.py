@@ -118,7 +118,7 @@ def grid_argmin_bound(params: AbcdParams, step: float) -> float:
     ----------
     params : AbcdParams
     step : float
-        Grid spacing in (0, 0.01].
+        Grid spacing in [1e-6, 0.01], so the grid has at most a million points.
 
     Returns
     -------
@@ -126,8 +126,8 @@ def grid_argmin_bound(params: AbcdParams, step: float) -> float:
         The grid point with the smallest bound value.
     """
     step = float(step)
-    if not 0.0 < step <= 0.01:
-        raise ValueError(f"`step` must lie in (0, 0.01], got {step!r}")
+    if not 1e-6 <= step <= 0.01:
+        raise ValueError(f"`step` must lie in [1e-6, 0.01], got {step!r}")
     count = round(1.0 / step)
     if abs(count * step - 1.0) < 1e-12:
         grid = np.linspace(0.0, 1.0, count + 1)

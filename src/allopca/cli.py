@@ -36,8 +36,8 @@ from .estimators import (
     FixedWeight,
     OlsRule,
     PluginRule,
+    _leading_axes,
     estimate_abcd,
-    gamma1_hat,
     loo_cv_scores,
     w_star,
 )
@@ -212,10 +212,8 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 
 
 def _fixed_rows(weights) -> list[tuple[str, FixedWeight]]:
-    rows = list(DEFAULT_ROWS[:3])  # total, residual and regression
-    for w in weights:
-        rows.append((f"w={w:g}", FixedWeight(_check_weight(w, "`--weights` entry"))))
-    return rows
+    return [*DEFAULT_ROWS[:3],  # total, residual and regression
+            *((f"w={w:g}", FixedWeight(_check_weight(w, "`--weights` entry"))) for w in weights)]
 
 
 def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
@@ -290,9 +288,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     ss = sums_of_squares(data)
     plugin = estimate_abcd(ss)
     weights = args.weights if args.weights is not None else DEFAULT_WEIGHT_GRID
-    columns = [(label, rule.w) for label, rule in _fixed_rows(weights)]
-    columns.append(("plugin", plugin.w_hat))
-    vectors = [gamma1_hat(ss, w).vector for _, w in columns]
+    labels, rules = zip(*_fixed_rows(weights), ("plugin", FixedWeight(plugin.w_hat)))
+    vectors = _leading_axes(rules, ss.s_reg[None], ss.s_resid[None], None, ss.n, ss.q)[1][:, 0]
     tr_sig = float(np.trace(plugin.sigma_hat))
     buf = io.StringIO()
     buf.write(f"# n = {data.n}, p = {data.p}, q = {data.q}\n")
@@ -303,7 +300,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     buf.write(f"# w_hat_raw = {plugin.w_hat_raw:.10g}\n")
     buf.write(f"# w_hat = {plugin.w_hat:.10g}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["coordinate", *(label for label, _ in columns)])
+    writer.writerow(["coordinate", *labels])
     for i in range(data.p):
         writer.writerow([i + 1, *(f"{vec[i]:.10g}" for vec in vectors)])
     _deliver(args, buf.getvalue())
@@ -314,9 +311,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     data = _load_dataset(args)
     print(f"data: n={data.n} p={data.p} q={data.q}", file=sys.stderr)
     weights = args.weights if args.weights is not None else DEFAULT_WEIGHT_GRID
-    rules = [(label, rule) for label, rule in _fixed_rows(weights)]
-    rules.append(("plugin", PluginRule()))
-    rules.append(("ols", OlsRule()))
+    rules = [*_fixed_rows(weights), ("plugin", PluginRule()), ("ols", OlsRule())]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rule", "mspe"])

@@ -326,6 +326,15 @@ class OlsRule:
     """Unrestricted least-squares fit (no rank-one projection)."""
 
 
+@dataclass(frozen=True)
+class OracleWeight:
+    """Use the closed-form optimal weight from the true model.
+
+    The weight is recomputed each replication from the realized design
+    (the signal energy ||X alpha||^2 varies with X).
+    """
+
+
 def _ols_fit(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients (q x p) and intercept for centered x."""
     x, y = data.x, data.y
@@ -361,11 +370,17 @@ def reduced_rank_coefficients(
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
-# near a megabyte for any n and p: leave-one-out folds and Monte Carlo
-# replications (`harness._replicate_block`) are fit in blocks of that size
-# (three fold blocks at n = 50, p = 10 and ten rules), and the batched
-# eigensolves of `_leading_axes` run in chunks of that size.
+# near a megabyte for any n and p: `_blocks` splits the leave-one-out folds,
+# the Monte Carlo replications (`harness._replicate_block`) and the batched
+# eigensolves of `_leading_axes` into ranges of that size (three fold
+# blocks at n = 50, p = 10 and ten rules).
 _BLOCK_ENTRIES = 1 << 15
+
+
+def _blocks(count: int, entries: int):
+    """Index ranges over `count` items of `entries` entries, about `_BLOCK_ENTRIES` per range."""
+    size = max(1, _BLOCK_ENTRIES // entries)
+    return (np.arange(start, min(start + size, count)) for start in range(0, count, size))
 
 
 def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
@@ -421,21 +436,29 @@ def _fold_scatter(qmat, centered, resid, lev, folds):
                                                 " of a leave-one-out fold")
 
 
-def _leading_axes(s_reg: np.ndarray, s_resid: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Leading axes (rules, k, p) of S(w) for stacked fits (k, p, p) and (rule x fit) weights.
+def _leading_axes(rules, s_reg, s_resid, resid_evals, n: int, q: int, oracle=None):
+    """Weights (rules, k) and leading axes (rules, k, p) of S(w) for stacked fits (k, p, p).
 
-    Solves each distinct (fit, weight) pair once, in one `_sym_eig_stack` call
-    per `_BLOCK_ENTRIES` matrix entries (one call unless p is large).
+    A `FixedWeight` gives its w, a `PluginRule` each fit's plug-in weight
+    (from `resid_evals`, the ascending eigenvalues of `s_resid`, for fits of
+    n rows and q design columns; computed only for such a rule), and an
+    `OracleWeight` the caller's `oracle` weights (k,).  Each distinct (fit,
+    weight) pair is solved once, in one `_sym_eig_stack` call per
+    `_BLOCK_ENTRIES` matrix entries (one call unless p is large).
     """
-    fit_of = np.broadcast_to(np.arange(weights.shape[1]), weights.shape)
+    k = len(s_reg)
+    if any(isinstance(rule, PluginRule) for rule in rules):
+        plugin = _plugin_weights(s_reg, s_resid, resid_evals, n, q)["w_hat"]
+    weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
+                        else plugin if isinstance(rule, PluginRule) else oracle
+                        for rule in rules])
+    fit_of = np.broadcast_to(np.arange(k), weights.shape)
     pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
                              axis=0, return_inverse=True)
     pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
-    chunk = max(1, _BLOCK_ENTRIES // s_reg[0].size)
-    axes = [_sym_eig_stack((1.0 - pw[i:i + chunk]) * s_reg[pf[i:i + chunk]]
-                           + pw[i:i + chunk] * s_resid[pf[i:i + chunk]])[1][:, :, 0]
-            for i in range(0, len(pf), chunk)]
-    return np.concatenate(axes)[which.reshape(weights.shape)]
+    axes = [_sym_eig_stack((1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]])[1][:, :, 0]
+            for i in _blocks(len(pf), s_reg[0].size)]
+    return weights, np.concatenate(axes)[which.reshape(weights.shape)]
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
@@ -505,19 +528,13 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     mu = (n * y.mean(axis=0) - y) / (n - 1)
     sse = np.zeros(len(rules))
     ols = [k for k in range(len(rules)) if k not in projected]
-    block = max(1, _BLOCK_ENTRIES // (n * (p + q) + p * p * len(rules)))
-    for start in range(0, n, block):
-        folds = np.arange(start, min(start + block, n))
+    for folds in _blocks(n, n * (p + q) + p * p * len(rules)):
         _check_design_conditioning(_fold_rows(x, folds), folds)
         err = y[folds] - y_ols[folds]
         sse[ols] += float(np.sum(err * err))
         if not projected:
             continue
-        s_reg, s_resid, resid_evals = _fold_scatter(*fit, folds)
-        w_hat = _plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)["w_hat"]
-        weights = np.stack([w_hat if isinstance(rules[k], PluginRule)
-                            else np.full(folds.size, rules[k].w) for k in projected])
-        g = _leading_axes(s_reg, s_resid, weights)
+        g = _leading_axes([rules[k] for k in projected], *_fold_scatter(*fit, folds), n - 1, q)[1]
         base = mu[folds]
         pred = base + np.sum((y_ols[folds] - base) * g, axis=-1, keepdims=True) * g
         err = y[folds] - pred

@@ -23,13 +23,13 @@ import numpy as np
 from .core import _check_index, _check_plugin_dof, _check_scatter_stack, _readonly, _scatter_stack
 from .errors import CostLimitError
 from .estimators import (
-    _BLOCK_ENTRIES,
     AbcdParams,
     FixedWeight,
+    OracleWeight,
     PluginRule,
+    _blocks,
     _dots,
     _leading_axes,
-    _plugin_weights,
     _w_star_terms,
     mse_up_to_sign,
 )
@@ -41,15 +41,6 @@ from .simgen import (
     WeakIdentifiability,
     gen_dataset,
 )
-
-
-@dataclass(frozen=True)
-class OracleWeight:
-    """Use the closed-form optimal weight from the true model.
-
-    The weight is recomputed each replication from the realized design
-    (the signal energy ||X alpha||^2 varies with X).
-    """
 
 
 EstimatorSpec = FixedWeight | PluginRule | OracleWeight
@@ -85,10 +76,10 @@ def default_label(spec: EstimatorSpec) -> str:
 class ExperimentPlan:
     """Scenario points x estimator rows x replication count.
 
-    `estimator_labels` may be omitted, in which case labels are derived
-    from the specs (and must come out unique).  `cost_limit_seconds`, when
-    set, makes `run_experiment` refuse plans whose estimated runtime
-    exceeds it.
+    `master_seed` must be the seed of every point.  `estimator_labels`
+    may be omitted, in which case labels are derived from the specs (and
+    must come out unique).  `cost_limit_seconds`, when set, makes
+    `run_experiment` refuse plans whose estimated runtime exceeds it.
     """
 
     points: tuple[ModelSpec, ...]
@@ -130,6 +121,9 @@ class ExperimentPlan:
             raise ValueError(f"`replications` must be a positive int, got {self.replications!r}")
         object.__setattr__(self, "replications", int(self.replications))
         seed = _check_index(int(self.master_seed), "`master_seed`")
+        for lab, spec in zip(self.point_labels, self.points):
+            if spec.master_seed != seed:
+                raise ValueError(f"point {lab!r} uses master seed {spec.master_seed}, not {seed}")
         object.__setattr__(self, "master_seed", seed)
         if self.cost_limit_seconds is not None and not self.cost_limit_seconds > 0:
             raise ValueError(f"`cost_limit_seconds` must be > 0, got {self.cost_limit_seconds}")
@@ -190,40 +184,32 @@ def _replicate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a block of replications; rows follow `reps` order.
 
-    The draws (one `gen_dataset` call each) are stacked about
-    `_BLOCK_ENTRIES` entries at a time and fit together: one scatter build
-    and check (whose s_resid eigenvalues feed the plug-in weights), oracle
-    weights from the model's (a, b, d) and the designs' c = ||X alpha||^2,
-    one batched solve of the distinct (replication, weight) pairs and one
-    `mse_up_to_sign` call.  Every replication is computed as if it were
-    alone, so results do not depend on how `reps` is split.
+    The draws (one `gen_dataset` call each) are stacked per `_blocks` range
+    and fit together: one scatter build and check (whose s_resid
+    eigenvalues feed the plug-in weights), oracle weights from the model's
+    (a, b, d) and the designs' c = ||X alpha||^2, one `_leading_axes` call
+    that resolves every row's weight and axis, and one `mse_up_to_sign`
+    call.  Every replication is computed as if it were alone, so results
+    do not depend on how `reps` is split.
     """
     n, p, q = spec.n, spec.p, spec.q
-    mse = np.empty((reps.size, len(estimators)))
-    wts = np.empty((reps.size, len(estimators)))
-    fixed = [est.w if isinstance(est, FixedWeight) else np.nan for est in estimators]
-    plugin = [k for k, est in enumerate(estimators) if isinstance(est, PluginRule)]
-    oracle = [k for k, est in enumerate(estimators) if isinstance(est, OracleWeight)]
-    if oracle:  # a flat spectrum has no oracle weight, and needs none without an oracle row
+    model = oracle = None
+    if any(isinstance(est, OracleWeight) for est in estimators):
+        # a flat spectrum has no oracle weight, and needs none without an oracle row
         model = AbcdParams.from_spectrum(spec.lambdas, 0.0, q, n)
-    chunk = max(1, _BLOCK_ENTRIES // (n * (p + q) + p * p * len(estimators)))
-    for start in range(0, reps.size, chunk):
-        rows = np.arange(start, min(start + chunk, reps.size))
+    mse, wts = [], []
+    for rows in _blocks(reps.size, n * (p + q) + p * p * len(estimators)):
         draws = [gen_dataset(spec, int(r))[0] for r in reps[rows]]
         x = np.stack([d.x for d in draws])
-        wts[rows] = fixed
-        if oracle:
+        if model is not None:
             xa = x @ spec.alpha
-            num, den = _w_star_terms(model.a, model.b, _dots(xa, xa), model.d, q)
-            wts[np.ix_(rows, oracle)] = (num / den)[:, None]
+            oracle = np.divide(*_w_star_terms(model.a, model.b, _dots(xa, xa), model.d, q))
         s_reg, s_resid, s_total = _scatter_stack(np.stack([d.y for d in draws]), x)
         resid_evals = _check_scatter_stack(s_reg, s_resid, s_total)
-        if plugin:
-            wts[np.ix_(rows, plugin)] = _plugin_weights(
-                s_reg, s_resid, resid_evals, n, q)["w_hat"][:, None]
-        axes = _leading_axes(s_reg, s_resid, wts[rows].T)
-        mse[rows] = mse_up_to_sign(axes, spec.gamma1).T
-    return mse, wts
+        weights, axes = _leading_axes(estimators, s_reg, s_resid, resid_evals, n, q, oracle)
+        wts.append(weights.T)
+        mse.append(mse_up_to_sign(axes, spec.gamma1).T)
+    return np.concatenate(mse), np.concatenate(wts)
 
 
 def run_experiment(plan: ExperimentPlan) -> McResult:
@@ -267,10 +253,8 @@ def run_experiment(plan: ExperimentPlan) -> McResult:
     else:
         se = np.zeros_like(mean)
     avg_w = wts.mean(axis=1).T
-    weight_rows = tuple(
-        k for k, est in enumerate(plan.estimators)
-        if isinstance(est, (PluginRule, OracleWeight))
-    )
+    weight_rows = tuple(k for k, est in enumerate(plan.estimators)
+                        if not isinstance(est, FixedWeight))
     meta = {
         "replications": reps,
         "master_seed": plan.master_seed,

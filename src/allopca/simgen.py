@@ -247,7 +247,7 @@ class LargePLargeN:
     """Dimension grows with n = floor(p^delta); spikes are powers of p.
 
     lambda_1 = p^beta (or 1 + p^beta when beta <= 0, keeping the spectrum
-    ordered), lambda_2 = p^beta2, the rest 1.  Accepts delta > 0 and
+    ordered), lambda_2 = p^beta2, the rest 1.  Accepts finite delta > 0 and
     beta <= 1, with 0 <= beta2 < beta when beta > 0 and beta2 = 0 otherwise.
     """
 
@@ -257,9 +257,9 @@ class LargePLargeN:
     axis = "p"
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"`delta` must be > 0, got {self.delta}")
-        if self.beta > 1:
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"`delta` must be finite and > 0, got {self.delta}")
+        if not self.beta <= 1:
             raise ValueError(f"`beta` must be <= 1, got {self.beta}")
         if self.beta > 0:
             if not 0.0 <= self.beta2 < self.beta:
@@ -276,7 +276,11 @@ class LargePLargeN:
         _check_dimension(p)
         lam1 = float(p) ** self.beta if self.beta > 0 else 1.0 + float(p) ** self.beta
         lam2 = float(p) ** self.beta2
-        return _spiked_model(p, int(math.floor(float(p) ** self.delta)), lam1, lam2, seed)
+        try:
+            n = math.floor(float(p) ** self.delta)
+        except OverflowError:
+            raise ValueError(f"n = p^delta overflows at p = {p}, delta = {self.delta}") from None
+        return _spiked_model(p, n, lam1, lam2, seed)
 
 
 # The growing-dimension cases of tables 3a and 3b: n = floor(p^0.8) with a

@@ -18,7 +18,7 @@ from allopca import (
     sums_of_squares,
     w_star,
 )
-from allopca import harness
+from allopca import estimators, harness
 from allopca.estimators import _ols_fit
 
 
@@ -91,19 +91,25 @@ def replication_oracle():
 
 @pytest.fixture
 def force_blocks(monkeypatch):
-    """`force_blocks(plan, k)` makes `run_experiment(plan)` fit `k` replications
-    per block; it returns the list into which each fitted block's size goes."""
-    scatter = harness._scatter_stack
+    """`force_blocks(k)` makes `harness._replicate_block` fit `k` replications per block;
+    it returns the list into which each fitted block's size goes.
 
-    def force(plan, k):
-        per_rep = max(s.n * (s.p + s.q) + s.p * s.p * len(plan.estimators) for s in plan.points)
-        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", k * per_rep)
+    It sets `estimators._BLOCK_ENTRIES`, the one block size, to `k` times the entries
+    per replication that `_replicate_block` passes to the block splitter."""
+    blocks, scatter = harness._blocks, harness._scatter_stack
+
+    def force(k):
         sizes = []
+
+        def k_per_block(count, entries):
+            monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", k * entries)
+            return blocks(count, entries)
 
         def recording(y, x):
             sizes.append(len(y))
             return scatter(y, x)
 
+        monkeypatch.setattr(harness, "_blocks", k_per_block)
         monkeypatch.setattr(harness, "_scatter_stack", recording)
         return sizes
 

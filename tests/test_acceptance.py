@@ -225,7 +225,7 @@ def test_criterion_8_algebraic_properties(force_blocks):
     plan = scenario_plan(Traditional(), (10, 12), 32, SEED)
     whole = run_experiment(plan)
     for k in (1, 5):
-        sizes = force_blocks(plan, k)
+        sizes = force_blocks(k)
         split = run_experiment(plan)
         assert max(sizes) == k and sum(sizes) == 2 * 32
         assert whole.mean_mse.tobytes() == split.mean_mse.tobytes()

@@ -201,9 +201,11 @@ def test_grid_argmin_unit_example():
 
 def test_grid_argmin_step_validation():
     params = AbcdParams(1.0, 1.0, 0.0, 1.0, 1, 11)
-    for step in (0.0, -1e-3, 0.02):
-        with pytest.raises(ValueError):
+    for step in (0.0, -1e-3, 0.02, float("nan"), 1e-300, 9.99e-7):
+        with pytest.raises(ValueError, match=r"`step` must lie in \[1e-6, 0.01\]"):
             grid_argmin_bound(params, step)
+    for step in (1e-6, 0.01):
+        assert 0.0 <= grid_argmin_bound(params, step) <= 1.0
 
 
 def test_grid_argmin_matches_w_star():

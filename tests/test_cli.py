@@ -161,6 +161,21 @@ def test_simulate_custom_second_spike_needs_positive_beta(capsys):
     assert "error:" in err and "beta2" in err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--delta", "inf", "--beta", "0.5"], "delta"),
+    (["--delta", "nan", "--beta", "0.5"], "delta"),
+    (["--delta", "400", "--beta", "0.5"], "delta"),  # 20^400 overflows a float
+    (["--delta", "0.9", "--beta", "nan"], "beta"),
+])
+def test_simulate_custom_refuses_unusable_exponents(capsys, flags, name):
+    code, out, err = run_cli(["simulate", "--scenario", "custom", *flags, "--p", "20",
+                              "--reps", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    message = err.splitlines()[-1]
+    assert message.startswith("error: ") and name in message
+
+
 def test_simulate_keeps_grid_order(capsys):
     code, out, err = run_cli(
         ["simulate", "--scenario", "table3a", "--p", "30,20", "--reps", "2"], capsys)
@@ -323,6 +338,22 @@ def test_estimate_custom_weight_grid(tmp_path, capsys):
     assert "[0, 1]" in err
 
 
+def test_estimate_solves_every_column_in_one_eigensolve(tmp_path, capsys, monkeypatch):
+    ypath, xpath, _ = dataset_files(tmp_path)
+    calls = []
+
+    def counted(*args, _orig=np.linalg.eigh, **kwargs):
+        calls.append(args[0].shape)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
+    assert code == 0
+    header = next(ln for ln in out.splitlines() if not ln.startswith("#"))
+    assert len(header.split(",")) == 1 + 9  # nine estimator columns
+    assert len(calls) == 1
+
+
 def test_estimate_out_file_atomic(tmp_path, capsys):
     ypath, xpath, _ = dataset_files(tmp_path)
     target = tmp_path / "report.csv"
@@ -423,6 +454,15 @@ def test_bound_invalid_params_exit_2(capsys):
          "--q", "1", "--n", "12"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+def test_bound_refuses_a_step_below_one_millionth(capsys):
+    code, out, err = run_cli(
+        ["bound", "--a", "22", "--b", "6", "--c", "40", "--d", "1", "--q", "2", "--n", "50",
+         "--step", "1e-300"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: `step` must lie in [1e-6, 0.01], got 1e-300" in err
 
 
 def test_bound_refuses_custom_scenario(capsys):

@@ -5,6 +5,9 @@ spectrum-based random-parameter generator; the plug-in summaries against
 direct substitution and small Monte Carlo unbiasedness checks.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,7 +34,8 @@ from allopca import (
     sums_of_squares,
     w_star,
 )
-from allopca import core, estimators
+import allopca
+from allopca import core, estimators, harness
 from allopca.estimators import WEIGHT_CAP, _fold_scatter, _loo_fit, _plugin_weights
 
 
@@ -545,3 +549,30 @@ def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block
     blocked = loo_cv_scores(data, ALL_RULES)
     assert np.allclose(blocked, whole, rtol=1e-12, atol=0)
     _assert_matches_refit(data, loo_refit)
+
+
+def test_loo_cv_scores_computes_plugin_weights_only_for_a_plugin_rule(monkeypatch):
+    data = Dataset(*_rank_one_data(45, 11, 4, 2))
+    rules = (FixedWeight(0.5), FixedWeight(1.0), OlsRule())
+    want = loo_cv_scores(data, rules)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plug-in weights computed")
+
+    monkeypatch.setattr(estimators, "_plugin_weights", refuse)
+    assert loo_cv_scores(data, rules) == want
+    with pytest.raises(AssertionError, match="plug-in weights computed"):
+        loo_cv_scores(data, (PluginRule(),))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "allopca"
+
+
+def test_block_size_and_weight_rules_are_defined_once():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert sum(text.count("_BLOCK_ENTRIES //") for text in sources.values()) == 1
+    for rule in ("FixedWeight", "PluginRule", "OlsRule", "OracleWeight"):
+        defined = {name: len(re.findall(rf"^class {rule}\b", text, re.M))
+                   for name, text in sources.items()}
+        assert {name: k for name, k in defined.items() if k} == {"estimators.py": 1}, rule
+    assert allopca.OracleWeight is harness.OracleWeight is estimators.OracleWeight

@@ -141,7 +141,7 @@ def test_run_experiment_block_size_invariance(force_blocks):
     plan = tiny_plan(reps=16)
     whole = run_experiment(plan)
     for k in (1, 5):
-        sizes = force_blocks(plan, k)
+        sizes = force_blocks(k)
         split = run_experiment(plan)
         assert sizes == [min(k, 16 - start) for start in range(0, 16, k)] * 2
         assert whole.mean_mse.tobytes() == split.mean_mse.tobytes()
@@ -205,16 +205,17 @@ def _counting(monkeypatch, names):
 
 
 @pytest.mark.parametrize("reps_per_block", [None, 5])
-def test_replication_block_is_one_stacked_fit(monkeypatch, reps_per_block):
+def test_replication_block_is_one_stacked_fit(monkeypatch, force_blocks, reps_per_block):
     spec = Traditional().model_spec(50, 3)
     rows = tuple(est for _, est in DEFAULT_ROWS)
     if reps_per_block is not None:
-        per_rep = spec.n * (spec.p + spec.q) + spec.p * spec.p * len(rows)
-        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", reps_per_block * per_rep)
+        sizes = force_blocks(reps_per_block)
     blocks = 1 if reps_per_block is None else 3  # 12 replications
     calls = _counting(monkeypatch, ("qr", "eigvalsh", "eigh"))
     _replicate_block(spec, rows, np.arange(12))
     assert calls == {"qr": blocks, "eigvalsh": blocks, "eigh": blocks}
+    if reps_per_block is not None:
+        assert sizes == [5, 5, 2]
 
 
 def test_replication_block_bypasses_single_fit_functions(monkeypatch, replication_oracle):
@@ -256,12 +257,12 @@ def test_replication_block_checks_design_conditioning(monkeypatch):
 
 
 @pytest.mark.parametrize("reps_per_block", [None, 5])
-def test_replication_block_draws_once_per_replication_in_order(monkeypatch, reps_per_block):
+def test_replication_block_draws_once_per_replication_in_order(monkeypatch, force_blocks,
+                                                               reps_per_block):
     spec = Traditional().model_spec(50, 3)
     rows = tuple(est for _, est in DEFAULT_ROWS)
     if reps_per_block is not None:
-        per_rep = spec.n * (spec.p + spec.q) + spec.p * spec.p * len(rows)
-        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", reps_per_block * per_rep)
+        force_blocks(reps_per_block)
     drawn = []
 
     def recording(spec, replication=0, _orig=harness.gen_dataset):
@@ -281,6 +282,19 @@ def test_bench_traced_names_resolve():
     for name, (module, attr) in traced.items():
         owner = np.linalg if module == "linalg" else importlib.import_module(module)
         assert callable(getattr(owner, attr, None)), name
+
+
+def test_plan_master_seed_must_be_the_seed_of_its_points():
+    seed0, seed5 = Traditional().model_spec(20, 0), Traditional().model_spec(30, 5)
+    with pytest.raises(ValueError, match=r"^point 'n=20' uses master seed 0, not 5$"):
+        ExperimentPlan(points=(seed0,), point_labels=("n=20",), estimators=(FixedWeight(0.5),),
+                       replications=2, master_seed=5)
+    with pytest.raises(ValueError, match=r"point 'n=30' uses master seed 5, not 0"):
+        ExperimentPlan(points=(seed0, seed5), point_labels=("n=20", "n=30"),
+                       estimators=(FixedWeight(0.5),), replications=2, master_seed=0)
+    plan = ExperimentPlan(points=(seed5,), point_labels=("n=30",),
+                          estimators=(FixedWeight(0.5),), replications=2, master_seed=5)
+    assert run_experiment(plan).metadata["master_seed"] == 5
 
 
 def test_plugin_degrees_of_freedom_checked_before_running():

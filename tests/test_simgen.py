@@ -250,12 +250,25 @@ def test_regime_validation():
         LargePLargeN(0.0, 0.5)
     with pytest.raises(ValueError):
         LargePLargeN(0.8, 1.5)
+    for delta, beta, message in ((float("inf"), 0.5, "`delta` must be finite and > 0, got inf"),
+                                 (float("nan"), 0.5, "`delta` must be finite and > 0, got nan"),
+                                 (0.8, float("nan"), "`beta` must be <= 1, got nan")):
+        with pytest.raises(ValueError) as exc:
+            LargePLargeN(delta, beta)
+        assert str(exc.value) == message
     with pytest.raises(ValueError):
         RegimeSpec(Traditional(), (50,))
     with pytest.raises(ValueError):
         RegimeSpec(Traditional(), (50, 50))
     with pytest.raises(ValueError):
         RegimeSpec("traditional", (20, 50))
+
+
+def test_large_p_refuses_an_overflowing_sample_size():
+    # 20^400 overflows a float; n = floor(p^delta) cannot be formed
+    with pytest.raises(ValueError, match=r"n = p\^delta overflows at p = 20, delta = 400"):
+        LargePLargeN(400.0, 0.5).model_spec(20, 0)
+    assert LargePLargeN(2.0, 0.5).model_spec(20, 0).n == 400
 
 
 def test_regime_kind_axes_and_table3_cases():
