@@ -29,7 +29,14 @@ import tempfile
 import numpy as np
 
 from .bounds import grid_argmin_bound, mse_upper_bound
-from .core import Dataset, _check_weight, center_columns, sums_of_squares
+from .core import (
+    Dataset,
+    _check_dimension,
+    _check_plugin_dof,
+    _check_weight,
+    _scatter_stack,
+    center_columns,
+)
 from .errors import CostLimitError, DegreesOfFreedomError, RankDeficiencyError
 from .estimators import (
     AbcdParams,
@@ -37,7 +44,6 @@ from .estimators import (
     OlsRule,
     PluginRule,
     _leading_axes,
-    estimate_abcd,
     loo_cv_scores,
     w_star,
 )
@@ -285,20 +291,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     data = _load_dataset(args)
     print(f"data: n={data.n} p={data.p} q={data.q}", file=sys.stderr)
-    ss = sums_of_squares(data)
-    plugin = estimate_abcd(ss)
+    fit = _scatter_stack(data.y[None], data.x[None])
+    _check_dimension(data.p)
+    _check_plugin_dof(data.n, data.q)
     weights = args.weights if args.weights is not None else DEFAULT_WEIGHT_GRID
-    labels, rules = zip(*_fixed_rows(weights), ("plugin", FixedWeight(plugin.w_hat)))
-    vectors = _leading_axes(rules, ss.s_reg[None], ss.s_resid[None], None, ss.n, ss.q)[1][:, 0]
-    tr_sig = float(np.trace(plugin.sigma_hat))
+    labels, rules = zip(*_fixed_rows(weights), ("plugin", PluginRule()))
+    _, vectors, plugin = _leading_axes(rules, *fit, data.n, data.q)
+    vectors = vectors[:, 0]
+    lam1, lam2, tr_sig = (float(plugin[name][0])
+                          for name in ("lambda1_hat", "lambda2_hat", "tr_sigma_hat"))
     buf = io.StringIO()
     buf.write(f"# n = {data.n}, p = {data.p}, q = {data.q}\n")
-    buf.write(f"# lambda1_hat = {plugin.lambda1_hat:.10g}\n")
-    buf.write(f"# lambda2_hat = {plugin.lambda2_hat:.10g}\n")
-    buf.write(f"# contribution_ratio_1 = {plugin.lambda1_hat / tr_sig:.10g}\n")
-    buf.write(f"# contribution_ratio_2 = {plugin.lambda2_hat / tr_sig:.10g}\n")
-    buf.write(f"# w_hat_raw = {plugin.w_hat_raw:.10g}\n")
-    buf.write(f"# w_hat = {plugin.w_hat:.10g}\n")
+    buf.write(f"# lambda1_hat = {lam1:.10g}\n")
+    buf.write(f"# lambda2_hat = {lam2:.10g}\n")
+    buf.write(f"# contribution_ratio_1 = {lam1 / tr_sig:.10g}\n")
+    buf.write(f"# contribution_ratio_2 = {lam2 / tr_sig:.10g}\n")
+    buf.write(f"# w_hat_raw = {float(plugin['w_hat_raw'][0]):.10g}\n")
+    buf.write(f"# w_hat = {float(plugin['w_hat'][0]):.10g}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["coordinate", *labels])
     for i in range(data.p):

@@ -20,10 +20,12 @@ centered X lies inside the range of C.  All three are computed from a thin
 QR factorization of X; the explicit normal-equations inverse is never
 formed.
 
-`_scatter_stack` is the one scatter builder (`sums_of_squares` is a stack
-of one), `_sym_eig_stack` the one symmetric eigensolver (`sym_eig` is a
-stack of one) and `_check_scatter_stack` the one set of scatter-matrix
-checks.
+`_scatter_stack` is the one fit builder, which returns each fit as row
+factors (`sums_of_squares` forms the Grams of a stack of one), and
+`_sym_eig_stack` the one symmetric eigensolver (`sym_eig` is a stack of
+one).  A fit is checked in the space it is solved in: `_check_scatter_stack`
+holds the rules for p x p scatter matrices and `_check_sample_stack` the
+same rules for the sample-space Grams of a wide fit (a + b < p rows).
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
@@ -317,9 +319,9 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each matrix is divided by the largest power of two not above its peak
     entry (exact, from `frexp`), so power-of-two rescalings give
     bit-identical eigenvectors.  Eigenvalues come back descending, and each
-    eigenvector with its largest-magnitude entry positive (ties toward the
-    lowest index); each decomposition must reconstruct its matrix and have
-    orthonormal eigenvectors.  Returns (values (k, p), vectors (k, p, p)).
+    eigenvector under `_fix_signs`; each decomposition must reconstruct its
+    matrix and have orthonormal eigenvectors.  Returns (values (k, p),
+    vectors (k, p, p)).
 
     Raises
     ------
@@ -330,9 +332,7 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.where(peak > 0.0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
     vals, vecs = np.linalg.eigh(m / scale[:, None, None])
     vals = vals[:, ::-1] * scale[:, None]
-    vecs = vecs[:, :, ::-1]
-    lead = np.argmax(np.abs(vecs), axis=1)[:, None, :]
-    vecs = np.where(np.take_along_axis(vecs, lead, axis=1) < 0.0, -vecs, vecs)
+    vecs = _fix_signs(vecs[:, :, ::-1])
     vecs_t = np.swapaxes(vecs, 1, 2)
     # eigh should hand back an exact reconstruction up to roundoff; a large
     # residual here means the input was numerically pathological.
@@ -341,6 +341,13 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("eigendecomposition failed to reconstruct the input")
     _check_orthonormal(vecs, "`vectors`")
     return vals, vecs
+
+
+def _fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """Column vectors of a stack (k, p, c), each negated if needed so that its
+    largest-magnitude entry is positive (ties toward the lowest index)."""
+    lead = np.argmax(np.abs(vecs), axis=1)[:, None, :]
+    return np.where(np.take_along_axis(vecs, lead, axis=1) < 0.0, -vecs, vecs)
 
 
 def _check_scatter_stack(s_reg: np.ndarray, s_resid: np.ndarray, s_total: np.ndarray,
@@ -365,6 +372,53 @@ def _check_scatter_stack(s_reg: np.ndarray, s_resid: np.ndarray, s_total: np.nda
     return evals[1]
 
 
+def _check_sample_stack(reg: np.ndarray, resid: np.ndarray, total: np.ndarray,
+                        basis: np.ndarray, g_reg: np.ndarray, g_resid: np.ndarray,
+                        where: str = "") -> np.ndarray:
+    """The `_check_scatter_stack` rules for stacked fits solved in sample space.
+
+    A fit is given by its row factors `reg` (k, a, p) and `resid` (k, b, p),
+    with s_reg = reg'reg and s_resid = resid'resid, its centered response
+    rows `total` (k, n, p), the orthonormal basis (k, n, q) of its design
+    span, and the sample-space Grams g_reg = reg reg' and g_resid =
+    resid resid', which have the nonzero eigenvalues of s_reg and s_resid.
+
+    - finiteness, symmetry and semidefiniteness: `_check_symmetric` on
+      g_reg and g_resid (a Gram is finite exactly when its factor is, short
+      of overflow; min eigenvalue >= -PSD_TOL * trace, the trace of s_reg
+      or s_resid);
+    - additivity: s_total - s_reg - s_resid vanishes when the residual
+      rows are the responses' component off the design span.  For
+      coordinates reg = Q'total, resid = total - Q reg the gap is
+      reg'(Q'resid), so max|Q'resid| is checked; for the rows
+      reg = total - resid of a leave-one-out fold it is reg'resid, which
+      vanishes when reg = Q Q'total, so max|reg - Q Q'total| is checked.
+      Either must be at most ADDITIVITY_TOL times max|total|.
+
+    s_total is semidefinite when s_reg and s_resid are and the gap is
+    small.  `where` follows the names in error messages.  Returns the
+    ascending eigenvalues of g_resid, (k, b).
+
+    Raises
+    ------
+    ValueError
+        If some factor or Gram fails a check.
+    """
+    names = [f"`{name}`{where}" for name in _SCATTER_NAMES]
+    _check_symmetric(g_reg[None], names[:1])
+    evals = _check_symmetric(g_resid[None], names[1:2])[0]
+    basis_t = np.swapaxes(basis, 1, 2)
+    if reg.shape[1] == total.shape[1]:
+        defect = reg - basis @ (basis_t @ total)
+    else:
+        defect = basis_t @ resid
+    gap = np.max(np.abs(defect), axis=(1, 2))
+    if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(total), axis=(1, 2)), 1e-300)):
+        raise ValueError(f"s_total != s_reg + s_resid{where}: residual rows leave the "
+                         f"design span's complement by {np.max(gap):.3e}")
+    return evals
+
+
 def center_columns(x: np.ndarray) -> np.ndarray:
     """Subtract the column means from a 2-D array."""
     x = np.asarray(x, dtype=float)
@@ -375,13 +429,15 @@ def center_columns(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=0)
 
 
-def _conditioned_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _conditioned_qr(x: np.ndarray, left_out: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factors (Q, R) of stacked designs (k, n, q), each well conditioned.
 
-    The q x q factor R has the singular values of X, so the check runs on R.
+    The q x q factor R has the singular values of X, so the check runs on R;
+    `left_out` is passed on to `_check_design_conditioning`.
     """
     qmat, rmat = np.linalg.qr(x, mode="reduced")
-    _check_design_conditioning(rmat)
+    _check_design_conditioning(rmat, left_out)
     return qmat, rmat
 
 
@@ -408,22 +464,25 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return (g + np.swapaxes(g, -2, -1)) / 2.0
 
 
-def _scatter_stack(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unchecked (s_reg, s_resid, s_total) of stacked fits, each (k, p, p).
+def _scatter_stack(y: np.ndarray, x: np.ndarray):
+    """Unchecked row factors (reg, resid, yc, qmat) of stacked fits.
 
     `y` is (k, n, p) and `x` (k, n, q), each design column-centered.  With Q
-    the thin-QR basis of a design's span and Yc the column-centered
-    response,
+    (`qmat`, (k, n, q)) the thin-QR basis of a design's span and Yc (`yc`,
+    (k, n, p)) the column-centered response,
 
-        s_reg   = (Q'Yc)' (Q'Yc),
-        s_resid = R'R for R = Yc - Q Q'Yc,
-        s_total = Yc'Yc,
+        reg   = Q'Yc           (k, q, p),   s_reg   = reg'reg,
+        resid = Yc - Q reg     (k, n, p),   s_resid = resid'resid,
+                                            s_total = Yc'Yc,
 
-    each formed as a Gram matrix so positive semidefiniteness holds by
+    so each scatter matrix is a Gram matrix (`_gram`) and semidefinite by
     construction.  Centering Yc leaves s_reg unchanged because the centered
-    design span is orthogonal to the constant vector.  Every slice is
-    computed as if it were alone, so a fit gives the same bytes in any
-    stack.
+    design span is orthogonal to the constant vector.  The p x p matrices
+    are formed only where they are the cheaper space to solve in:
+    `estimators._leading_axes` forms them when q + n >= p and otherwise
+    solves from the (n + q) x (n + q) Gram of the stacked rows [reg; resid]
+    (the snapshot method of Sirovich 1987).  Every slice is computed as if
+    it were alone, so a fit gives the same bytes in any stack.
 
     Raises
     ------
@@ -433,21 +492,22 @@ def _scatter_stack(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     qmat = _conditioned_qr(x)[0]
     yc = y - y.mean(axis=1, keepdims=True)
     proj = np.swapaxes(qmat, 1, 2) @ yc
-    return _gram(proj), _gram(yc - qmat @ proj), _gram(yc)
+    return proj, yc - qmat @ proj, yc, qmat
 
 
 def sums_of_squares(data: Dataset) -> SumOfSquares:
     """Decompose the centered response scatter along and off the design span.
 
-    The checked slice of `_scatter_stack` for a stack of one fit.
+    The checked p x p Grams of the `_scatter_stack` factors of a stack of
+    one fit.
 
     Raises
     ------
     RankDeficiencyError
         If cond(X'X) exceeds COND_LIMIT (1e12).
     """
-    s_reg, s_resid, s_total = _scatter_stack(data.y[None], data.x[None])
-    return SumOfSquares(s_reg[0], s_resid[0], s_total[0], data.n, data.q)
+    reg, resid, yc, _ = _scatter_stack(data.y[None], data.x[None])
+    return SumOfSquares(_gram(reg)[0], _gram(resid)[0], _gram(yc)[0], data.n, data.q)
 
 
 def weighted_matrix(ss: SumOfSquares, w: float) -> np.ndarray:

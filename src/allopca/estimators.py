@@ -29,15 +29,16 @@ import numpy as np
 from .core import (
     Dataset,
     SumOfSquares,
-    _check_design_conditioning,
     _check_dimension,
     _check_plugin_dof,
+    _check_sample_stack,
     _check_scatter_stack,
     _check_sizes,
     _check_symmetric,
     _check_unit,
     _check_weight,
     _conditioned_qr,
+    _fix_signs,
     _gram,
     _readonly,
     _sym_eig_stack,
@@ -268,20 +269,25 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
     _check_plugin_dof(n, q)
     fields = _plugin_weights(ss.s_reg[None], ss.s_resid[None],
                              np.linalg.eigvalsh(ss.s_resid)[None], n, q)
+    del fields["tr_sigma_hat"]
     return PluginWeights(sigma_hat=ss.s_resid / (n - 1 - q),
                          **{name: v[0] for name, v in fields.items()})
 
 
 def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
-    """Plug-in summaries and weight of stacked fits (k, p, p) with n rows each.
+    """Plug-in summaries and weight of stacked fits with n rows each.
 
-    `resid_evals` are the ascending eigenvalues (k, p) of `s_resid`.  With
+    `s_reg` and `s_resid` are the p x p scatter matrices (k, p, p) or, for
+    row factors reg and resid, their sample-space Grams reg reg' and
+    resid resid': only traces, the Frobenius norm of `s_resid` and the two
+    largest eigenvalues of `s_resid` enter, and those agree.
+    `resid_evals` are the ascending eigenvalues of `s_resid`.  With
     m = n - 1 - q, lambda1_hat and lambda2_hat are the two largest of them
     over m and tr Sigma_hat = tr(s_resid) / m; the rest follows
     `estimate_abcd`.  Returns the `PluginWeights` fields other than
-    `sigma_hat`, each a (k,) array, with w_hat = 0 where the weight's
-    denominator is <= 0 (w_hat_raw NaN where it is 0) and w_hat clamped
-    into [0, 2/3] elsewhere.
+    `sigma_hat`, and `tr_sigma_hat`, each a (k,) array, with w_hat = 0
+    where the weight's denominator is <= 0 (w_hat_raw NaN where it is 0)
+    and w_hat clamped into [0, 2/3] elsewhere.
     """
     m = n - 1 - q
     lam = resid_evals[:, ::-1] / m
@@ -298,7 +304,7 @@ def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
     w_hat = np.where(den <= 0.0, 0.0, np.minimum(np.maximum(w_raw, 0.0), WEIGHT_CAP))
     return dict(lambda1_hat=lam[:, 0], lambda2_hat=lam[:, 1], tr_sigma2_hat=tr_sigma2_hat,
                 a_hat=a_hat, b_hat=b_hat, c_hat=c_hat, d_hat=d_hat, w_hat_raw=w_raw,
-                w_hat=w_hat)
+                w_hat=w_hat, tr_sigma_hat=tr_sig)
 
 
 # --------------------------------------------------------------------------
@@ -414,16 +420,16 @@ def _loo_fit(data: Dataset):
 
 
 def _fold_scatter(qmat, centered, resid, lev, folds):
-    """Checked scatter matrices of the folds that leave out rows `folds`.
+    """Row factors (reg, resid, total) of the folds that leave out rows `folds`.
 
-    Each fold's matrices are Grams of corrected full-data rows, so they are
-    semidefinite by construction: residual rows e_j + H_ji e_i / (1 - h_i),
-    re-centered responses d_j + d_i / (n - 1), and fitted rows as their
-    difference, with row i zeroed in fold i.  (The rank-one downdate
-    s_resid - e_i e_i' / (1 - h_i) is equal in exact arithmetic but can
-    lose semidefiniteness to roundoff, as on noiseless data.)  Returns
-    (s_reg, s_resid, resid_evals), stacked over folds, where resid_evals
-    are the ascending eigenvalues of s_resid.
+    Each fold is given by corrected full-data rows, stacked over folds:
+    residual rows e_j + H_ji e_i / (1 - h_i) (`resid`), re-centered
+    responses d_j + d_i / (n - 1) (`total`), and fitted rows as their
+    difference (`reg`), with row i zeroed in fold i.  The fold scatter
+    matrices are their Grams, so they are semidefinite by construction.
+    (The rank-one downdate s_resid - e_i e_i' / (1 - h_i) is equal in exact
+    arithmetic but can lose semidefiniteness to roundoff, as on noiseless
+    data.)
     """
     n = lev.size
     rows = np.arange(folds.size)
@@ -431,34 +437,73 @@ def _fold_scatter(qmat, centered, resid, lev, folds):
     r = resid + (hat / (1.0 - lev[folds, None]))[:, :, None] * resid[folds, None, :]
     r[rows, folds] = 0.0
     t = _fold_rows(centered, folds)
-    s_reg, s_resid = _gram(t - r), _gram(r)
-    return s_reg, s_resid, _check_scatter_stack(s_reg, s_resid, _gram(t),
-                                                " of a leave-one-out fold")
+    return t - r, r, t
 
 
-def _leading_axes(rules, s_reg, s_resid, resid_evals, n: int, q: int, oracle=None):
-    """Weights (rules, k) and leading axes (rules, k, p) of S(w) for stacked fits (k, p, p).
+def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, where=""):
+    """Weights (rules, k) and leading axes (rules, k, p) of S(w) for stacked fits.
+
+    Each fit comes as row factors `reg` (k, a, p) and `resid` (k, b, p), with
+    s_reg = reg'reg and s_resid = resid'resid, its centered response rows
+    `total` (k, n, p) and the orthonormal basis `basis` (k, n, q) of its
+    design span; it has n rows and q design columns.  The fits are solved
+    in the smaller space:
+
+    - a + b >= p: the p x p matrices S(w) = (1 - w) s_reg + w s_resid,
+      checked by `_check_scatter_stack`;
+    - a + b < p: the (a + b) x (a + b) matrices D^1/2 W W' D^1/2 with
+      W = [reg; resid] and D = diag(1 - w, ..., w, ...), whose leading
+      eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the snapshot
+      method, Sirovich 1987: S(w) = W' D W has the same nonzero spectrum),
+      checked by `_check_sample_stack`.
 
     A `FixedWeight` gives its w, a `PluginRule` each fit's plug-in weight
-    (from `resid_evals`, the ascending eigenvalues of `s_resid`, for fits of
-    n rows and q design columns; computed only for such a rule), and an
-    `OracleWeight` the caller's `oracle` weights (k,).  Each distinct (fit,
-    weight) pair is solved once, in one `_sym_eig_stack` call per
-    `_BLOCK_ENTRIES` matrix entries (one call unless p is large).
+    (computed only for such a rule, from the Grams of the solved space), and
+    an `OracleWeight` the caller's `oracle` weights (k,).  Each distinct
+    (fit, weight) pair is solved once, in one `_sym_eig_stack` call per
+    `_BLOCK_ENTRIES` matrix entries (one call unless the solved size is
+    large).  Axes follow the package sign rule.  `where` follows the matrix
+    names in error messages.  Returns (weights, axes, plug-in fields or
+    None).
     """
-    k = len(s_reg)
+    k, a, p = reg.shape
+    dual = a + resid.shape[1] < p
+    if dual:
+        rows = np.concatenate((reg, resid), axis=1)
+        gram = _gram(np.swapaxes(rows, 1, 2))
+        s_reg, s_resid = gram[:, :a, :a], gram[:, a:, a:]
+        resid_evals = _check_sample_stack(reg, resid, total, basis, s_reg, s_resid, where)
+    else:
+        s_reg, s_resid = _gram(reg), _gram(resid)
+        resid_evals = _check_scatter_stack(s_reg, s_resid, _gram(total), where)
+    plugin = None
     if any(isinstance(rule, PluginRule) for rule in rules):
-        plugin = _plugin_weights(s_reg, s_resid, resid_evals, n, q)["w_hat"]
+        plugin = _plugin_weights(s_reg, s_resid, resid_evals, n, q)
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
-                        else plugin if isinstance(rule, PluginRule) else oracle
+                        else plugin["w_hat"] if isinstance(rule, PluginRule) else oracle
                         for rule in rules])
     fit_of = np.broadcast_to(np.arange(k), weights.shape)
     pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
                              axis=0, return_inverse=True)
     pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
-    axes = [_sym_eig_stack((1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]])[1][:, :, 0]
-            for i in _blocks(len(pf), s_reg[0].size)]
-    return weights, np.concatenate(axes)[which.reshape(weights.shape)]
+    if dual:
+        root = np.sqrt(np.where(np.arange(rows.shape[1]) < a, 1.0 - pw[:, 0], pw[:, 0]))
+        axes = [_lift(rows[pf[i]], root[i], _sym_eig_stack(
+                    root[i, :, None] * gram[pf[i]] * root[i, None, :])[1][:, :, 0])
+                for i in _blocks(len(pf), gram[0].size)]
+    else:
+        axes = [_sym_eig_stack((1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]])[1][:, :, 0]
+                for i in _blocks(len(pf), s_reg[0].size)]
+    return weights, np.concatenate(axes)[which.reshape(weights.shape)], plugin
+
+
+def _lift(rows, root, u):
+    """Unit axes W' D^1/2 u / ||.|| (k, p) of sample-space eigenvectors u (k, m).
+
+    `rows` holds each W (k, m, p) and `root` each diagonal of D^1/2 (k, m).
+    """
+    v = np.swapaxes(rows, 1, 2) @ (root * u)[:, :, None]
+    return _fix_signs(v / np.linalg.norm(v, axis=1, keepdims=True))[:, :, 0]
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
@@ -529,12 +574,13 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     sse = np.zeros(len(rules))
     ols = [k for k in range(len(rules)) if k not in projected]
     for folds in _blocks(n, n * (p + q) + p * p * len(rules)):
-        _check_design_conditioning(_fold_rows(x, folds), folds)
+        basis = _conditioned_qr(_fold_rows(x, folds), folds)[0]
         err = y[folds] - y_ols[folds]
         sse[ols] += float(np.sum(err * err))
         if not projected:
             continue
-        g = _leading_axes([rules[k] for k in projected], *_fold_scatter(*fit, folds), n - 1, q)[1]
+        g = _leading_axes([rules[k] for k in projected], *_fold_scatter(*fit, folds), basis,
+                          n - 1, q, where=" of a leave-one-out fold")[1]
         base = mu[folds]
         pred = base + np.sum((y_ols[folds] - base) * g, axis=-1, keepdims=True) * g
         err = y[folds] - pred

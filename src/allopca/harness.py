@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_index, _check_plugin_dof, _check_scatter_stack, _readonly, _scatter_stack
+from .core import _check_index, _check_plugin_dof, _readonly, _scatter_stack
 from .errors import CostLimitError
 from .estimators import (
     AbcdParams,
@@ -169,12 +169,16 @@ class McResult:
 
 
 def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
-    """Crude wall-clock estimate used by the cost guard."""
+    """Crude wall-clock estimate used by the cost guard.
+
+    Each eigensolve is charged at the size `_leading_axes` solves, p or,
+    for a wide point, the sample-space n + q.
+    """
     n_est = len(plan.estimators)
     seconds = 0.0
     for spec in plan.points:
         n, p, q = spec.n, spec.p, spec.q
-        flops = 4.0 * n * p * (p + q) + (n_est + 5.0) * 10.0 * p ** 3
+        flops = 4.0 * n * p * (p + q) + (n_est + 5.0) * 10.0 * min(p, n + q) ** 3
         seconds += plan.replications * (flops / 2e9 + (n_est + 4) * 5e-5)
     return seconds
 
@@ -185,12 +189,12 @@ def _replicate_block(
     """Run a block of replications; rows follow `reps` order.
 
     The draws (one `gen_dataset` call each) are stacked per `_blocks` range
-    and fit together: one scatter build and check (whose s_resid
-    eigenvalues feed the plug-in weights), oracle weights from the model's
-    (a, b, d) and the designs' c = ||X alpha||^2, one `_leading_axes` call
-    that resolves every row's weight and axis, and one `mse_up_to_sign`
-    call.  Every replication is computed as if it were alone, so results
-    do not depend on how `reps` is split.
+    and fit together: one `_scatter_stack` call for the row factors, oracle
+    weights from the model's (a, b, d) and the designs' c = ||X alpha||^2,
+    one `_leading_axes` call that checks the fits and resolves every row's
+    weight and axis (in sample space when n + q < p), and one
+    `mse_up_to_sign` call.  Every replication is computed as if it were
+    alone, so results do not depend on how `reps` is split.
     """
     n, p, q = spec.n, spec.p, spec.q
     model = oracle = None
@@ -204,9 +208,8 @@ def _replicate_block(
         if model is not None:
             xa = x @ spec.alpha
             oracle = np.divide(*_w_star_terms(model.a, model.b, _dots(xa, xa), model.d, q))
-        s_reg, s_resid, s_total = _scatter_stack(np.stack([d.y for d in draws]), x)
-        resid_evals = _check_scatter_stack(s_reg, s_resid, s_total)
-        weights, axes = _leading_axes(estimators, s_reg, s_resid, resid_evals, n, q, oracle)
+        fits = _scatter_stack(np.stack([d.y for d in draws]), x)
+        weights, axes, _ = _leading_axes(estimators, *fits, n, q, oracle)
         wts.append(weights.T)
         mse.append(mse_up_to_sign(axes, spec.gamma1).T)
     return np.concatenate(mse), np.concatenate(wts)

@@ -1,5 +1,5 @@
 """Shared test helpers: the brute-force leave-one-out and replication oracles,
-and a forced replication block size."""
+a forced replication block size, and a record of eigensolver sizes."""
 
 import numpy as np
 import pytest
@@ -114,3 +114,19 @@ def force_blocks(monkeypatch):
         return sizes
 
     return force
+
+
+@pytest.fixture
+def eig_sizes(monkeypatch):
+    """`eig_sizes()` starts recording the matrix size of every `np.linalg.eigh` and
+    `eigvalsh` call into the list it returns; `monkeypatch.undo()` stops it."""
+    def record():
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            def recorded(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+                sizes.append(a.shape[-1])
+                return _orig(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        return sizes
+
+    return record

@@ -354,6 +354,59 @@ def test_estimate_solves_every_column_in_one_eigensolve(tmp_path, capsys, monkey
     assert len(calls) == 1
 
 
+def _estimate_reference(ypath, xpath):
+    """The `estimate` report through the one-fit library path, with all its checks."""
+    data = allopca.Dataset(_read_matrix_csv(ypath, "--y"),
+                           allopca.center_columns(_read_matrix_csv(xpath, "--x")))
+    ss = allopca.sums_of_squares(data)
+    pw = allopca.estimate_abcd(ss)
+    tr_sig = float(np.trace(pw.sigma_hat))
+    head = [f"# n = {data.n}, p = {data.p}, q = {data.q}",
+            f"# lambda1_hat = {pw.lambda1_hat:.10g}", f"# lambda2_hat = {pw.lambda2_hat:.10g}",
+            f"# contribution_ratio_1 = {pw.lambda1_hat / tr_sig:.10g}",
+            f"# contribution_ratio_2 = {pw.lambda2_hat / tr_sig:.10g}",
+            f"# w_hat_raw = {pw.w_hat_raw:.10g}", f"# w_hat = {pw.w_hat:.10g}",
+            "coordinate,total(w=0.5),residual(w=1),regression(w=0),w=0.1,w=0.2,w=0.3,w=0.4,"
+            "w=0.6,plugin"]
+    weights = (0.5, 1.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.6, pw.w_hat)
+    vectors = [allopca.gamma1_hat(ss, w).vector for w in weights]
+    rows = [",".join([str(i + 1), *(f"{v[i]:.10g}" for v in vectors)]) for i in range(data.p)]
+    return "\n".join(head + rows) + "\n"
+
+
+@pytest.mark.parametrize("n, p, q", [(66, 10, 5), (30, 4, 2), (20, 12, 3)])
+def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypatch, n, p, q):
+    ypath, xpath, _ = dataset_files(tmp_path, n=n, p=p, q=q)
+    want = _estimate_reference(ypath, xpath)
+    calls = []
+
+    def counted(a, *args, _orig=np.linalg.eigvalsh, **kwargs):
+        calls.append(a.shape)
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
+    assert code == 0
+    assert len(calls) == 1  # the scatter check's, which the plug-in weight reuses
+    assert out == want
+
+
+def test_estimate_wide_fit_solves_in_sample_space(tmp_path, capsys, eig_sizes):
+    # n + q = 14 < p = 40: no eigensolve sees a 40 x 40 matrix
+    ypath, xpath, _ = dataset_files(tmp_path, n=12, p=40, q=2)
+    want = _estimate_reference(ypath, xpath)
+    sizes = eig_sizes()
+    code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
+    assert code == 0
+    assert max(sizes) == 14
+    got, ref = (parse_csv("\n".join(ln for ln in text.splitlines() if not ln.startswith("#")))
+                for text in (out, want))
+    assert got[0] == ref[0]
+    got = np.array([[float(c) for c in r[1:]] for r in got[1:]])
+    ref = np.array([[float(c) for c in r[1:]] for r in ref[1:]])
+    assert np.max(np.abs(got - ref)) <= 1e-9
+
+
 def test_estimate_out_file_atomic(tmp_path, capsys):
     ypath, xpath, _ = dataset_files(tmp_path)
     target = tmp_path / "report.csv"

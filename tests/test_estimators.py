@@ -36,6 +36,7 @@ from allopca import (
 )
 import allopca
 from allopca import core, estimators, harness
+from allopca.core import _gram
 from allopca.estimators import WEIGHT_CAP, _fold_scatter, _loo_fit, _plugin_weights
 
 
@@ -522,8 +523,9 @@ def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
         data = _no_signal_dataset(rep)
         n, q = data.n, data.q
         folds = np.arange(n)
-        s_reg, s_resid, resid_evals = _fold_scatter(*_loo_fit(data), folds)
-        fast = _plugin_weights(s_reg, s_resid, resid_evals, n - 1, q)
+        reg, resid, _ = _fold_scatter(*_loo_fit(data), folds)
+        s_resid = _gram(resid)
+        fast = _plugin_weights(_gram(reg), s_resid, np.linalg.eigvalsh(s_resid), n - 1, q)
         for i in folds:
             mask = folds != i
             x_tr = data.x[mask]

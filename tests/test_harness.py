@@ -157,36 +157,57 @@ def test_common_random_numbers_duplicate_weight_rows():
     assert res.mean_mse[0].tobytes() != res.mean_mse[2].tobytes()
 
 
-def _no_signal_spec():
-    # table1 shape (p = 10, q = 5, lambdas 2, 1, ..., 1) with alpha = 0, n = 20
-    lam = np.ones(10)
+def _table1_shaped_spec(p=10, alpha=0.0):
+    # table1 shape (q = 5, lambdas 2, 1, ..., 1) at n = 20, so n + q = 25
+    lam = np.ones(p)
     lam[0] = 2.0
-    return ModelSpec(p=10, q=5, n=20, mu=np.zeros(10), alpha=np.zeros(5), lambdas=lam,
-                     gamma_basis=random_gamma(10, 0), master_seed=5)
+    return ModelSpec(p=p, q=5, n=20, mu=np.zeros(p), alpha=np.full(5, alpha), lambdas=lam,
+                     gamma_basis=random_gamma(p, 0), master_seed=5)
+
+
+ORACLE_SPECS = {
+    "table1": lambda: Traditional().model_spec(50, 3),
+    "table3b": lambda: STRONG_SPIKE.model_spec(50, 3),
+    "no-signal": _table1_shaped_spec,
+    "table3b-p20": lambda: STRONG_SPIKE.model_spec(20, 3),
+    "table3b-p100": lambda: STRONG_SPIKE.model_spec(100, 3),
+    **{f"crossover-p{p}": lambda p=p: _table1_shaped_spec(p, 1.0) for p in (24, 25, 26)},
+    "no-signal-p40": lambda: _table1_shaped_spec(40),
+}
 
 
 @pytest.mark.parametrize("case, chunk", [
     ("table1", None), ("table3b", None), ("no-signal", None),
     ("table1", 3),  # the eigensolves split into chunks of 3 matrices
+    # solved in sample space (n + q < p), and the crossover n + q = 25 around p
+    ("table3b-p20", None), ("table3b-p100", None), ("no-signal-p40", None),
+    ("crossover-p24", None), ("crossover-p25", None), ("crossover-p26", None),
 ])
-def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, monkeypatch):
+def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, eig_sizes,
+                                               monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", chunk * 10 * 10)
-    spec = {"table1": lambda: Traditional().model_spec(50, 3),
-            "table3b": lambda: STRONG_SPIKE.model_spec(50, 3),
-            "no-signal": _no_signal_spec}[case]()
+    spec = ORACLE_SPECS[case]()
     rows = tuple(est for _, est in DEFAULT_ROWS)
     reps = np.arange(12)
+    sizes = eig_sizes()
     mse, wts = _replicate_block(spec, rows, reps)
+    monkeypatch.undo()
     want_mse, want_wts = replication_oracle(spec, rows, reps)
-    assert mse.tobytes() == want_mse.tobytes()
-    assert wts.tobytes() == want_wts.tobytes()
+    assert max(sizes) == min(spec.p, spec.n + spec.q)
+    if spec.n + spec.q < spec.p:
+        # a different matrix than the oracle's p x p one: equal up to roundoff
+        assert np.max(np.abs(mse - want_mse)) <= 1e-12
+        assert np.max(np.abs(wts - want_wts)) <= 1e-12
+    else:
+        assert mse.tobytes() == want_mse.tobytes()
+        assert wts.tobytes() == want_wts.tobytes()
     labels = [label for label, _ in DEFAULT_ROWS]
     # total(w=0.5) and w=0.5 share one axis
     assert np.array_equal(mse[:, labels.index("total(w=0.5)")], mse[:, labels.index("w=0.5")])
-    if case == "table3b":
-        assert spec.p > spec.n - 1
-    if case == "no-signal":
+    if case.startswith("table3b"):
+        assert spec.n + spec.q < spec.p
+    if case.startswith("no-signal"):
         # the plug-in fallback w_hat = 0 fires and shares the regression(w=0) axis
         fallback = wts[:, labels.index("plugin")] == 0.0
         assert np.any(fallback)
@@ -233,10 +254,13 @@ def test_replication_block_bypasses_single_fit_functions(monkeypatch, replicatio
 
 
 @pytest.mark.parametrize("case", ["table1", "table3b"])
-def test_replication_block_split_invariance(case):
+def test_replication_block_split_invariance(case, eig_sizes):
     spec = (Traditional() if case == "table1" else STRONG_SPIKE).model_spec(50, 3)
     rows = tuple(est for _, est in DEFAULT_ROWS)
+    sizes = eig_sizes()
     whole = _replicate_block(spec, rows, np.arange(12))
+    # table1 solves p x p matrices, table3b (p = 50, n = 22, q = 5) sample-space ones
+    assert max(sizes) == (spec.p if case == "table1" else spec.n + spec.q)
     halves = [_replicate_block(spec, rows, r) for r in (np.arange(5), np.arange(5, 12))]
     singles = [_replicate_block(spec, rows, np.array([r])) for r in range(12)]
     for parts in (halves, singles):
@@ -312,6 +336,19 @@ def test_plugin_degrees_of_freedom_checked_before_running():
                                 replications=3, master_seed=0)
     res = run_experiment(fixed_only)
     assert res.mean_mse.shape == (1, 1)
+
+
+def test_cost_model_charges_the_solved_size():
+    # p = 100 > n + q = 39 + 5: each eigensolve is charged at 44, not 100
+    plan = scenario_plan(STRONG_SPIKE, [100], replications=3, seed=0)
+    n, p, q = 39, 100, 5
+    assert (plan.points[0].n, plan.points[0].p, plan.points[0].q) == (n, p, q)
+    rows = len(DEFAULT_ROWS)
+    flops = 4.0 * n * p * (p + q) + (rows + 5.0) * 10.0 * (n + q) ** 3
+    assert estimate_runtime_seconds(plan) == 3 * (flops / 2e9 + (rows + 4) * 5e-5)
+    narrow = scenario_plan(Traditional(), [50], replications=3, seed=0)
+    flops = 4.0 * 50 * 10 * 15 + (rows + 5.0) * 10.0 * 10 ** 3
+    assert estimate_runtime_seconds(narrow) == 3 * (flops / 2e9 + (rows + 4) * 5e-5)
 
 
 def test_cost_guard():
