@@ -291,7 +291,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     data = _load_dataset(args)
     print(f"data: n={data.n} p={data.p} q={data.q}", file=sys.stderr)
-    fit = _scatter_stack(data.y[None], data.x[None])
+    fit = _scatter_stack(center_columns(data.y)[None], data.x[None])
     _check_dimension(data.p)
     _check_plugin_dof(data.n, data.q)
     weights = args.weights if args.weights is not None else DEFAULT_WEIGHT_GRID

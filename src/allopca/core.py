@@ -20,16 +20,18 @@ centered X lies inside the range of C.  All three are computed from a thin
 QR factorization of X; the explicit normal-equations inverse is never
 formed.
 
-`_scatter_stack` is the one fit builder, which returns each fit as row
-factors (`sums_of_squares` forms the Grams of a stack of one), and
+`_scatter_stack` is the one fit builder, which returns each fit of a stack
+as row factors (`sums_of_squares` forms the Grams of a stack of one), and
 `_sym_eig_stack` the one symmetric eigensolver (`sym_eig` is a stack of
-one).  A fit is checked in the space it is solved in: `_check_scatter_stack`
-holds the rules for p x p scatter matrices and `_check_sample_stack` the
-same rules for the sample-space Grams of a wide fit (a + b < p rows).
+one).  `_check_fit_stack` is the one check of a built fit: it checks the
+Grams of the fit's factors in the space the fit is solved in (p x p, or
+the sample-space Grams of a wide fit) and its additivity on the factors.
+`SumOfSquares` checks matrices given by a user, in the Gram form.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
-int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_dimension` (p >= 2),
+int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_draw_size` (one
+drawn replication holds at most MAX_DRAW_ENTRIES floats), `_check_dimension` (p >= 2),
 `_check_index` (seeds and indices >= 0), `_check_unit`,
 `_check_orthonormal`, `_check_finite`, `_check_symmetric` (square, finite,
 symmetric and positive semidefinite matrices) and
@@ -55,6 +57,7 @@ PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace
 ADDITIVITY_TOL = 1e-9   # |S_total - S_reg - S_resid| entrywise
 COND_LIMIT = 1e12       # condition-number cap for X'X
 UNIT_TOL = 1e-8         # |norm - 1| allowed in a unit vector, and max|V'V - I|
+MAX_DRAW_ENTRIES = 1 << 28  # floats in one replication's draw, n * (p + q): 2 GiB
 
 _SCATTER_NAMES = ("s_reg", "s_resid", "s_total")
 
@@ -90,6 +93,14 @@ def _check_plugin_dof(n, q, where: str = "") -> None:
     if n <= 2 + q:
         raise DegreesOfFreedomError(
             f"{where}the plug-in weight needs n > q + 2; got n = {n}, q = {q}")
+
+
+def _check_draw_size(n, p, q, where: str = "") -> None:
+    """Raise unless one draw of n rows, p responses and q design columns holds
+    at most MAX_DRAW_ENTRIES floats; `where` prefixes the message."""
+    if n * (p + q) > MAX_DRAW_ENTRIES:
+        raise ValueError(f"{where}one replication draws n * (p + q) = {n * (p + q)} floats, "
+                         f"more than {MAX_DRAW_ENTRIES}; got n = {n}, p = {p}, q = {q}")
 
 
 def _check_dimension(p) -> None:
@@ -241,7 +252,12 @@ class SumOfSquares:
         n, q = _check_sizes(self.n, self.q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
-        _check_scatter_stack(*(m[None] for m in mats.values()))
+        _check_symmetric(np.stack(list(mats.values()))[:, None],
+                         [f"`{name}`" for name in _SCATTER_NAMES])
+        s_reg, s_resid, s_total = mats.values()
+        gap = _max_abs(s_total - s_reg - s_resid)
+        if gap > ADDITIVITY_TOL * max(_max_abs(s_total), 1e-300):
+            raise ValueError(f"s_total != s_reg + s_resid: max entry gap {gap:.3e}")
         for name, m in mats.items():
             object.__setattr__(self, name, _readonly(m))
 
@@ -350,69 +366,39 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(vecs, lead, axis=1) < 0.0, -vecs, vecs)
 
 
-def _check_scatter_stack(s_reg: np.ndarray, s_resid: np.ndarray, s_total: np.ndarray,
-                         where: str = "") -> np.ndarray:
-    """The `SumOfSquares` checks, applied to each triple of stacked (k, p, p) matrices.
+def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
+                     total: np.ndarray, basis: np.ndarray, where: str = "") -> np.ndarray:
+    """The one check of stacked fits built by `_scatter_stack`, in either solve space.
 
-    Each matrix must be finite, symmetric and positive semidefinite, and
-    each triple additive, within the module tolerances.  `where` follows the
-    matrix name in error messages (" of a leave-one-out fold"; empty for a
-    single fit).  Returns the ascending eigenvalues of `s_resid`, (k, p).
+    A fit has row factors reg = Q'total and resid = total - Q reg (k, b, p),
+    with s_reg = reg'reg and s_resid = resid'resid, centered response rows
+    `total` (k, n, p) and the orthonormal basis Q (`basis`, (k, n, q)) of its
+    design span.  `g_reg` and `g_resid` are the Grams of the space the fit is
+    solved in: the p x p s_reg and s_resid, or the sample-space reg reg' and
+    resid resid', which have the same nonzero eigenvalues.
 
-    Raises
-    ------
-    ValueError
-        If some matrix or triple fails a check.
-    """
-    evals = _check_symmetric(np.stack((s_reg, s_resid, s_total)),
-                             [f"`{name}`{where}" for name in _SCATTER_NAMES])
-    gap = np.max(np.abs(s_total - s_reg - s_resid), axis=(1, 2))
-    if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(s_total), axis=(1, 2)), 1e-300)):
-        raise ValueError(f"s_total != s_reg + s_resid{where}: max entry gap {np.max(gap):.3e}")
-    return evals[1]
-
-
-def _check_sample_stack(reg: np.ndarray, resid: np.ndarray, total: np.ndarray,
-                        basis: np.ndarray, g_reg: np.ndarray, g_resid: np.ndarray,
-                        where: str = "") -> np.ndarray:
-    """The `_check_scatter_stack` rules for stacked fits solved in sample space.
-
-    A fit is given by its row factors `reg` (k, a, p) and `resid` (k, b, p),
-    with s_reg = reg'reg and s_resid = resid'resid, its centered response
-    rows `total` (k, n, p), the orthonormal basis (k, n, q) of its design
-    span, and the sample-space Grams g_reg = reg reg' and g_resid =
-    resid resid', which have the nonzero eigenvalues of s_reg and s_resid.
-
-    - finiteness, symmetry and semidefiniteness: `_check_symmetric` on
-      g_reg and g_resid (a Gram is finite exactly when its factor is, short
-      of overflow; min eigenvalue >= -PSD_TOL * trace, the trace of s_reg
-      or s_resid);
-    - additivity: s_total - s_reg - s_resid vanishes when the residual
-      rows are the responses' component off the design span.  For
-      coordinates reg = Q'total, resid = total - Q reg the gap is
-      reg'(Q'resid), so max|Q'resid| is checked; for the rows
-      reg = total - resid of a leave-one-out fold it is reg'resid, which
-      vanishes when reg = Q Q'total, so max|reg - Q Q'total| is checked.
-      Either must be at most ADDITIVITY_TOL times max|total|.
+    - finiteness, symmetry and semidefiniteness: `_check_symmetric` on g_reg
+      and g_resid (a Gram is finite exactly when its factor is, short of
+      overflow; min eigenvalue >= -PSD_TOL * trace, the trace of s_reg or
+      s_resid);
+    - additivity: s_total - s_reg - s_resid is reg'(Q'resid) plus its
+      transpose, so max|Q'resid| must be at most ADDITIVITY_TOL times
+      max|total|.  A residual computed as total - Q(Q'total) can go wrong
+      only through Q, and Q'resid catches that.
 
     s_total is semidefinite when s_reg and s_resid are and the gap is
     small.  `where` follows the names in error messages.  Returns the
-    ascending eigenvalues of g_resid, (k, b).
+    ascending eigenvalues of g_resid, (k, b) or (k, p).
 
     Raises
     ------
     ValueError
-        If some factor or Gram fails a check.
+        If some Gram or fit fails a check.
     """
     names = [f"`{name}`{where}" for name in _SCATTER_NAMES]
     _check_symmetric(g_reg[None], names[:1])
     evals = _check_symmetric(g_resid[None], names[1:2])[0]
-    basis_t = np.swapaxes(basis, 1, 2)
-    if reg.shape[1] == total.shape[1]:
-        defect = reg - basis @ (basis_t @ total)
-    else:
-        defect = basis_t @ resid
-    gap = np.max(np.abs(defect), axis=(1, 2))
+    gap = np.max(np.abs(np.swapaxes(basis, 1, 2) @ resid), axis=(1, 2))
     if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(total), axis=(1, 2)), 1e-300)):
         raise ValueError(f"s_total != s_reg + s_resid{where}: residual rows leave the "
                          f"design span's complement by {np.max(gap):.3e}")
@@ -464,35 +450,37 @@ def _gram(rows: np.ndarray) -> np.ndarray:
     return (g + np.swapaxes(g, -2, -1)) / 2.0
 
 
-def _scatter_stack(y: np.ndarray, x: np.ndarray):
-    """Unchecked row factors (reg, resid, yc, qmat) of stacked fits.
+def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = None):
+    """Unchecked row factors (reg, resid, total, qmat) of stacked fits.
 
-    `y` is (k, n, p) and `x` (k, n, q), each design column-centered.  With Q
-    (`qmat`, (k, n, q)) the thin-QR basis of a design's span and Yc (`yc`,
-    (k, n, p)) the column-centered response,
+    `y` (k, n, p) holds the column-centered responses (the caller centers
+    them, so the zeroed left-out row of a leave-one-out fold stays zero) and
+    `x` (k, n, q) the column-centered designs; `left_out` is passed on to
+    `_conditioned_qr`.  With Q (`qmat`, (k, n, q)) the thin-QR basis of a
+    design's span,
 
-        reg   = Q'Yc           (k, q, p),   s_reg   = reg'reg,
-        resid = Yc - Q reg     (k, n, p),   s_resid = resid'resid,
-                                            s_total = Yc'Yc,
+        reg   = Q'y            (k, q, p),   s_reg   = reg'reg,
+        resid = y - Q reg      (k, n, p),   s_resid = resid'resid,
+        total = y              (k, n, p),   s_total = y'y,
 
     so each scatter matrix is a Gram matrix (`_gram`) and semidefinite by
-    construction.  Centering Yc leaves s_reg unchanged because the centered
-    design span is orthogonal to the constant vector.  The p x p matrices
-    are formed only where they are the cheaper space to solve in:
-    `estimators._leading_axes` forms them when q + n >= p and otherwise
-    solves from the (n + q) x (n + q) Gram of the stacked rows [reg; resid]
-    (the snapshot method of Sirovich 1987).  Every slice is computed as if
-    it were alone, so a fit gives the same bytes in any stack.
+    construction.  Replications, the `estimate` command and leave-one-out
+    folds all build their fits here, and `_check_fit_stack` checks them.
+    The p x p matrices are formed only where they are the cheaper space to
+    solve in: `estimators._leading_axes` forms them when n + q >= p and
+    otherwise solves from the (n + q) x (n + q) Gram of the stacked rows
+    [reg; resid] (the snapshot method of Sirovich 1987).  Every slice is
+    computed as if it were alone, so a fit gives the same bytes in any
+    stack.
 
     Raises
     ------
     RankDeficiencyError
         If some design has cond(X'X) > COND_LIMIT.
     """
-    qmat = _conditioned_qr(x)[0]
-    yc = y - y.mean(axis=1, keepdims=True)
-    proj = np.swapaxes(qmat, 1, 2) @ yc
-    return proj, yc - qmat @ proj, yc, qmat
+    qmat = _conditioned_qr(x, left_out)[0]
+    proj = np.swapaxes(qmat, 1, 2) @ y
+    return proj, y - qmat @ proj, y, qmat
 
 
 def sums_of_squares(data: Dataset) -> SumOfSquares:
@@ -506,7 +494,7 @@ def sums_of_squares(data: Dataset) -> SumOfSquares:
     RankDeficiencyError
         If cond(X'X) exceeds COND_LIMIT (1e12).
     """
-    reg, resid, yc, _ = _scatter_stack(data.y[None], data.x[None])
+    reg, resid, yc, _ = _scatter_stack(center_columns(data.y)[None], data.x[None])
     return SumOfSquares(_gram(reg)[0], _gram(resid)[0], _gram(yc)[0], data.n, data.q)
 
 

@@ -30,9 +30,8 @@ from .core import (
     Dataset,
     SumOfSquares,
     _check_dimension,
+    _check_fit_stack,
     _check_plugin_dof,
-    _check_sample_stack,
-    _check_scatter_stack,
     _check_sizes,
     _check_symmetric,
     _check_unit,
@@ -41,7 +40,9 @@ from .core import (
     _fix_signs,
     _gram,
     _readonly,
+    _scatter_stack,
     _sym_eig_stack,
+    center_columns,
     sym_eig,
     weighted_matrix,
 )
@@ -389,6 +390,18 @@ def _blocks(count: int, entries: int):
     return (np.arange(start, min(start + size, count)) for start in range(0, count, size))
 
 
+def _solved_size(n: int, p: int, q: int) -> int:
+    """Order of the matrices `_leading_axes` solves for a fit of n rows, p responses
+    and q design columns: p, or the n + q factor rows of a wide fit."""
+    return min(p, n + q)
+
+
+def _fit_entries(n: int, p: int, q: int, rules: int) -> int:
+    """Entries one fit holds in a block: its n rows of responses and design, and
+    one solved matrix for each of `rules` weight rules."""
+    return n * (p + q) + _solved_size(n, p, q) ** 2 * rules
+
+
 def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
     """Re-centered rows (folds, n, m) of the folds that leave out rows `folds`.
 
@@ -401,81 +414,59 @@ def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
 
 
 def _loo_fit(data: Dataset):
-    """One thin-QR fit of the full data, from which every fold follows.
+    """Centered responses and fold OLS predictions y_i - e_i / (1 - h_i).
 
-    Returns (Q, centered responses, residual rows, leverages), where the
-    leverage h_i = 1/n + ||Q_i||^2 includes the intercept.
+    e_i is the full-data residual row and h_i = 1/n + ||Q_i||^2 the leverage
+    (intercept included).  A row of leverage 1 is refused: leaving it out
+    leaves a rank-deficient design, and its prediction would divide by 0.
     """
-    x, y = data.x, data.y
-    qmat = _conditioned_qr(x[None])[0][0]
-    centered = y - y.mean(axis=0)
-    resid = centered - qmat @ (qmat.T @ centered)
-    lev = 1.0 / data.n + np.sum(qmat * qmat, axis=1)
+    centered = center_columns(data.y)
+    _, resid, _, qmat = _scatter_stack(centered[None], data.x[None])
+    lev = 1.0 / data.n + np.sum(qmat[0] * qmat[0], axis=1)
     if np.any(lev >= 1.0):
         raise RankDeficiencyError(
             f"row {int(np.argmax(lev >= 1.0))} has leverage 1, so the fold that "
             f"leaves it out has a rank-deficient design"
         )
-    return qmat, centered, resid, lev
-
-
-def _fold_scatter(qmat, centered, resid, lev, folds):
-    """Row factors (reg, resid, total) of the folds that leave out rows `folds`.
-
-    Each fold is given by corrected full-data rows, stacked over folds:
-    residual rows e_j + H_ji e_i / (1 - h_i) (`resid`), re-centered
-    responses d_j + d_i / (n - 1) (`total`), and fitted rows as their
-    difference (`reg`), with row i zeroed in fold i.  The fold scatter
-    matrices are their Grams, so they are semidefinite by construction.
-    (The rank-one downdate s_resid - e_i e_i' / (1 - h_i) is equal in exact
-    arithmetic but can lose semidefiniteness to roundoff, as on noiseless
-    data.)
-    """
-    n = lev.size
-    rows = np.arange(folds.size)
-    hat = 1.0 / n + qmat[folds] @ qmat.T
-    r = resid + (hat / (1.0 - lev[folds, None]))[:, :, None] * resid[folds, None, :]
-    r[rows, folds] = 0.0
-    t = _fold_rows(centered, folds)
-    return t - r, r, t
+    return centered, data.y - resid[0] / (1.0 - lev)[:, None]
 
 
 def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, where=""):
     """Weights (rules, k) and leading axes (rules, k, p) of S(w) for stacked fits.
 
-    Each fit comes as row factors `reg` (k, a, p) and `resid` (k, b, p), with
-    s_reg = reg'reg and s_resid = resid'resid, its centered response rows
-    `total` (k, n, p) and the orthonormal basis `basis` (k, n, q) of its
-    design span; it has n rows and q design columns.  The fits are solved
-    in the smaller space:
+    The fits are the `_scatter_stack` row factors `reg` (k, q, p) and
+    `resid` (k, b, p), with s_reg = reg'reg and s_resid = resid'resid, of
+    centered response rows `total` (k, b, p) on the orthonormal basis
+    `basis` (k, b, q) of each design span; each fit has n observations
+    (b - 1 for a leave-one-out fold, whose left-out row is zero) and q
+    design columns.  The fits are solved in the smaller space
+    (`_solved_size`):
 
-    - a + b >= p: the p x p matrices S(w) = (1 - w) s_reg + w s_resid,
-      checked by `_check_scatter_stack`;
-    - a + b < p: the (a + b) x (a + b) matrices D^1/2 W W' D^1/2 with
+    - q + b >= p: the p x p matrices S(w) = (1 - w) s_reg + w s_resid;
+    - q + b < p: the (q + b) x (q + b) matrices D^1/2 W W' D^1/2 with
       W = [reg; resid] and D = diag(1 - w, ..., w, ...), whose leading
       eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the snapshot
-      method, Sirovich 1987: S(w) = W' D W has the same nonzero spectrum),
-      checked by `_check_sample_stack`.
+      method, Sirovich 1987: S(w) = W' D W has the same nonzero spectrum).
 
-    A `FixedWeight` gives its w, a `PluginRule` each fit's plug-in weight
-    (computed only for such a rule, from the Grams of the solved space), and
-    an `OracleWeight` the caller's `oracle` weights (k,).  Each distinct
+    `_check_fit_stack` checks every fit once, on the Grams of the solved
+    space.  A `FixedWeight` gives its w, a `PluginRule` each fit's plug-in
+    weight (computed only for such a rule, from those Grams), and an
+    `OracleWeight` the caller's `oracle` weights (k,).  Each distinct
     (fit, weight) pair is solved once, in one `_sym_eig_stack` call per
     `_BLOCK_ENTRIES` matrix entries (one call unless the solved size is
     large).  Axes follow the package sign rule.  `where` follows the matrix
     names in error messages.  Returns (weights, axes, plug-in fields or
     None).
     """
-    k, a, p = reg.shape
-    dual = a + resid.shape[1] < p
+    k, _, p = reg.shape
+    dual = _solved_size(resid.shape[1], p, q) < p
     if dual:
         rows = np.concatenate((reg, resid), axis=1)
         gram = _gram(np.swapaxes(rows, 1, 2))
-        s_reg, s_resid = gram[:, :a, :a], gram[:, a:, a:]
-        resid_evals = _check_sample_stack(reg, resid, total, basis, s_reg, s_resid, where)
+        s_reg, s_resid = gram[:, :q, :q], gram[:, q:, q:]
     else:
         s_reg, s_resid = _gram(reg), _gram(resid)
-        resid_evals = _check_scatter_stack(s_reg, s_resid, _gram(total), where)
+    resid_evals = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)
     plugin = None
     if any(isinstance(rule, PluginRule) for rule in rules):
         plugin = _plugin_weights(s_reg, s_resid, resid_evals, n, q)
@@ -487,7 +478,7 @@ def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, 
                              axis=0, return_inverse=True)
     pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
     if dual:
-        root = np.sqrt(np.where(np.arange(rows.shape[1]) < a, 1.0 - pw[:, 0], pw[:, 0]))
+        root = np.sqrt(np.where(np.arange(rows.shape[1]) < q, 1.0 - pw[:, 0], pw[:, 0]))
         axes = [_lift(rows[pf[i]], root[i], _sym_eig_stack(
                     root[i, :, None] * gram[pf[i]] * root[i, None, :])[1][:, :, 0])
                 for i in _blocks(len(pf), gram[0].size)]
@@ -512,26 +503,27 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     Each fold leaves out one observation, refits the model on the other
     n - 1 rows (re-centered) under each rule, and predicts the left-out
     response; the score of a rule is the average of ||y_i - yhat_i||^2
-    over the n folds.  Nothing is refit: every fold comes from one thin QR
-    factorization X = QR of the full data through the deletion identities
-    of regression diagnostics (Belsley, Kuh & Welsch 1980; Cook &
-    Weisberg 1982).  With leverages h_i = 1/n + ||Q_i||^2, hat matrix
-    H = 11'/n + QQ', residual rows e_i and centered responses d_i:
+    over the n folds.  Each block of folds is built and checked like a
+    block of Monte Carlo replications: its rows are re-centered
+    (`_fold_rows`, with the left-out row zeroed), `_scatter_stack` fits them
+    in one batched thin QR, and `_leading_axes` checks every fold fit and
+    resolves each rule's weight and axis.  The deletion identities of
+    regression diagnostics (Belsley, Kuh & Welsch 1980; Cook & Weisberg
+    1982) serve only the OLS prediction and the leverages.  With the
+    full-data thin QR X = QR, leverages h_i = 1/n + ||Q_i||^2 and residual
+    rows e_i:
 
-    - the fold OLS prediction is y_i - e_i / (1 - h_i);
-    - the fold residual of row j is e_j + H_ji e_i / (1 - h_i), and the
-      fold's re-centered response is d_j + d_i / (n - 1), so the fold
-      scatter matrices are Grams of those rows (and of their difference)
-      and need no refit;
+    - the fold OLS prediction is y_i - e_i / (1 - h_i), and a row of
+      leverage 1 is refused;
     - a rank-one rule with fold axis g predicts
       mu_i + ((yhat_ols_i - mu_i) . g) g, where mu_i = (n ybar - y_i)/(n - 1)
       is the fold mean.
 
-    The fold scatter matrices are shared by all rules.  Plug-in weights
-    for all folds come from one batched eigenvalue solve, and the axes of
+    The fold fits are shared by all rules.  Per block of folds, the
+    plug-in weights come from one batched eigenvalue solve and the axes of
     all distinct (weight, fold) pairs from one batched eigensolve.  Every
-    check of a refit is applied to each fold: design conditioning, and the
-    symmetry, semidefiniteness and additivity of its scatter matrices.
+    check of a refit is applied to each fold: design conditioning (naming
+    the left-out row), and the `_check_fit_stack` rules.
 
     Parameters
     ----------
@@ -567,20 +559,18 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     projected = [k for k, rule in enumerate(rules) if not isinstance(rule, OlsRule)]
     if projected:
         _check_dimension(p)
-    fit = _loo_fit(data)
-    _, _, resid, lev = fit
-    y_ols = y - resid / (1.0 - lev)[:, None]
+    centered, y_ols = _loo_fit(data)
     mu = (n * y.mean(axis=0) - y) / (n - 1)
     sse = np.zeros(len(rules))
     ols = [k for k in range(len(rules)) if k not in projected]
-    for folds in _blocks(n, n * (p + q) + p * p * len(rules)):
-        basis = _conditioned_qr(_fold_rows(x, folds), folds)[0]
+    for folds in _blocks(n, _fit_entries(n, p, q, len(rules))):
+        fits = _scatter_stack(_fold_rows(centered, folds), _fold_rows(x, folds), folds)
         err = y[folds] - y_ols[folds]
         sse[ols] += float(np.sum(err * err))
         if not projected:
             continue
-        g = _leading_axes([rules[k] for k in projected], *_fold_scatter(*fit, folds), basis,
-                          n - 1, q, where=" of a leave-one-out fold")[1]
+        g = _leading_axes([rules[k] for k in projected], *fits, n - 1, q,
+                          where=" of a leave-one-out fold")[1]
         base = mu[folds]
         pred = base + np.sum((y_ols[folds] - base) * g, axis=-1, keepdims=True) * g
         err = y[folds] - pred
@@ -592,9 +582,9 @@ def loo_cv_mspe(data: Dataset, rule) -> float:
     """Leave-one-out mean squared prediction error of one weight rule.
 
     Equal to ``loo_cv_scores(data, (rule,))[0]``; see `loo_cv_scores` for
-    the closed-form fold identities (Belsley, Kuh & Welsch 1980; Cook &
-    Weisberg 1982), which replace a refit per fold.  Scoring several
-    rules in one `loo_cv_scores` call shares the fold scatter matrices.
+    the batched fold fits and the deletion identities (Belsley, Kuh &
+    Welsch 1980; Cook & Weisberg 1982) of the OLS prediction.  Scoring
+    several rules in one `loo_cv_scores` call shares the fold fits.
 
     Parameters
     ----------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_index, _check_plugin_dof, _readonly, _scatter_stack
+from .core import _check_draw_size, _check_index, _check_plugin_dof, _readonly, _scatter_stack
 from .errors import CostLimitError
 from .estimators import (
     AbcdParams,
@@ -29,7 +29,9 @@ from .estimators import (
     PluginRule,
     _blocks,
     _dots,
+    _fit_entries,
     _leading_axes,
+    _solved_size,
     _w_star_terms,
     mse_up_to_sign,
 )
@@ -171,14 +173,14 @@ class McResult:
 def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
     """Crude wall-clock estimate used by the cost guard.
 
-    Each eigensolve is charged at the size `_leading_axes` solves, p or,
-    for a wide point, the sample-space n + q.
+    Each eigensolve is charged at the size `_leading_axes` solves
+    (`_solved_size`): p or, for a wide point, the sample-space n + q.
     """
     n_est = len(plan.estimators)
     seconds = 0.0
     for spec in plan.points:
         n, p, q = spec.n, spec.p, spec.q
-        flops = 4.0 * n * p * (p + q) + (n_est + 5.0) * 10.0 * min(p, n + q) ** 3
+        flops = 4.0 * n * p * (p + q) + (n_est + 5.0) * 10.0 * _solved_size(n, p, q) ** 3
         seconds += plan.replications * (flops / 2e9 + (n_est + 4) * 5e-5)
     return seconds
 
@@ -188,8 +190,9 @@ def _replicate_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a block of replications; rows follow `reps` order.
 
-    The draws (one `gen_dataset` call each) are stacked per `_blocks` range
-    and fit together: one `_scatter_stack` call for the row factors, oracle
+    The draws (one `gen_dataset` call each) are stacked per `_blocks` range,
+    sized by `_fit_entries` at the solved size, and fit together: their
+    responses centered, one `_scatter_stack` call for the row factors, oracle
     weights from the model's (a, b, d) and the designs' c = ||X alpha||^2,
     one `_leading_axes` call that checks the fits and resolves every row's
     weight and axis (in sample space when n + q < p), and one
@@ -202,13 +205,14 @@ def _replicate_block(
         # a flat spectrum has no oracle weight, and needs none without an oracle row
         model = AbcdParams.from_spectrum(spec.lambdas, 0.0, q, n)
     mse, wts = [], []
-    for rows in _blocks(reps.size, n * (p + q) + p * p * len(estimators)):
+    for rows in _blocks(reps.size, _fit_entries(n, p, q, len(estimators))):
         draws = [gen_dataset(spec, int(r))[0] for r in reps[rows]]
         x = np.stack([d.x for d in draws])
         if model is not None:
             xa = x @ spec.alpha
             oracle = np.divide(*_w_star_terms(model.a, model.b, _dots(xa, xa), model.d, q))
-        fits = _scatter_stack(np.stack([d.y for d in draws]), x)
+        y = np.stack([d.y for d in draws])
+        fits = _scatter_stack(y - y.mean(axis=1, keepdims=True), x)
         weights, axes, _ = _leading_axes(estimators, *fits, n, q, oracle)
         wts.append(weights.T)
         mse.append(mse_up_to_sign(axes, spec.gamma1).T)
@@ -223,12 +227,19 @@ def run_experiment(plan: ExperimentPlan) -> McResult:
 
     Raises
     ------
+    DegreesOfFreedomError
+        If the plan has a plug-in row and some point has n <= q + 2.
+    ValueError
+        If one replication of some point would draw more than
+        `core.MAX_DRAW_ENTRIES` floats; every point is checked before any draw.
     CostLimitError
         If the plan declares a cost limit and the estimate exceeds it.
     """
-    if any(isinstance(est, PluginRule) for est in plan.estimators):
-        for lab, spec in zip(plan.point_labels, plan.points):
+    plugin = any(isinstance(est, PluginRule) for est in plan.estimators)
+    for lab, spec in zip(plan.point_labels, plan.points):
+        if plugin:
             _check_plugin_dof(spec.n, spec.q, f"point {lab!r}: ")
+        _check_draw_size(spec.n, spec.p, spec.q, f"point {lab!r}: ")
     est_seconds = estimate_runtime_seconds(plan)
     limit = plan.cost_limit_seconds
     if limit is not None and est_seconds > limit:

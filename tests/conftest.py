@@ -95,21 +95,23 @@ def force_blocks(monkeypatch):
     it returns the list into which each fitted block's size goes.
 
     It sets `estimators._BLOCK_ENTRIES`, the one block size, to `k` times the entries
-    per replication that `_replicate_block` passes to the block splitter."""
-    blocks, scatter = harness._blocks, harness._scatter_stack
+    of one replication's fit (`estimators._fit_entries`), by which `_replicate_block`
+    sizes its blocks."""
+    fit_entries, scatter = harness._fit_entries, harness._scatter_stack
 
     def force(k):
         sizes = []
 
-        def k_per_block(count, entries):
+        def k_per_block(n, p, q, rules):
+            entries = fit_entries(n, p, q, rules)
             monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", k * entries)
-            return blocks(count, entries)
+            return entries
 
         def recording(y, x):
             sizes.append(len(y))
             return scatter(y, x)
 
-        monkeypatch.setattr(harness, "_blocks", k_per_block)
+        monkeypatch.setattr(harness, "_fit_entries", k_per_block)
         monkeypatch.setattr(harness, "_scatter_stack", recording)
         return sizes
 

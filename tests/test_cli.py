@@ -176,6 +176,16 @@ def test_simulate_custom_refuses_unusable_exponents(capsys, flags, name):
     assert message.startswith("error: ") and name in message
 
 
+def test_simulate_refuses_a_point_too_large_to_draw(capsys):
+    # n = 20^10 ~ 1.0e13 rows: refused before any draw, which no machine could allocate
+    code, out, err = run_cli(["simulate", "--scenario", "custom", "--delta", "10",
+                              "--beta", "0.5", "--p", "20"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith(
+        "error: point 'p=20': one replication draws n * (p + q) = 256000000000000 floats")
+
+
 def test_simulate_keeps_grid_order(capsys):
     code, out, err = run_cli(
         ["simulate", "--scenario", "table3a", "--p", "30,20", "--reps", "2"], capsys)
@@ -387,7 +397,9 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
-    assert len(calls) == 1  # the scatter check's, which the plug-in weight reuses
+    # the fit check's semidefiniteness tests of s_reg and s_resid; the plug-in
+    # weight reuses s_resid's eigenvalues
+    assert calls == [(1, 1, p, p)] * 2
     assert out == want
 
 

@@ -23,7 +23,6 @@ from allopca import (
     weighted_matrix,
 )
 from allopca.cli import main, write_matrix_csv
-from allopca.core import _check_scatter_stack
 
 
 def rand_dataset(seed, n=20, p=6, q=3, signal=1.0):
@@ -226,9 +225,6 @@ def test_sum_of_squares_names_the_failing_matrix():
     with pytest.raises(ValueError, match="`s_resid`.*positive semidefinite") as exc:
         SumOfSquares.from_parts(ss.s_reg, s_resid, ss.n, ss.q)
     assert "fold" not in str(exc.value)
-    stack = [m[None] for m in (ss.s_reg, s_resid, ss.s_reg + s_resid)]
-    with pytest.raises(ValueError, match="`s_resid` of a leave-one-out fold is not positive"):
-        _check_scatter_stack(*stack, " of a leave-one-out fold")
 
 
 # --------------------------------------------------------------------------

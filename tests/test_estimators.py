@@ -36,8 +36,9 @@ from allopca import (
 )
 import allopca
 from allopca import core, estimators, harness
-from allopca.core import _gram
-from allopca.estimators import WEIGHT_CAP, _fold_scatter, _loo_fit, _plugin_weights
+from allopca.core import _gram, _scatter_stack
+from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _loo_fit,
+                                _plugin_weights)
 
 
 def diag_ss(reg, resid, n=10, q=2):
@@ -523,7 +524,8 @@ def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
         data = _no_signal_dataset(rep)
         n, q = data.n, data.q
         folds = np.arange(n)
-        reg, resid, _ = _fold_scatter(*_loo_fit(data), folds)
+        centered = _loo_fit(data)[0]
+        reg, resid, _, _ = _scatter_stack(_fold_rows(centered, folds), _fold_rows(data.x, folds))
         s_resid = _gram(resid)
         fast = _plugin_weights(_gram(reg), s_resid, np.linalg.eigvalsh(s_resid), n - 1, q)
         for i in folds:
@@ -546,7 +548,7 @@ def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block
     n, p, q = 11, 4, 2
     data = Dataset(*_rank_one_data(45, n, p, q))
     whole = loo_cv_scores(data, ALL_RULES)
-    per_fold = n * (p + q) + p * p * len(ALL_RULES)
+    per_fold = _fit_entries(n, p, q, len(ALL_RULES))
     monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", folds_per_block * per_fold)
     blocked = loo_cv_scores(data, ALL_RULES)
     assert np.allclose(blocked, whole, rtol=1e-12, atol=0)

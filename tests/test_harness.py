@@ -234,9 +234,27 @@ def test_replication_block_is_one_stacked_fit(monkeypatch, force_blocks, reps_pe
     blocks = 1 if reps_per_block is None else 3  # 12 replications
     calls = _counting(monkeypatch, ("qr", "eigvalsh", "eigh"))
     _replicate_block(spec, rows, np.arange(12))
-    assert calls == {"qr": blocks, "eigvalsh": blocks, "eigh": blocks}
+    # per block, the fit check's semidefiniteness tests of s_reg and s_resid
+    # (the plug-in weight reuses s_resid's eigenvalues) and one eigensolve
+    assert calls == {"qr": blocks, "eigvalsh": 2 * blocks, "eigh": blocks}
     if reps_per_block is not None:
         assert sizes == [5, 5, 2]
+
+
+def test_wide_replications_stack_by_solved_size(monkeypatch):
+    # table3b p = 50 (n = 22, q = 5) is solved at n + q = 27, not p, so a block
+    # holds 2**15 // (22 * 55 + 27**2 * 11) = 3 replications
+    spec = STRONG_SPIKE.model_spec(50, 3)
+    assert (spec.n, spec.q) == (22, 5)
+    sizes = []
+
+    def recording(y, x, _orig=harness._scatter_stack):
+        sizes.append(len(y))
+        return _orig(y, x)
+
+    monkeypatch.setattr(harness, "_scatter_stack", recording)
+    _replicate_block(spec, tuple(est for _, est in DEFAULT_ROWS), np.arange(12))
+    assert sizes == [3, 3, 3, 3]
 
 
 def test_replication_block_bypasses_single_fit_functions(monkeypatch, replication_oracle):

@@ -1,10 +1,15 @@
-"""The sample-space branch of `_leading_axes`: fits with a + b < p factor rows.
+"""The sample-space branch of `_leading_axes`, and the one fit check.
 
-Wide folds are checked against the brute-force leave-one-out refit and a
-wide fit against the one-fit library path (the replication cases against
+Replications, `estimate` and leave-one-out folds build their fits with one
+builder (`core._scatter_stack`), and `core._check_fit_stack` checks each
+fit once, in the space it is solved in: the p x p matrices, or the
+sample-space Grams of a wide fit (n + q < p factor rows).  Wide folds are
+checked against the brute-force leave-one-out refit and a wide fit against
+the one-fit library path (the replication cases against
 `conftest.per_weight_replication` are in `test_harness.py`); each rule of
-`_check_sample_stack` has a fault-injection test; axes are pinned bit for
-bit under stacking and power-of-two rescaling.
+the fit check has a fault-injection test on a p x p point, a sample-space
+point and a leave-one-out fold; axes are pinned bit for bit under stacking
+and power-of-two rescaling.
 """
 
 import numpy as np
@@ -23,22 +28,22 @@ from allopca import (
 )
 from allopca import core, estimators
 from allopca.core import _scatter_stack
-from allopca.estimators import _fold_scatter, _leading_axes
+from allopca.estimators import _leading_axes
 from allopca.harness import DEFAULT_ROWS, _replicate_block
-from allopca.simgen import STRONG_SPIKE
+from allopca.simgen import STRONG_SPIKE, Traditional
 
 ROWS = tuple(est for _, est in DEFAULT_ROWS)
 RULES = (FixedWeight(0.0), FixedWeight(0.3), FixedWeight(0.5), FixedWeight(1.0), PluginRule())
 
 
 def _wide_fits(k=4, n=15, p=40, q=3, seed=1):
-    """Row factors of `k` stacked wide fits (n + q < p) with a shared spike."""
+    """Centered responses and designs of `k` stacked wide fits (n + q < p) with a shared spike."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((k, n, q))
     x -= x.mean(axis=1, keepdims=True)
     y = (rng.standard_normal((k, n, p))
          + 3.0 * (x @ np.ones(q))[:, :, None] * rng.standard_normal(p))
-    return y, x, n, q
+    return y - y.mean(axis=1, keepdims=True), x, n, q
 
 
 # --------------------------------------------------------------------------
@@ -47,7 +52,7 @@ def _wide_fits(k=4, n=15, p=40, q=3, seed=1):
 
 
 def test_wide_leave_one_out_matches_refit(loo_refit, eig_sizes, monkeypatch):
-    # n = 12, p = 30: every fold (2n = 24 factor rows) is solved in sample space
+    # n = 12, p = 30: every fold (n + q = 14 factor rows) is solved in sample space
     rng = np.random.default_rng(7)
     n, p, q = 12, 30, 2
     x = center_columns(rng.standard_normal((n, q)))
@@ -56,7 +61,7 @@ def test_wide_leave_one_out_matches_refit(loo_refit, eig_sizes, monkeypatch):
     rules = (FixedWeight(0.5), FixedWeight(1.0), FixedWeight(0.0), PluginRule(), OlsRule())
     sizes = eig_sizes()
     scores = loo_cv_scores(data, rules)
-    assert max(sizes) == 2 * n < p
+    assert max(sizes) == n + q < p
     monkeypatch.undo()
     for score, rule in zip(scores, rules):
         assert score == pytest.approx(loo_refit(data, rule), rel=1e-10)
@@ -97,7 +102,7 @@ def test_axes_bit_identical_for_any_stack():
 
 
 # --------------------------------------------------------------------------
-# sample-space checks: one fault per rule
+# the fit check: one fault per rule
 # --------------------------------------------------------------------------
 
 
@@ -123,40 +128,39 @@ def test_nan_response_raises():
         _leading_axes(RULES, *_scatter_stack(y, x), n, q)
 
 
-def test_non_psd_residual_gram_raises(monkeypatch):
-    spec = STRONG_SPIKE.model_spec(50, 3)
-    real = estimators._gram
-
-    def dented(rows):
-        g = real(rows)
-        g[:, -1, -1] -= 10.0 * np.max(np.abs(g))  # the last residual row's Gram entry
-        return g
-
-    monkeypatch.setattr(estimators, "_gram", dented)
-    with pytest.raises(ValueError, match="`s_resid` is not positive semidefinite"):
-        _replicate_block(spec, ROWS, np.arange(2))
-
-
-def test_non_orthonormal_design_basis_raises(monkeypatch):
-    spec = STRONG_SPIKE.model_spec(50, 3)
-    real = core._conditioned_qr
-    monkeypatch.setattr(core, "_conditioned_qr",
-                        lambda x, *args: (1.001 * real(x, *args)[0], None))
-    with pytest.raises(ValueError, match=r"s_total != s_reg \+ s_resid: residual rows"):
-        _replicate_block(spec, ROWS, np.arange(2))
-
-
-def test_wrong_fold_residual_raises(monkeypatch):
-    # the row form of the additivity rule: a fold's regression rows must be
-    # the projection of its responses on the fold design
+def _fault_cases():
+    """(run, q, where) of a p x p point (table1), a sample-space point (table3b)
+    and wide leave-one-out folds; `where` names the fit in error messages."""
     rng = np.random.default_rng(3)
     n, p, q = 12, 30, 2
     data = Dataset(rng.standard_normal((n, p)), center_columns(rng.standard_normal((n, q))))
+    table1, table3b = (kind.model_spec(50, 3) for kind in (Traditional(), STRONG_SPIKE))
+    return [(lambda: _replicate_block(table1, ROWS, np.arange(2)), table1.q, ""),
+            (lambda: _replicate_block(table3b, ROWS, np.arange(2)), table3b.q, ""),
+            (lambda: loo_cv_scores(data, (FixedWeight(0.5),)), q, " of a leave-one-out fold")]
 
-    def scaled_residual(*args):
-        _, resid, t = _fold_scatter(*args)
-        return t - 1.001 * resid, 1.001 * resid, t
 
-    monkeypatch.setattr(estimators, "_fold_scatter", scaled_residual)
-    with pytest.raises(ValueError, match=r"s_total != s_reg \+ s_resid of a leave-one-out fold"):
-        loo_cv_scores(data, (FixedWeight(0.5),))
+def test_non_psd_residual_gram_raises(monkeypatch):
+    real = estimators._gram
+    for run, q, where in _fault_cases():
+        def dented(rows, q=q):
+            g = real(rows)
+            if rows.shape[1] != q:  # not the p x p regression Gram of q factor rows
+                g[:, -1, -1] -= 10.0 * np.max(np.abs(g))  # the last residual row's entry
+            return g
+
+        monkeypatch.setattr(estimators, "_gram", dented)
+        with pytest.raises(ValueError, match=f"`s_resid`{where} is not positive semidefinite"):
+            run()
+        monkeypatch.undo()
+
+
+def test_non_orthonormal_design_basis_raises(monkeypatch):
+    # the additivity rule, max|Q'resid|, which also covers each fold's residual rows
+    real = core._conditioned_qr
+    monkeypatch.setattr(core, "_conditioned_qr",
+                        lambda x, *args: (1.001 * real(x, *args)[0], None))
+    for run, _, where in _fault_cases():
+        with pytest.raises(ValueError,
+                           match=rf"s_total != s_reg \+ s_resid{where}: residual rows"):
+            run()

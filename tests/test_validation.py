@@ -66,6 +66,8 @@ RULES = {
     "conditioning": (RankDeficiencyError,
                      r"^cond\(X'X\) = .* exceeds 1e\+12; design columns are too collinear"),
     "eigengap": (ValueError, r"lambda_1 > lambda_2 >= 1"),
+    "draw_size": (ValueError, r"one replication draws n \* \(p \+ q\) = \d+ floats, more than "),
+    "additivity": (ValueError, r"^s_total != s_reg \+ s_resid: max entry gap"),
 }
 
 # rule -> the one source fragment of its message
@@ -84,6 +86,11 @@ MESSAGE_SOURCES = {
     "psd": "is not positive semidefinite",
     "conditioning": "cond(X'X) = {",
     "eigengap": "need lambda_1 > lambda_2",
+    "draw_size": "one replication draws n * (p + q)",
+    # the Gram form checks user-given matrices (`SumOfSquares`), the fit form
+    # the row factors of every built fit
+    "additivity": "s_resid: max entry gap",
+    "additivity_fit": "design span's complement by {",
 }
 
 
@@ -196,6 +203,10 @@ LIBRARY_CASES = [
     ("eigengap", "WeakIdentifiability.model_spec",
      lambda: WeakIdentifiability(6.0).model_spec(500, 0)),
     ("eigengap", "LargePLargeN.model_spec", lambda: LargePLargeN(0.9, -60.0).model_spec(100, 0)),
+    # n = 20^10 ~ 1.0e13 rows, refused before any draw
+    ("draw_size", "run_experiment",
+     lambda: run_experiment(_plan(LargePLargeN(10.0, 0.5).model_spec(20, 0)))),
+    ("additivity", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 3.0 * np.eye(2), 10, 2)),
 ]
 
 
