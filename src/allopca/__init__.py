@@ -15,7 +15,6 @@ from .core import (
     center_columns,
     sums_of_squares,
     sym_eig,
-    weighted_matrix,
 )
 from .errors import CostLimitError, DegreesOfFreedomError, RankDeficiencyError
 from .estimators import (
@@ -106,5 +105,4 @@ __all__ = [
     "sums_of_squares",
     "sym_eig",
     "w_star",
-    "weighted_matrix",
 ]

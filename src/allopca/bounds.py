@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_sizes, _check_weight
+from .core import _check_finite, _check_sizes, _check_weight
 from .estimators import AbcdParams
 
 
@@ -42,13 +42,13 @@ def lemma1_fluctuation(
     Parameters
     ----------
     sigma_tr : float
-        tr Sigma, > 0.
+        tr Sigma, finite and > 0.
     sigma_tr2 : float
-        tr(Sigma^2), > 0.
+        tr(Sigma^2), finite and > 0.
     lambda1 : float
         Largest eigenvalue of Sigma, in (0, sigma_tr].
     c : float
-        Signal energy ||X alpha||^2, >= 0.
+        Signal energy ||X alpha||^2, finite and >= 0.
     n, q : int
         Sample size and design rank, with n > 1 + q >= 2.
     w : float
@@ -59,6 +59,7 @@ def lemma1_fluctuation(
     float
         The expected squared fluctuation; always >= 0.
     """
+    _check_finite(np.array([sigma_tr, sigma_tr2, lambda1, c]), "(sigma_tr, sigma_tr2, lambda1, c)")
     if sigma_tr <= 0 or sigma_tr2 <= 0:
         raise ValueError(f"traces must be positive, got {sigma_tr}, {sigma_tr2}")
     if not 0.0 < lambda1 <= sigma_tr * (1.0 + 1e-12):

@@ -52,7 +52,7 @@ from .errors import DegreesOfFreedomError, RankDeficiencyError
 # matrix being checked.
 CENTER_TOL = 1e-9
 SYM_INPUT_TOL = 1e-8   # asymmetry allowed in sym_eig input
-SYM_STORED_TOL = 1e-10  # asymmetry allowed in stored S matrices
+SYM_STORED_TOL = 1e-10  # asymmetry allowed in given S matrices
 PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace
 ADDITIVITY_TOL = 1e-9   # |S_total - S_reg - S_resid| entrywise
 COND_LIMIT = 1e12       # condition-number cap for X'X
@@ -233,7 +233,8 @@ class SumOfSquares:
     """Regression, residual and total sum-of-squares matrices.
 
     All three are p x p, symmetric and positive semidefinite, and satisfy
-    ``s_total = s_reg + s_resid`` up to roundoff.  `n` and `q` record the
+    ``s_total = s_reg + s_resid`` up to roundoff; each is stored exactly
+    symmetric, as (M + M') / 2, for the eigensolver.  `n` and `q` record the
     sample size and design rank they came from; the residual degrees of
     freedom are ``n - 1 - q``.
     """
@@ -259,7 +260,7 @@ class SumOfSquares:
         if gap > ADDITIVITY_TOL * max(_max_abs(s_total), 1e-300):
             raise ValueError(f"s_total != s_reg + s_resid: max entry gap {gap:.3e}")
         for name, m in mats.items():
-            object.__setattr__(self, name, _readonly(m))
+            object.__setattr__(self, name, _readonly((m + m.T) / 2.0))
 
     @classmethod
     def from_parts(cls, s_reg, s_resid, n: int, q: int) -> "SumOfSquares":
@@ -292,6 +293,7 @@ class SymEig:
             raise ValueError(
                 f"inconsistent shapes: values {vals.shape}, vectors {vecs.shape}"
             )
+        _check_finite(vals, "`values`")
         if np.any(np.diff(vals) > 0):
             raise ValueError("`values` must be non-increasing")
         _check_orthonormal(vecs, "`vectors`")
@@ -497,17 +499,3 @@ def sums_of_squares(data: Dataset) -> SumOfSquares:
     reg, resid, yc, _ = _scatter_stack(center_columns(data.y)[None], data.x[None])
     return SumOfSquares(_gram(reg)[0], _gram(resid)[0], _gram(yc)[0], data.n, data.q)
 
-
-def weighted_matrix(ss: SumOfSquares, w: float) -> np.ndarray:
-    """Blend the regression and residual scatter: (1 - w) s_reg + w s_resid.
-
-    w = 0 keeps only the regression scatter, w = 1 only the residual
-    scatter, and w = 0.5 is half the total scatter (same eigenvectors).
-
-    Raises
-    ------
-    ValueError
-        If `w` is outside [0, 1].
-    """
-    w = _check_weight(float(w))
-    return (1.0 - w) * ss.s_reg + w * ss.s_resid

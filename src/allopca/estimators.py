@@ -30,6 +30,7 @@ from .core import (
     Dataset,
     SumOfSquares,
     _check_dimension,
+    _check_finite,
     _check_fit_stack,
     _check_plugin_dof,
     _check_sizes,
@@ -43,8 +44,6 @@ from .core import (
     _scatter_stack,
     _sym_eig_stack,
     center_columns,
-    sym_eig,
-    weighted_matrix,
 )
 from .errors import DegreesOfFreedomError, RankDeficiencyError
 
@@ -145,6 +144,7 @@ class Gamma1Estimate:
             raise ValueError(f"`vector` must be 1-D, got shape {v.shape}")
         _check_unit(v, "`vector`", 1e-10)
         _check_weight(self.weight_used, "`weight_used`")
+        _check_finite(self.leading_gap, "`leading_gap`")
         if self.leading_gap < 0.0:
             raise ValueError(f"`leading_gap` must be >= 0, got {self.leading_gap!r}")
         object.__setattr__(self, "vector", _readonly(v))
@@ -155,6 +155,9 @@ class Gamma1Estimate:
 
 def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
     """Leading eigenvector of the blended scatter S(w).
+
+    One fit and one `FixedWeight(w)` through `_solve_axes`, the commands'
+    solver, which gives the gap and the tie flag.
 
     Parameters
     ----------
@@ -171,12 +174,9 @@ def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
         positive rescaling.
     """
     _check_dimension(ss.p)
-    m = weighted_matrix(ss, w)
-    eig = sym_eig(m)
-    gap = float(eig.values[0] - eig.values[1])
-    trace = float(np.trace(m))
-    tie = gap <= TIE_TOL * trace
-    return Gamma1Estimate(eig.vectors[:, 0], float(w), gap, tie)
+    rule = FixedWeight(w)
+    _, axes, gaps, ties = _solve_axes((rule,), ss.s_reg[None], ss.s_resid[None])
+    return Gamma1Estimate(axes[0, 0], rule.w, gaps[0, 0], ties[0, 0])
 
 
 def mse_up_to_sign(g_hat: np.ndarray, g_true: np.ndarray) -> float | np.ndarray:
@@ -231,14 +231,16 @@ class PluginWeights:
     def __post_init__(self):
         s = np.asarray(self.sigma_hat, dtype=float)
         _check_symmetric(s[None, None], ("`sigma_hat`",))
-        if self.d_hat < 0.0:
-            raise ValueError(f"`d_hat` must be >= 0, got {self.d_hat!r}")
-        if not 0.0 <= self.w_hat <= WEIGHT_CAP:
-            raise ValueError(f"`w_hat` outside [0, 2/3]: {self.w_hat!r}")
         object.__setattr__(self, "sigma_hat", _readonly(s))
         for name in ("lambda1_hat", "lambda2_hat", "tr_sigma2_hat", "a_hat",
                      "b_hat", "c_hat", "d_hat", "w_hat_raw", "w_hat"):
             object.__setattr__(self, name, float(getattr(self, name)))
+            if name != "w_hat_raw":  # NaN when the weight's denominator vanishes
+                _check_finite(getattr(self, name), f"`{name}`")
+        if self.d_hat < 0.0:
+            raise ValueError(f"`d_hat` must be >= 0, got {self.d_hat!r}")
+        if not 0.0 <= self.w_hat <= WEIGHT_CAP:
+            raise ValueError(f"`w_hat` outside [0, 2/3]: {self.w_hat!r}")
 
 
 def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
@@ -432,7 +434,7 @@ def _loo_fit(data: Dataset):
 
 
 def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, where=""):
-    """Weights (rules, k) and leading axes (rules, k, p) of S(w) for stacked fits.
+    """Weights, leading axes, gaps and tie flags of S(w) for stacked built fits.
 
     The fits are the `_scatter_stack` row factors `reg` (k, q, p) and
     `resid` (k, b, p), with s_reg = reg'reg and s_resid = resid'resid, of
@@ -449,18 +451,14 @@ def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, 
       method, Sirovich 1987: S(w) = W' D W has the same nonzero spectrum).
 
     `_check_fit_stack` checks every fit once, on the Grams of the solved
-    space.  A `FixedWeight` gives its w, a `PluginRule` each fit's plug-in
-    weight (computed only for such a rule, from those Grams), and an
-    `OracleWeight` the caller's `oracle` weights (k,).  Each distinct
-    (fit, weight) pair is solved once, in one `_sym_eig_stack` call per
-    `_BLOCK_ENTRIES` matrix entries (one call unless the solved size is
-    large).  Axes follow the package sign rule.  `where` follows the matrix
-    names in error messages.  Returns (weights, axes, plug-in fields or
-    None).
+    space, and the plug-in weights come from those Grams (computed only for
+    a `PluginRule`); `_solve_axes` does the rest.  `where` follows the
+    matrix names in error messages.  Returns (weights, axes, gaps, ties,
+    plug-in fields or None), the first four as `_solve_axes` returns them.
     """
-    k, _, p = reg.shape
-    dual = _solved_size(resid.shape[1], p, q) < p
-    if dual:
+    p = reg.shape[2]
+    rows = gram = None
+    if _solved_size(resid.shape[1], p, q) < p:
         rows = np.concatenate((reg, resid), axis=1)
         gram = _gram(np.swapaxes(rows, 1, 2))
         s_reg, s_resid = gram[:, :q, :q], gram[:, q:, q:]
@@ -470,6 +468,22 @@ def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, 
     plugin = None
     if any(isinstance(rule, PluginRule) for rule in rules):
         plugin = _plugin_weights(s_reg, s_resid, resid_evals, n, q)
+    return (*_solve_axes(rules, s_reg, s_resid, plugin, oracle, rows, gram), plugin)
+
+
+def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram=None):
+    """Weights, axes (rules, k, p), gaps and tie flags (rules, k) of checked fits.
+
+    `s_reg` and `s_resid` are k trusted p x p Grams, or the blocks of the
+    sample-space Grams `gram` of wide fits with factor rows `rows` (see
+    `_leading_axes`).  A `FixedWeight` gives its w, a `PluginRule`
+    `plugin["w_hat"]` and an `OracleWeight` the `oracle` weights (k,).
+    Each distinct (fit, weight) pair is solved once, per `_blocks` range.
+    Its gap is lambda_1 - lambda_2 of the solved matrix, whose trace and
+    nonzero spectrum are those of S(w), and a tie a gap of at most TIE_TOL
+    times that trace.
+    """
+    k, q = s_reg.shape[:2]
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
                         else plugin["w_hat"] if isinstance(rule, PluginRule) else oracle
                         for rule in rules])
@@ -477,24 +491,22 @@ def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, 
     pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
                              axis=0, return_inverse=True)
     pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
-    if dual:
-        root = np.sqrt(np.where(np.arange(rows.shape[1]) < q, 1.0 - pw[:, 0], pw[:, 0]))
-        axes = [_lift(rows[pf[i]], root[i], _sym_eig_stack(
-                    root[i, :, None] * gram[pf[i]] * root[i, None, :])[1][:, :, 0])
-                for i in _blocks(len(pf), gram[0].size)]
-    else:
-        axes = [_sym_eig_stack((1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]])[1][:, :, 0]
-                for i in _blocks(len(pf), s_reg[0].size)]
-    return weights, np.concatenate(axes)[which.reshape(weights.shape)], plugin
-
-
-def _lift(rows, root, u):
-    """Unit axes W' D^1/2 u / ||.|| (k, p) of sample-space eigenvectors u (k, m).
-
-    `rows` holds each W (k, m, p) and `root` each diagonal of D^1/2 (k, m).
-    """
-    v = np.swapaxes(rows, 1, 2) @ (root * u)[:, :, None]
-    return _fix_signs(v / np.linalg.norm(v, axis=1, keepdims=True))[:, :, 0]
+    solved = []
+    for i in _blocks(len(pf), (s_reg if gram is None else gram)[0].size):
+        if gram is None:
+            m = (1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]]
+        else:
+            root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[i, 0], pw[i, 0]))
+            m = root[:, :, None] * gram[pf[i]] * root[:, None, :]
+        vals, vecs = _sym_eig_stack(m)
+        axes = vecs[:, :, 0]
+        if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
+            v = np.swapaxes(rows[pf[i]], 1, 2) @ (root * axes)[:, :, None]
+            axes = _fix_signs(v / np.linalg.norm(v, axis=1, keepdims=True))[:, :, 0]
+        gaps = vals[:, 0] - vals[:, 1]
+        solved.append((axes, gaps, gaps <= TIE_TOL * np.trace(m, axis1=1, axis2=2)))
+    return (weights, *(np.concatenate(part)[which.reshape(weights.shape)]
+                       for part in zip(*solved)))
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:

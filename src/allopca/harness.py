@@ -213,7 +213,7 @@ def _replicate_block(
             oracle = np.divide(*_w_star_terms(model.a, model.b, _dots(xa, xa), model.d, q))
         y = np.stack([d.y for d in draws])
         fits = _scatter_stack(y - y.mean(axis=1, keepdims=True), x)
-        weights, axes, _ = _leading_axes(estimators, *fits, n, q, oracle)
+        weights, axes, *_ = _leading_axes(estimators, *fits, n, q, oracle)
         wts.append(weights.T)
         mse.append(mse_up_to_sign(axes, spec.gamma1).T)
     return np.concatenate(mse), np.concatenate(wts)

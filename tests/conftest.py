@@ -11,15 +11,21 @@ from allopca import (
     OlsRule,
     PluginRule,
     estimate_abcd,
-    gamma1_hat,
     gen_dataset,
     mse_up_to_sign,
     reduced_rank_coefficients,
     sums_of_squares,
+    sym_eig,
     w_star,
 )
 from allopca import estimators, harness
 from allopca.estimators import _ols_fit
+
+
+def _blend_axis(ss, w):
+    """Leading eigenvector of S(w), blended here and solved by the public `sym_eig`,
+    independently of `gamma1_hat` and the solver the commands share."""
+    return sym_eig((1 - w) * ss.s_reg + w * ss.s_resid).vectors[:, 0]
 
 
 def refit_loo_mspe(data, rule):
@@ -27,7 +33,7 @@ def refit_loo_mspe(data, rule):
 
     The reference for `loo_cv_scores`: each fold re-centers the remaining
     rows, builds a `Dataset`, and refits through `sums_of_squares`,
-    `estimate_abcd`, `gamma1_hat` and the OLS fit, with all their checks.
+    `estimate_abcd`, `_blend_axis` and the OLS fit, with all their checks.
     """
     x, y = data.x, data.y
     n = data.n
@@ -42,7 +48,7 @@ def refit_loo_mspe(data, rule):
         else:
             ss = sums_of_squares(fold)
             w = rule.w if isinstance(rule, FixedWeight) else estimate_abcd(ss).w_hat
-            g = gamma1_hat(ss, w).vector
+            g = _blend_axis(ss, w)
             coef, mu = reduced_rank_coefficients(fold, g)
         resid = y[i] - (mu + (x[i] - fold_means) @ coef)
         sse += float(resid @ resid)
@@ -59,7 +65,7 @@ def per_weight_replication(spec, estimators, reps):
 
     The reference for `harness._replicate_block`: each replication resolves
     its row weights (fixed, plug-in from `estimate_abcd`, oracle from
-    `w_star` on the realized design), calls `gamma1_hat` once per distinct
+    `w_star` on the realized design), calls `_blend_axis` once per distinct
     weight, and scores each row with `mse_up_to_sign`.  Returns (errors,
     weights), each (len(reps), len(estimators)).
     """
@@ -78,7 +84,7 @@ def per_weight_replication(spec, estimators, reps):
                 xa = dataset.x @ spec.alpha
                 w = w_star(AbcdParams.from_spectrum(spec.lambdas, float(xa @ xa), spec.q, spec.n))
             if w not in cache:
-                cache[w] = gamma1_hat(ss, w).vector
+                cache[w] = _blend_axis(ss, w)
             mse[j, k] = mse_up_to_sign(cache[w], gamma1)
             wts[j, k] = w
     return mse, wts

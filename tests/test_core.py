@@ -16,11 +16,11 @@ from allopca import (
     RankDeficiencyError,
     SumOfSquares,
     center_columns,
+    gamma1_hat,
     loo_cv_scores,
     reduced_rank_coefficients,
     sums_of_squares,
     sym_eig,
-    weighted_matrix,
 )
 from allopca.cli import main, write_matrix_csv
 
@@ -227,35 +227,59 @@ def test_sum_of_squares_names_the_failing_matrix():
     assert "fold" not in str(exc.value)
 
 
+def test_sum_of_squares_stores_exactly_symmetric_matrices():
+    # a user-given matrix asymmetric within SYM_STORED_TOL is stored as (M + M') / 2,
+    # so the blend the eigensolver reads is exactly symmetric
+    ss = sums_of_squares(rand_dataset(13))
+    bump = np.zeros_like(ss.s_reg)
+    bump[0, 1] = 1e-12 * np.abs(ss.s_reg).max()
+    given = ss.s_reg + bump
+    user = SumOfSquares.from_parts(given, ss.s_resid, ss.n, ss.q)
+    assert np.array_equal(user.s_reg, (given + given.T) / 2.0)
+    for m in (user.s_reg, user.s_resid, user.s_total):
+        assert np.array_equal(m, m.T)
+    for w in (0.0, 0.35, 1.0):
+        reference = sym_eig((1 - w) * user.s_reg + w * user.s_resid).vectors[:, 0]
+        assert gamma1_hat(user, w).vector.tobytes() == reference.tobytes()
+    # exactly symmetric matrices are stored unchanged
+    again = SumOfSquares(ss.s_reg, ss.s_resid, ss.s_total, ss.n, ss.q)
+    for name in ("s_reg", "s_resid", "s_total"):
+        assert getattr(again, name).tobytes() == getattr(ss, name).tobytes()
+
+
 # --------------------------------------------------------------------------
-# weighted_matrix
+# the blend S(w) = (1 - w) s_reg + w s_resid, through gamma1_hat
 # --------------------------------------------------------------------------
 
 
-def test_weighted_matrix_endpoints_exact():
+def test_gamma1_hat_endpoints_are_the_scatter_axes():
     ss = sums_of_squares(rand_dataset(10))
-    assert np.array_equal(weighted_matrix(ss, 0.0), ss.s_reg)
-    assert np.array_equal(weighted_matrix(ss, 1.0), ss.s_resid)
+    for w, m in ((0.0, ss.s_reg), (1.0, ss.s_resid)):
+        eig, est = sym_eig(m), gamma1_hat(ss, w)
+        assert est.vector.tobytes() == eig.vectors[:, 0].tobytes()
+        assert est.leading_gap == eig.values[0] - eig.values[1]
 
 
-def test_weighted_matrix_midpoint_is_half_total():
+def test_gamma1_hat_midpoint_has_half_the_total_gap():
+    # S(0.5) is half the total scatter
     ss = sums_of_squares(rand_dataset(11))
-    half = weighted_matrix(ss, 0.5)
-    assert np.allclose(half, 0.5 * ss.s_total, rtol=0,
-                       atol=1e-12 * np.abs(ss.s_total).max())
+    total = sym_eig(ss.s_total)
+    assert gamma1_hat(ss, 0.5).leading_gap == pytest.approx(
+        0.5 * (total.values[0] - total.values[1]), rel=1e-12)
 
 
 def test_weighted_matrix_rejects_out_of_range():
+    # the blend S(w) is defined for w in [0, 1] only
     ss = sums_of_squares(rand_dataset(12))
     for w in (-0.01, 1.01, np.nan):
-        with pytest.raises(ValueError):
-            weighted_matrix(ss, w)
+        with pytest.raises(ValueError, match="outside"):
+            gamma1_hat(ss, w)
 
 
 def test_midpoint_eigenvector_matches_total_scatter():
     for seed in range(20):
         ss = sums_of_squares(rand_dataset(200 + seed, signal=2.0))
-        v_half = sym_eig(weighted_matrix(ss, 0.5)).vectors[:, 0]
+        v_half = gamma1_hat(ss, 0.5).vector
         v_total = sym_eig(ss.s_total).vectors[:, 0]
         assert abs(v_half @ v_total) >= 1.0 - 1e-10
 

@@ -5,6 +5,7 @@ spectrum-based random-parameter generator; the plug-in summaries against
 direct substitution and small Monte Carlo unbiasedness checks.
 """
 
+import inspect
 import re
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from allopca import (
 import allopca
 from allopca import core, estimators, harness
 from allopca.core import _gram, _scatter_stack
-from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _loo_fit,
+from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _leading_axes, _loo_fit,
                                 _plugin_weights)
 
 
@@ -81,6 +82,28 @@ def test_gamma1_hat_tie_flag():
     assert np.isclose(np.linalg.norm(est.vector), 1.0)
 
 
+def test_commands_flag_ties_by_the_rule_of_gamma1_hat():
+    # two Hadamard columns orthogonal to the design give S(w) = w diag(4, 4 s^2, 0, ...):
+    # a tie for s = 1 (first fit), a gap of 12 w for s = 2 (second fit)
+    h = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+    x = np.stack([h[:, 2:]] * 2)
+    rules = (FixedWeight(0.5), FixedWeight(1.0))
+    for p in (3, 40):  # the p x p solve, and the sample-space solve of n + q = 5 < p rows
+        y = np.zeros((2, 4, p))
+        y[:, :, :2] = h[:, :2]
+        y[1, :, 1] *= 2.0
+        fits = _scatter_stack(y, x)
+        weights, axes, gaps, ties, _ = _leading_axes(rules, *fits, 4, 1)
+        assert ties.tolist() == [[True, False], [True, False]]
+        assert gaps[:, 1] == pytest.approx(12.0 * weights[:, 1], rel=1e-12)
+        for i in range(2):
+            ss = SumOfSquares.from_parts(_gram(fits[0])[i], _gram(fits[1])[i], 4, 1)
+            for r, rule in enumerate(rules):
+                est = gamma1_hat(ss, rule.w)
+                assert est.tie_flag == ties[r, i]
+                assert est.leading_gap == pytest.approx(gaps[r, i], rel=1e-12, abs=1e-12)
+
+
 def test_gamma1_hat_scaling_invariance_bit_identical():
     rng = np.random.default_rng(20)
     x = center_columns(rng.standard_normal((15, 3)))
@@ -94,10 +117,9 @@ def test_gamma1_hat_scaling_invariance_bit_identical():
 
 def test_gamma1_hat_weight_validation():
     ss = diag_ss([3.0, 1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        gamma1_hat(ss, 1.5)
-    with pytest.raises(ValueError):
-        gamma1_hat(ss, -0.1)
+    for w in (1.5, -0.1, -0.01, 1.01, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            gamma1_hat(ss, w)
 
 
 # --------------------------------------------------------------------------
@@ -580,3 +602,19 @@ def test_block_size_and_weight_rules_are_defined_once():
                    for name, text in sources.items()}
         assert {name: k for name, k in defined.items() if k} == {"estimators.py": 1}, rule
     assert allopca.OracleWeight is harness.OracleWeight is estimators.OracleWeight
+
+
+def test_blend_and_tie_rule_are_defined_once():
+    # one p x p blend (1 - w) s_reg + w s_resid and one tie comparison, in the shared
+    # solve; gamma1_hat neither blends nor calls sym_eig
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    blends = [line for text in sources for line in text.splitlines()
+              if re.search(r"\* s_reg\b.*\+.*\* s_resid\b", line)]
+    assert len(blends) == 1
+    assert sum(text.count("<= TIE_TOL *") for text in sources) == 1
+    solve = inspect.getsource(estimators._solve_axes)
+    assert blends[0] in solve and "<= TIE_TOL *" in solve
+    library = inspect.getsource(estimators.gamma1_hat)
+    assert "sym_eig(" not in library and "s_resid +" not in library and "_solve_axes(" in library
+    assert not hasattr(estimators, "sym_eig") and not hasattr(estimators, "weighted_matrix")
+    assert not hasattr(core, "weighted_matrix") and not hasattr(allopca, "weighted_matrix")

@@ -25,6 +25,7 @@ from allopca import (
     gamma1_hat,
     loo_cv_scores,
     sums_of_squares,
+    sym_eig,
 )
 from allopca import core, estimators
 from allopca.core import _scatter_stack
@@ -69,14 +70,18 @@ def test_wide_leave_one_out_matches_refit(loo_refit, eig_sizes, monkeypatch):
 
 def test_wide_fit_matches_library_path():
     y, x, n, q = _wide_fits(k=1)
-    weights, axes, plugin = _leading_axes(RULES, *_scatter_stack(y, x), n, q)
+    weights, axes, gaps, ties, plugin = _leading_axes(RULES, *_scatter_stack(y, x), n, q)
     ss = sums_of_squares(Dataset(y[0], x[0]))
     pw = estimate_abcd(ss)
     for name in ("lambda1_hat", "lambda2_hat", "a_hat", "b_hat", "c_hat", "d_hat", "w_hat"):
         assert plugin[name][0] == pytest.approx(getattr(pw, name), rel=1e-12), name
-    for w, axis in zip(weights[:, 0], axes[:, 0]):
-        assert 1.0 - abs(axis @ gamma1_hat(ss, w).vector) <= 1e-13
+    for w, axis, gap, tie in zip(weights[:, 0], axes[:, 0], gaps[:, 0], ties[:, 0]):
+        est = gamma1_hat(ss, w)
+        assert 1.0 - abs(axis @ est.vector) <= 1e-13
         assert axis[np.argmax(np.abs(axis))] > 0.0
+        lambda1 = sym_eig((1 - w) * ss.s_reg + w * ss.s_resid).values[0]
+        assert abs(gap - est.leading_gap) <= 1e-12 * lambda1
+        assert tie == est.tie_flag
 
 
 # --------------------------------------------------------------------------

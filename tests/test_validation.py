@@ -43,7 +43,6 @@ from allopca import (
     substream,
     sums_of_squares,
     sym_eig,
-    weighted_matrix,
 )
 from allopca.cli import main, write_matrix_csv
 
@@ -127,8 +126,10 @@ def _scatter(m):
     return SumOfSquares(m, np.eye(2), np.eye(2), 10, 2)
 
 
-def _plugin_weights(sigma):
-    return PluginWeights(sigma, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5)
+def _plugin_weights(sigma=np.eye(2), **fields):
+    args = dict(lambda1_hat=1.0, lambda2_hat=1.0, tr_sigma2_hat=1.0, a_hat=1.0, b_hat=1.0,
+                c_hat=1.0, d_hat=0.5, w_hat_raw=0.5, w_hat=0.5)
+    return PluginWeights(sigma, **{**args, **fields})
 
 
 NAN2 = np.array([[1.0, np.nan], [np.nan, 1.0]])
@@ -137,7 +138,6 @@ PARAMS = AbcdParams(22.0, 6.0, 40.0, 1.0, 2, 50)
 
 # (rule, entry point, call with an input that breaks the rule)
 LIBRARY_CASES = [
-    ("weight", "weighted_matrix", lambda: weighted_matrix(_ss(), 1.5)),
     ("weight", "FixedWeight", lambda: FixedWeight(-0.1)),
     ("weight", "FixedWeight(nan)", lambda: FixedWeight(float("nan"))),
     ("weight", "lemma1_fluctuation", lambda: lemma1_fluctuation(10.0, 20.0, 2.0, 1.0, 50, 2, 1.5)),
@@ -191,6 +191,20 @@ LIBRARY_CASES = [
     ("finite", "SumOfSquares", lambda: _scatter(NAN2)),
     ("finite", "ModelSpec", lambda: _spec(mu=np.array([0.0, np.inf, 0.0]))),
     ("finite", "PluginWeights", lambda: _plugin_weights(NAN2)),
+    ("finite", "PluginWeights(nan lambda1_hat)", lambda: _plugin_weights(lambda1_hat=np.nan)),
+    ("finite", "PluginWeights(nan d_hat)", lambda: _plugin_weights(d_hat=np.nan)),
+    ("finite", "SymEig(nan values)", lambda: SymEig(np.array([np.nan, 1.0]), np.eye(2))),
+    ("finite", "SymEig(inf values)", lambda: SymEig(np.array([np.inf, 1.0]), np.eye(2))),
+    ("finite", "Gamma1Estimate(nan gap)",
+     lambda: Gamma1Estimate(np.array([1.0, 0.0]), 0.5, np.nan, False)),
+    ("finite", "lemma1_fluctuation(nan sigma_tr)",
+     lambda: lemma1_fluctuation(np.nan, 20.0, 2.0, 1.0, 50, 2, 0.5)),
+    ("finite", "lemma1_fluctuation(inf sigma_tr)",
+     lambda: lemma1_fluctuation(np.inf, 20.0, 2.0, 1.0, 50, 2, 0.5)),
+    ("finite", "lemma1_fluctuation(nan sigma_tr2)",
+     lambda: lemma1_fluctuation(1.0, np.nan, 0.5, 1.0, 50, 2, 0.5)),
+    ("finite", "lemma1_fluctuation(nan c)",
+     lambda: lemma1_fluctuation(10.0, 20.0, 2.0, np.nan, 50, 2, 0.5)),
     ("symmetric", "sym_eig", lambda: sym_eig(ASYM2)),
     ("symmetric", "SumOfSquares", lambda: _scatter(ASYM2)),
     ("symmetric", "PluginWeights", lambda: _plugin_weights(ASYM2)),
