@@ -140,9 +140,9 @@ def _merge_config(args: argparse.Namespace) -> None:
 
 
 def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
-    """Read a numeric CSV matrix, skipping one header row if present."""
+    """Read a numeric CSV matrix, skipping a UTF-8 byte-order mark and one header row if present."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw_rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     except OSError as exc:
         raise CliError(f"cannot read `{flag}` file: {exc}")
@@ -453,10 +453,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, DegreesOfFreedomError, RankDeficiencyError,
+    except (CliError, ValueError, DegreesOfFreedomError, RankDeficiencyError,
             CostLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,11 +22,13 @@ formed.
 
 `_scatter_stack` is the one fit builder, which returns each fit of a stack
 as row factors (`sums_of_squares` forms the Grams of a stack of one), and
-`_sym_eig_stack` the one symmetric eigensolver (`sym_eig` is a stack of
-one).  `_check_fit_stack` is the one check of a built fit: it checks the
-Grams of the fit's factors in the space the fit is solved in (p x p, or
-the sample-space Grams of a wide fit) and its additivity on the factors.
-`SumOfSquares` checks matrices given by a user, in the Gram form.
+`_sym_eig_stack` the one symmetric eigensolver, which checks nothing
+(`sym_eig`, a stack of one, checks the whole decomposition, and the
+commands' solver the two pairs it reads).  `_check_fit_stack` is the one
+check of a built fit: it checks the Grams of the fit's factors in the
+space the fit is solved in (p x p, or the sample-space Grams of a wide
+fit) and its additivity on the factors.  `SumOfSquares` checks matrices
+given by a user, in the Gram form.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
@@ -34,7 +36,7 @@ int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_draw_size` (one
 drawn replication holds at most MAX_DRAW_ENTRIES floats), `_check_dimension` (p >= 2),
 `_check_index` (seeds and indices >= 0), `_check_unit`,
 `_check_orthonormal`, `_check_finite`, `_check_symmetric` (square, finite,
-symmetric and positive semidefinite matrices) and
+symmetric and positive semidefinite matrices), `_check_leading_pairs` and
 `_check_design_conditioning` (cond(X'X) <= COND_LIMIT, read off the R
 factor of each fit's thin QR; `Dataset` checks no rank).
 """
@@ -122,7 +124,7 @@ def _check_unit(v: np.ndarray, name: str, tol: float = UNIT_TOL) -> None:
     bad = ~(np.abs(nrm - 1.0) <= tol)
     if np.any(bad):
         at = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"{name}{list(at) if at else ''} must be unit length, "
+        raise ValueError(f"{name}{list(map(int, at)) if at else ''} must be unit length, "
                          f"got norm {float(nrm[at])!r}")
 
 
@@ -307,7 +309,8 @@ def sym_eig(m: np.ndarray) -> SymEig:
     The input is symmetrized as (M + M') / 2 and passed to `_sym_eig_stack`
     as a stack of one, so positive power-of-two rescalings of M produce
     bit-identical eigenvectors.  Eigenvalues are returned in descending
-    order under the package sign convention.
+    order under the package sign convention.  V diag(values) V' must
+    reconstruct the input, and `SymEig` checks order and orthonormality.
 
     Parameters
     ----------
@@ -321,14 +324,17 @@ def sym_eig(m: np.ndarray) -> SymEig:
     Raises
     ------
     ValueError
-        If `m` is not square or is asymmetric beyond tolerance.
+        If `m` is not square or is asymmetric beyond tolerance, or if the
+        decomposition fails a check.
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m[None, None], ("`m`",), SYM_INPUT_TOL, psd=False)
-    vals, vecs = _sym_eig_stack(((m + m.T) / 2.0)[None])
-    out = object.__new__(SymEig)  # `_sym_eig_stack` checked order and orthonormality
-    vars(out).update(values=_readonly(vals[0]), vectors=_readonly(vecs[0]))
-    return out
+    m = (m + m.T) / 2.0
+    vals, vecs = _sym_eig_stack(m[None])
+    resid = np.linalg.norm(vecs[0] @ (vals[0, :, None] * vecs[0].T) - m)
+    if not resid <= 1e-8 * max(np.linalg.norm(m), 1e-300):  # a numerically pathological m
+        raise ValueError("eigendecomposition failed to reconstruct the input")
+    return SymEig(vals[0], vecs[0])
 
 
 def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,28 +343,30 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each matrix is divided by the largest power of two not above its peak
     entry (exact, from `frexp`), so power-of-two rescalings give
     bit-identical eigenvectors.  Eigenvalues come back descending, and each
-    eigenvector under `_fix_signs`; each decomposition must reconstruct its
-    matrix and have orthonormal eigenvectors.  Returns (values (k, p),
-    vectors (k, p, p)).
-
-    Raises
-    ------
-    ValueError
-        If some decomposition fails its reconstruction or orthonormality check.
+    eigenvector under `_fix_signs`; callers check what they read.  Returns
+    (values (k, p), vectors (k, p, p)).
     """
     peak = np.max(np.abs(m), axis=(1, 2))
     scale = np.where(peak > 0.0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
     vals, vecs = np.linalg.eigh(m / scale[:, None, None])
-    vals = vals[:, ::-1] * scale[:, None]
-    vecs = _fix_signs(vecs[:, :, ::-1])
-    vecs_t = np.swapaxes(vecs, 1, 2)
-    # eigh should hand back an exact reconstruction up to roundoff; a large
-    # residual here means the input was numerically pathological.
-    resid = np.linalg.norm(vecs @ (vals[:, :, None] * vecs_t) - m, axis=(1, 2))
-    if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(m, axis=(1, 2)), 1e-300)):
-        raise ValueError("eigendecomposition failed to reconstruct the input")
-    _check_orthonormal(vecs, "`vectors`")
-    return vals, vecs
+    return vals[:, ::-1] * scale[:, None], _fix_signs(vecs[:, :, ::-1])
+
+
+def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise unless each matrix M of a stack has two sound leading pairs in (vals, vecs).
+
+    (vals, vecs) is `_sym_eig_stack(m)`.  Both pairs need ||M v - lambda v|| <=
+    1e-8 ||M||_F, and the leading v unit norm (NaN fails); with the gap, these
+    bound the axis error (Parlett 1980; Davis & Kahan 1970).
+    """
+    top = vecs[:, :, :2]
+    err = np.linalg.norm(m @ top - top * vals[:, None, :2], axis=1)
+    bad = ~(err <= 1e-8 * np.linalg.norm(m, axis=(1, 2))[:, None])
+    if np.any(bad):
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"eigenpair {j + 1} of solved matrix {k} fails its residual check: "
+                         f"||M v - lambda v|| = {err[k, j]:.3e}")
+    _check_unit(vecs[:, :, 0], "leading eigenvector")
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -379,10 +387,10 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
     solved in: the p x p s_reg and s_resid, or the sample-space reg reg' and
     resid resid', which have the same nonzero eigenvalues.
 
-    - finiteness, symmetry and semidefiniteness: `_check_symmetric` on g_reg
-      and g_resid (a Gram is finite exactly when its factor is, short of
-      overflow; min eigenvalue >= -PSD_TOL * trace, the trace of s_reg or
-      s_resid);
+    - finiteness and symmetry: `_check_symmetric` on g_reg and g_resid (a
+      Gram is finite exactly when its factor is, short of overflow), and
+      semidefiniteness of g_resid, whose eigenvalues the plug-in reads (min
+      eigenvalue >= -PSD_TOL * trace of s_resid; `_gram` makes g_reg one);
     - additivity: s_total - s_reg - s_resid is reg'(Q'resid) plus its
       transpose, so max|Q'resid| must be at most ADDITIVITY_TOL times
       max|total|.  A residual computed as total - Q(Q'total) can go wrong
@@ -398,7 +406,7 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
         If some Gram or fit fails a check.
     """
     names = [f"`{name}`{where}" for name in _SCATTER_NAMES]
-    _check_symmetric(g_reg[None], names[:1])
+    _check_symmetric(g_reg[None], names[:1], psd=False)
     evals = _check_symmetric(g_resid[None], names[1:2])[0]
     gap = np.max(np.abs(np.swapaxes(basis, 1, 2) @ resid), axis=(1, 2))
     if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(total), axis=(1, 2)), 1e-300)):

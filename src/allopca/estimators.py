@@ -32,6 +32,7 @@ from .core import (
     _check_dimension,
     _check_finite,
     _check_fit_stack,
+    _check_leading_pairs,
     _check_plugin_dof,
     _check_sizes,
     _check_symmetric,
@@ -381,8 +382,8 @@ def reduced_rank_coefficients(
 # Stacked arrays hold about this many entries, so their temporaries stay
 # near a megabyte for any n and p: `_blocks` splits the leave-one-out folds,
 # the Monte Carlo replications (`harness._replicate_block`) and the batched
-# eigensolves of `_leading_axes` into ranges of that size (three fold
-# blocks at n = 50, p = 10 and ten rules).
+# eigensolves of `_solve_axes` into ranges of that size (three fold blocks
+# at n = 50, p = 10 and ten rules).
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -478,10 +479,11 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     sample-space Grams `gram` of wide fits with factor rows `rows` (see
     `_leading_axes`).  A `FixedWeight` gives its w, a `PluginRule`
     `plugin["w_hat"]` and an `OracleWeight` the `oracle` weights (k,).
-    Each distinct (fit, weight) pair is solved once, per `_blocks` range.
-    Its gap is lambda_1 - lambda_2 of the solved matrix, whose trace and
-    nonzero spectrum are those of S(w), and a tie a gap of at most TIE_TOL
-    times that trace.
+    Each distinct (fit, weight) pair is solved once, per `_blocks` range,
+    and its two leading pairs, all that is read, are checked in the space
+    solved in.  Its gap is lambda_1 - lambda_2 of the solved matrix, whose
+    trace and nonzero spectrum are those of S(w), and a tie a gap of at
+    most TIE_TOL times that trace.
     """
     k, q = s_reg.shape[:2]
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
@@ -499,10 +501,13 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
             root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[i, 0], pw[i, 0]))
             m = root[:, :, None] * gram[pf[i]] * root[:, None, :]
         vals, vecs = _sym_eig_stack(m)
+        _check_leading_pairs(m, vals, vecs)
         axes = vecs[:, :, 0]
         if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
             v = np.swapaxes(rows[pf[i]], 1, 2) @ (root * axes)[:, :, None]
-            axes = _fix_signs(v / np.linalg.norm(v, axis=1, keepdims=True))[:, :, 0]
+            nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
+            e_p = np.arange(v.shape[1])[:, None] == v.shape[1] - 1  # whose p x p axis is e_p
+            axes = _fix_signs(np.where(nrm > 0.0, v, e_p) / np.where(nrm > 0.0, nrm, 1.0))[:, :, 0]
         gaps = vals[:, 0] - vals[:, 1]
         solved.append((axes, gaps, gaps <= TIE_TOL * np.trace(m, axis1=1, axis2=2)))
     return (weights, *(np.concatenate(part)[which.reshape(weights.shape)]
@@ -533,9 +538,9 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
 
     The fold fits are shared by all rules.  Per block of folds, the
     plug-in weights come from one batched eigenvalue solve and the axes of
-    all distinct (weight, fold) pairs from one batched eigensolve.  Every
-    check of a refit is applied to each fold: design conditioning (naming
-    the left-out row), and the `_check_fit_stack` rules.
+    all distinct (weight, fold) pairs from one batched eigensolve.  Each
+    fold gets the checks of what it reads: design conditioning (naming
+    the left-out row), the `_check_fit_stack` rules and the leading pairs.
 
     Parameters
     ----------
@@ -591,25 +596,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
 
 
 def loo_cv_mspe(data: Dataset, rule) -> float:
-    """Leave-one-out mean squared prediction error of one weight rule.
-
-    Equal to ``loo_cv_scores(data, (rule,))[0]``; see `loo_cv_scores` for
-    the batched fold fits and the deletion identities (Belsley, Kuh &
-    Welsch 1980; Cook & Weisberg 1982) of the OLS prediction.  Scoring
-    several rules in one `loo_cv_scores` call shares the fold fits.
-
-    Parameters
-    ----------
-    data : Dataset
-    rule : FixedWeight | PluginRule | OlsRule
-
-    Raises
-    ------
-    ValueError
-        If `rule` is of an unknown type.
-    DegreesOfFreedomError
-        If n <= q + 3, so some fold could not support every rule.
-    RankDeficiencyError
-        If some fold's design is too ill-conditioned.
-    """
+    """Leave-one-out mean squared prediction error of one weight rule:
+    ``loo_cv_scores(data, (rule,))[0]``, with its checks and exceptions.
+    Scoring several rules in one `loo_cv_scores` call shares the fold fits."""
     return loo_cv_scores(data, (rule,))[0]

@@ -397,9 +397,9 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
-    # the fit check's semidefiniteness tests of s_reg and s_resid; the plug-in
-    # weight reuses s_resid's eigenvalues
-    assert calls == [(1, 1, p, p)] * 2
+    # the fit check's semidefiniteness test of s_resid, whose eigenvalues the
+    # plug-in weight reuses; s_reg is a Gram, semidefinite by construction
+    assert calls == [(1, 1, p, p)] * 1
     assert out == want
 
 
@@ -742,6 +742,21 @@ def test_matrix_header_autodetect(tmp_path):
     path.write_text("height,width\n1.5,2.5\n3.5,4.5\n")
     mat = _read_matrix_csv(str(path), "--y")
     assert np.array_equal(mat, [[1.5, 2.5], [3.5, 4.5]])
+
+
+@pytest.mark.parametrize("command", ["estimate", "cv"])
+def test_byte_order_mark_is_not_a_header(tmp_path, capsys, command):
+    # a UTF-8 byte-order mark must not turn the first numeric row into a header
+    ypath, xpath, _ = dataset_files(tmp_path, n=20, p=4, q=2)
+    plain = run_cli([command, "--y", ypath, "--x", xpath], capsys)
+    marked = []
+    for path in (ypath, xpath):
+        target = tmp_path / f"bom_{Path(path).name}"
+        target.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        marked += [str(target)]
+    assert _read_matrix_csv(marked[0], "--y").shape == (20, 4)
+    assert run_cli([command, "--y", marked[0], "--x", marked[1]], capsys) == plain
+    assert plain[0] == 0 and "data: n=20 " in plain[2]
 
 
 def test_matrix_ragged_row_diagnostic(tmp_path, capsys):

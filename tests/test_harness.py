@@ -234,9 +234,10 @@ def test_replication_block_is_one_stacked_fit(monkeypatch, force_blocks, reps_pe
     blocks = 1 if reps_per_block is None else 3  # 12 replications
     calls = _counting(monkeypatch, ("qr", "eigvalsh", "eigh"))
     _replicate_block(spec, rows, np.arange(12))
-    # per block, the fit check's semidefiniteness tests of s_reg and s_resid
-    # (the plug-in weight reuses s_resid's eigenvalues) and one eigensolve
-    assert calls == {"qr": blocks, "eigvalsh": 2 * blocks, "eigh": blocks}
+    # per block, the fit check's semidefiniteness test of s_resid (the plug-in
+    # weight reuses its eigenvalues; s_reg is a Gram, semidefinite by
+    # construction) and one eigensolve
+    assert calls == {"qr": blocks, "eigvalsh": blocks, "eigh": blocks}
     if reps_per_block is not None:
         assert sizes == [5, 5, 2]
 

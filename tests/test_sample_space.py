@@ -7,10 +7,14 @@ sample-space Grams of a wide fit (n + q < p factor rows).  Wide folds are
 checked against the brute-force leave-one-out refit and a wide fit against
 the one-fit library path (the replication cases against
 `conftest.per_weight_replication` are in `test_harness.py`); each rule of
-the fit check has a fault-injection test on a p x p point, a sample-space
-point and a leave-one-out fold; axes are pinned bit for bit under stacking
-and power-of-two rescaling.
+the fit check, and the leading-pair check of every solved matrix, has a
+fault-injection test on a p x p point, a sample-space point and a
+leave-one-out fold; axes are pinned bit for bit under stacking and
+power-of-two rescaling, and a zero S(w) gives the axis e_p in both spaces.
 """
+
+import inspect
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from allopca import (
     sym_eig,
 )
 from allopca import core, estimators
+from allopca.cli import main, write_matrix_csv
 from allopca.core import _scatter_stack
 from allopca.estimators import _leading_axes
 from allopca.harness import DEFAULT_ROWS, _replicate_block
@@ -84,6 +89,44 @@ def test_wide_fit_matches_library_path():
         assert tie == est.tie_flag
 
 
+def _zero_regression_fit(p):
+    """A 4-row fit whose regression rows are exactly zero: two Hadamard columns,
+    scaled by 2 and 1, orthogonal to the one-column design; the other p - 2
+    responses are zero."""
+    h = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    y = np.zeros((4, p))
+    y[:, :2] = h[:, 2:] * [2.0, 1.0]
+    return y, h[:, 1:2]
+
+
+@pytest.mark.parametrize("p", [3, 40])
+def test_zero_blend_gives_the_last_axis_in_both_spaces(p):
+    # S(0) = s_reg = 0: p = 3 is solved p x p (eigh of a zero matrix gives e_p),
+    # p = 40 in sample space (n + q = 5 < p), whose lift W' D^1/2 u is 0
+    y, x = _zero_regression_fit(p)
+    rules = (FixedWeight(0.0), FixedWeight(0.5))
+    weights, axes, gaps, ties, _ = _leading_axes(rules, *_scatter_stack(y[None], x[None]), 4, 1)
+    assert axes[0, 0].tobytes() == np.eye(p)[-1].tobytes()
+    assert gaps[0, 0] == 0.0 and ties[0, 0]
+    assert not ties[1, 0]
+    est = gamma1_hat(sums_of_squares(Dataset(y, x)), 0.0)
+    assert est.vector.tobytes() == axes[0, 0].tobytes() and est.tie_flag
+
+
+def test_zero_blend_estimate_prints_no_nan(tmp_path, capsys):
+    y, x = _zero_regression_fit(40)
+    argv = ["estimate"]
+    for flag, mat in (("--y", y), ("--x", x)):
+        path = tmp_path / f"{flag[2:]}.csv"
+        write_matrix_csv(str(path), mat)
+        argv += [flag, str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    rows = [line.split(",") for line in out.splitlines() if line[0].isdigit()]
+    assert [row[3] for row in rows] == ["0"] * 39 + ["1"]  # regression(w=0) is e_p
+
+
 # --------------------------------------------------------------------------
 # bit identity
 # --------------------------------------------------------------------------
@@ -111,21 +154,6 @@ def test_axes_bit_identical_for_any_stack():
 # --------------------------------------------------------------------------
 
 
-def test_corrupted_small_eigenpair_raises(monkeypatch):
-    spec = STRONG_SPIKE.model_spec(50, 3)
-    real = np.linalg.eigh
-
-    def corrupted(a, *args, **kwargs):
-        vals, vecs = real(a, *args, **kwargs)
-        vals = vals.copy()
-        vals[..., 0] += 1e-6 * np.abs(vals[..., -1])  # the smallest eigenvalue moves
-        return vals, vecs
-
-    monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    with pytest.raises(ValueError, match="failed to reconstruct"):
-        _replicate_block(spec, ROWS, np.arange(2))
-
-
 def test_nan_response_raises():
     y, x, n, q = _wide_fits()
     y[2, 4, 7] = np.nan
@@ -143,6 +171,91 @@ def _fault_cases():
     return [(lambda: _replicate_block(table1, ROWS, np.arange(2)), table1.q, ""),
             (lambda: _replicate_block(table3b, ROWS, np.arange(2)), table3b.q, ""),
             (lambda: loo_cv_scores(data, (FixedWeight(0.5),)), q, " of a leave-one-out fold")]
+
+
+def _corrupt(vals, vecs, part):
+    """Copies of ascending `eigh` output (..., s), (..., s, s) with one quantity moved."""
+    vals, vecs = vals.copy(), vecs.copy()
+    top = np.abs(vals[..., -1:])
+    if part == "smallest":
+        vals[..., 0] += 1e-6 * top[..., 0]
+    elif part == "lambda1":
+        vals[..., -1] += 1e-6 * top[..., 0]
+    elif part == "lambda2":
+        vals[..., -2] -= 1e-6 * top[..., 0]
+    elif part == "rotated vector":  # turned 1e-4 toward the smallest pair's vector
+        vecs[..., -1] = np.cos(1e-4) * vecs[..., -1] + np.sin(1e-4) * vecs[..., 0]
+    else:  # "scaled vector"
+        vecs[..., -1] *= 1.0 + 1e-6
+    return vals, vecs
+
+
+@pytest.mark.parametrize("part, message", [
+    ("lambda1", "eigenpair 1 of solved matrix 0 fails its residual check"),
+    ("lambda2", "eigenpair 2 of solved matrix 0 fails its residual check"),
+    ("rotated vector", "eigenpair 1 of solved matrix 0 fails its residual check"),
+    ("scaled vector", r"leading eigenvector\[0\] must be unit length"),
+], ids=["lambda1", "lambda2", "rotated_vector", "scaled_vector"])
+def test_corrupted_leading_eigenpair_raises(monkeypatch, part, message):
+    # a p x p block, a sample-space block and a block of leave-one-out folds
+    real = np.linalg.eigh
+    cases = _fault_cases()
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), part))
+    for run, _, _ in cases:
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+def test_corrupted_smallest_eigenvalue_fails_only_sym_eig(monkeypatch):
+    # only `sym_eig` reads the whole spectrum, so only it checks the whole
+    # decomposition; the commands read the two leading pairs
+    real = np.linalg.eigh
+    cases = _fault_cases()
+    want = [run() for run, _, _ in cases]
+    a = np.random.default_rng(0).standard_normal((6, 6))
+    m = a @ a.T
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), "smallest"))
+    with pytest.raises(ValueError, match="eigendecomposition failed to reconstruct the input"):
+        sym_eig(m)
+    for (run, _, _), out in zip(cases, want):
+        _assert_same(run(), out)
+
+
+def _assert_same(got, want):
+    if isinstance(want, tuple):
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+    else:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_commands_check_the_leading_pairs_of_every_solve(monkeypatch):
+    # the stacked solver checks nothing; every matrix it solves for a command
+    # gets the leading-pair check, and none the full orthonormality check
+    body = inspect.getsource(core._sym_eig_stack).split('"""')[-1]  # past the docstring
+    assert not re.search(r"raise|_check", body)
+    cases = _fault_cases()
+    solved, checked = [], []
+    real_solve, real_check = estimators._sym_eig_stack, estimators._check_leading_pairs
+
+    def solve(m):
+        solved.append(m.copy())
+        return real_solve(m)
+
+    def check(m, *args):
+        checked.append(m.copy())
+        real_check(m, *args)
+
+    def refuse(*args):
+        raise AssertionError("full orthonormality check")
+
+    monkeypatch.setattr(estimators, "_sym_eig_stack", solve)
+    monkeypatch.setattr(estimators, "_check_leading_pairs", check)
+    monkeypatch.setattr(core, "_check_orthonormal", refuse)
+    for run, _, _ in cases:
+        run()
+    assert len(solved) >= 3
+    assert [m.tobytes() for m in checked] == [m.tobytes() for m in solved]
 
 
 def test_non_psd_residual_gram_raises(monkeypatch):

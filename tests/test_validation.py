@@ -90,6 +90,10 @@ MESSAGE_SOURCES = {
     # the row factors of every built fit
     "additivity": "s_resid: max entry gap",
     "additivity_fit": "design span's complement by {",
+    # eigenpairs are checked where they are read: the whole decomposition by
+    # `sym_eig`, the two leading pairs by the commands' solver
+    "reconstruct": "failed to reconstruct",
+    "leading_pairs": "fails its residual check",
 }
 
 
