@@ -37,7 +37,7 @@ from .core import (
     _scatter_stack,
     center_columns,
 )
-from .errors import CostLimitError, DegreesOfFreedomError, RankDeficiencyError
+from .errors import CostLimitError, DegreesOfFreedomError, NumericFailure, RankDeficiencyError
 from .estimators import (
     AbcdParams,
     FixedWeight,
@@ -67,10 +67,6 @@ _SCENARIO_OPTIONS = ("n", "p", "eta", "delta", "beta", "beta2", "a", "b", "c", "
 
 class CliError(Exception):
     """Usage or validation problem; maps to exit code 2."""
-
-
-class NumericFailure(Exception):
-    """Internal numeric self-check failed; maps to exit code 1."""
 
 
 def _number_list(text: str, parse, noun: str) -> tuple:
@@ -104,7 +100,7 @@ def _load_config(path: str, command: str, actions) -> dict:
     """Read `key = value` lines; each key is an option of `command`, parsed as its flag."""
     options = {a.dest: a for a in actions if a.option_strings and a.dest not in ("help", "config")}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}")
@@ -171,17 +167,6 @@ def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
         except ValueError as exc:
             raise CliError(f"`{flag}` file {path}: row {i}: {exc}")
     return np.asarray(data, dtype=float)
-
-
-def write_matrix_csv(path: str, matrix: np.ndarray, header: list[str] | None = None) -> None:
-    """Write a matrix at full double precision (17 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
-    for row in np.atleast_2d(matrix):
-        writer.writerow([f"{v:.17g}" for v in row])
-    _atomic_write(path, buf.getvalue())
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -453,13 +438,13 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return args.func(args)
+    except NumericFailure as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
     except (CliError, ValueError, DegreesOfFreedomError, RankDeficiencyError,
             CostLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreesOfFreedomError, RankDeficiencyError
+from .errors import DegreesOfFreedomError, NumericFailure, RankDeficiencyError
 
 # Relative tolerances for validity checks.  "Relative" is always with
 # respect to the max-abs entry (or the trace, for semidefiniteness) of the
@@ -325,7 +325,8 @@ def sym_eig(m: np.ndarray) -> SymEig:
     ------
     ValueError
         If `m` is not square or is asymmetric beyond tolerance, or if the
-        decomposition fails a check.
+        decomposition fails a check (`NumericFailure` for the
+        reconstruction).
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m[None, None], ("`m`",), SYM_INPUT_TOL, psd=False)
@@ -333,7 +334,7 @@ def sym_eig(m: np.ndarray) -> SymEig:
     vals, vecs = _sym_eig_stack(m[None])
     resid = np.linalg.norm(vecs[0] @ (vals[0, :, None] * vecs[0].T) - m)
     if not resid <= 1e-8 * max(np.linalg.norm(m), 1e-300):  # a numerically pathological m
-        raise ValueError("eigendecomposition failed to reconstruct the input")
+        raise NumericFailure("eigendecomposition failed to reconstruct the input")
     return SymEig(vals[0], vecs[0])
 
 
@@ -353,7 +354,7 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise unless each matrix M of a stack has two sound leading pairs in (vals, vecs).
+    """Raise `NumericFailure` unless each matrix M of a stack has two sound leading pairs.
 
     (vals, vecs) is `_sym_eig_stack(m)`.  Both pairs need ||M v - lambda v|| <=
     1e-8 ||M||_F, and the leading v unit norm (NaN fails); with the gap, these
@@ -364,9 +365,12 @@ def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> N
     bad = ~(err <= 1e-8 * np.linalg.norm(m, axis=(1, 2))[:, None])
     if np.any(bad):
         k, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"eigenpair {j + 1} of solved matrix {k} fails its residual check: "
-                         f"||M v - lambda v|| = {err[k, j]:.3e}")
-    _check_unit(vecs[:, :, 0], "leading eigenvector")
+        raise NumericFailure(f"eigenpair {j + 1} of solved matrix {k} "
+                             f"fails its residual check: ||M v - lambda v|| = {err[k, j]:.3e}")
+    try:
+        _check_unit(vecs[:, :, 0], "leading eigenvector")
+    except ValueError as exc:
+        raise NumericFailure(str(exc)) from None
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

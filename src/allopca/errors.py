@@ -11,3 +11,7 @@ class DegreesOfFreedomError(ValueError):
 
 class CostLimitError(RuntimeError):
     """Estimated experiment cost exceeds the configured budget."""
+
+
+class NumericFailure(ValueError):
+    """An internal numeric self-check failed (the CLI exits 1)."""

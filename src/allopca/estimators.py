@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     Dataset,
     SumOfSquares,
+    _check_design_conditioning,
     _check_dimension,
     _check_finite,
     _check_fit_stack,
@@ -38,7 +39,6 @@ from .core import (
     _check_symmetric,
     _check_unit,
     _check_weight,
-    _conditioned_qr,
     _fix_signs,
     _gram,
     _readonly,
@@ -46,7 +46,7 @@ from .core import (
     _sym_eig_stack,
     center_columns,
 )
-from .errors import DegreesOfFreedomError, RankDeficiencyError
+from .errors import DegreesOfFreedomError
 
 # An eigenvalue tie is declared when the top gap is this small relative to
 # the trace of the blended matrix.
@@ -345,15 +345,6 @@ class OracleWeight:
     """
 
 
-def _ols_fit(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients (q x p) and intercept for centered x."""
-    x, y = data.x, data.y
-    qmat, rmat = _conditioned_qr(x[None])
-    coef = np.linalg.solve(rmat[0], qmat[0].T @ y)
-    mu = y.mean(axis=0)
-    return coef, mu
-
-
 def reduced_rank_coefficients(
     data: Dataset, g_hat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -375,8 +366,15 @@ def reduced_rank_coefficients(
     if g.ndim != 1 or g.size != data.p:
         raise ValueError(f"`g_hat` must have shape ({data.p},), got {g.shape}")
     _check_unit(g, "`g_hat`")
-    coef, mu = _ols_fit(data)
-    return np.outer(coef @ g, g), mu
+    reg, _, _, qmat = _scatter_stack(center_columns(data.y)[None], data.x[None])
+    coef = _ols_coefficients(data.x[None], reg, qmat)[0]
+    return np.outer(coef @ g, g), data.y.mean(axis=0)
+
+
+def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (k, q, p) of stacked fits built by `_scatter_stack`
+    from designs `x` (k, n, q): R^-1 reg, with R = Q'X from the fit's basis `qmat`."""
+    return np.linalg.solve(np.swapaxes(qmat, 1, 2) @ x, reg)
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
@@ -414,24 +412,6 @@ def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
     out = rows + rows[folds, None, :] / (rows.shape[0] - 1)
     out[np.arange(folds.size), folds] = 0.0
     return out
-
-
-def _loo_fit(data: Dataset):
-    """Centered responses and fold OLS predictions y_i - e_i / (1 - h_i).
-
-    e_i is the full-data residual row and h_i = 1/n + ||Q_i||^2 the leverage
-    (intercept included).  A row of leverage 1 is refused: leaving it out
-    leaves a rank-deficient design, and its prediction would divide by 0.
-    """
-    centered = center_columns(data.y)
-    _, resid, _, qmat = _scatter_stack(centered[None], data.x[None])
-    lev = 1.0 / data.n + np.sum(qmat[0] * qmat[0], axis=1)
-    if np.any(lev >= 1.0):
-        raise RankDeficiencyError(
-            f"row {int(np.argmax(lev >= 1.0))} has leverage 1, so the fold that "
-            f"leaves it out has a rank-deficient design"
-        )
-    return centered, data.y - resid[0] / (1.0 - lev)[:, None]
 
 
 def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, where=""):
@@ -524,23 +504,21 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     block of Monte Carlo replications: its rows are re-centered
     (`_fold_rows`, with the left-out row zeroed), `_scatter_stack` fits them
     in one batched thin QR, and `_leading_axes` checks every fold fit and
-    resolves each rule's weight and axis.  The deletion identities of
-    regression diagnostics (Belsley, Kuh & Welsch 1980; Cook & Weisberg
-    1982) serve only the OLS prediction and the leverages.  With the
-    full-data thin QR X = QR, leverages h_i = 1/n + ||Q_i||^2 and residual
-    rows e_i:
+    resolves each rule's weight and axis.  Each fold predicts from its own
+    fit, with mu_i = (n ybar - y_i) / (n - 1) the fold mean and x~_i the
+    left-out row re-centered as `_fold_rows` re-centers the fold rows:
 
-    - the fold OLS prediction is y_i - e_i / (1 - h_i), and a row of
-      leverage 1 is refused;
+    - the OLS prediction is mu_i + x~_i' B, with the fold's least-squares
+      coefficients B = R^-1 Q'y from its thin QR (`_ols_coefficients`);
     - a rank-one rule with fold axis g predicts
-      mu_i + ((yhat_ols_i - mu_i) . g) g, where mu_i = (n ybar - y_i)/(n - 1)
-      is the fold mean.
+      mu_i + ((yhat_ols_i - mu_i) . g) g.
 
     The fold fits are shared by all rules.  Per block of folds, the
     plug-in weights come from one batched eigenvalue solve and the axes of
-    all distinct (weight, fold) pairs from one batched eigensolve.  Each
-    fold gets the checks of what it reads: design conditioning (naming
-    the left-out row), the `_check_fit_stack` rules and the leading pairs.
+    all distinct (weight, fold) pairs from one batched eigensolve.  The
+    full design is checked once for conditioning, and each fold gets the
+    checks of what it reads: design conditioning (naming the left-out row),
+    the `_check_fit_stack` rules and the leading pairs.
 
     Parameters
     ----------
@@ -559,8 +537,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     DegreesOfFreedomError
         If n <= q + 3, so some fold could not support every rule.
     RankDeficiencyError
-        If some fold's design is too ill-conditioned, for example because
-        a row has leverage 1.
+        If the design, or some fold's design, is too ill-conditioned.
     """
     rules = tuple(rules)
     for rule in rules:
@@ -576,20 +553,24 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     projected = [k for k, rule in enumerate(rules) if not isinstance(rule, OlsRule)]
     if projected:
         _check_dimension(p)
-    centered, y_ols = _loo_fit(data)
+    _check_design_conditioning(x[None])
+    centered = center_columns(y)
     mu = (n * y.mean(axis=0) - y) / (n - 1)
     sse = np.zeros(len(rules))
     ols = [k for k in range(len(rules)) if k not in projected]
     for folds in _blocks(n, _fit_entries(n, p, q, len(rules))):
-        fits = _scatter_stack(_fold_rows(centered, folds), _fold_rows(x, folds), folds)
-        err = y[folds] - y_ols[folds]
+        fold_x = _fold_rows(x, folds)
+        fits = _scatter_stack(_fold_rows(centered, folds), fold_x, folds)
+        left = x[folds] + x[folds] / (n - 1)  # x~_i; shift is yhat_ols_i - mu_i
+        shift =(left[:, None, :] @ _ols_coefficients(fold_x, fits[0], fits[3]))[:, 0]
+        base = mu[folds]
+        err = y[folds] - (base + shift)
         sse[ols] += float(np.sum(err * err))
         if not projected:
             continue
         g = _leading_axes([rules[k] for k in projected], *fits, n - 1, q,
                           where=" of a leave-one-out fold")[1]
-        base = mu[folds]
-        pred = base + np.sum((y_ols[folds] - base) * g, axis=-1, keepdims=True) * g
+        pred = base + np.sum(shift * g, axis=-1, keepdims=True) * g
         err = y[folds] - pred
         sse[projected] += np.sum(err * err, axis=(1, 2))
     return tuple(float(v) / n for v in sse)

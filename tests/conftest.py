@@ -13,13 +13,11 @@ from allopca import (
     estimate_abcd,
     gen_dataset,
     mse_up_to_sign,
-    reduced_rank_coefficients,
     sums_of_squares,
     sym_eig,
     w_star,
 )
 from allopca import estimators, harness
-from allopca.estimators import _ols_fit
 
 
 def _blend_axis(ss, w):
@@ -32,8 +30,9 @@ def refit_loo_mspe(data, rule):
     """Leave-one-out MSPE of one rule, refitting every fold from scratch.
 
     The reference for `loo_cv_scores`: each fold re-centers the remaining
-    rows, builds a `Dataset`, and refits through `sums_of_squares`,
-    `estimate_abcd`, `_blend_axis` and the OLS fit, with all their checks.
+    rows, builds a `Dataset`, and refits through `sums_of_squares` (which
+    refuses a rank-deficient fold for every rule), `estimate_abcd`,
+    `_blend_axis` and an `np.linalg.lstsq` OLS fit projected onto the axis.
     """
     x, y = data.x, data.y
     n = data.n
@@ -43,13 +42,13 @@ def refit_loo_mspe(data, rule):
         x_tr = x[mask]
         fold_means = x_tr.mean(axis=0)
         fold = Dataset(y[mask], x_tr - fold_means)
-        if isinstance(rule, OlsRule):
-            coef, mu = _ols_fit(fold)
-        else:
-            ss = sums_of_squares(fold)
+        ss = sums_of_squares(fold)
+        mu = fold.y.mean(axis=0)
+        coef = np.linalg.lstsq(fold.x, fold.y - mu, rcond=None)[0]
+        if not isinstance(rule, OlsRule):
             w = rule.w if isinstance(rule, FixedWeight) else estimate_abcd(ss).w_hat
             g = _blend_axis(ss, w)
-            coef, mu = reduced_rank_coefficients(fold, g)
+            coef = np.outer(coef @ g, g)
         resid = y[i] - (mu + (x[i] - fold_means) @ coef)
         sse += float(resid @ resid)
     return sse / n

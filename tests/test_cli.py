@@ -16,7 +16,7 @@ import pytest
 
 import allopca
 from allopca import LargePLargeN, Traditional, WeakIdentifiability
-from allopca.cli import _read_matrix_csv, build_parser, main, write_matrix_csv
+from allopca.cli import _read_matrix_csv, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -40,8 +40,8 @@ def dataset_files(tmp_path, n=30, p=4, q=2, noise=0.3, seed=0):
     else:
         y = 5.0 + np.outer(scores, gamma) + noise * rng.standard_normal((n, p))
     ypath, xpath = tmp_path / "y.csv", tmp_path / "x.csv"
-    write_matrix_csv(str(ypath), y)
-    write_matrix_csv(str(xpath), x)
+    np.savetxt(ypath, y, delimiter=",", fmt="%.17g")
+    np.savetxt(xpath, x, delimiter=",", fmt="%.17g")
     return str(ypath), str(xpath), gamma
 
 
@@ -633,6 +633,17 @@ def test_config_unknown_key_diagnostic(tmp_path, capsys):
     assert f"{cfg}:1" in err and "verbose" in err
 
 
+def test_config_with_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark must not become part of the first key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("reps = 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    argv = ["simulate", "--scenario", "table1", "--n", "20", "--config"]
+    want = run_cli([*argv, str(plain)], capsys)
+    assert want[0] == 0 and "replications=2" in want[2]
+    assert run_cli([*argv, str(marked)], capsys) == want
+
+
 def test_config_malformed_line_diagnostic(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = table1\njust words\n")
@@ -733,7 +744,7 @@ def test_matrix_round_trip_full_precision(tmp_path):
     rng = np.random.default_rng(11)
     mat = rng.standard_normal((7, 3)) * np.logspace(-8, 8, 3)
     path = tmp_path / "m.csv"
-    write_matrix_csv(str(path), mat)
+    np.savetxt(path, mat, delimiter=",", fmt="%.17g")
     assert np.array_equal(_read_matrix_csv(str(path), "--y"), mat)
 
 
@@ -858,3 +869,23 @@ def test_console_script_declaration():
         scripts = tomllib.load(fh)["project"]["scripts"]
     module, _, attr = scripts["allopca"].partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_failed_eigendecomposition_check_exits_1(tmp_path, capsys, monkeypatch, command):
+    # an eigensolver whose leading eigenvalue is off by 0.1% fails the internal checks,
+    # which exit 1 ("numeric failure"), not 2 (usage or validation)
+    def skewed(a, *args, _orig=np.linalg.eigh, **kwargs):
+        vals, vecs = _orig(a, *args, **kwargs)
+        vals[..., -1] *= 1.001
+        return vals, vecs
+
+    if command == "simulate":
+        argv = ["simulate", "--scenario", "table1", "--n", "20", "--reps", "2"]
+    else:
+        ypath, xpath, _ = dataset_files(tmp_path)
+        argv = ["estimate", "--y", ypath, "--x", xpath]
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("numeric failure: ")

@@ -22,7 +22,7 @@ from allopca import (
     sums_of_squares,
     sym_eig,
 )
-from allopca.cli import main, write_matrix_csv
+from allopca.cli import main
 
 
 def rand_dataset(seed, n=20, p=6, q=3, signal=1.0):
@@ -100,8 +100,8 @@ def test_dataset_requires_full_rank(tmp_path, capsys):
     with pytest.raises(RankDeficiencyError, match=pattern):
         loo_cv_scores(data, (FixedWeight(0.5), PluginRule(), OlsRule()))
     ypath, xpath = tmp_path / "y.csv", tmp_path / "x.csv"
-    write_matrix_csv(str(ypath), data.y)
-    write_matrix_csv(str(xpath), x)
+    np.savetxt(ypath, data.y, delimiter=",", fmt="%.17g")
+    np.savetxt(xpath, x, delimiter=",", fmt="%.17g")
     for command in ("estimate", "cv"):
         assert main([command, "--y", str(ypath), "--x", str(xpath)]) == 2
         out, err = capsys.readouterr()

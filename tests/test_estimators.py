@@ -37,8 +37,9 @@ from allopca import (
 )
 import allopca
 from allopca import core, estimators, harness
+from allopca.cli import main
 from allopca.core import _gram, _scatter_stack
-from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _leading_axes, _loo_fit,
+from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _leading_axes,
                                 _plugin_weights)
 
 
@@ -509,7 +510,7 @@ def test_loo_cv_scores_order_and_single_rule():
     assert loo_cv_scores(data, ()) == ()
 
 
-def test_loo_cv_leverage_one_design_raises(loo_refit):
+def test_loo_cv_leverage_one_design_raises(loo_refit, tmp_path, capsys):
     # a dummy column that is nonzero in one row gives that row leverage 1:
     # leaving it out leaves the dummy column constant
     rng = np.random.default_rng(44)
@@ -518,11 +519,17 @@ def test_loo_cv_leverage_one_design_raises(loo_refit):
     dummy[6] = 1.0
     x = center_columns(np.hstack([rng.standard_normal((n, 2)), dummy]))
     data = Dataset(rng.standard_normal((n, 4)), x)
+    message = r"^leaving out row 6: cond\(X'X\)"
     for rule in (OlsRule(), FixedWeight(0.5), PluginRule()):
-        with pytest.raises(RankDeficiencyError):
-            loo_cv_mspe(data, rule)
+        with pytest.raises(RankDeficiencyError, match=message):
+            loo_cv_scores(data, (rule,))
         with pytest.raises(RankDeficiencyError):
             loo_refit(data, rule)
+    ypath, xpath = tmp_path / "y.csv", tmp_path / "x.csv"
+    np.savetxt(ypath, data.y, delimiter=",", fmt="%.17g")
+    np.savetxt(xpath, data.x, delimiter=",", fmt="%.17g")
+    assert main(["cv", "--y", str(ypath), "--x", str(xpath)]) == 2
+    assert re.search(message, capsys.readouterr().err.splitlines()[-1].removeprefix("error: "))
 
 
 def test_loo_cv_fold_conditioning_names_the_left_out_row(monkeypatch):
@@ -546,7 +553,7 @@ def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
         data = _no_signal_dataset(rep)
         n, q = data.n, data.q
         folds = np.arange(n)
-        centered = _loo_fit(data)[0]
+        centered = center_columns(data.y)
         reg, resid, _, _ = _scatter_stack(_fold_rows(centered, folds), _fold_rows(data.x, folds))
         s_resid = _gram(resid)
         fast = _plugin_weights(_gram(reg), s_resid, np.linalg.eigvalsh(s_resid), n - 1, q)

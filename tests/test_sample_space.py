@@ -32,7 +32,7 @@ from allopca import (
     sym_eig,
 )
 from allopca import core, estimators
-from allopca.cli import main, write_matrix_csv
+from allopca.cli import main
 from allopca.core import _scatter_stack
 from allopca.estimators import _leading_axes
 from allopca.harness import DEFAULT_ROWS, _replicate_block
@@ -118,7 +118,7 @@ def test_zero_blend_estimate_prints_no_nan(tmp_path, capsys):
     argv = ["estimate"]
     for flag, mat in (("--y", y), ("--x", x)):
         path = tmp_path / f"{flag[2:]}.csv"
-        write_matrix_csv(str(path), mat)
+        np.savetxt(path, mat, delimiter=",", fmt="%.17g")
         argv += [flag, str(path)]
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -44,7 +44,7 @@ from allopca import (
     sums_of_squares,
     sym_eig,
 )
-from allopca.cli import main, write_matrix_csv
+from allopca.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "allopca"
 
@@ -238,8 +238,8 @@ def test_library_entry_points_report_the_rule(rule, entry, call):
 
 def _files(tmp_path, data):
     ypath, xpath = tmp_path / "y.csv", tmp_path / "x.csv"
-    write_matrix_csv(str(ypath), data.y)
-    write_matrix_csv(str(xpath), data.x)
+    np.savetxt(ypath, data.y, delimiter=",", fmt="%.17g")
+    np.savetxt(xpath, data.x, delimiter=",", fmt="%.17g")
     return ["--y", str(ypath), "--x", str(xpath)]
 
 
