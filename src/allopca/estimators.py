@@ -391,16 +391,16 @@ def _blocks(count: int, entries: int):
     return (np.arange(start, min(start + size, count)) for start in range(0, count, size))
 
 
-def _solved_size(n: int, p: int, q: int) -> int:
-    """Order of the matrices `_leading_axes` solves for a fit of n rows, p responses
-    and q design columns: p, or the n + q factor rows of a wide fit."""
-    return min(p, n + q)
+def _solved_size(n: int, p: int) -> int:
+    """Order of the matrices `_leading_axes` solves per weight for a fit of n
+    observations and p responses: p, or the n - 1 reduced rows of a wide fit."""
+    return min(p, n - 1)
 
 
 def _fit_entries(n: int, p: int, q: int, rules: int) -> int:
     """Entries one fit holds in a block: its n rows of responses and design, and
     one solved matrix for each of `rules` weight rules."""
-    return n * (p + q) + _solved_size(n, p, q) ** 2 * rules
+    return n * (p + q) + _solved_size(n, p) ** 2 * rules
 
 
 def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
@@ -425,27 +425,44 @@ def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, 
     design columns.  The fits are solved in the smaller space
     (`_solved_size`):
 
-    - q + b >= p: the p x p matrices S(w) = (1 - w) s_reg + w s_resid;
-    - q + b < p: the (q + b) x (q + b) matrices D^1/2 W W' D^1/2 with
-      W = [reg; resid] and D = diag(1 - w, ..., w, ...), whose leading
+    - n - 1 >= p: the p x p matrices S(w) = (1 - w) s_reg + w s_resid;
+    - n - 1 < p: resid has rank at most r = n - 1 - q, so the one `eigh`
+      of the residual Gram resid resid' = U diag(theta) U' (in
+      `_check_fit_stack`, whose values the plug-in weight also reads)
+      keeps its r leading pairs, and each weight solves the (n - 1) x
+      (n - 1) matrix D^1/2 W W' D^1/2 of the reduced rows W = [reg; U_r'resid]
+      and D = diag(1 - w, ..., w, ...).  W W' has the blocks reg reg',
+      (reg resid') U_r and the exact diag(theta_r), and its leading
       eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the snapshot
       method, Sirovich 1987: S(w) = W' D W has the same nonzero spectrum).
 
     `_check_fit_stack` checks every fit once, on the Grams of the solved
-    space, and the plug-in weights come from those Grams (computed only for
-    a `PluginRule`); `_solve_axes` does the rest.  `where` follows the
+    space (and a wide fit's kept pairs), and the plug-in weights come from
+    those Grams (computed only for a `PluginRule`); `_solve_axes` does the
+    rest.  With no rules, the fits are only checked.  `where` follows the
     matrix names in error messages.  Returns (weights, axes, gaps, ties,
     plug-in fields or None), the first four as `_solve_axes` returns them.
     """
     p = reg.shape[2]
-    rows = gram = None
-    if _solved_size(resid.shape[1], p, q) < p:
-        rows = np.concatenate((reg, resid), axis=1)
-        gram = _gram(np.swapaxes(rows, 1, 2))
+    if _solved_size(n, p) < p:
+        rank = n - 1 - q
+        gram = _gram(np.swapaxes(np.concatenate((reg, resid), axis=1), 1, 2))
         s_reg, s_resid = gram[:, :q, :q], gram[:, q:, q:]
+        resid_evals, (theta, kept) = _check_fit_stack(s_reg, s_resid, resid, total, basis,
+                                                      where, rank)
+        # the reduced rows [reg; U_r'resid] and their Gram, of order q + r = n - 1
+        rows = np.concatenate((reg, np.swapaxes(kept, 1, 2) @ resid), axis=1)
+        cross = gram[:, :q, q:] @ kept
+        gram = np.zeros((len(rows), q + rank, q + rank))
+        gram[:, :q, :q], gram[:, :q, q:], gram[:, q:, :q] = s_reg, cross, np.swapaxes(cross, 1, 2)
+        diag = np.arange(q, q + rank)
+        gram[:, diag, diag] = theta
     else:
+        rows = gram = None
         s_reg, s_resid = _gram(reg), _gram(resid)
-    resid_evals = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)
+        resid_evals = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)[0]
+    if not rules:
+        return (None,) * 5
     plugin = None
     if any(isinstance(rule, PluginRule) for rule in rules):
         plugin = _plugin_weights(s_reg, s_resid, resid_evals, n, q)
@@ -455,15 +472,15 @@ def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, 
 def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram=None):
     """Weights, axes (rules, k, p), gaps and tie flags (rules, k) of checked fits.
 
-    `s_reg` and `s_resid` are k trusted p x p Grams, or the blocks of the
-    sample-space Grams `gram` of wide fits with factor rows `rows` (see
-    `_leading_axes`).  A `FixedWeight` gives its w, a `PluginRule`
-    `plugin["w_hat"]` and an `OracleWeight` the `oracle` weights (k,).
-    Each distinct (fit, weight) pair is solved once, per `_blocks` range,
-    and its two leading pairs, all that is read, are checked in the space
-    solved in.  Its gap is lambda_1 - lambda_2 of the solved matrix, whose
-    trace and nonzero spectrum are those of S(w), and a tie a gap of at
-    most TIE_TOL times that trace.
+    `s_reg` and `s_resid` are k trusted p x p Grams, or, for wide fits, the
+    reduced (n - 1) x (n - 1) Grams `gram` of the reduced rows `rows`, whose
+    leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
+    gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
+    `oracle` weights (k,).  Each distinct (fit, weight) pair is solved once,
+    per `_blocks` range, and its two leading pairs, all that is read, are
+    checked in the space solved in.  Its gap is lambda_1 - lambda_2 of the
+    solved matrix, whose trace and nonzero spectrum are those of S(w), and a
+    tie a gap of at most TIE_TOL times that trace.
     """
     k, q = s_reg.shape[:2]
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
@@ -503,10 +520,11 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     over the n folds.  Each block of folds is built and checked like a
     block of Monte Carlo replications: its rows are re-centered
     (`_fold_rows`, with the left-out row zeroed), `_scatter_stack` fits them
-    in one batched thin QR, and `_leading_axes` checks every fold fit and
-    resolves each rule's weight and axis.  Each fold predicts from its own
-    fit, with mu_i = (n ybar - y_i) / (n - 1) the fold mean and x~_i the
-    left-out row re-centered as `_fold_rows` re-centers the fold rows:
+    in one batched thin QR, and `_leading_axes` checks every fold fit,
+    whatever the rules, and resolves each projected rule's weight and axis.
+    Each fold predicts from its own fit, with mu_i = (n ybar - y_i) / (n - 1)
+    the fold mean and x~_i the left-out row re-centered as `_fold_rows`
+    re-centers the fold rows:
 
     - the OLS prediction is mu_i + x~_i' B, with the fold's least-squares
       coefficients B = R^-1 Q'y from its thin QR (`_ols_coefficients`);
@@ -514,11 +532,13 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
       mu_i + ((yhat_ols_i - mu_i) . g) g.
 
     The fold fits are shared by all rules.  Per block of folds, the
-    plug-in weights come from one batched eigenvalue solve and the axes of
-    all distinct (weight, fold) pairs from one batched eigensolve.  The
-    full design is checked once for conditioning, and each fold gets the
-    checks of what it reads: design conditioning (naming the left-out row),
-    the `_check_fit_stack` rules and the leading pairs.
+    plug-in weights come from the fit check's one batched eigenvalue solve
+    (an `eigh` of the residual Grams when the folds, of n - 1 observations,
+    are wide: n - 2 < p) and the axes of all distinct (weight, fold) pairs
+    from one batched eigensolve.  The full design is checked once for
+    conditioning, and each fold gets the checks of what it reads: design
+    conditioning (naming the left-out row), the `_check_fit_stack` rules
+    (with a wide fold's kept residual pairs) and the leading pairs.
 
     Parameters
     ----------
@@ -561,15 +581,16 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     for folds in _blocks(n, _fit_entries(n, p, q, len(rules))):
         fold_x = _fold_rows(x, folds)
         fits = _scatter_stack(_fold_rows(centered, folds), fold_x, folds)
+        # checks every fold fit, whatever the rules, and gives the projected rules' axes
+        g = _leading_axes([rules[k] for k in projected], *fits, n - 1, q,
+                          where=" of a leave-one-out fold")[1]
         left = x[folds] + x[folds] / (n - 1)  # x~_i; shift is yhat_ols_i - mu_i
-        shift =(left[:, None, :] @ _ols_coefficients(fold_x, fits[0], fits[3]))[:, 0]
+        shift = (left[:, None, :] @ _ols_coefficients(fold_x, fits[0], fits[3]))[:, 0]
         base = mu[folds]
         err = y[folds] - (base + shift)
         sse[ols] += float(np.sum(err * err))
         if not projected:
             continue
-        g = _leading_axes([rules[k] for k in projected], *fits, n - 1, q,
-                          where=" of a leave-one-out fold")[1]
         pred = base + np.sum(shift * g, axis=-1, keepdims=True) * g
         err = y[folds] - pred
         sse[projected] += np.sum(err * err, axis=(1, 2))

@@ -173,14 +173,19 @@ class McResult:
 def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
     """Crude wall-clock estimate used by the cost guard.
 
-    Each eigensolve is charged at the size `_leading_axes` solves
-    (`_solved_size`): p or, for a wide point, the sample-space n + q.
+    Each per-weight eigensolve is charged at the order `_leading_axes`
+    solves (`_solved_size`): p or, for a wide point, the reduced n - 1; a
+    wide point also pays one `eigh` of its n x n residual Gram per
+    replication.
     """
     n_est = len(plan.estimators)
     seconds = 0.0
     for spec in plan.points:
         n, p, q = spec.n, spec.p, spec.q
-        flops = 4.0 * n * p * (p + q) + (n_est + 5.0) * 10.0 * _solved_size(n, p, q) ** 3
+        s = _solved_size(n, p)
+        flops = 4.0 * n * p * (p + q) + (n_est + 5.0) * 10.0 * s ** 3
+        if s < p:
+            flops += 10.0 * n ** 3
         seconds += plan.replications * (flops / 2e9 + (n_est + 4) * 5e-5)
     return seconds
 
@@ -195,8 +200,9 @@ def _replicate_block(
     responses centered, one `_scatter_stack` call for the row factors, oracle
     weights from the model's (a, b, d) and the designs' c = ||X alpha||^2,
     one `_leading_axes` call that checks the fits and resolves every row's
-    weight and axis (in sample space when n + q < p), and one
-    `mse_up_to_sign` call.  Every replication is computed as if it were
+    weight and axis (in sample space when n - 1 < p: one `eigh` of each
+    fit's n x n residual Gram, then every weight at the reduced order
+    n - 1), and one `mse_up_to_sign` call.  Every replication is computed as if it were
     alone, so results do not depend on how `reps` is split.
     """
     n, p, q = spec.n, spec.p, spec.q

@@ -125,13 +125,14 @@ def force_blocks(monkeypatch):
 
 @pytest.fixture
 def eig_sizes(monkeypatch):
-    """`eig_sizes()` starts recording the matrix size of every `np.linalg.eigh` and
-    `eigvalsh` call into the list it returns; `monkeypatch.undo()` stops it."""
+    """`eig_sizes()` starts recording the order of every matrix that `np.linalg.eigh`
+    and `eigvalsh` decompose, one entry per matrix of a stack, into the list it
+    returns; `monkeypatch.undo()` stops it."""
     def record():
         sizes = []
         for name in ("eigh", "eigvalsh"):
             def recorded(a, *args, _orig=getattr(np.linalg, name), **kwargs):
-                sizes.append(a.shape[-1])
+                sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
                 return _orig(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recorded)
         return sizes

@@ -404,13 +404,14 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
 
 
 def test_estimate_wide_fit_solves_in_sample_space(tmp_path, capsys, eig_sizes):
-    # n + q = 14 < p = 40: no eigensolve sees a 40 x 40 matrix
+    # n - 1 = 11 < p = 40: no eigensolve sees a 40 x 40 matrix; one eigh of the
+    # 12 x 12 residual Gram, and every weight is solved at order 11
     ypath, xpath, _ = dataset_files(tmp_path, n=12, p=40, q=2)
     want = _estimate_reference(ypath, xpath)
     sizes = eig_sizes()
     code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
-    assert max(sizes) == 14
+    assert sizes.count(12) == 1 and set(sizes) == {12, 11}
     got, ref = (parse_csv("\n".join(ln for ln in text.splitlines() if not ln.startswith("#")))
                 for text in (out, want))
     assert got[0] == ref[0]

@@ -89,7 +89,7 @@ def test_commands_flag_ties_by_the_rule_of_gamma1_hat():
     h = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
     x = np.stack([h[:, 2:]] * 2)
     rules = (FixedWeight(0.5), FixedWeight(1.0))
-    for p in (3, 40):  # the p x p solve, and the sample-space solve of n + q = 5 < p rows
+    for p in (3, 40):  # the p x p solve, and the sample-space solve of n - 1 = 3 < p rows
         y = np.zeros((2, 4, p))
         y[:, :, :2] = h[:, :2]
         y[1, :, 1] *= 2.0

@@ -158,7 +158,7 @@ def test_common_random_numbers_duplicate_weight_rows():
 
 
 def _table1_shaped_spec(p=10, alpha=0.0):
-    # table1 shape (q = 5, lambdas 2, 1, ..., 1) at n = 20, so n + q = 25
+    # table1 shape (q = 5, lambdas 2, 1, ..., 1) at n = 20, so p > n - 1 = 19 is wide
     lam = np.ones(p)
     lam[0] = 2.0
     return ModelSpec(p=p, q=5, n=20, mu=np.zeros(p), alpha=np.full(5, alpha), lambdas=lam,
@@ -171,7 +171,7 @@ ORACLE_SPECS = {
     "no-signal": _table1_shaped_spec,
     "table3b-p20": lambda: STRONG_SPIKE.model_spec(20, 3),
     "table3b-p100": lambda: STRONG_SPIKE.model_spec(100, 3),
-    **{f"crossover-p{p}": lambda p=p: _table1_shaped_spec(p, 1.0) for p in (24, 25, 26)},
+    **{f"crossover-p{p}": lambda p=p: _table1_shaped_spec(p, 1.0) for p in (19, 20, 21)},
     "no-signal-p40": lambda: _table1_shaped_spec(40),
 }
 
@@ -179,9 +179,9 @@ ORACLE_SPECS = {
 @pytest.mark.parametrize("case, chunk", [
     ("table1", None), ("table3b", None), ("no-signal", None),
     ("table1", 3),  # the eigensolves split into chunks of 3 matrices
-    # solved in sample space (n + q < p), and the crossover n + q = 25 around p
+    # solved in sample space (n - 1 < p), and the crossover n - 1 = 19 around p
     ("table3b-p20", None), ("table3b-p100", None), ("no-signal-p40", None),
-    ("crossover-p24", None), ("crossover-p25", None), ("crossover-p26", None),
+    ("crossover-p19", None), ("crossover-p20", None), ("crossover-p21", None),
 ])
 def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, eig_sizes,
                                                monkeypatch):
@@ -194,19 +194,23 @@ def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, 
     mse, wts = _replicate_block(spec, rows, reps)
     monkeypatch.undo()
     want_mse, want_wts = replication_oracle(spec, rows, reps)
-    assert max(sizes) == min(spec.p, spec.n + spec.q)
-    if spec.n + spec.q < spec.p:
+    if spec.n - 1 < spec.p:
+        # one `eigh` of each fit's n x n residual Gram, and every weight solved at
+        # the reduced order n - 1
+        assert sizes.count(spec.n) == len(reps)
+        assert set(sizes) == {spec.n, spec.n - 1}
         # a different matrix than the oracle's p x p one: equal up to roundoff
         assert np.max(np.abs(mse - want_mse)) <= 1e-12
         assert np.max(np.abs(wts - want_wts)) <= 1e-12
     else:
+        assert set(sizes) == {spec.p}
         assert mse.tobytes() == want_mse.tobytes()
         assert wts.tobytes() == want_wts.tobytes()
     labels = [label for label, _ in DEFAULT_ROWS]
     # total(w=0.5) and w=0.5 share one axis
     assert np.array_equal(mse[:, labels.index("total(w=0.5)")], mse[:, labels.index("w=0.5")])
-    if case.startswith("table3b"):
-        assert spec.n + spec.q < spec.p
+    if case.startswith("table3b") or case in ("crossover-p20", "crossover-p21"):
+        assert spec.n - 1 < spec.p
     if case.startswith("no-signal"):
         # the plug-in fallback w_hat = 0 fires and shares the regression(w=0) axis
         fallback = wts[:, labels.index("plugin")] == 0.0
@@ -243,8 +247,8 @@ def test_replication_block_is_one_stacked_fit(monkeypatch, force_blocks, reps_pe
 
 
 def test_wide_replications_stack_by_solved_size(monkeypatch):
-    # table3b p = 50 (n = 22, q = 5) is solved at n + q = 27, not p, so a block
-    # holds 2**15 // (22 * 55 + 27**2 * 11) = 3 replications
+    # table3b p = 50 (n = 22, q = 5) is solved at n - 1 = 21, not p, so a block
+    # holds 2**15 // (22 * 55 + 21**2 * 11) = 5 replications
     spec = STRONG_SPIKE.model_spec(50, 3)
     assert (spec.n, spec.q) == (22, 5)
     sizes = []
@@ -255,7 +259,7 @@ def test_wide_replications_stack_by_solved_size(monkeypatch):
 
     monkeypatch.setattr(harness, "_scatter_stack", recording)
     _replicate_block(spec, tuple(est for _, est in DEFAULT_ROWS), np.arange(12))
-    assert sizes == [3, 3, 3, 3]
+    assert sizes == [5, 5, 2]
 
 
 def test_replication_block_bypasses_single_fit_functions(monkeypatch, replication_oracle):
@@ -278,8 +282,9 @@ def test_replication_block_split_invariance(case, eig_sizes):
     rows = tuple(est for _, est in DEFAULT_ROWS)
     sizes = eig_sizes()
     whole = _replicate_block(spec, rows, np.arange(12))
-    # table1 solves p x p matrices, table3b (p = 50, n = 22, q = 5) sample-space ones
-    assert max(sizes) == (spec.p if case == "table1" else spec.n + spec.q)
+    # table1 solves p x p matrices, table3b (p = 50, n = 22, q = 5) one 22 x 22
+    # residual Gram per replication and reduced ones of order n - 1 = 21
+    assert set(sizes) == ({spec.p} if case == "table1" else {spec.n, spec.n - 1})
     halves = [_replicate_block(spec, rows, r) for r in (np.arange(5), np.arange(5, 12))]
     singles = [_replicate_block(spec, rows, np.array([r])) for r in range(12)]
     for parts in (halves, singles):
@@ -358,12 +363,13 @@ def test_plugin_degrees_of_freedom_checked_before_running():
 
 
 def test_cost_model_charges_the_solved_size():
-    # p = 100 > n + q = 39 + 5: each eigensolve is charged at 44, not 100
+    # p = 100 > n - 1 = 38: each per-weight eigensolve is charged at 38, not 100,
+    # plus one eigh of the 39 x 39 residual Gram per replication
     plan = scenario_plan(STRONG_SPIKE, [100], replications=3, seed=0)
     n, p, q = 39, 100, 5
     assert (plan.points[0].n, plan.points[0].p, plan.points[0].q) == (n, p, q)
     rows = len(DEFAULT_ROWS)
-    flops = 4.0 * n * p * (p + q) + (rows + 5.0) * 10.0 * (n + q) ** 3
+    flops = 4.0 * n * p * (p + q) + (rows + 5.0) * 10.0 * (n - 1) ** 3 + 10.0 * n ** 3
     assert estimate_runtime_seconds(plan) == 3 * (flops / 2e9 + (rows + 4) * 5e-5)
     narrow = scenario_plan(Traditional(), [50], replications=3, seed=0)
     flops = 4.0 * 50 * 10 * 15 + (rows + 5.0) * 10.0 * 10 ** 3

@@ -3,14 +3,17 @@
 Replications, `estimate` and leave-one-out folds build their fits with one
 builder (`core._scatter_stack`), and `core._check_fit_stack` checks each
 fit once, in the space it is solved in: the p x p matrices, or the
-sample-space Grams of a wide fit (n + q < p factor rows).  Wide folds are
-checked against the brute-force leave-one-out refit and a wide fit against
-the one-fit library path (the replication cases against
-`conftest.per_weight_replication` are in `test_harness.py`); each rule of
-the fit check, and the leading-pair check of every solved matrix, has a
-fault-injection test on a p x p point, a sample-space point and a
-leave-one-out fold; axes are pinned bit for bit under stacking and
-power-of-two rescaling, and a zero S(w) gives the axis e_p in both spaces.
+sample-space Grams of a wide fit of n observations (n - 1 < p), whose
+residual Gram gets one `eigh` and whose weights are solved on the n - 1
+reduced rows.  Wide folds are checked against the brute-force leave-one-out
+refit and a wide fit against the one-fit library path (the replication
+cases against `conftest.per_weight_replication` are in `test_harness.py`);
+each rule of the fit check, and the leading-pair check of every solved
+matrix, has a fault-injection test on a p x p point, a sample-space point
+and a leave-one-out fold, and the kept residual pairs of the reduction one
+on a sample-space point and a wide leave-one-out fold; axes are pinned bit
+for bit under stacking and power-of-two rescaling, and a zero S(w) gives
+the axis e_p in both spaces.
 """
 
 import inspect
@@ -31,9 +34,10 @@ from allopca import (
     sums_of_squares,
     sym_eig,
 )
-from allopca import core, estimators
+from allopca import core, estimators, harness
 from allopca.cli import main
 from allopca.core import _scatter_stack
+from allopca.errors import NumericFailure
 from allopca.estimators import _leading_axes
 from allopca.harness import DEFAULT_ROWS, _replicate_block
 from allopca.simgen import STRONG_SPIKE, Traditional
@@ -43,7 +47,7 @@ RULES = (FixedWeight(0.0), FixedWeight(0.3), FixedWeight(0.5), FixedWeight(1.0),
 
 
 def _wide_fits(k=4, n=15, p=40, q=3, seed=1):
-    """Centered responses and designs of `k` stacked wide fits (n + q < p) with a shared spike."""
+    """Centered responses and designs of `k` stacked wide fits (n - 1 < p) with a shared spike."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((k, n, q))
     x -= x.mean(axis=1, keepdims=True)
@@ -58,7 +62,9 @@ def _wide_fits(k=4, n=15, p=40, q=3, seed=1):
 
 
 def test_wide_leave_one_out_matches_refit(loo_refit, eig_sizes, monkeypatch):
-    # n = 12, p = 30: every fold (n + q = 14 factor rows) is solved in sample space
+    # n = 12, p = 30: every fold (11 observations) is solved in sample space, with
+    # one eigh of its 12 x 12 residual Gram (the left-out row is zero) and every
+    # weight at the reduced order 11 - 1 = 10
     rng = np.random.default_rng(7)
     n, p, q = 12, 30, 2
     x = center_columns(rng.standard_normal((n, q)))
@@ -67,7 +73,7 @@ def test_wide_leave_one_out_matches_refit(loo_refit, eig_sizes, monkeypatch):
     rules = (FixedWeight(0.5), FixedWeight(1.0), FixedWeight(0.0), PluginRule(), OlsRule())
     sizes = eig_sizes()
     scores = loo_cv_scores(data, rules)
-    assert max(sizes) == n + q < p
+    assert sizes.count(n) == n and set(sizes) == {n, n - 2}
     monkeypatch.undo()
     for score, rule in zip(scores, rules):
         assert score == pytest.approx(loo_refit(data, rule), rel=1e-10)
@@ -102,7 +108,7 @@ def _zero_regression_fit(p):
 @pytest.mark.parametrize("p", [3, 40])
 def test_zero_blend_gives_the_last_axis_in_both_spaces(p):
     # S(0) = s_reg = 0: p = 3 is solved p x p (eigh of a zero matrix gives e_p),
-    # p = 40 in sample space (n + q = 5 < p), whose lift W' D^1/2 u is 0
+    # p = 40 in sample space (n - 1 = 3 < p), whose lift W' D^1/2 u is 0
     y, x = _zero_regression_fit(p)
     rules = (FixedWeight(0.0), FixedWeight(0.5))
     weights, axes, gaps, ties, _ = _leading_axes(rules, *_scatter_stack(y[None], x[None]), 4, 1)
@@ -161,16 +167,21 @@ def test_nan_response_raises():
         _leading_axes(RULES, *_scatter_stack(y, x), n, q)
 
 
+def _fold_data():
+    """Data (n = 12, p = 30, q = 2) whose leave-one-out folds are wide."""
+    rng = np.random.default_rng(3)
+    return Dataset(rng.standard_normal((12, 30)), center_columns(rng.standard_normal((12, 2))))
+
+
 def _fault_cases():
     """(run, q, where) of a p x p point (table1), a sample-space point (table3b)
     and wide leave-one-out folds; `where` names the fit in error messages."""
-    rng = np.random.default_rng(3)
-    n, p, q = 12, 30, 2
-    data = Dataset(rng.standard_normal((n, p)), center_columns(rng.standard_normal((n, q))))
+    data = _fold_data()
     table1, table3b = (kind.model_spec(50, 3) for kind in (Traditional(), STRONG_SPIKE))
     return [(lambda: _replicate_block(table1, ROWS, np.arange(2)), table1.q, ""),
             (lambda: _replicate_block(table3b, ROWS, np.arange(2)), table3b.q, ""),
-            (lambda: loo_cv_scores(data, (FixedWeight(0.5),)), q, " of a leave-one-out fold")]
+            (lambda: loo_cv_scores(data, (FixedWeight(0.5),)), data.q,
+             " of a leave-one-out fold")]
 
 
 def _corrupt(vals, vecs, part):
@@ -179,6 +190,8 @@ def _corrupt(vals, vecs, part):
     top = np.abs(vals[..., -1:])
     if part == "smallest":
         vals[..., 0] += 1e-6 * top[..., 0]
+    elif part == "smallest vector":  # turned 1e-4 toward the leading pair's vector
+        vecs[..., 0] = np.cos(1e-4) * vecs[..., 0] + np.sin(1e-4) * vecs[..., -1]
     elif part == "lambda1":
         vals[..., -1] += 1e-6 * top[..., 0]
     elif part == "lambda2":
@@ -197,28 +210,69 @@ def _corrupt(vals, vecs, part):
     ("scaled vector", r"leading eigenvector\[0\] must be unit length"),
 ], ids=["lambda1", "lambda2", "rotated_vector", "scaled_vector"])
 def test_corrupted_leading_eigenpair_raises(monkeypatch, part, message):
-    # a p x p block, a sample-space block and a block of leave-one-out folds
-    real = np.linalg.eigh
+    # a p x p block, a sample-space block and a block of leave-one-out folds; only
+    # the solver's eigh is corrupted, not the fit check's eigh of a residual Gram
+    real, solve = np.linalg.eigh, estimators._sym_eig_stack
     cases = _fault_cases()
+
+    def corrupted(m):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), part))
+            return solve(m)
+
+    monkeypatch.setattr(estimators, "_sym_eig_stack", corrupted)
+    for run, _, _ in cases:
+        with pytest.raises(NumericFailure, match=message):
+            run()
+
+
+@pytest.mark.parametrize("part, message", [
+    ("lambda1", "eigenpair 1 of residual Gram 0 fails its residual check"),
+    ("lambda2", "eigenpair 2 of residual Gram 0 fails its residual check"),
+    ("rotated vector", "eigenpair 1 of residual Gram 0 fails its residual check"),
+    ("scaled vector", r"kept residual eigenvectors not orthonormal: max\|V'V - I\|"),
+], ids=["lambda1", "lambda2", "rotated_vector", "scaled_vector"])
+def test_corrupted_kept_residual_pair_raises(monkeypatch, part, message):
+    # a wide fit reads the kept pairs of its residual Gram's eigh, which comes
+    # before every solve: a sample-space block and a block of wide folds
+    real = np.linalg.eigh
+    cases = _fault_cases()[1:]
     monkeypatch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), part))
     for run, _, _ in cases:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(NumericFailure, match=message):
+            run()
+
+
+def test_residual_mass_outside_the_kept_pairs_raises(monkeypatch):
+    # residual rows shifted by a constant stay off the design span (the
+    # additivity rule passes) but have rank n - q, one more than the pairs kept
+    def shifted(*args, _orig=core._scatter_stack):
+        reg, resid, total, qmat = _orig(*args)
+        return reg, resid + 0.1 * np.max(np.abs(resid)), total, qmat
+
+    for module in (harness, estimators):
+        monkeypatch.setattr(module, "_scatter_stack", shifted)
+    for run, _, _ in _fault_cases()[1:]:
+        with pytest.raises(NumericFailure,
+                           match=r"residual Gram 0 leaves .* outside its \d+ kept eigenpairs"):
             run()
 
 
 def test_corrupted_smallest_eigenvalue_fails_only_sym_eig(monkeypatch):
     # only `sym_eig` reads the whole spectrum, so only it checks the whole
-    # decomposition; the commands read the two leading pairs
+    # decomposition; the commands read the two leading pairs of each solve and
+    # the kept pairs of a wide fit's residual Gram, never its dropped null pairs
     real = np.linalg.eigh
     cases = _fault_cases()
     want = [run() for run, _, _ in cases]
     a = np.random.default_rng(0).standard_normal((6, 6))
     m = a @ a.T
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), "smallest"))
-    with pytest.raises(ValueError, match="eigendecomposition failed to reconstruct the input"):
-        sym_eig(m)
-    for (run, _, _), out in zip(cases, want):
-        _assert_same(run(), out)
+    for part in ("smallest", "smallest vector"):
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, part=part: _corrupt(*real(a), part))
+        with pytest.raises(ValueError, match="eigendecomposition failed to reconstruct the input"):
+            sym_eig(m)
+        for (run, _, _), out in zip(cases, want):
+            _assert_same(run(), out)
 
 
 def _assert_same(got, want):
@@ -246,8 +300,10 @@ def test_commands_check_the_leading_pairs_of_every_solve(monkeypatch):
         checked.append(m.copy())
         real_check(m, *args)
 
-    def refuse(*args):
-        raise AssertionError("full orthonormality check")
+    def refuse(v, *args, _orig=core._check_orthonormal):
+        if v.shape[-1] == v.shape[-2]:  # the kept residual vectors of a wide fit are b x r
+            raise AssertionError("full orthonormality check")
+        _orig(v, *args)
 
     monkeypatch.setattr(estimators, "_sym_eig_stack", solve)
     monkeypatch.setattr(estimators, "_check_leading_pairs", check)
@@ -274,11 +330,15 @@ def test_non_psd_residual_gram_raises(monkeypatch):
 
 
 def test_non_orthonormal_design_basis_raises(monkeypatch):
-    # the additivity rule, max|Q'resid|, which also covers each fold's residual rows
+    # the additivity rule, max|Q'resid|, which also covers each fold's residual
+    # rows, and the folds of an OLS-only scoring, whose predictions read Q and reg
     real = core._conditioned_qr
+    cases = _fault_cases()
+    cases.append((lambda: loo_cv_scores(_fold_data(), (OlsRule(),)), 2,
+                  " of a leave-one-out fold"))
     monkeypatch.setattr(core, "_conditioned_qr",
                         lambda x, *args: (1.001 * real(x, *args)[0], None))
-    for run, _, where in _fault_cases():
+    for run, _, where in cases:
         with pytest.raises(ValueError,
                            match=rf"s_total != s_reg \+ s_resid{where}: residual rows"):
             run()

@@ -91,9 +91,12 @@ MESSAGE_SOURCES = {
     "additivity": "s_resid: max entry gap",
     "additivity_fit": "design span's complement by {",
     # eigenpairs are checked where they are read: the whole decomposition by
-    # `sym_eig`, the two leading pairs by the commands' solver
+    # `sym_eig`, the two leading pairs by the commands' solver (their residual
+    # rule also checks the kept pairs below)
     "reconstruct": "failed to reconstruct",
     "leading_pairs": "fails its residual check",
+    # and a wide fit's reduction by the kept pairs of its residual Gram
+    "kept_pairs": "kept eigenpairs\")",
 }
 
 
