@@ -281,7 +281,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     _check_plugin_dof(data.n, data.q)
     weights = args.weights if args.weights is not None else DEFAULT_WEIGHT_GRID
     labels, rules = zip(*_fixed_rows(weights), ("plugin", PluginRule()))
-    _, vectors, _, _, plugin = _leading_axes(rules, *fit, data.n, data.q)
+    _, vectors, _, _, plugin = _leading_axes(rules, *fit)
     vectors = vectors[:, 0]
     lam1, lam2, tr_sig = (float(plugin[name][0])
                           for name in ("lambda1_hat", "lambda2_hat", "tr_sigma_hat"))

@@ -26,10 +26,11 @@ as row factors (`sums_of_squares` forms the Grams of a stack of one), and
 (`sym_eig`, a stack of one, checks the whole decomposition, and the
 commands' solver the two pairs it reads).  `_check_fit_stack` is the one
 check of a built fit: it checks the Grams of the fit's factors in the
-space the fit is solved in (p x p, or the sample-space Grams of a wide
-fit, whose residual Gram it decomposes once and whose kept pairs it
-checks) and its additivity on the factors.  `SumOfSquares` checks matrices
-given by a user, in the Gram form.
+space the fit is solved in (p x p, or the Gram blocks of a wide fit's
+reduced rows), with one `eigvalsh` of the residual block in either space,
+and its additivity on the factors: the residual rows must be orthogonal to
+the constant and to the design span.  `SumOfSquares` checks matrices given
+by a user, in the Gram form.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
@@ -37,9 +38,8 @@ int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_draw_size` (one
 drawn replication holds at most MAX_DRAW_ENTRIES floats), `_check_dimension` (p >= 2),
 `_check_index` (seeds and indices >= 0), `_check_unit`,
 `_check_orthonormal`, `_check_finite`, `_check_symmetric` (square, finite,
-symmetric and, through `_check_semidefinite`, positive semidefinite
-matrices), `_check_leading_pairs` and `_check_kept_pairs` (both through
-`_check_residuals`) and `_check_design_conditioning` (cond(X'X) <=
+symmetric and positive semidefinite matrices), `_check_leading_pairs` and
+`_check_design_conditioning` (cond(X'X) <=
 COND_LIMIT, read off the R factor of each fit's thin QR; `Dataset` checks
 no rank).
 """
@@ -58,7 +58,7 @@ from .errors import DegreesOfFreedomError, NumericFailure, RankDeficiencyError
 CENTER_TOL = 1e-9
 SYM_INPUT_TOL = 1e-8   # asymmetry allowed in sym_eig input
 SYM_STORED_TOL = 1e-10  # asymmetry allowed in given S matrices
-PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace (and trace off kept pairs <= it)
+PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace
 ADDITIVITY_TOL = 1e-9   # |S_total - S_reg - S_resid| entrywise
 COND_LIMIT = 1e12       # condition-number cap for X'X
 UNIT_TOL = 1e-8         # |norm - 1| allowed in a unit vector, and max|V'V - I|
@@ -166,18 +166,13 @@ def _check_symmetric(mats: np.ndarray, names, rtol: float = SYM_STORED_TOL,
     if not psd:
         return None
     evals = np.linalg.eigvalsh(mats)
-    _check_semidefinite(mats, evals[:, :, 0], names)
-    return evals
-
-
-def _check_semidefinite(mats: np.ndarray, lo: np.ndarray, names) -> None:
-    """Raise unless each matrix of stacks `mats` (len(names), k, p, p), with least
-    eigenvalues `lo` (len(names), k), has lo >= -PSD_TOL * trace."""
+    lo = evals[:, :, 0]
     bad = np.any(lo < -PSD_TOL * np.maximum(np.trace(mats, axis1=2, axis2=3), 0.0), axis=1)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(f"{names[i]} is not positive semidefinite: "
                          f"min eigenvalue {np.min(lo[i]):.3e}")
+    return evals
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,45 +363,17 @@ def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> N
     1e-8 ||M||_F, and the leading v unit norm (NaN fails); with the gap, these
     bound the axis error (Parlett 1980; Davis & Kahan 1970).
     """
-    _check_residuals(m, vals[:, :2], vecs[:, :, :2], "solved matrix")
+    lead = vecs[:, :, :2]
+    err = np.linalg.norm(m @ lead - lead * vals[:, None, :2], axis=1)
+    bad = ~(err <= 1e-8 * np.linalg.norm(m, axis=(1, 2))[:, None])
+    if np.any(bad):
+        k, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NumericFailure(f"eigenpair {j + 1} of solved matrix {k} "
+                             f"fails its residual check: ||M v - lambda v|| = {err[k, j]:.3e}")
     try:
         _check_unit(vecs[:, :, 0], "leading eigenvector")
     except ValueError as exc:
         raise NumericFailure(str(exc)) from None
-
-
-def _check_kept_pairs(g: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise `NumericFailure` unless the kept pairs of each residual Gram G of a stack
-    carry it, so that G = U diag(vals) U' with U = `vecs` (k, b, r).
-
-    Each pair needs ||G u - theta u|| <= 1e-8 ||G||_F, U orthonormal columns
-    (max|U'U - I| <= UNIT_TOL), and the trace the pairs leave out,
-    |tr G - sum(theta)|, at most PSD_TOL tr G: G is semidefinite, so what is
-    left of it off U is then negligible too.  The dropped pairs are not read.
-    """
-    _check_residuals(g, vals, vecs, "residual Gram")
-    try:
-        _check_orthonormal(vecs, "kept residual eigenvectors")
-    except ValueError as exc:
-        raise NumericFailure(str(exc)) from None
-    trace = np.trace(g, axis1=1, axis2=2)
-    outside = np.abs(trace - np.sum(vals, axis=1))
-    bad = ~(outside <= PSD_TOL * trace)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise NumericFailure(f"residual Gram {k} leaves {outside[k]:.3e} of its trace "
-                             f"{trace[k]:.3e} outside its {vals.shape[1]} kept eigenpairs")
-
-
-def _check_residuals(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray, name: str) -> None:
-    """Raise `NumericFailure` unless ||M v - lambda v|| <= 1e-8 ||M||_F (NaN fails) for
-    each pair (vals[:, j], vecs[:, :, j]) of each matrix M of a stack, named `name`."""
-    err = np.linalg.norm(m @ vecs - vecs * vals[:, None, :], axis=1)
-    bad = ~(err <= 1e-8 * np.linalg.norm(m, axis=(1, 2))[:, None])
-    if np.any(bad):
-        k, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NumericFailure(f"eigenpair {j + 1} of {name} {k} "
-                             f"fails its residual check: ||M v - lambda v|| = {err[k, j]:.3e}")
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -417,62 +384,50 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
-                     total: np.ndarray, basis: np.ndarray, where: str = "",
-                     rank: int | None = None):
+                     total: np.ndarray, basis: np.ndarray, where: str = "") -> np.ndarray:
     """The one check of stacked fits built by `_scatter_stack`, in either solve space.
 
-    A fit has row factors reg = Q'total and resid = total - Q reg (k, b, p),
-    with s_reg = reg'reg and s_resid = resid'resid, centered response rows
-    `total` (k, b, p) and the orthonormal basis Q (`basis`, (k, b, q)) of its
-    design span.  `g_reg` and `g_resid` are the Grams of the space the fit is
-    solved in: the p x p s_reg and s_resid, or the sample-space reg reg' and
-    resid resid' of a wide fit, which have the same nonzero eigenvalues.
+    A fit of n observations has row factors reg = Q'total and
+    resid = total - Q reg (k, n, p), with s_reg = reg'reg and
+    s_resid = resid'resid, centered response rows `total` (k, n, p) and the
+    orthonormal basis Q (`basis`, (k, n, q)) of its design span.  `g_reg`
+    and `g_resid` are the Grams of the space the fit is solved in: the p x p
+    s_reg and s_resid, or the q x q and (n - 1 - q) x (n - 1 - q) blocks of
+    the Gram of a wide fit's reduced rows (`estimators._leading_axes`),
+    which have the same nonzero eigenvalues.
 
     - finiteness and symmetry: `_check_symmetric` on g_reg and g_resid (a
       Gram is finite exactly when its factor is, short of overflow), and
-      semidefiniteness of g_resid, whose eigenvalues the plug-in reads (min
-      eigenvalue >= -PSD_TOL * trace of s_resid; `_gram` makes g_reg one);
-    - additivity: s_total - s_reg - s_resid is reg'(Q'resid) plus its
-      transpose, so max|Q'resid| must be at most ADDITIVITY_TOL times
-      max|total|.  A residual computed as total - Q(Q'total) can go wrong
-      only through Q, and Q'resid catches that.
+      semidefiniteness of g_resid, from its one `eigvalsh`, whose values the
+      plug-in reads (min eigenvalue >= -PSD_TOL * trace of s_resid; `_gram`
+      makes g_reg one);
+    - additivity: the residual rows must be orthogonal to the constant and
+      to the design span, max|[1/sqrt(n), Q]'resid| <= ADDITIVITY_TOL
+      max|total|.  s_total - s_reg - s_resid is reg'(Q'resid) plus its
+      transpose, and a residual computed as total - Q(Q'total) can go wrong
+      only through Q, which Q'resid catches; orthogonality to the constant
+      as well makes the reduced rows of a wide fit carry s_resid whole.
 
     s_total is semidefinite when s_reg and s_resid are and the gap is
-    small.  The p x p g_resid (`rank` None) gets one `eigvalsh`.  A wide
-    fit's b x b g_resid gets one `eigh` (`_sym_eig_stack`) instead, and
-    its `rank` leading pairs, r = n - 1 - q for a fit of n observations,
-    are checked by `_check_kept_pairs`: the columns of resid are orthogonal
-    to the constant and to the centered design's span (and to a
-    leave-one-out fold's zeroed row), so g_resid has rank at most r, and
-    the reduced rows U_r'resid carry s_resid whole.  `where` follows the names in error messages.
-    Returns the ascending eigenvalues of g_resid, (k, b) or (k, p), and
-    the kept pairs, descending values theta_r (k, r) and vectors U_r
-    (k, b, r), or None.
+    small.  `where` follows the names in error messages.  Returns the
+    ascending eigenvalues of g_resid, (k, p) or (k, n - 1 - q).
 
     Raises
     ------
     ValueError
-        If some Gram or fit fails a check (`NumericFailure` for the kept
-        pairs).
+        If some Gram or fit fails a check.
     """
     names = [f"`{name}`{where}" for name in _SCATTER_NAMES]
     _check_symmetric(g_reg[None], names[:1], psd=False)
-    if rank is None:
-        evals = _check_symmetric(g_resid[None], names[1:2])[0]
-    else:
-        _check_symmetric(g_resid[None], names[1:2], psd=False)
-        vals, vecs = _sym_eig_stack(g_resid)
-        evals = vals[:, ::-1]
-        _check_semidefinite(g_resid[None], evals[None, :, 0], names[1:2])
-    gap = np.max(np.abs(np.swapaxes(basis, 1, 2) @ resid), axis=(1, 2))
+    evals = _check_symmetric(g_resid[None], names[1:2])[0]
+    n = resid.shape[1]
+    off_span = np.max(np.abs(np.swapaxes(basis, 1, 2) @ resid), axis=(1, 2))
+    off_constant = np.max(np.abs(np.full(n, 1.0 / np.sqrt(n)) @ resid), axis=1)
+    gap = np.maximum(off_span, off_constant)
     if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(total), axis=(1, 2)), 1e-300)):
         raise ValueError(f"s_total != s_reg + s_resid{where}: residual rows leave the "
-                         f"design span's complement by {np.max(gap):.3e}")
-    if rank is None:
-        return evals, None
-    kept = vals[:, :rank], vecs[:, :, :rank]
-    _check_kept_pairs(g_resid, *kept)
-    return evals, kept
+                         f"complement of the constant and the design span by {np.max(gap):.3e}")
+    return evals
 
 
 def center_columns(x: np.ndarray) -> np.ndarray:
@@ -523,11 +478,11 @@ def _gram(rows: np.ndarray) -> np.ndarray:
 def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = None):
     """Unchecked row factors (reg, resid, total, qmat) of stacked fits.
 
-    `y` (k, n, p) holds the column-centered responses (the caller centers
-    them, so the zeroed left-out row of a leave-one-out fold stays zero) and
-    `x` (k, n, q) the column-centered designs; `left_out` is passed on to
-    `_conditioned_qr`.  With Q (`qmat`, (k, n, q)) the thin-QR basis of a
-    design's span,
+    `y` (k, n, p) holds the column-centered responses and `x` (k, n, q) the
+    column-centered designs of k fits of n observations each (a
+    leave-one-out fold is the n - 1 rows that it keeps, centered on their
+    own means); `left_out` is passed on to `_conditioned_qr`.  With Q
+    (`qmat`, (k, n, q)) the thin-QR basis of a design's span,
 
         reg   = Q'y            (k, q, p),   s_reg   = reg'reg,
         resid = y - Q reg      (k, n, p),   s_resid = resid'resid,
@@ -537,12 +492,12 @@ def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = N
     construction.  Replications, the `estimate` command and leave-one-out
     folds all build their fits here, and `_check_fit_stack` checks them.
     The p x p matrices are formed only where they are the cheaper space to
-    solve in: `estimators._leading_axes` forms them for a fit of n
-    observations when n - 1 >= p, and otherwise takes one `eigh` of the
-    residual Gram resid resid' per fit and solves every weight from the
-    (n - 1) x (n - 1) Gram of the reduced rows [reg; U_r'resid] (the
-    snapshot method of Sirovich 1987).  Every slice is computed as if it
-    were alone, so a fit gives the same bytes in any stack.
+    solve in: `estimators._leading_axes` forms them when n - 1 >= p, and
+    otherwise solves every weight from the (n - 1) x (n - 1) Gram of the
+    reduced rows [reg; Qc'resid], with Qc an orthonormal basis of the
+    complement of the constant and the design span (the snapshot method of
+    Sirovich 1987).  Every slice is computed as if it were alone, so a fit
+    gives the same bytes in any stack.
 
     Raises
     ------

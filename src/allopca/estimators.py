@@ -18,6 +18,15 @@ scalar summaries
 
 and each of those summaries has a natural plug-in estimate from the data,
 leading to a fully data-driven weight.
+
+Every command solves through `_leading_axes`, which takes stacked fits as
+the row factors of `core._scatter_stack`, checks them once and resolves
+each weight rule's weight and axis in one batched eigensolve.  A fit of n
+observations is solved p x p when n - 1 >= p, and otherwise on its n - 1
+reduced rows [reg; Qc'resid], with Qc an orthonormal basis of the
+complement of the constant and the design span, from one complete QR per
+fit.  A leave-one-out fold (`loo_cv_scores`) is an ordinary fit: the n - 1
+rows that it keeps, centered on their own means.
 """
 
 from __future__ import annotations
@@ -403,64 +412,56 @@ def _fit_entries(n: int, p: int, q: int, rules: int) -> int:
     return n * (p + q) + _solved_size(n, p) ** 2 * rules
 
 
-def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
-    """Re-centered rows (folds, n, m) of the folds that leave out rows `folds`.
+def _fold_rows(rows: np.ndarray, folds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leave-one-out folds of `rows` (n, m) that leave out rows `folds`: each
+    fold's n - 1 rows (folds, n - 1, m), centered on their own column means, and
+    those means (folds, 1, m)."""
+    keep = np.arange(rows.shape[0] - 1)
+    kept = rows[keep + (keep >= folds[:, None])]
+    means = (np.full(keep.size, 1.0 / keep.size) @ kept)[:, None, :]
+    return kept - means, means
 
-    Leaving out row i re-centers the others to r_j + r_i / (n - 1); row i is
-    zeroed, so Grams and singular values are those of the n - 1 fold rows.
-    """
-    out = rows + rows[folds, None, :] / (rows.shape[0] - 1)
-    out[np.arange(folds.size), folds] = 0.0
-    return out
 
-
-def _leading_axes(rules, reg, resid, total, basis, n: int, q: int, oracle=None, where=""):
+def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
     """Weights, leading axes, gaps and tie flags of S(w) for stacked built fits.
 
     The fits are the `_scatter_stack` row factors `reg` (k, q, p) and
-    `resid` (k, b, p), with s_reg = reg'reg and s_resid = resid'resid, of
-    centered response rows `total` (k, b, p) on the orthonormal basis
-    `basis` (k, b, q) of each design span; each fit has n observations
-    (b - 1 for a leave-one-out fold, whose left-out row is zero) and q
-    design columns.  The fits are solved in the smaller space
+    `resid` (k, n, p), with s_reg = reg'reg and s_resid = resid'resid, of
+    centered response rows `total` (k, n, p) on the orthonormal basis
+    `basis` (k, n, q) of each design span: k fits of n observations and q
+    design columns each.  The fits are solved in the smaller space
     (`_solved_size`):
 
     - n - 1 >= p: the p x p matrices S(w) = (1 - w) s_reg + w s_resid;
-    - n - 1 < p: resid has rank at most r = n - 1 - q, so the one `eigh`
-      of the residual Gram resid resid' = U diag(theta) U' (in
-      `_check_fit_stack`, whose values the plug-in weight also reads)
-      keeps its r leading pairs, and each weight solves the (n - 1) x
-      (n - 1) matrix D^1/2 W W' D^1/2 of the reduced rows W = [reg; U_r'resid]
-      and D = diag(1 - w, ..., w, ...).  W W' has the blocks reg reg',
-      (reg resid') U_r and the exact diag(theta_r), and its leading
-      eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the snapshot
-      method, Sirovich 1987: S(w) = W' D W has the same nonzero spectrum).
+    - n - 1 < p: the residual rows are orthogonal to the constant and to
+      the design span (`_check_fit_stack`), so with Qc the last n - 1 - q
+      columns of a complete QR of [1/sqrt(n), Q], an orthonormal basis of
+      that complement, the reduced rows W = [reg; Qc'resid] give
+      s_resid = (Qc'resid)'(Qc'resid) whole.  Each weight solves the
+      (n - 1) x (n - 1) matrix D^1/2 W W' D^1/2, D = diag(1 - w, ..., w, ...),
+      whose leading eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the
+      snapshot method, Sirovich 1987: S(w) = W' D W has the same nonzero
+      spectrum).
 
     `_check_fit_stack` checks every fit once, on the Grams of the solved
-    space (and a wide fit's kept pairs), and the plug-in weights come from
-    those Grams (computed only for a `PluginRule`); `_solve_axes` does the
-    rest.  With no rules, the fits are only checked.  `where` follows the
-    matrix names in error messages.  Returns (weights, axes, gaps, ties,
-    plug-in fields or None), the first four as `_solve_axes` returns them.
+    space, and the plug-in weights come from those Grams (computed only for
+    a `PluginRule`); `_solve_axes` does the rest.  With no rules, the fits
+    are only checked.  `where` follows the matrix names in error messages.
+    Returns (weights, axes, gaps, ties, plug-in fields or None), the first
+    four as `_solve_axes` returns them.
     """
-    p = reg.shape[2]
+    k, q, p = reg.shape
+    n = total.shape[1]
     if _solved_size(n, p) < p:
-        rank = n - 1 - q
-        gram = _gram(np.swapaxes(np.concatenate((reg, resid), axis=1), 1, 2))
+        span = np.concatenate((np.full((k, n, 1), 1.0 / np.sqrt(n)), basis), axis=2)
+        complement = np.linalg.qr(span, mode="complete")[0][:, :, q + 1:]
+        rows = np.concatenate((reg, np.swapaxes(complement, 1, 2) @ resid), axis=1)
+        gram = _gram(np.swapaxes(rows, 1, 2))
         s_reg, s_resid = gram[:, :q, :q], gram[:, q:, q:]
-        resid_evals, (theta, kept) = _check_fit_stack(s_reg, s_resid, resid, total, basis,
-                                                      where, rank)
-        # the reduced rows [reg; U_r'resid] and their Gram, of order q + r = n - 1
-        rows = np.concatenate((reg, np.swapaxes(kept, 1, 2) @ resid), axis=1)
-        cross = gram[:, :q, q:] @ kept
-        gram = np.zeros((len(rows), q + rank, q + rank))
-        gram[:, :q, :q], gram[:, :q, q:], gram[:, q:, :q] = s_reg, cross, np.swapaxes(cross, 1, 2)
-        diag = np.arange(q, q + rank)
-        gram[:, diag, diag] = theta
     else:
         rows = gram = None
         s_reg, s_resid = _gram(reg), _gram(resid)
-        resid_evals = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)[0]
+    resid_evals = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)
     if not rules:
         return (None,) * 5
     plugin = None
@@ -473,8 +474,8 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     """Weights, axes (rules, k, p), gaps and tie flags (rules, k) of checked fits.
 
     `s_reg` and `s_resid` are k trusted p x p Grams, or, for wide fits, the
-    reduced (n - 1) x (n - 1) Grams `gram` of the reduced rows `rows`, whose
-    leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
+    blocks of the (n - 1) x (n - 1) Grams `gram` of the reduced rows `rows`,
+    whose leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
     gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
     `oracle` weights (k,).  Each distinct (fit, weight) pair is solved once,
     per `_blocks` range, and its two leading pairs, all that is read, are
@@ -517,14 +518,14 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     Each fold leaves out one observation, refits the model on the other
     n - 1 rows (re-centered) under each rule, and predicts the left-out
     response; the score of a rule is the average of ||y_i - yhat_i||^2
-    over the n folds.  Each block of folds is built and checked like a
-    block of Monte Carlo replications: its rows are re-centered
-    (`_fold_rows`, with the left-out row zeroed), `_scatter_stack` fits them
-    in one batched thin QR, and `_leading_axes` checks every fold fit,
-    whatever the rules, and resolves each projected rule's weight and axis.
-    Each fold predicts from its own fit, with mu_i = (n ybar - y_i) / (n - 1)
-    the fold mean and x~_i the left-out row re-centered as `_fold_rows`
-    re-centers the fold rows:
+    over the n folds.  A fold is the data without its row: `_fold_rows`
+    gathers the n - 1 rows that it keeps and centers them on their own
+    means, and each block of folds is built and checked like a block of
+    Monte Carlo replications: `_scatter_stack` fits it in one batched thin
+    QR, and `_leading_axes` checks every fold fit, whatever the rules, and
+    resolves each projected rule's weight and axis.  Each fold predicts
+    from its own fit and its own means: with mu_i and x-bar_i the fold's
+    response and design means and x~_i = x_i - x-bar_i,
 
     - the OLS prediction is mu_i + x~_i' B, with the fold's least-squares
       coefficients B = R^-1 Q'y from its thin QR (`_ols_coefficients`);
@@ -532,13 +533,13 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
       mu_i + ((yhat_ols_i - mu_i) . g) g.
 
     The fold fits are shared by all rules.  Per block of folds, the
-    plug-in weights come from the fit check's one batched eigenvalue solve
-    (an `eigh` of the residual Grams when the folds, of n - 1 observations,
-    are wide: n - 2 < p) and the axes of all distinct (weight, fold) pairs
-    from one batched eigensolve.  The full design is checked once for
-    conditioning, and each fold gets the checks of what it reads: design
-    conditioning (naming the left-out row), the `_check_fit_stack` rules
-    (with a wide fold's kept residual pairs) and the leading pairs.
+    plug-in weights come from the fit check's one batched `eigvalsh` and
+    the axes of all distinct (weight, fold) pairs from one batched
+    eigensolve, in sample space when the folds, of n - 1 observations, are
+    wide (n - 2 < p).  The full design is checked once for conditioning,
+    and each fold gets the checks of what it reads: design conditioning
+    (naming the left-out row), the `_check_fit_stack` rules and the
+    leading pairs.
 
     Parameters
     ----------
@@ -574,19 +575,19 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     if projected:
         _check_dimension(p)
     _check_design_conditioning(x[None])
-    centered = center_columns(y)
-    mu = (n * y.mean(axis=0) - y) / (n - 1)
     sse = np.zeros(len(rules))
     ols = [k for k in range(len(rules)) if k not in projected]
-    for folds in _blocks(n, _fit_entries(n, p, q, len(rules))):
-        fold_x = _fold_rows(x, folds)
-        fits = _scatter_stack(_fold_rows(centered, folds), fold_x, folds)
+    yx = np.concatenate((y, x), axis=1)
+    for folds in _blocks(n, _fit_entries(n - 1, p, q, len(rules))):
+        rows, means = _fold_rows(yx, folds)
+        fold_x = rows[:, :, p:]
+        fits = _scatter_stack(rows[:, :, :p], fold_x, folds)
         # checks every fold fit, whatever the rules, and gives the projected rules' axes
-        g = _leading_axes([rules[k] for k in projected], *fits, n - 1, q,
+        g = _leading_axes([rules[k] for k in projected], *fits,
                           where=" of a leave-one-out fold")[1]
-        left = x[folds] + x[folds] / (n - 1)  # x~_i; shift is yhat_ols_i - mu_i
+        left = x[folds] - means[:, 0, p:]  # x~_i; shift is yhat_ols_i - mu_i
         shift = (left[:, None, :] @ _ols_coefficients(fold_x, fits[0], fits[3]))[:, 0]
-        base = mu[folds]
+        base = means[:, 0, :p]
         err = y[folds] - (base + shift)
         sse[ols] += float(np.sum(err * err))
         if not projected:

@@ -173,19 +173,19 @@ class McResult:
 def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
     """Crude wall-clock estimate used by the cost guard.
 
-    Each per-weight eigensolve is charged at the order `_leading_axes`
-    solves (`_solved_size`): p or, for a wide point, the reduced n - 1; a
-    wide point also pays one `eigh` of its n x n residual Gram per
-    replication.
+    Each replication pays for its data at the order `_leading_axes` solves
+    (`_solved_size`: p or, for a wide point, the reduced n - 1), 4 n p (s + q)
+    flops, and for each per-weight eigensolve 2 s^3 flops, at 2e9 flop/s,
+    plus a fixed overhead per estimator row.  Fitted to the default grids
+    of tables 1 to 3b and to table3b at p = 400, whose estimates came within
+    0.6 to 1.8 times the wall time on a 2-core x86-64 machine.
     """
     n_est = len(plan.estimators)
     seconds = 0.0
     for spec in plan.points:
         n, p, q = spec.n, spec.p, spec.q
         s = _solved_size(n, p)
-        flops = 4.0 * n * p * (p + q) + (n_est + 5.0) * 10.0 * s ** 3
-        if s < p:
-            flops += 10.0 * n ** 3
+        flops = 4.0 * n * p * (s + q) + (n_est + 5.0) * 2.0 * s ** 3
         seconds += plan.replications * (flops / 2e9 + (n_est + 4) * 5e-5)
     return seconds
 
@@ -200,10 +200,10 @@ def _replicate_block(
     responses centered, one `_scatter_stack` call for the row factors, oracle
     weights from the model's (a, b, d) and the designs' c = ||X alpha||^2,
     one `_leading_axes` call that checks the fits and resolves every row's
-    weight and axis (in sample space when n - 1 < p: one `eigh` of each
-    fit's n x n residual Gram, then every weight at the reduced order
-    n - 1), and one `mse_up_to_sign` call.  Every replication is computed as if it were
-    alone, so results do not depend on how `reps` is split.
+    weight and axis (in sample space when n - 1 < p: every weight at the
+    reduced order n - 1), and one `mse_up_to_sign` call.  Every replication
+    is computed as if it were alone, so results do not depend on how `reps`
+    is split.
     """
     n, p, q = spec.n, spec.p, spec.q
     model = oracle = None
@@ -219,7 +219,7 @@ def _replicate_block(
             oracle = np.divide(*_w_star_terms(model.a, model.b, _dots(xa, xa), model.d, q))
         y = np.stack([d.y for d in draws])
         fits = _scatter_stack(y - y.mean(axis=1, keepdims=True), x)
-        weights, axes, *_ = _leading_axes(estimators, *fits, n, q, oracle)
+        weights, axes, *_ = _leading_axes(estimators, *fits, oracle)
         wts.append(weights.T)
         mse.append(mse_up_to_sign(axes, spec.gamma1).T)
     return np.concatenate(mse), np.concatenate(wts)

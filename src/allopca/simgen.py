@@ -67,13 +67,15 @@ def random_gamma(p: int, seed: int) -> np.ndarray:
 
     Draws 2p standard normal vectors, forms their sample covariance, and
     returns its eigenvector basis (descending eigenvalues, package sign
-    convention).  The basis is exactly reproducible from `seed`.
+    convention).  The basis is exactly reproducible from `seed`.  The
+    covariance is summed by `einsum`, not a BLAS `matmul`, whose bits
+    depend on the BLAS thread count.
     """
     _check_dimension(p)
     rng = substream(seed, _STREAM_GAMMA)
     z = rng.standard_normal((2 * p, p))
     zc = z - z.mean(axis=0)
-    s = zc.T @ zc / (2 * p - 1)
+    s = np.einsum("ki,kj->ij", zc, zc) / (2 * p - 1)
     return sym_eig((s + s.T) / 2.0).vectors
 
 

@@ -404,14 +404,14 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
 
 
 def test_estimate_wide_fit_solves_in_sample_space(tmp_path, capsys, eig_sizes):
-    # n - 1 = 11 < p = 40: no eigensolve sees a 40 x 40 matrix; one eigh of the
-    # 12 x 12 residual Gram, and every weight is solved at order 11
+    # n - 1 = 11 < p = 40: no eigensolve sees a 40 x 40 matrix; one eigvalsh of
+    # the 9 x 9 residual block (n - 1 - q), and every weight is solved at order 11
     ypath, xpath, _ = dataset_files(tmp_path, n=12, p=40, q=2)
     want = _estimate_reference(ypath, xpath)
     sizes = eig_sizes()
     code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
-    assert sizes.count(12) == 1 and set(sizes) == {12, 11}
+    assert sizes.count(9) == 1 and set(sizes) == {9, 11}
     got, ref = (parse_csv("\n".join(ln for ln in text.splitlines() if not ln.startswith("#")))
                 for text in (out, want))
     assert got[0] == ref[0]
@@ -836,6 +836,25 @@ def test_cli_import_loads_no_process_pool():
                           text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_simulate_bits_do_not_depend_on_the_blas_thread_count():
+    # the random basis of table3b at p = 100 was the first thing to move with
+    # the thread count; only each child's environment sets it
+    argv = ["simulate", "--scenario", "table3b", "--p", "20,50,100", "--reps", "20"]
+    digests = ("import json; from allopca import STRONG_SPIKE, run_experiment, scenario_plan; "
+               "print(json.dumps(run_experiment(scenario_plan(STRONG_SPIKE, [20, 50, 100], "
+               "20, 0)).metadata['digests']))")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads}
+        out = []
+        for cmd in ([sys.executable, "-m", "allopca", *argv], [sys.executable, "-c", digests]):
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        runs.append(out)
+    assert runs[0] == runs[1]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -94,7 +94,7 @@ def test_commands_flag_ties_by_the_rule_of_gamma1_hat():
         y[:, :, :2] = h[:, :2]
         y[1, :, 1] *= 2.0
         fits = _scatter_stack(y, x)
-        weights, axes, gaps, ties, _ = _leading_axes(rules, *fits, 4, 1)
+        weights, axes, gaps, ties, _ = _leading_axes(rules, *fits)
         assert ties.tolist() == [[True, False], [True, False]]
         assert gaps[:, 1] == pytest.approx(12.0 * weights[:, 1], rel=1e-12)
         for i in range(2):
@@ -551,10 +551,10 @@ def test_fold_plugin_weights_match_estimate_abcd_with_fallback():
     fallbacks = 0
     for rep in range(6):
         data = _no_signal_dataset(rep)
-        n, q = data.n, data.q
+        n, p, q = data.n, data.p, data.q
         folds = np.arange(n)
-        centered = center_columns(data.y)
-        reg, resid, _, _ = _scatter_stack(_fold_rows(centered, folds), _fold_rows(data.x, folds))
+        rows = _fold_rows(np.concatenate((data.y, data.x), axis=1), folds)[0]
+        reg, resid, _, _ = _scatter_stack(rows[:, :, :p], rows[:, :, p:])
         s_resid = _gram(resid)
         fast = _plugin_weights(_gram(reg), s_resid, np.linalg.eigvalsh(s_resid), n - 1, q)
         for i in folds:
@@ -577,7 +577,7 @@ def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block
     n, p, q = 11, 4, 2
     data = Dataset(*_rank_one_data(45, n, p, q))
     whole = loo_cv_scores(data, ALL_RULES)
-    per_fold = _fit_entries(n, p, q, len(ALL_RULES))
+    per_fold = _fit_entries(n - 1, p, q, len(ALL_RULES))
     monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", folds_per_block * per_fold)
     blocked = loo_cv_scores(data, ALL_RULES)
     assert np.allclose(blocked, whole, rtol=1e-12, atol=0)

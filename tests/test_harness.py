@@ -195,10 +195,10 @@ def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, 
     monkeypatch.undo()
     want_mse, want_wts = replication_oracle(spec, rows, reps)
     if spec.n - 1 < spec.p:
-        # one `eigh` of each fit's n x n residual Gram, and every weight solved at
-        # the reduced order n - 1
-        assert sizes.count(spec.n) == len(reps)
-        assert set(sizes) == {spec.n, spec.n - 1}
+        # one `eigvalsh` of each fit's residual block, of order n - 1 - q, and
+        # every weight solved at the reduced order n - 1
+        assert sizes.count(spec.n - 1 - spec.q) == len(reps)
+        assert set(sizes) == {spec.n - 1 - spec.q, spec.n - 1}
         # a different matrix than the oracle's p x p one: equal up to roundoff
         assert np.max(np.abs(mse - want_mse)) <= 1e-12
         assert np.max(np.abs(wts - want_wts)) <= 1e-12
@@ -282,9 +282,9 @@ def test_replication_block_split_invariance(case, eig_sizes):
     rows = tuple(est for _, est in DEFAULT_ROWS)
     sizes = eig_sizes()
     whole = _replicate_block(spec, rows, np.arange(12))
-    # table1 solves p x p matrices, table3b (p = 50, n = 22, q = 5) one 22 x 22
-    # residual Gram per replication and reduced ones of order n - 1 = 21
-    assert set(sizes) == ({spec.p} if case == "table1" else {spec.n, spec.n - 1})
+    # table1 solves p x p matrices, table3b (p = 50, n = 22, q = 5) one residual
+    # block of order n - 1 - q = 16 per replication and reduced ones of order n - 1 = 21
+    assert set(sizes) == ({spec.p} if case == "table1" else {spec.n - 1 - spec.q, spec.n - 1})
     halves = [_replicate_block(spec, rows, r) for r in (np.arange(5), np.arange(5, 12))]
     singles = [_replicate_block(spec, rows, np.array([r])) for r in range(12)]
     for parts in (halves, singles):
@@ -363,16 +363,16 @@ def test_plugin_degrees_of_freedom_checked_before_running():
 
 
 def test_cost_model_charges_the_solved_size():
-    # p = 100 > n - 1 = 38: each per-weight eigensolve is charged at 38, not 100,
-    # plus one eigh of the 39 x 39 residual Gram per replication
+    # p = 100 > n - 1 = 38: the data and each per-weight eigensolve are charged
+    # at the solved size 38, not 100
     plan = scenario_plan(STRONG_SPIKE, [100], replications=3, seed=0)
     n, p, q = 39, 100, 5
     assert (plan.points[0].n, plan.points[0].p, plan.points[0].q) == (n, p, q)
     rows = len(DEFAULT_ROWS)
-    flops = 4.0 * n * p * (p + q) + (rows + 5.0) * 10.0 * (n - 1) ** 3 + 10.0 * n ** 3
+    flops = 4.0 * n * p * (n - 1 + q) + (rows + 5.0) * 2.0 * (n - 1) ** 3
     assert estimate_runtime_seconds(plan) == 3 * (flops / 2e9 + (rows + 4) * 5e-5)
     narrow = scenario_plan(Traditional(), [50], replications=3, seed=0)
-    flops = 4.0 * 50 * 10 * 15 + (rows + 5.0) * 10.0 * 10 ** 3
+    flops = 4.0 * 50 * 10 * 15 + (rows + 5.0) * 2.0 * 10 ** 3
     assert estimate_runtime_seconds(narrow) == 3 * (flops / 2e9 + (rows + 4) * 5e-5)
 
 

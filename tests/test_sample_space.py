@@ -2,19 +2,18 @@
 
 Replications, `estimate` and leave-one-out folds build their fits with one
 builder (`core._scatter_stack`), and `core._check_fit_stack` checks each
-fit once, in the space it is solved in: the p x p matrices, or the
-sample-space Grams of a wide fit of n observations (n - 1 < p), whose
-residual Gram gets one `eigh` and whose weights are solved on the n - 1
-reduced rows.  Wide folds are checked against the brute-force leave-one-out
-refit and a wide fit against the one-fit library path (the replication
-cases against `conftest.per_weight_replication` are in `test_harness.py`);
-each rule of the fit check, and the leading-pair check of every solved
-matrix, has a fault-injection test on a p x p point, a sample-space point
-and a leave-one-out fold, and the kept residual pairs of the reduction one
-on a sample-space point and a wide leave-one-out fold; axes are pinned bit
-for bit under stacking and power-of-two rescaling, and a zero S(w) gives
-the axis e_p in both spaces.
-"""
+fit once, in the space it is solved in: the p x p matrices, or the Gram
+blocks of the n - 1 reduced rows [reg; Qc'resid] of a wide fit of n
+observations (n - 1 < p), with one `eigvalsh` of the residual block in
+either space.  A leave-one-out fold is the n - 1 rows that it keeps,
+centered on their own means.  Wide folds are checked against the
+brute-force leave-one-out refit and a wide fit against the one-fit library
+path (the replication cases against `conftest.per_weight_replication` are
+in `test_harness.py`); each rule of the fit check, and the leading-pair
+check of every solved matrix, has a fault-injection test on a p x p point,
+a sample-space point and a leave-one-out fold; axes are pinned bit for bit
+under stacking and power-of-two rescaling, and a zero S(w) gives the axis
+e_p in both spaces."""
 
 import inspect
 import re
@@ -62,8 +61,8 @@ def _wide_fits(k=4, n=15, p=40, q=3, seed=1):
 
 
 def test_wide_leave_one_out_matches_refit(loo_refit, eig_sizes, monkeypatch):
-    # n = 12, p = 30: every fold (11 observations) is solved in sample space, with
-    # one eigh of its 12 x 12 residual Gram (the left-out row is zero) and every
+    # n = 12, p = 30, q = 2: every fold (11 observations) is solved in sample space,
+    # with one eigvalsh of its residual block, of order 11 - 1 - 2 = 8, and every
     # weight at the reduced order 11 - 1 = 10
     rng = np.random.default_rng(7)
     n, p, q = 12, 30, 2
@@ -73,15 +72,33 @@ def test_wide_leave_one_out_matches_refit(loo_refit, eig_sizes, monkeypatch):
     rules = (FixedWeight(0.5), FixedWeight(1.0), FixedWeight(0.0), PluginRule(), OlsRule())
     sizes = eig_sizes()
     scores = loo_cv_scores(data, rules)
-    assert sizes.count(n) == n and set(sizes) == {n, n - 2}
+    assert sizes.count(n - 2 - q) == n and set(sizes) == {n - 2 - q, n - 2}
     monkeypatch.undo()
     for score, rule in zip(scores, rules):
         assert score == pytest.approx(loo_refit(data, rule), rel=1e-10)
 
 
+@pytest.mark.parametrize("amp", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_folds_of_a_loosely_centered_design_match_refit(loo_refit, seed, amp):
+    # a design centered only to `Dataset`'s tolerance: each fold centers its own
+    # rows, so its residual rows are orthogonal to the constant, and a strong
+    # signal along a badly scaled design leaves the wide folds exact
+    rng = np.random.default_rng(seed)
+    n, p, q = 30, 80, 2
+    x = center_columns(rng.standard_normal((n, q))) * [1.0, 0.03]
+    x += 0.9e-9 * np.max(np.abs(x))
+    g = rng.standard_normal(p)
+    y = amp * np.outer(x @ np.ones(q), g / np.linalg.norm(g)) + rng.standard_normal((n, p))
+    data = Dataset(y, x)
+    rules = (FixedWeight(0.5), PluginRule(), OlsRule())
+    for score, rule in zip(loo_cv_scores(data, rules), rules):
+        assert score == pytest.approx(loo_refit(data, rule), rel=1e-10), rule
+
+
 def test_wide_fit_matches_library_path():
     y, x, n, q = _wide_fits(k=1)
-    weights, axes, gaps, ties, plugin = _leading_axes(RULES, *_scatter_stack(y, x), n, q)
+    weights, axes, gaps, ties, plugin = _leading_axes(RULES, *_scatter_stack(y, x))
     ss = sums_of_squares(Dataset(y[0], x[0]))
     pw = estimate_abcd(ss)
     for name in ("lambda1_hat", "lambda2_hat", "a_hat", "b_hat", "c_hat", "d_hat", "w_hat"):
@@ -111,7 +128,7 @@ def test_zero_blend_gives_the_last_axis_in_both_spaces(p):
     # p = 40 in sample space (n - 1 = 3 < p), whose lift W' D^1/2 u is 0
     y, x = _zero_regression_fit(p)
     rules = (FixedWeight(0.0), FixedWeight(0.5))
-    weights, axes, gaps, ties, _ = _leading_axes(rules, *_scatter_stack(y[None], x[None]), 4, 1)
+    weights, axes, gaps, ties, _ = _leading_axes(rules, *_scatter_stack(y[None], x[None]))
     assert axes[0, 0].tobytes() == np.eye(p)[-1].tobytes()
     assert gaps[0, 0] == 0.0 and ties[0, 0]
     assert not ties[1, 0]
@@ -140,18 +157,18 @@ def test_zero_blend_estimate_prints_no_nan(tmp_path, capsys):
 
 def test_axes_bit_identical_under_power_of_two_rescaling():
     y, x, n, q = _wide_fits()
-    base = _leading_axes(RULES, *_scatter_stack(y, x), n, q)
+    base = _leading_axes(RULES, *_scatter_stack(y, x))
     for exponent in (-40, -3, 1, 7, 60):
-        scaled = _leading_axes(RULES, *_scatter_stack(np.ldexp(y, exponent), x), n, q)
+        scaled = _leading_axes(RULES, *_scatter_stack(np.ldexp(y, exponent), x))
         assert scaled[0].tobytes() == base[0].tobytes()
         assert scaled[1].tobytes() == base[1].tobytes()
 
 
 def test_axes_bit_identical_for_any_stack():
     y, x, n, q = _wide_fits(k=5)
-    whole = _leading_axes(RULES, *_scatter_stack(y, x), n, q)[1]
+    whole = _leading_axes(RULES, *_scatter_stack(y, x))[1]
     for i in range(5):
-        alone = _leading_axes(RULES, *_scatter_stack(y[i:i + 1], x[i:i + 1]), n, q)[1]
+        alone = _leading_axes(RULES, *_scatter_stack(y[i:i + 1], x[i:i + 1]))[1]
         assert alone.tobytes() == whole[:, i:i + 1].tobytes()
 
 
@@ -164,7 +181,7 @@ def test_nan_response_raises():
     y, x, n, q = _wide_fits()
     y[2, 4, 7] = np.nan
     with pytest.raises(ValueError, match="`s_reg` contains non-finite entries"):
-        _leading_axes(RULES, *_scatter_stack(y, x), n, q)
+        _leading_axes(RULES, *_scatter_stack(y, x))
 
 
 def _fold_data():
@@ -210,33 +227,9 @@ def _corrupt(vals, vecs, part):
     ("scaled vector", r"leading eigenvector\[0\] must be unit length"),
 ], ids=["lambda1", "lambda2", "rotated_vector", "scaled_vector"])
 def test_corrupted_leading_eigenpair_raises(monkeypatch, part, message):
-    # a p x p block, a sample-space block and a block of leave-one-out folds; only
-    # the solver's eigh is corrupted, not the fit check's eigh of a residual Gram
-    real, solve = np.linalg.eigh, estimators._sym_eig_stack
-    cases = _fault_cases()
-
-    def corrupted(m):
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), part))
-            return solve(m)
-
-    monkeypatch.setattr(estimators, "_sym_eig_stack", corrupted)
-    for run, _, _ in cases:
-        with pytest.raises(NumericFailure, match=message):
-            run()
-
-
-@pytest.mark.parametrize("part, message", [
-    ("lambda1", "eigenpair 1 of residual Gram 0 fails its residual check"),
-    ("lambda2", "eigenpair 2 of residual Gram 0 fails its residual check"),
-    ("rotated vector", "eigenpair 1 of residual Gram 0 fails its residual check"),
-    ("scaled vector", r"kept residual eigenvectors not orthonormal: max\|V'V - I\|"),
-], ids=["lambda1", "lambda2", "rotated_vector", "scaled_vector"])
-def test_corrupted_kept_residual_pair_raises(monkeypatch, part, message):
-    # a wide fit reads the kept pairs of its residual Gram's eigh, which comes
-    # before every solve: a sample-space block and a block of wide folds
+    # a p x p block, a sample-space block and a block of leave-one-out folds
     real = np.linalg.eigh
-    cases = _fault_cases()[1:]
+    cases = _fault_cases()
     monkeypatch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), part))
     for run, _, _ in cases:
         with pytest.raises(NumericFailure, match=message):
@@ -244,24 +237,24 @@ def test_corrupted_kept_residual_pair_raises(monkeypatch, part, message):
 
 
 def test_residual_mass_outside_the_kept_pairs_raises(monkeypatch):
-    # residual rows shifted by a constant stay off the design span (the
-    # additivity rule passes) but have rank n - q, one more than the pairs kept
+    # residual rows shifted by a constant stay orthogonal to the centered design
+    # but put mass along the constant, which a wide fit's reduced rows Qc'resid
+    # would not keep: the additivity rule refuses it in every space
     def shifted(*args, _orig=core._scatter_stack):
         reg, resid, total, qmat = _orig(*args)
         return reg, resid + 0.1 * np.max(np.abs(resid)), total, qmat
 
     for module in (harness, estimators):
         monkeypatch.setattr(module, "_scatter_stack", shifted)
-    for run, _, _ in _fault_cases()[1:]:
-        with pytest.raises(NumericFailure,
-                           match=r"residual Gram 0 leaves .* outside its \d+ kept eigenpairs"):
+    for run, _, where in _fault_cases():
+        with pytest.raises(ValueError, match=rf"s_total != s_reg \+ s_resid{where}: residual "
+                                             r"rows leave the complement of the constant"):
             run()
 
 
 def test_corrupted_smallest_eigenvalue_fails_only_sym_eig(monkeypatch):
     # only `sym_eig` reads the whole spectrum, so only it checks the whole
-    # decomposition; the commands read the two leading pairs of each solve and
-    # the kept pairs of a wide fit's residual Gram, never its dropped null pairs
+    # decomposition; the commands read the two leading pairs of each solve
     real = np.linalg.eigh
     cases = _fault_cases()
     want = [run() for run, _, _ in cases]
@@ -300,10 +293,8 @@ def test_commands_check_the_leading_pairs_of_every_solve(monkeypatch):
         checked.append(m.copy())
         real_check(m, *args)
 
-    def refuse(v, *args, _orig=core._check_orthonormal):
-        if v.shape[-1] == v.shape[-2]:  # the kept residual vectors of a wide fit are b x r
-            raise AssertionError("full orthonormality check")
-        _orig(v, *args)
+    def refuse(*args):
+        raise AssertionError("full orthonormality check")
 
     monkeypatch.setattr(estimators, "_sym_eig_stack", solve)
     monkeypatch.setattr(estimators, "_check_leading_pairs", check)

@@ -89,14 +89,11 @@ MESSAGE_SOURCES = {
     # the Gram form checks user-given matrices (`SumOfSquares`), the fit form
     # the row factors of every built fit
     "additivity": "s_resid: max entry gap",
-    "additivity_fit": "design span's complement by {",
+    "additivity_fit": "complement of the constant and the design span by {",
     # eigenpairs are checked where they are read: the whole decomposition by
-    # `sym_eig`, the two leading pairs by the commands' solver (their residual
-    # rule also checks the kept pairs below)
+    # `sym_eig`, the two leading pairs by the commands' solver
     "reconstruct": "failed to reconstruct",
     "leading_pairs": "fails its residual check",
-    # and a wide fit's reduction by the kept pairs of its residual Gram
-    "kept_pairs": "kept eigenpairs\")",
 }
 
 
