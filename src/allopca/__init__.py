@@ -37,7 +37,6 @@ from .harness import (
     DEFAULT_ROWS,
     ExperimentPlan,
     McResult,
-    SweepResult,
     consistency_sweep,
     emit_table,
     estimate_runtime_seconds,
@@ -49,7 +48,6 @@ from .simgen import (
     WEAK_SPIKE,
     LargePLargeN,
     ModelSpec,
-    RegimeSpec,
     Traditional,
     WeakIdentifiability,
     gen_dataset,
@@ -76,10 +74,8 @@ __all__ = [
     "PluginRule",
     "PluginWeights",
     "RankDeficiencyError",
-    "RegimeSpec",
     "STRONG_SPIKE",
     "SumOfSquares",
-    "SweepResult",
     "SymEig",
     "Traditional",
     "WEAK_SPIKE",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -289,8 +290,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     buf.write(f"# n = {data.n}, p = {data.p}, q = {data.q}\n")
     buf.write(f"# lambda1_hat = {lam1:.10g}\n")
     buf.write(f"# lambda2_hat = {lam2:.10g}\n")
-    buf.write(f"# contribution_ratio_1 = {lam1 / tr_sig:.10g}\n")
-    buf.write(f"# contribution_ratio_2 = {lam2 / tr_sig:.10g}\n")
+    # with no residual scatter (tr Sigma_hat = 0) the ratios are undefined, like w_hat_raw
+    ratio1, ratio2 = (lam1 / tr_sig, lam2 / tr_sig) if tr_sig != 0.0 else (math.nan, math.nan)
+    buf.write(f"# contribution_ratio_1 = {ratio1:.10g}\n")
+    buf.write(f"# contribution_ratio_2 = {ratio2:.10g}\n")
     buf.write(f"# w_hat_raw = {float(plugin['w_hat_raw'][0]):.10g}\n")
     buf.write(f"# w_hat = {float(plugin['w_hat'][0]):.10g}\n")
     writer = csv.writer(buf, lineterminator="\n")

@@ -470,9 +470,11 @@ def _check_design_conditioning(x: np.ndarray, left_out: np.ndarray | None = None
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
-    """Symmetrized Gram matrices rows' rows of stacked (..., m, p) rows."""
-    g = np.swapaxes(rows, -2, -1) @ rows
-    return (g + np.swapaxes(g, -2, -1)) / 2.0
+    """Symmetrized Gram matrices rows' rows of stacked (..., m, p) rows; an overflow
+    is left to the fit check's finite rule to report, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.swapaxes(rows, -2, -1) @ rows
+        return (g + np.swapaxes(g, -2, -1)) / 2.0
 
 
 def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = None):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_draw_size, _check_index, _check_plugin_dof, _readonly, _scatter_stack
+from .core import _check_draw_size, _check_plugin_dof, _readonly, _scatter_stack
 from .errors import CostLimitError
 from .estimators import (
     AbcdParams,
@@ -38,7 +38,6 @@ from .estimators import (
 from .simgen import (
     LargePLargeN,
     ModelSpec,
-    RegimeSpec,
     Traditional,
     WeakIdentifiability,
     gen_dataset,
@@ -64,32 +63,20 @@ DEFAULT_ROWS: tuple[tuple[str, EstimatorSpec], ...] = (
 )
 
 
-def default_label(spec: EstimatorSpec) -> str:
-    if isinstance(spec, FixedWeight):
-        return f"w={spec.w:g}"
-    if isinstance(spec, PluginRule):
-        return "plugin"
-    if isinstance(spec, OracleWeight):
-        return "oracle"
-    raise ValueError(f"unknown estimator spec: {spec!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Scenario points x estimator rows x replication count.
 
-    `master_seed` must be the seed of every point.  `estimator_labels`
-    may be omitted, in which case labels are derived from the specs (and
-    must come out unique).  `cost_limit_seconds`, when set, makes
+    The points share one seed, the plan's `master_seed`.  Point and
+    estimator labels must be unique.  `cost_limit_seconds`, when set, makes
     `run_experiment` refuse plans whose estimated runtime exceeds it.
     """
 
     points: tuple[ModelSpec, ...]
     point_labels: tuple[str, ...]
     estimators: tuple[EstimatorSpec, ...]
+    estimator_labels: tuple[str, ...]
     replications: int
-    master_seed: int
-    estimator_labels: tuple[str, ...] | None = None
     cost_limit_seconds: float | None = None
 
     def __post_init__(self):
@@ -107,28 +94,25 @@ class ExperimentPlan:
         for est in self.estimators:
             if not isinstance(est, (FixedWeight, PluginRule, OracleWeight)):
                 raise ValueError(f"unknown estimator spec: {est!r}")
-        if self.estimator_labels is None:
-            labels = tuple(default_label(e) for e in self.estimators)
-        else:
-            labels = tuple(str(s) for s in self.estimator_labels)
+        labels = tuple(str(s) for s in self.estimator_labels)
         if len(labels) != len(self.estimators):
             raise ValueError("`estimator_labels` must match `estimators` in length")
         if len(set(labels)) != len(labels):
-            raise ValueError(
-                f"estimator labels must be unique (pass explicit labels for "
-                f"duplicate specs): {labels}"
-            )
+            raise ValueError(f"duplicate estimator labels: {labels}")
         object.__setattr__(self, "estimator_labels", labels)
         if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 1):
             raise ValueError(f"`replications` must be a positive int, got {self.replications!r}")
         object.__setattr__(self, "replications", int(self.replications))
-        seed = _check_index(int(self.master_seed), "`master_seed`")
-        for lab, spec in zip(self.point_labels, self.points):
-            if spec.master_seed != seed:
-                raise ValueError(f"point {lab!r} uses master seed {spec.master_seed}, not {seed}")
-        object.__setattr__(self, "master_seed", seed)
+        seeds = sorted({spec.master_seed for spec in self.points})
+        if len(seeds) > 1:
+            raise ValueError(f"the points of a plan share one seed; got seeds {seeds}")
         if self.cost_limit_seconds is not None and not self.cost_limit_seconds > 0:
             raise ValueError(f"`cost_limit_seconds` must be > 0, got {self.cost_limit_seconds}")
+
+    @property
+    def master_seed(self) -> int:
+        """The seed that every point shares."""
+        return self.points[0].master_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +196,7 @@ def _replicate_block(
         model = AbcdParams.from_spectrum(spec.lambdas, 0.0, q, n)
     mse, wts = [], []
     for rows in _blocks(reps.size, _fit_entries(n, p, q, len(estimators))):
-        draws = [gen_dataset(spec, int(r))[0] for r in reps[rows]]
+        draws = [gen_dataset(spec, int(r)) for r in reps[rows]]
         x = np.stack([d.x for d in draws])
         if model is not None:
             xa = x @ spec.alpha
@@ -305,7 +289,10 @@ def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
 
     `sizes` runs along `kind.axis` (sample sizes n or dimensions p); a
     single size is allowed.  `rows` is a sequence of (label, estimator).
+    Every point is built with `seed`.
     """
+    if not isinstance(kind, (Traditional, WeakIdentifiability, LargePLargeN)):
+        raise ValueError(f"unknown regime kind: {kind!r}")
     labels, specs = zip(*rows)
     return ExperimentPlan(
         points=tuple(kind.model_spec(int(s), seed) for s in sizes),
@@ -313,7 +300,6 @@ def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
         estimators=specs,
         estimator_labels=labels,
         replications=replications,
-        master_seed=seed,
         cost_limit_seconds=cost_limit_seconds,
     )
 
@@ -323,32 +309,22 @@ def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Sweep output: the underlying result plus one verdict per row.
+def consistency_sweep(kind: Traditional | WeakIdentifiability | LargePLargeN, grid,
+                      replications: int, seed: int, rows=DEFAULT_ROWS,
+                      cost_limit_seconds: float | None = None) -> tuple[McResult, dict]:
+    """Run a regime kind over a grid of sizes and classify each row's error trend.
 
-    Verdicts are "decreasing-to-zero" (strictly decreasing means with the
-    last below a quarter of the first), "non-vanishing" (last mean above
-    0.5), or "inconclusive".
+    Takes `scenario_plan`'s inputs; `grid` must hold at least 3 strictly
+    increasing sizes along `kind.axis`.  Returns the result and one verdict
+    per estimator label: "decreasing-to-zero" (strictly decreasing means
+    with the last below a quarter of the first), "non-vanishing" (last mean
+    above 0.5), or "inconclusive".
     """
-
-    result: McResult
-    verdicts: dict
-
-
-def consistency_sweep(
-    regime: RegimeSpec,
-    replications: int,
-    seed: int,
-    rows=DEFAULT_ROWS,
-    cost_limit_seconds: float | None = None,
-) -> SweepResult:
-    """Run a regime's grid and classify each estimator's error trend."""
-    if len(regime.grid) < 3:
-        raise ValueError(
-            f"trend classification needs at least 3 grid points, got {len(regime.grid)}"
-        )
-    plan = scenario_plan(regime.kind, regime.grid, replications, seed, rows, cost_limit_seconds)
+    grid = tuple(int(g) for g in grid)
+    if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"trend classification needs at least 3 strictly increasing "
+                         f"sizes, got {grid}")
+    plan = scenario_plan(kind, grid, replications, seed, rows, cost_limit_seconds)
     result = run_experiment(plan)
     verdicts = {}
     for i, lab in enumerate(result.estimator_labels):
@@ -359,7 +335,7 @@ def consistency_sweep(
             verdicts[lab] = "non-vanishing"
         else:
             verdicts[lab] = "inconclusive"
-    return SweepResult(result=result, verdicts=verdicts)
+    return result, verdicts
 
 
 # --------------------------------------------------------------------------

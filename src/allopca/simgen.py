@@ -21,8 +21,7 @@ family of the paper: `Traditional` (fixed dimension, table 1),
 `LargePLargeN(delta, beta, beta2)` (growing dimension with a spiked
 spectrum; `WEAK_SPIKE` and `STRONG_SPIKE` are tables 3a and 3b).  Each
 kind names the size it grows along (`axis`, "n" or "p") and builds the
-model at one size with `model_spec(size, seed)`; `RegimeSpec` pairs a
-kind with a grid of sizes for consistency sweeps.
+model at one size with `model_spec(size, seed)`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .core import (
     _check_plugin_dof,
     _check_sizes,
     _readonly,
-    sym_eig,
+    _sym_eig_stack,
 )
 
 _STREAM_X = 0
@@ -69,14 +68,15 @@ def random_gamma(p: int, seed: int) -> np.ndarray:
     returns its eigenvector basis (descending eigenvalues, package sign
     convention).  The basis is exactly reproducible from `seed`.  The
     covariance is summed by `einsum`, not a BLAS `matmul`, whose bits
-    depend on the BLAS thread count.
+    depend on the BLAS thread count; it comes out exactly symmetric.
+    `ModelSpec` checks the basis for orthonormality.
     """
     _check_dimension(p)
     rng = substream(seed, _STREAM_GAMMA)
     z = rng.standard_normal((2 * p, p))
     zc = z - z.mean(axis=0)
     s = np.einsum("ki,kj->ij", zc, zc) / (2 * p - 1)
-    return sym_eig((s + s.T) / 2.0).vectors
+    return _sym_eig_stack(s[None])[1][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +161,7 @@ class ModelSpec:
         return self._sigma
 
 
-def gen_dataset(spec: ModelSpec, replication: int = 0) -> tuple[Dataset, np.ndarray, np.ndarray]:
+def gen_dataset(spec: ModelSpec, replication: int = 0) -> Dataset:
     """Draw one replication of the model.
 
     Parameters
@@ -172,8 +172,8 @@ def gen_dataset(spec: ModelSpec, replication: int = 0) -> tuple[Dataset, np.ndar
 
     Returns
     -------
-    (dataset, gamma1, sigma)
-        The drawn data plus the ground-truth axis and covariance.
+    Dataset
+        The drawn data; the ground truth is `spec.gamma1` and `spec.sigma()`.
     """
     _check_index(replication, "`replication`")
     n, p, q = spec.n, spec.p, spec.q
@@ -185,7 +185,7 @@ def gen_dataset(spec: ModelSpec, replication: int = 0) -> tuple[Dataset, np.ndar
     root = spec.gamma_basis * np.sqrt(spec.lambdas)
     e = z @ root.T
     y = spec.mu + np.outer(x @ spec.alpha, spec.gamma1) + e
-    return Dataset(y, x), spec.gamma1, spec.sigma()
+    return Dataset(y, x)
 
 
 # --------------------------------------------------------------------------
@@ -289,25 +289,3 @@ class LargePLargeN:
 # weak spike (lambda_1 = p^0.25) or a strong one (p^0.8, lambda_2 = p^0.4).
 WEAK_SPIKE = LargePLargeN(0.8, 0.25, 0.0)
 STRONG_SPIKE = LargePLargeN(0.8, 0.8, 0.4)
-
-
-@dataclass(frozen=True)
-class RegimeSpec:
-    """An asymptotic regime plus the grid of sizes to sweep.
-
-    `grid` holds the sizes along `kind.axis` (sample sizes n, or dimensions
-    p for `LargePLargeN`); it must be strictly increasing.
-    """
-
-    kind: Traditional | WeakIdentifiability | LargePLargeN
-    grid: tuple[int, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.kind, (Traditional, WeakIdentifiability, LargePLargeN)):
-            raise ValueError(f"unknown regime kind: {self.kind!r}")
-        grid = tuple(int(g) for g in self.grid)
-        if len(grid) < 2:
-            raise ValueError("`grid` needs at least two sizes to show a trend")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"`grid` must be strictly increasing, got {grid}")
-        object.__setattr__(self, "grid", grid)

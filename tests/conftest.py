@@ -71,7 +71,7 @@ def per_weight_replication(spec, estimators, reps):
     mse = np.empty((len(reps), len(estimators)))
     wts = np.empty((len(reps), len(estimators)))
     for j, r in enumerate(reps):
-        dataset, gamma1, _ = gen_dataset(spec, int(r))
+        dataset = gen_dataset(spec, int(r))
         ss = sums_of_squares(dataset)
         cache = {}
         for k, est in enumerate(estimators):
@@ -84,7 +84,7 @@ def per_weight_replication(spec, estimators, reps):
                 w = w_star(AbcdParams.from_spectrum(spec.lambdas, float(xa @ xa), spec.q, spec.n))
             if w not in cache:
                 cache[w] = _blend_axis(ss, w)
-            mse[j, k] = mse_up_to_sign(cache[w], gamma1)
+            mse[j, k] = mse_up_to_sign(cache[w], spec.gamma1)
             wts[j, k] = w
     return mse, wts
 

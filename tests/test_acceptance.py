@@ -31,7 +31,8 @@ from allopca import (
     sums_of_squares,
     w_star,
 )
-from allopca.estimators import AbcdParams
+from allopca.core import _gram, _scatter_stack
+from allopca.estimators import AbcdParams, _plugin_weights
 
 SEED = 0
 
@@ -160,13 +161,19 @@ def test_criterion_6_plugin_moments_unbiased():
                      lambdas=np.array([4.0, 2.0, 1.0]),
                      gamma_basis=random_gamma(p, 7), master_seed=SEED)
     sigma = spec.sigma()
-    sig_hats = np.empty((reps, p, p))
-    tr2_hats = np.empty(reps)
-    for rep in range(reps):
-        data, _, _ = gen_dataset(spec, rep)
+    # the draws are fit as one stack; the public path is pinned on the first 200
+    draws = [gen_dataset(spec, rep) for rep in range(reps)]
+    y = np.stack([d.y for d in draws])
+    reg, resid, _, _ = _scatter_stack(y - y.mean(axis=1, keepdims=True),
+                                      np.stack([d.x for d in draws]))
+    s_reg, s_resid = _gram(reg), _gram(resid)
+    fields = _plugin_weights(s_reg, s_resid, np.linalg.eigvalsh(s_resid), n, q)
+    sig_hats = s_resid / (n - 1 - q)
+    tr2_hats = fields["tr_sigma2_hat"]
+    for rep, data in enumerate(draws[:200]):
         pw = estimate_abcd(sums_of_squares(data))
-        sig_hats[rep] = pw.sigma_hat
-        tr2_hats[rep] = pw.tr_sigma2_hat
+        assert pw.sigma_hat.tobytes() == sig_hats[rep].tobytes()
+        assert np.float64(pw.tr_sigma2_hat).tobytes() == tr2_hats[rep].tobytes()
     sig_se = sig_hats.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(sig_hats.mean(axis=0) - sigma) <= 4.0 * sig_se)
     tr2_se = tr2_hats.std(ddof=1) / np.sqrt(reps)
@@ -244,7 +251,7 @@ def test_criterion_9_data_driven_weight_cv_tournament():
         spec = ModelSpec(p=p, q=q, n=n, mu=np.zeros(p),
                          alpha=np.full(q, 1.0 / np.sqrt(q)), lambdas=lam,
                          gamma_basis=random_gamma(p, 11), master_seed=seed)
-        data, _, _ = gen_dataset(spec, 0)
+        data = gen_dataset(spec, 0)
         plugin, *fixed = loo_cv_scores(data, (PluginRule(), *map(FixedWeight, fixed_grid)))
         plugin_scores.append(plugin)
         for w, score in zip(fixed_grid, fixed):

@@ -431,6 +431,36 @@ def test_estimate_out_file_atomic(tmp_path, capsys):
     assert not list(tmp_path.glob("*.part"))
 
 
+def test_estimate_without_residual_scatter_prints_nan_ratios(tmp_path, capsys):
+    # constant responses: tr Sigma_hat = 0, so the contribution ratios are undefined
+    _, xpath, _ = dataset_files(tmp_path, n=10, p=3, q=2)
+    ypath = tmp_path / "zero.csv"
+    np.savetxt(ypath, np.zeros((10, 3)), delimiter=",")
+    code, out, err = run_cli(["estimate", "--y", str(ypath), "--x", xpath], capsys)
+    assert code == 0, err
+    preamble = [ln for ln in out.splitlines() if ln.startswith("#")]
+    assert preamble[1:] == ["# lambda1_hat = 0", "# lambda2_hat = 0",
+                            "# contribution_ratio_1 = nan", "# contribution_ratio_2 = nan",
+                            "# w_hat_raw = nan", "# w_hat = 0"]
+    rows = parse_csv("\n".join(ln for ln in out.splitlines() if not ln.startswith("#")))
+    assert [r[1:] for r in rows[1:]] == [["0"] * 9, ["0"] * 9, ["1"] * 9]  # e_p, every column
+
+
+@pytest.mark.parametrize("command", ["estimate", "cv"])
+def test_gram_overflow_is_reported_without_a_warning(tmp_path, capsys, command):
+    # a finite entry of 1e200 passes `Dataset` but overflows the scatter Grams
+    ypath, xpath, _ = dataset_files(tmp_path, n=20, p=3, q=2)
+    y = np.loadtxt(ypath, delimiter=",")
+    y[2, 1] = 1e200
+    np.savetxt(ypath, y, delimiter=",", fmt="%.17g")
+    code, out, err = run_cli([command, "--y", ypath, "--x", xpath], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Warning" not in err
+    assert re.fullmatch(r"error: `s_reg`( of a leave-one-out fold)? contains non-finite entries",
+                        err.splitlines()[-1])
+
+
 # --------------------------------------------------------------------------
 # cv
 # --------------------------------------------------------------------------

@@ -204,6 +204,23 @@ def test_rejects_ill_conditioned_design():
         sums_of_squares(data)
 
 
+@pytest.mark.parametrize("entry", [1e160, 1e250, 1e300])
+def test_gram_overflow_is_reported_by_the_finite_rule(entry):
+    # a finite response entry whose square overflows: `Dataset` accepts it, and
+    # each fit reports the overflow by the finite rule, with no numpy warning
+    # (the suite turns warnings into errors)
+    base = rand_dataset(10)
+    y = np.array(base.y)
+    y[3, 2] = entry
+    data = Dataset(y, base.x)
+    with pytest.raises(ValueError, match="^`s_reg` contains non-finite entries$"):
+        sums_of_squares(data)
+    for rules in ((OlsRule(),), (PluginRule(),)):
+        with pytest.raises(ValueError, match="^`s_reg` of a leave-one-out fold contains "
+                                             "non-finite entries$"):
+            loo_cv_scores(data, rules)
+
+
 def test_sum_of_squares_type_validation():
     ss = sums_of_squares(rand_dataset(9))
     rebuilt = SumOfSquares.from_parts(ss.s_reg, ss.s_resid, ss.n, ss.q)

@@ -313,7 +313,7 @@ def test_plugin_weight_approaches_oracle():
         spec = Traditional().model_spec(n, seed=0)
         gaps = []
         for rep in range(200):
-            data, _, _ = gen_dataset(spec, rep)
+            data = gen_dataset(spec, rep)
             ss = sums_of_squares(data)
             w_hat = estimate_abcd(ss).w_hat
             xa = data.x @ spec.alpha
@@ -464,7 +464,7 @@ def _no_signal_dataset(replication):
     lam[0] = 2.0
     spec = ModelSpec(p=p, q=q, n=20, mu=np.zeros(p), alpha=np.zeros(q), lambdas=lam,
                      gamma_basis=random_gamma(p, 0), master_seed=5)
-    return gen_dataset(spec, replication)[0]
+    return gen_dataset(spec, replication)
 
 
 def _assert_matches_refit(data, loo_refit, rules=ALL_RULES, floor=0.0):

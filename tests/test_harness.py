@@ -19,7 +19,6 @@ from allopca import (
     ModelSpec,
     OracleWeight,
     PluginRule,
-    RegimeSpec,
     Traditional,
     WeakIdentifiability,
     consistency_sweep,
@@ -30,7 +29,7 @@ from allopca import (
     scenario_plan,
 )
 from allopca import RankDeficiencyError, core, estimators, harness
-from allopca.harness import DEFAULT_ROWS, _replicate_block, default_label
+from allopca.harness import DEFAULT_ROWS, _replicate_block
 from allopca.simgen import STRONG_SPIKE
 
 BASIC_ROWS = (
@@ -59,34 +58,31 @@ def test_default_rows_layout():
     assert len(set(labels)) == 11
 
 
-def test_default_label():
-    assert default_label(FixedWeight(0.3)) == "w=0.3"
-    assert default_label(PluginRule()) == "plugin"
-    assert default_label(OracleWeight()) == "oracle"
-
-
 def test_plan_validation():
     spec = scenario_plan(Traditional(), (10,), 5, 0).points[0]
     with pytest.raises(ValueError):
         ExperimentPlan(points=(), point_labels=(), estimators=(FixedWeight(0.5),),
-                       replications=5, master_seed=0)
-    with pytest.raises(ValueError, match="unique"):
+                       estimator_labels=("w=0.5",), replications=5)
+    with pytest.raises(ValueError, match="duplicate estimator labels"):
         ExperimentPlan(points=(spec,), point_labels=("n=10",),
                        estimators=(FixedWeight(0.3), FixedWeight(0.3)),
-                       replications=5, master_seed=0)
+                       estimator_labels=("w=0.3", "w=0.3"), replications=5)
+    with pytest.raises(ValueError, match="must match `estimators` in length"):
+        ExperimentPlan(points=(spec,), point_labels=("n=10",),
+                       estimators=(FixedWeight(0.3), FixedWeight(0.4)),
+                       estimator_labels=("w=0.3",), replications=5)
     with pytest.raises(ValueError):
         ExperimentPlan(points=(spec,), point_labels=("n=10",),
-                       estimators=(FixedWeight(0.3),), replications=0,
-                       master_seed=0)
+                       estimators=(FixedWeight(0.3),), estimator_labels=("w=0.3",),
+                       replications=0)
     with pytest.raises(ValueError):
         ExperimentPlan(points=(spec, spec), point_labels=("a", "a"),
-                       estimators=(FixedWeight(0.3),), replications=1,
-                       master_seed=0)
-    # explicit labels allow duplicate specs
+                       estimators=(FixedWeight(0.3),), estimator_labels=("w=0.3",),
+                       replications=1)
+    # distinct labels allow duplicate specs
     plan = ExperimentPlan(points=(spec,), point_labels=("n=10",),
                           estimators=(FixedWeight(0.3), FixedWeight(0.3)),
-                          estimator_labels=("first", "second"),
-                          replications=2, master_seed=0)
+                          estimator_labels=("first", "second"), replications=2)
     assert plan.estimator_labels == ("first", "second")
 
 
@@ -334,15 +330,16 @@ def test_bench_traced_names_resolve():
 
 def test_plan_master_seed_must_be_the_seed_of_its_points():
     seed0, seed5 = Traditional().model_spec(20, 0), Traditional().model_spec(30, 5)
-    with pytest.raises(ValueError, match=r"^point 'n=20' uses master seed 0, not 5$"):
-        ExperimentPlan(points=(seed0,), point_labels=("n=20",), estimators=(FixedWeight(0.5),),
-                       replications=2, master_seed=5)
-    with pytest.raises(ValueError, match=r"point 'n=30' uses master seed 5, not 0"):
-        ExperimentPlan(points=(seed0, seed5), point_labels=("n=20", "n=30"),
-                       estimators=(FixedWeight(0.5),), replications=2, master_seed=0)
-    plan = ExperimentPlan(points=(seed5,), point_labels=("n=30",),
-                          estimators=(FixedWeight(0.5),), replications=2, master_seed=5)
+    rows = dict(estimators=(FixedWeight(0.5),), estimator_labels=("w=0.5",), replications=2)
+    with pytest.raises(ValueError, match=r"^the points of a plan share one seed; got seeds"
+                                         r" \[0, 5\]$"):
+        ExperimentPlan(points=(seed5, seed0), point_labels=("n=30", "n=20"), **rows)
+    plan = ExperimentPlan(points=(seed5,), point_labels=("n=30",), **rows)
+    assert plan.master_seed == 5
     assert run_experiment(plan).metadata["master_seed"] == 5
+    with pytest.raises(AttributeError):
+        plan.master_seed = 0
+    assert scenario_plan(Traditional(), (20, 30), 2, 7).master_seed == 7
 
 
 def test_plugin_degrees_of_freedom_checked_before_running():
@@ -351,13 +348,13 @@ def test_plugin_degrees_of_freedom_checked_before_running():
                      gamma_basis=random_gamma(3, 0), master_seed=0)
     plan = ExperimentPlan(points=(spec,), point_labels=("n=7",),
                           estimators=(FixedWeight(0.5), PluginRule()),
-                          replications=3, master_seed=0)
+                          estimator_labels=("w=0.5", "plugin"), replications=3)
     with pytest.raises(DegreesOfFreedomError, match="n=7"):
         run_experiment(plan)
     # the same point is fine without the plug-in row
     fixed_only = ExperimentPlan(points=(spec,), point_labels=("n=7",),
-                                estimators=(FixedWeight(0.5),),
-                                replications=3, master_seed=0)
+                                estimators=(FixedWeight(0.5),), estimator_labels=("w=0.5",),
+                                replications=3)
     res = run_experiment(fixed_only)
     assert res.mean_mse.shape == (1, 1)
 
@@ -396,7 +393,7 @@ def test_degenerate_model_is_uninformative():
     plan = ExperimentPlan(points=(spec,), point_labels=("n=20",),
                           estimators=tuple(r for _, r in rows),
                           estimator_labels=tuple(lab for lab, _ in rows),
-                          replications=200, master_seed=0)
+                          replications=200)
     res = run_experiment(plan)
     means = res.mean_mse[:, 0]
     assert np.all(means >= 1.0)
@@ -428,43 +425,46 @@ def test_standard_errors_shrink_like_root_replications():
 
 
 def test_sweep_requires_three_grid_points():
-    with pytest.raises(ValueError, match="3 grid points"):
-        consistency_sweep(RegimeSpec(Traditional(), (20, 50)), 5, 0)
+    with pytest.raises(ValueError, match="at least 3 strictly increasing sizes, got \\(20, 50\\)"):
+        consistency_sweep(Traditional(), (20, 50), 5, 0)
+    with pytest.raises(ValueError, match="at least 3 strictly increasing sizes"):
+        consistency_sweep(Traditional(), (20, 60, 60), 5, 0)
 
 
 def test_sweep_traditional_regime():
-    sweep = consistency_sweep(RegimeSpec(Traditional(), (20, 60, 180)),
-                              replications=200, seed=0, rows=BASIC_ROWS)
-    assert sweep.verdicts["total(w=0.5)"] == "decreasing-to-zero"
-    assert sweep.verdicts["regression(w=0)"] == "decreasing-to-zero"
-    assert sweep.verdicts["plugin"] == "decreasing-to-zero"
+    result, verdicts = consistency_sweep(Traditional(), (20, 60, 180),
+                                         replications=200, seed=0, rows=BASIC_ROWS)
+    assert result.point_labels == ("n=20", "n=60", "n=180")
+    assert verdicts["total(w=0.5)"] == "decreasing-to-zero"
+    assert verdicts["regression(w=0)"] == "decreasing-to-zero"
+    assert verdicts["plugin"] == "decreasing-to-zero"
 
 
 def test_sweep_weak_identifiability_eta_one():
-    regime = RegimeSpec(WeakIdentifiability(1.0), (20, 60, 180))
-    sweep = consistency_sweep(regime, replications=200, seed=0, rows=BASIC_ROWS)
-    assert sweep.verdicts["residual(w=1)"] == "non-vanishing"
-    assert sweep.verdicts["regression(w=0)"] == "decreasing-to-zero"
-    means = sweep.result.mean_mse[1]  # residual row
+    result, verdicts = consistency_sweep(WeakIdentifiability(1.0), (20, 60, 180),
+                                         replications=200, seed=0, rows=BASIC_ROWS)
+    assert verdicts["residual(w=1)"] == "non-vanishing"
+    assert verdicts["regression(w=0)"] == "decreasing-to-zero"
+    means = result.mean_mse[1]  # residual row
     assert np.all(means > 1.0)
 
 
 def test_sweep_weak_identifiability_eta_third():
-    regime = RegimeSpec(WeakIdentifiability(1.0 / 3.0), (20, 60, 180))
     rows = (("w=0.2", FixedWeight(0.2)), ("residual(w=1)", FixedWeight(1.0)))
-    sweep = consistency_sweep(regime, replications=200, seed=0, rows=rows)
-    assert sweep.verdicts["w=0.2"] == "decreasing-to-zero"
+    _, verdicts = consistency_sweep(WeakIdentifiability(1.0 / 3.0), (20, 60, 180),
+                                    replications=200, seed=0, rows=rows)
+    assert verdicts["w=0.2"] == "decreasing-to-zero"
 
 
 def test_sweep_strong_spike_regression_row_stalls():
-    regime = RegimeSpec(LargePLargeN(0.8, 0.8, 0.4), (50, 100, 200))
     rows = BASIC_ROWS[:3]
-    sweep = consistency_sweep(regime, replications=200, seed=0, rows=rows)
-    reg_means = sweep.result.mean_mse[2]
-    assert sweep.verdicts["regression(w=0)"] != "decreasing-to-zero"
+    result, verdicts = consistency_sweep(LargePLargeN(0.8, 0.8, 0.4), (50, 100, 200),
+                                         replications=200, seed=0, rows=rows)
+    reg_means = result.mean_mse[2]
+    assert verdicts["regression(w=0)"] != "decreasing-to-zero"
     assert reg_means[-1] >= reg_means[0]
     # the residual estimator keeps improving as p grows in this regime
-    res_means = sweep.result.mean_mse[1]
+    res_means = result.mean_mse[1]
     assert np.all(np.diff(res_means) < 0)
 
 

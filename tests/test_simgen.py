@@ -10,15 +10,16 @@ from allopca import (
     DegreesOfFreedomError,
     LargePLargeN,
     ModelSpec,
-    RegimeSpec,
     Traditional,
     WeakIdentifiability,
+    consistency_sweep,
     gen_dataset,
     random_gamma,
     scenario_plan,
     substream,
     sums_of_squares,
 )
+from allopca.core import _gram, _scatter_stack
 
 
 def small_spec(seed=0, p=3, q=2, n=15, alpha=None, lambdas=(2.0, 1.0, 0.5)):
@@ -112,7 +113,6 @@ def test_sigma_formed_once_and_read_only():
     with pytest.raises(ValueError):
         sigma[0, 0] = 0.0
     assert spec.sigma() is sigma
-    assert all(gen_dataset(spec, rep)[2] is sigma for rep in range(3))
 
 
 # --------------------------------------------------------------------------
@@ -122,18 +122,16 @@ def test_sigma_formed_once_and_read_only():
 
 def test_gen_dataset_shapes_and_centering():
     spec = small_spec(seed=4, n=25)
-    data, gamma1, sigma = gen_dataset(spec, 0)
+    data = gen_dataset(spec, 0)
     assert data.y.shape == (25, 3) and data.x.shape == (25, 2)
     assert np.abs(data.x.sum(axis=0)).max() <= 1e-9 * 25 * np.abs(data.x).max()
-    assert np.allclose(gamma1, spec.gamma1)
-    assert np.allclose(sigma, spec.sigma())
 
 
 def test_gen_dataset_deterministic_per_replication():
     spec = small_spec(seed=5)
-    d1, _, _ = gen_dataset(spec, 3)
-    d2, _, _ = gen_dataset(spec, 3)
-    d3, _, _ = gen_dataset(spec, 4)
+    d1 = gen_dataset(spec, 3)
+    d2 = gen_dataset(spec, 3)
+    d3 = gen_dataset(spec, 4)
     assert d1.y.tobytes() == d2.y.tobytes()
     assert d1.x.tobytes() == d2.x.tobytes()
     assert d1.y.tobytes() != d3.y.tobytes()
@@ -143,8 +141,8 @@ def test_gen_dataset_deterministic_per_replication():
 
 def test_gen_dataset_noise_covariance():
     spec = small_spec(seed=6, n=5000)
-    data, gamma1, sigma = gen_dataset(spec, 0)
-    e = data.y - spec.mu - np.outer(data.x @ spec.alpha, gamma1)
+    data, sigma = gen_dataset(spec, 0), spec.sigma()
+    e = data.y - spec.mu - np.outer(data.x @ spec.alpha, spec.gamma1)
     n = e.shape[0]
     cov = e.T @ e / n
     var = np.outer(np.diag(sigma), np.diag(sigma)) + sigma ** 2
@@ -157,10 +155,13 @@ def test_gen_dataset_regression_scatter_moment():
     spec = small_spec(seed=7, q=2, n=15, alpha=np.zeros(2))
     sigma = spec.sigma()
     reps = 20000
-    draws = np.empty((reps, 3, 3))
-    for r in range(reps):
-        data, _, _ = gen_dataset(spec, r)
-        draws[r] = sums_of_squares(data).s_reg
+    # the draws are fit as one stack; the public path is pinned on the first 200
+    data = [gen_dataset(spec, r) for r in range(reps)]
+    y = np.stack([d.y for d in data])
+    reg = _scatter_stack(y - y.mean(axis=1, keepdims=True), np.stack([d.x for d in data]))[0]
+    draws = _gram(reg)
+    for r, d in enumerate(data[:200]):
+        assert sums_of_squares(d).s_reg.tobytes() == draws[r].tobytes()
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean - 2.0 * sigma) <= 4.0 * se)
@@ -168,10 +169,10 @@ def test_gen_dataset_regression_scatter_moment():
 
 def test_gen_dataset_noiseless_limit():
     spec = small_spec(seed=8, n=30, lambdas=(1e-12, 1e-12, 1e-12))
-    data, gamma1, _ = gen_dataset(spec, 0)
+    data = gen_dataset(spec, 0)
     ss = sums_of_squares(data)
     c = float(np.sum((data.x @ spec.alpha) ** 2))
-    target = c * np.outer(gamma1, gamma1)
+    target = c * np.outer(spec.gamma1, spec.gamma1)
     err = np.linalg.norm(ss.s_total - target)
     assert err <= 1e-6 * np.linalg.norm(target)
 
@@ -256,12 +257,12 @@ def test_regime_validation():
         with pytest.raises(ValueError) as exc:
             LargePLargeN(delta, beta)
         assert str(exc.value) == message
-    with pytest.raises(ValueError):
-        RegimeSpec(Traditional(), (50,))
-    with pytest.raises(ValueError):
-        RegimeSpec(Traditional(), (50, 50))
-    with pytest.raises(ValueError):
-        RegimeSpec("traditional", (20, 50))
+    with pytest.raises(ValueError, match="unknown regime kind: 'traditional'"):
+        scenario_plan("traditional", (20, 50), 1, 0)
+    # a sweep needs at least 3 strictly increasing sizes; it refuses before any run
+    for grid in ((20, 50), (20, 50, 50), (50, 20, 100)):
+        with pytest.raises(ValueError, match="at least 3 strictly increasing sizes"):
+            consistency_sweep(Traditional(), grid, 1, 0)
 
 
 def test_large_p_refuses_an_overflowing_sample_size():
@@ -285,15 +286,14 @@ def test_regime_kind_axes_and_table3_cases():
 
 
 def test_regime_dispatch():
-    trad = RegimeSpec(Traditional(), (20, 50, 100))
-    assert scenario_plan(trad.kind, (20,), 1, 0).point_labels == ("n=20",)
-    assert trad.kind.model_spec(20, 0).lambda1 == 2.0
+    trad = Traditional()
+    assert scenario_plan(trad, (20,), 1, 0).point_labels == ("n=20",)
+    assert trad.model_spec(20, 0).lambda1 == 2.0
 
-    weak = RegimeSpec(WeakIdentifiability(1.0), (20, 50, 100))
-    assert weak.kind.model_spec(100, 0).lambda1 == pytest.approx(1.01)
+    assert WeakIdentifiability(1.0).model_spec(100, 0).lambda1 == pytest.approx(1.01)
 
-    large = RegimeSpec(LargePLargeN(0.8, 0.8, 0.4), (20, 50))
-    assert scenario_plan(large.kind, (20,), 1, 0).point_labels == ("p=20",)
-    spec = large.kind.model_spec(50, 0)
+    large = LargePLargeN(0.8, 0.8, 0.4)
+    assert scenario_plan(large, (20,), 1, 0).point_labels == ("p=20",)
+    spec = large.model_spec(50, 0)
     assert spec.n == int(50 ** 0.8)
     assert spec.lambda1 == pytest.approx(50 ** 0.8)

@@ -119,11 +119,10 @@ def _spec(**kw):
     return ModelSpec(**args)
 
 
-def _plan(spec, **kw):
-    args = dict(points=(spec,), point_labels=("n=7",),
-                estimators=(FixedWeight(0.5), PluginRule()), replications=2, master_seed=0)
-    args.update(kw)
-    return ExperimentPlan(**args)
+def _plan(spec):
+    return ExperimentPlan(points=(spec,), point_labels=("n=7",),
+                          estimators=(FixedWeight(0.5), PluginRule()),
+                          estimator_labels=("w=0.5", "plugin"), replications=2)
 
 
 def _scatter(m):
@@ -173,7 +172,6 @@ LIBRARY_CASES = [
     ("index", "substream", lambda: substream(-1)),
     ("index", "substream(path)", lambda: substream(0, 2, -1)),
     ("index", "ModelSpec", lambda: _spec(master_seed=-1)),
-    ("index", "ExperimentPlan", lambda: _plan(_spec(), master_seed=-1)),
     ("index", "gen_dataset", lambda: gen_dataset(_spec(), -1)),
     ("unit", "Gamma1Estimate", lambda: Gamma1Estimate(np.array([1.0, 1e-4]), 0.5, 0.0, False)),
     ("unit", "Gamma1Estimate(nan)",
