@@ -14,14 +14,14 @@ malformed files, infeasible sizes), 1 for internal numeric failures.
 Each subcommand takes only the options it reads.  They may also be
 supplied via ``--config FILE`` holding flat ``key = value`` lines, whose
 keys are the subcommand's option names (``cost_limit`` for
-``--cost-limit``) parsed as the flags are; explicit flags win.
+``--cost-limit``) parsed as the flags are.  A config file's values become
+the subcommand's defaults, so explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
@@ -38,7 +38,7 @@ from .core import (
     _scatter_stack,
     center_columns,
 )
-from .errors import CostLimitError, DegreesOfFreedomError, NumericFailure, RankDeficiencyError
+from .errors import CostLimitError, NumericFailure
 from .estimators import (
     AbcdParams,
     FixedWeight,
@@ -48,7 +48,7 @@ from .estimators import (
     loo_cv_scores,
     w_star,
 )
-from .harness import DEFAULT_ROWS, emit_table, run_experiment, scenario_plan
+from .harness import DEFAULT_ROWS, _csv_text, emit_table, run_experiment, scenario_plan
 from .simgen import (
     STRONG_SPIKE,
     WEAK_SPIKE,
@@ -127,15 +127,6 @@ def _load_config(path: str, command: str, actions) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    values = _load_config(args.config, args.command, args.actions)
-    for key, val in values.items():
-        if getattr(args, key) is None:
-            setattr(args, key, val)
-
-
 def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
     """Read a numeric CSV matrix, skipping a UTF-8 byte-order mark and one header row if present."""
     try:
@@ -171,16 +162,18 @@ def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".part")
+    """Write through a temporary file beside `path`; a failure names `path`."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CliError(f"cannot write `--out` file {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _deliver(args: argparse.Namespace, text: str) -> None:
@@ -255,11 +248,8 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     kind = _scenario_kind(args)
-    reps = args.reps if args.reps is not None else 200
-    seed = args.seed if args.seed is not None else 0
-    fmt = args.format if args.format is not None else "csv"
     sizes = getattr(args, kind.axis) or (DEFAULT_N_GRID if kind.axis == "n" else DEFAULT_P_GRID)
-    plan = scenario_plan(kind, sizes, reps, seed, cost_limit_seconds=args.cost_limit)
+    plan = scenario_plan(kind, sizes, args.reps, args.seed, cost_limit_seconds=args.cost_limit)
 
     print(f"scenario {args.scenario}: replications={plan.replications} "
           f"seed={plan.master_seed}", file=sys.stderr)
@@ -270,7 +260,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     result = run_experiment(plan)
-    _deliver(args, emit_table(result, fmt))
+    _deliver(args, emit_table(result, args.format))
     return 0
 
 
@@ -280,42 +270,33 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     fit = _scatter_stack(center_columns(data.y)[None], data.x[None])
     _check_dimension(data.p)
     _check_plugin_dof(data.n, data.q)
-    weights = args.weights if args.weights is not None else DEFAULT_WEIGHT_GRID
-    labels, rules = zip(*_fixed_rows(weights), ("plugin", PluginRule()))
+    labels, rules = zip(*_fixed_rows(args.weights), ("plugin", PluginRule()))
     _, vectors, _, _, plugin = _leading_axes(rules, *fit)
     vectors = vectors[:, 0]
     lam1, lam2, tr_sig = (float(plugin[name][0])
                           for name in ("lambda1_hat", "lambda2_hat", "tr_sigma_hat"))
-    buf = io.StringIO()
-    buf.write(f"# n = {data.n}, p = {data.p}, q = {data.q}\n")
-    buf.write(f"# lambda1_hat = {lam1:.10g}\n")
-    buf.write(f"# lambda2_hat = {lam2:.10g}\n")
     # with no residual scatter (tr Sigma_hat = 0) the ratios are undefined, like w_hat_raw
     ratio1, ratio2 = (lam1 / tr_sig, lam2 / tr_sig) if tr_sig != 0.0 else (math.nan, math.nan)
-    buf.write(f"# contribution_ratio_1 = {ratio1:.10g}\n")
-    buf.write(f"# contribution_ratio_2 = {ratio2:.10g}\n")
-    buf.write(f"# w_hat_raw = {float(plugin['w_hat_raw'][0]):.10g}\n")
-    buf.write(f"# w_hat = {float(plugin['w_hat'][0]):.10g}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["coordinate", *labels])
-    for i in range(data.p):
-        writer.writerow([i + 1, *(f"{vec[i]:.10g}" for vec in vectors)])
-    _deliver(args, buf.getvalue())
+    preamble = (f"# n = {data.n}, p = {data.p}, q = {data.q}\n"
+                f"# lambda1_hat = {lam1:.10g}\n"
+                f"# lambda2_hat = {lam2:.10g}\n"
+                f"# contribution_ratio_1 = {ratio1:.10g}\n"
+                f"# contribution_ratio_2 = {ratio2:.10g}\n"
+                f"# w_hat_raw = {float(plugin['w_hat_raw'][0]):.10g}\n"
+                f"# w_hat = {float(plugin['w_hat'][0]):.10g}\n")
+    table = [["coordinate", *labels],
+             *([i + 1, *(f"{vec[i]:.10g}" for vec in vectors)] for i in range(data.p))]
+    _deliver(args, preamble + _csv_text(table))
     return 0
 
 
 def _cmd_cv(args: argparse.Namespace) -> int:
     data = _load_dataset(args)
     print(f"data: n={data.n} p={data.p} q={data.q}", file=sys.stderr)
-    weights = args.weights if args.weights is not None else DEFAULT_WEIGHT_GRID
-    rules = [*_fixed_rows(weights), ("plugin", PluginRule()), ("ols", OlsRule())]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rule", "mspe"])
+    rules = [*_fixed_rows(args.weights), ("plugin", PluginRule()), ("ols", OlsRule())]
     scores = loo_cv_scores(data, [rule for _, rule in rules])
-    for (label, _), mspe in zip(rules, scores):
-        writer.writerow([label, f"{mspe:.3f}"])
-    _deliver(args, buf.getvalue())
+    table = [["rule", "mspe"], *([lab, f"{mspe:.3f}"] for (lab, _), mspe in zip(rules, scores))]
+    _deliver(args, _csv_text(table))
     return 0
 
 
@@ -344,10 +325,9 @@ def _derive_bound_params(args: argparse.Namespace) -> AbcdParams:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     params = _derive_bound_params(args)
-    step = args.step if args.step is not None else 1e-4
     ws = w_star(params)
-    argmin = grid_argmin_bound(params, step)
-    if abs(argmin - ws) > 2.0 * step:
+    argmin = grid_argmin_bound(params, args.step)
+    if abs(argmin - ws) > 2.0 * args.step:
         raise NumericFailure(
             f"bound grid argmin {argmin:.6g} disagrees with the closed-form "
             f"optimum {ws:.6g} beyond 2 * step"
@@ -357,15 +337,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         f"d={params.d:.6g} q={params.q} n={params.n}",
         file=sys.stderr,
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quantity", "value"])
-    writer.writerow(["w_star", f"{ws:.17g}"])
-    writer.writerow(["grid_argmin", f"{argmin:.17g}"])
-    writer.writerow(["bound_at_w_star", f"{mse_upper_bound(params, ws):.17g}"])
-    for w in np.linspace(0.0, 1.0, 11):
-        writer.writerow([f"bound(w={w:.1f})", f"{mse_upper_bound(params, float(w)):.17g}"])
-    _deliver(args, buf.getvalue())
+    _deliver(args, _csv_text([
+        ["quantity", "value"],
+        ["w_star", f"{ws:.17g}"],
+        ["grid_argmin", f"{argmin:.17g}"],
+        ["bound_at_w_star", f"{mse_upper_bound(params, ws):.17g}"],
+        *([f"bound(w={w:.1f})", f"{mse_upper_bound(params, float(w)):.17g}"]
+          for w in np.linspace(0.0, 1.0, 11)),
+    ]))
     return 0
 
 
@@ -377,10 +356,11 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser, func) -> None:
     sub.add_argument("--config", help="flat key = value file of this command's options; flags win")
     sub.add_argument("--out", help="output path (atomic write); default stdout")
-    sub.set_defaults(func=func, actions=sub._actions)
+    sub.set_defaults(func=func, parser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser: `main` turns a config file's values into its subcommand's defaults."""
     parser = argparse.ArgumentParser(
         prog="allopca",
         description="Weighted sum-of-squares estimators of a shared principal axis",
@@ -395,28 +375,26 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--delta", type=float, help="n = floor(p^delta) (custom)")
     sim.add_argument("--beta", type=float, help="leading spike exponent (custom)")
     sim.add_argument("--beta2", type=float, help="second spike exponent (custom)")
-    sim.add_argument("--reps", type=int, help="replications per point (default 200)")
+    sim.add_argument("--reps", type=int, default=200,
+                     help="replications per point (default %(default)s)")
     sim.add_argument("--cost-limit", dest="cost_limit", type=float,
                      help="refuse plans estimated to exceed this many seconds")
-    sim.add_argument("--format", choices=("csv", "markdown"), help="table format")
-    sim.add_argument("--seed", type=int, help="master seed (default 0)")
+    sim.add_argument("--format", choices=("csv", "markdown"), default="csv",
+                     help="table format (default %(default)s)")
+    sim.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     sim.add_argument("--workers", type=_one_worker,
                      help="accepts only 1: replications run in one process")
     _add_common(sim, _cmd_simulate)
 
-    est = subs.add_parser("estimate", help="fit estimators to CSV data")
-    est.add_argument("--y", help="response matrix CSV (n rows, p columns)")
-    est.add_argument("--x", help="design matrix CSV (n rows, q columns)")
-    est.add_argument("--weights", type=_float_list,
-                     help="fixed weight grid (default 0.1,0.2,0.3,0.4,0.6)")
-    _add_common(est, _cmd_estimate)
-
-    cv = subs.add_parser("cv", help="leave-one-out comparison of weight rules")
-    cv.add_argument("--y", help="response matrix CSV")
-    cv.add_argument("--x", help="design matrix CSV")
-    cv.add_argument("--weights", type=_float_list,
-                    help="fixed weight grid (default 0.1,0.2,0.3,0.4,0.6)")
-    _add_common(cv, _cmd_cv)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--y", help="response matrix CSV (n rows, p columns)")
+    data.add_argument("--x", help="design matrix CSV (n rows, q columns)")
+    data.add_argument("--weights", type=_float_list, default=DEFAULT_WEIGHT_GRID,
+                      help=f"fixed weight grid (default {','.join(map(str, DEFAULT_WEIGHT_GRID))})")
+    _add_common(subs.add_parser("estimate", parents=[data], help="fit estimators to CSV data"),
+                _cmd_estimate)
+    _add_common(subs.add_parser("cv", parents=[data],
+                                help="leave-one-out comparison of weight rules"), _cmd_cv)
 
     bnd = subs.add_parser("bound", help="closed-form error bound and its optimum")
     bnd.add_argument("--a", type=float, help="tr(Sigma^2) + (tr Sigma)^2")
@@ -428,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--p", type=_int_list, help="dimension (table3 scenarios)")
     bnd.add_argument("--eta", type=float, help="eigengap exponent (table2)")
     bnd.add_argument("--scenario", help="derive parameters from a scenario")
-    bnd.add_argument("--step", type=float, help="grid spacing (default 1e-4)")
+    bnd.add_argument("--step", type=float, default=1e-4,
+                     help="grid spacing (default %(default)s)")
     bnd.add_argument("--seed", type=int, help="basis seed of a scenario (default 0)")
     _add_common(bnd, _cmd_bound)
 
@@ -439,13 +418,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        if args.config:
+            # the config's values become the subcommand's defaults, so flags win
+            values = _load_config(args.config, args.command, args.parser._actions)
+            args.parser.set_defaults(**values)
+            args = parser.parse_args(argv)
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise CliError(f"cannot write `--out` file {args.out}: its directory does not exist")
         return args.func(args)
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except (CliError, ValueError, DegreesOfFreedomError, RankDeficiencyError,
-            CostLimitError, OSError) as exc:
+    except (CliError, ValueError, CostLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - safety net

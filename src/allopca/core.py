@@ -77,6 +77,15 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def _pow2_scale(peak: np.ndarray) -> np.ndarray:
+    """The largest power of two not above each positive `peak` (1 where it is 0).
+
+    Dividing by it, and multiplying back, is exact short of underflow, so a
+    sum of the scaled entries cannot overflow where the plain sum would.
+    """
+    return np.where(peak > 0.0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
+
+
 def _check_weight(w, name: str = "weight w"):
     """Return blend weight `w` if it lies in [0, 1] (NaN fails)."""
     if not 0.0 <= w <= 1.0:
@@ -209,13 +218,16 @@ class Dataset:
         if y.shape[0] != x.shape[0]:
             raise ValueError(f"`y` has {y.shape[0]} rows but `x` has {x.shape[0]}")
         n, q = _check_sizes(*x.shape)
-        col_sums = np.abs(x.sum(axis=0))
-        limit = CENTER_TOL * n * max(_max_abs(x), 1e-300)
-        if np.any(col_sums > limit):
-            j = int(np.argmax(col_sums))
+        peak = np.max(np.abs(x), axis=0)
+        scale = _pow2_scale(peak)
+        with np.errstate(over="ignore"):  # a sum past the float range is not centered
+            col_sums = (x / scale).sum(axis=0) * scale
+        limit = CENTER_TOL * n * max(float(peak.max()), 1e-300)
+        if np.any(np.abs(col_sums) > limit):
+            j = int(np.argmax(np.abs(col_sums)))
             raise ValueError(
                 f"`x` is not column-centered: column {j} sums to "
-                f"{x[:, j].sum():.3e}"
+                f"{col_sums[j]:.3e}"
             )
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "x", _readonly(x))
@@ -350,8 +362,7 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvector under `_fix_signs`; callers check what they read.  Returns
     (values (k, p), vectors (k, p, p)).
     """
-    peak = np.max(np.abs(m), axis=(1, 2))
-    scale = np.where(peak > 0.0, np.ldexp(1.0, np.frexp(peak)[1] - 1), 1.0)
+    scale = _pow2_scale(np.max(np.abs(m), axis=(1, 2)))
     vals, vecs = np.linalg.eigh(m / scale[:, None, None])
     return vals[:, ::-1] * scale[:, None], _fix_signs(vecs[:, :, ::-1])
 
@@ -431,13 +442,20 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
 
 
 def center_columns(x: np.ndarray) -> np.ndarray:
-    """Subtract the column means from a 2-D array."""
+    """Subtract the column means from a 2-D array.
+
+    Each mean is taken over the column divided by `_pow2_scale` of its peak,
+    so a finite column whose sum would overflow still centers.  Any other
+    column gives the bits of the plain mean, unless it holds entries below
+    2^-1022 times its peak, which the scaling flushes toward zero.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"`x` must be 2-D, got shape {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("`x` must have at least one row")
-    return x - x.mean(axis=0)
+    scale = _pow2_scale(np.max(np.abs(x), axis=0))
+    return x - (x / scale).mean(axis=0) * scale
 
 
 def _conditioned_qr(x: np.ndarray, left_out: np.ndarray | None = None
@@ -507,8 +525,9 @@ def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = N
         If some design has cond(X'X) > COND_LIMIT.
     """
     qmat = _conditioned_qr(x, left_out)[0]
-    proj = np.swapaxes(qmat, 1, 2) @ y
-    return proj, y - qmat @ proj, y, qmat
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the fit check's finite rule
+        proj = np.swapaxes(qmat, 1, 2) @ y
+        return proj, y - qmat @ proj, y, qmat
 
 
 def sums_of_squares(data: Dataset) -> SumOfSquares:

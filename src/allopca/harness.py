@@ -343,6 +343,13 @@ def consistency_sweep(kind: Traditional | WeakIdentifiability | LargePLargeN, gr
 # --------------------------------------------------------------------------
 
 
+def _csv_text(rows) -> str:
+    """Rows of cells as CSV text, one line per row; every CSV output of the package."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def emit_table(result: McResult, fmt: str = "csv") -> str:
     """Render mean errors (5 decimals) as CSV or Markdown.
 
@@ -359,10 +366,7 @@ def emit_table(result: McResult, fmt: str = "csv") -> str:
                 [f"{lab} avg weight", *(f"({v:.5f})" for v in result.avg_weight[i])]
             )
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        return buf.getvalue()
+        return _csv_text(rows)
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     lines = []
     for k, r in enumerate(rows):

@@ -6,6 +6,7 @@ import importlib
 import io
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -461,6 +462,45 @@ def test_gram_overflow_is_reported_without_a_warning(tmp_path, capsys, command):
                         err.splitlines()[-1])
 
 
+def test_huge_finite_response_is_reported_without_a_warning(tmp_path, capsys):
+    # two entries of 1e308 in one column sum past the float range while centering
+    _, xpath, _ = dataset_files(tmp_path, n=10, p=3, q=2)
+    y = np.zeros((10, 3))
+    y[2, 1] = y[5, 1] = 1e308
+    ypath = tmp_path / "huge.csv"
+    np.savetxt(ypath, y, delimiter=",", fmt="%.17g")
+    code, out, err = run_cli(["estimate", "--y", str(ypath), "--x", xpath], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["data: n=10 p=3 q=2", "error: `s_reg` contains non-finite entries"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_out_into_a_missing_directory_is_refused_before_the_run(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.csv"
+    if command == "simulate":
+        argv = ["simulate", "--scenario", "table1", "--n", "20", "--reps", "2"]
+    else:
+        ypath, xpath, _ = dataset_files(tmp_path)
+        argv = ["estimate", "--y", ypath, "--x", xpath]
+    code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write `--out` file {target}: its directory does not exist\n"
+    assert not list(tmp_path.rglob("*.part"))
+
+
+def test_out_write_failure_names_the_given_path(tmp_path, capsys):
+    # the directory exists, so the command runs; the final rename onto a directory fails
+    ypath, xpath, _ = dataset_files(tmp_path)
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, out, err = run_cli(["estimate", "--y", ypath, "--x", xpath, "--out", str(target)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"error: cannot write `--out` file {target}: ")
+    assert ".part" not in err
+    assert not list(tmp_path.rglob("*.part"))
+
+
 # --------------------------------------------------------------------------
 # cv
 # --------------------------------------------------------------------------
@@ -614,6 +654,16 @@ def test_config_flags_win(tmp_path, capsys):
         ["simulate", "--config", str(cfg), "--reps", "2"], capsys)
     assert code == 0
     assert "replications=2" in err
+
+
+def test_flag_equal_to_its_default_beats_the_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = table1\nn = 20\nreps = 2\nformat = markdown\nseed = 5\n")
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 0 and out.startswith("| estimator") and "seed=5" in err
+    code, out, err = run_cli(
+        ["simulate", "--config", str(cfg), "--format", "csv", "--seed", "0"], capsys)
+    assert code == 0 and parse_csv(out)[0] == ["estimator", "n=20"] and "seed=0" in err
 
 
 @pytest.mark.parametrize("command, scenario, axis, off_axis", [
@@ -903,6 +953,31 @@ def test_readme_option_table_matches_parser():
                      if opt.startswith("--") and opt != "--help"]
               for name, sub in subparsers.choices.items()}
     assert documented == actual
+
+
+@pytest.mark.skipif(not README.is_file(), reason="README.md not found (not a source checkout)")
+def test_readme_command_lines_parse():
+    commands = [shlex.split(line) for line in README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("allopca ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        args = build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
+
+
+def test_help_shows_each_declared_default():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    shown = 0
+    for sub in subparsers.choices.values():
+        text = " ".join(sub.format_help().split())
+        for action in sub._actions:
+            if action.option_strings and action.default not in (None, argparse.SUPPRESS):
+                value = action.default
+                value = ",".join(map(str, value)) if isinstance(value, tuple) else value
+                assert f"(default {value})" in text, action.dest
+                shown += 1
+    assert shown == 6  # --reps, --format, --seed; --weights twice; --step
 
 
 @pytest.mark.skipif(shutil.which("allopca") is None,

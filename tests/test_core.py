@@ -221,6 +221,44 @@ def test_gram_overflow_is_reported_by_the_finite_rule(entry):
             loo_cv_scores(data, rules)
 
 
+def _huge_column(n=10, p=3):
+    """Zeros but for two entries of 1e308 in column 1, which sum past the float range."""
+    y = np.zeros((n, p))
+    y[2, 1] = y[5, 1] = 1e308
+    return y
+
+
+def test_center_columns_of_a_column_summing_past_the_float_range():
+    # no numpy warning (the suite turns warnings into errors), and the exact means
+    yc = center_columns(_huge_column())
+    assert np.array_equal(yc[:, 1], np.where(np.isin(np.arange(10), (2, 5)), 8e307, -2e307))
+    assert np.array_equal(yc[:, [0, 2]], np.zeros((10, 2)))
+
+
+def test_sums_of_squares_reports_a_huge_finite_column_by_the_finite_rule():
+    data = Dataset(_huge_column(), rand_dataset(0, n=10, q=2).x)
+    with pytest.raises(ValueError, match="^`s_reg` contains non-finite entries$"):
+        sums_of_squares(data)
+
+
+def test_dataset_accepts_a_centered_column_of_huge_entries():
+    # +1e308 twice and -1e308 twice sum past the float range in any order but one
+    x = np.array([[1e308, 0.5], [1e308, -0.5], [-1e308, 1.0], [-1e308, -1.0], [0.0, 0.0]])
+    assert Dataset(np.ones((5, 2)), x).q == 2
+    x[4, 0] = 1e308
+    with pytest.raises(ValueError, match="^`x` is not column-centered: column 0 sums to 1.000e"):
+        Dataset(np.ones((5, 2)), x)
+
+
+def test_center_columns_gives_the_bits_of_the_plain_mean():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n, p = rng.integers(1, 30), rng.integers(1, 6)
+        x = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-200, 200, size=p)
+        x += rng.standard_normal(p) * 10.0 ** rng.uniform(-200, 200, size=p)
+        assert np.array_equal(center_columns(x), x - x.mean(axis=0))
+
+
 def test_sum_of_squares_type_validation():
     ss = sums_of_squares(rand_dataset(9))
     rebuilt = SumOfSquares.from_parts(ss.s_reg, ss.s_resid, ss.n, ss.q)
