@@ -21,16 +21,19 @@ QR factorization of X; the explicit normal-equations inverse is never
 formed.
 
 `_scatter_stack` is the one fit builder, which returns each fit of a stack
-as row factors (`sums_of_squares` forms the Grams of a stack of one), and
-`_sym_eig_stack` the one symmetric eigensolver, which checks nothing
-(`sym_eig`, a stack of one, checks the whole decomposition, and the
-commands' solver the two pairs it reads).  `_check_fit_stack` is the one
-check of a built fit: it checks the Grams of the fit's factors in the
-space the fit is solved in (p x p, or the Gram blocks of a wide fit's
-reduced rows), with one `eigvalsh` of the residual block in either space,
-and its additivity on the factors: the residual rows must be orthogonal to
-the constant and to the design span.  `SumOfSquares` checks matrices given
-by a user, in the Gram form.
+as row factors (`sums_of_squares` forms the Grams of a stack of one).  Two
+symmetric eigensolvers check nothing: `_sym_eig_stack`, a full `eigh`, for
+the callers that read whole bases (`sym_eig`, a stack of one, checks the
+whole decomposition, and `simgen.random_gamma`), and `_leading_pair_stack`,
+every eigenvalue from `eigvalsh` and the leading vector by inverse
+iteration, for the commands, which read only the leading vector and the gap
+(`_check_leading_pairs` checks the leading pair and the spectrum).
+`_check_fit_stack` is the one check of a built fit: it checks the Grams of
+the fit's factors in the space the fit is solved in (p x p, or the Gram
+blocks of a wide fit's reduced rows), with one `eigvalsh` of the residual
+block in either space, and its additivity on the factors: the residual rows
+must be orthogonal to the constant and to the design span.  `SumOfSquares`
+checks matrices given by a user, in the Gram form.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
@@ -367,24 +370,110 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, ::-1] * scale[:, None], _fix_signs(vecs[:, :, ::-1])
 
 
-def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise `NumericFailure` unless each matrix M of a stack has two sound leading pairs.
+def _leading_pair_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenvalue and the leading eigenvector of each exactly symmetric
+    matrix of a stack (k, s, s).
 
-    (vals, vecs) is `_sym_eig_stack(m)`.  Both pairs need ||M v - lambda v|| <=
-    1e-8 ||M||_F, and the leading v unit norm (NaN fails); with the gap, these
-    bound the axis error (Parlett 1980; Davis & Kahan 1970).
+    Each matrix is divided by `_pow2_scale` of its peak entry, as in
+    `_sym_eig_stack`, so power-of-two rescalings give bit-identical vectors.
+    The eigenvalues come from one batched `eigvalsh`, and the leading vector
+    from inverse iteration (Parlett 1980, ch. 4; Ipsen 1997) with the shift
+    sigma = lambda_1 + delta, delta = 4 s eps max|lambda|: one power step a g
+    from a fixed generic unit vector g, then one LU solve per matrix.  Up to
+    two more solves go to the matrices whose residual ||a v - lambda_1 v|| is
+    not yet at rounding level (8 s eps ||a||_F), or whose gap lambda_1 -
+    lambda_2 is too small for the solves so far to have shrunk the other
+    components below 1e-13.  A matrix with a single distinct eigenvalue (zero
+    or scalar) gives e_s, as `eigh` does.  Each matrix is solved as if it
+    were alone, so it gives the same bytes in any stack; callers check what
+    they read (`_check_leading_pairs`).  Returns (values (k, s) descending,
+    vectors (k, s) under `_fix_signs`).
     """
-    lead = vecs[:, :, :2]
-    err = np.linalg.norm(m @ lead - lead * vals[:, None, :2], axis=1)
-    bad = ~(err <= 1e-8 * np.linalg.norm(m, axis=(1, 2))[:, None])
+    k, s = m.shape[:2]
+    scale = _pow2_scale(_peaks(m))
+    a = m / scale[:, None, None]
+    vals = np.linalg.eigvalsh(a)[:, ::-1]
+    eps = np.finfo(float).eps
+    # the scaled matrix has max|lambda| >= its peak entry >= 1 unless it is zero
+    sigma = vals[:, 0] + 4.0 * s * eps * np.maximum(np.maximum(vals[:, 0], -vals[:, -1]), 1.0)
+    above = sigma - vals[:, 0]  # exact
+    flat = vals[:, 0] == vals[:, -1]
+    # a solve scales each component off the leading vector, relative to the
+    # leading one, by at most (sigma - lambda_1) / (sigma - lambda_2); a
+    # matrix with one eigenvalue needs no vector
+    shrink = np.where(flat, 0.0, above / (sigma - vals[:, 1]))
+    left = np.ones(k)
+    tol = 8.0 * s * eps * _frobenius(a)
+    # neither the ones vector nor a coordinate vector, which are orthogonal to
+    # the leading vectors of [[2, -1], [-1, 2]] and of most diagonal matrices
+    g = np.sqrt(np.arange(s) + 2.0)
+    g /= np.linalg.norm(g)
+    v = a @ g
+    nrm = np.linalg.norm(v, axis=1, keepdims=True)
+    v = np.where(nrm > 0.0, v / np.where(nrm > 0.0, nrm, 1.0), g)
+    shifted = np.negative(a, out=a)  # sigma I - a, in place of a
+    shifted.reshape(k, s * s)[:, ::s + 1] += sigma[:, None]
+    todo = slice(None)  # every matrix, then those that need another solve
+    for _ in range(3):
+        x = np.linalg.solve(shifted[todo], v[todo, :, None])[:, :, 0]
+        v[todo] = x / np.linalg.norm(x, axis=1, keepdims=True)
+        left[todo] *= shrink[todo]
+        # a v - lambda_1 v = (sigma - lambda_1) v - (sigma I - a) v
+        resid = np.linalg.norm(above[todo, None] * v[todo]
+                               - (shifted[todo] @ v[todo, :, None])[:, :, 0], axis=1)
+        todo = np.arange(k)[todo][(resid > tol[todo]) | (left[todo] > 1e-13)]
+        if not todo.size:
+            break
+    v[flat] = np.eye(s)[-1]
+    return vals * scale[:, None], _fix_signs(v[:, :, None])[:, :, 0]
+
+
+def _peaks(m: np.ndarray) -> np.ndarray:
+    """max|M| of each matrix of a stack (k, s, s), with no temporary the size of the stack."""
+    return np.maximum(np.max(m, axis=(1, 2)), -np.min(m, axis=(1, 2)))
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """||M||_F of each matrix of a stack (k, s, s), with no temporary the size of the stack."""
+    return np.sqrt(np.einsum("kij,kij->k", m, m))
+
+
+def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise `NumericFailure` unless each matrix M of a stack (k, s, s) has a sound
+    spectrum and leading pair.
+
+    (vals, vecs) is `_leading_pair_stack(m)`.  Checked on M and its
+    eigenvalues divided by `_pow2_scale` of M's peak entry, so no norm
+    overflows:
+
+    - the leading pair needs ||M v - lambda_1 v|| <= 1e-8 ||M||_F and v unit
+      norm (NaN fails); with the gap, these bound the axis error (Parlett
+      1980; Davis & Kahan 1970);
+    - the eigenvalues need |sum lambda - tr M| <= 1e-8 ||M||_F and
+      |sqrt(sum lambda^2) - ||M||_F| <= 1e-8 ||M||_F, which hold for the
+      spectrum of M and check lambda_2, read only through the gap.
+    """
+    scale = _pow2_scale(_peaks(m))
+    a = m / scale[:, None, None]
+    lam = vals / scale[:, None]
+    frob = _frobenius(a)
+    err = np.linalg.norm((a @ vecs[:, :, None])[:, :, 0] - lam[:, :1] * vecs, axis=1)
+    bad = ~(err <= 1e-8 * frob)
     if np.any(bad):
-        k, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NumericFailure(f"eigenpair {j + 1} of solved matrix {k} "
-                             f"fails its residual check: ||M v - lambda v|| = {err[k, j]:.3e}")
+        k = int(np.argmax(bad))
+        raise NumericFailure(f"eigenpair 1 of solved matrix {k} "
+                             f"fails its residual check: ||M v - lambda v|| = {err[k]:.3e}")
     try:
-        _check_unit(vecs[:, :, 0], "leading eigenvector")
+        _check_unit(vecs, "leading eigenvector")
     except ValueError as exc:
         raise NumericFailure(str(exc)) from None
+    off = np.maximum(np.abs(np.sum(lam, axis=1) - np.trace(a, axis1=1, axis2=2)),
+                     np.abs(np.linalg.norm(lam, axis=1) - frob))
+    bad = ~(off <= 1e-8 * frob)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericFailure(f"the eigenvalues of solved matrix {k} miss its trace or "
+                             f"Frobenius norm by {off[k]:.3e}")
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

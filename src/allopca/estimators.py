@@ -21,7 +21,9 @@ leading to a fully data-driven weight.
 
 Every command solves through `_leading_axes`, which takes stacked fits as
 the row factors of `core._scatter_stack`, checks them once and resolves
-each weight rule's weight and axis in one batched eigensolve.  A fit of n
+each weight rule's weight and axis in one batched leading-pair solve
+(`core._leading_pair_stack`: every eigenvalue from `eigvalsh`, the leading
+vector by inverse iteration).  A fit of n
 observations is solved p x p when n - 1 >= p, and otherwise on its n - 1
 reduced rows [reg; Qc'resid], with Qc an orthonormal basis of the
 complement of the constant and the design span, from one complete QR per
@@ -50,9 +52,11 @@ from .core import (
     _check_weight,
     _fix_signs,
     _gram,
+    _leading_pair_stack,
+    _peaks,
+    _pow2_scale,
     _readonly,
     _scatter_stack,
-    _sym_eig_stack,
     center_columns,
 )
 from .errors import DegreesOfFreedomError
@@ -301,9 +305,17 @@ def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
     `sigma_hat`, and `tr_sigma_hat`, each a (k,) array, with w_hat = 0
     where the weight's denominator is <= 0 (w_hat_raw NaN where it is 0)
     and w_hat clamped into [0, 2/3] elsewhere.
+
+    The weight is scale-free, but its terms grow as the sixth power of the
+    data, so each fit's summaries are formed on its Grams divided by
+    `_pow2_scale` of their peak entry and scaled back exactly: data
+    rescaled by a power of two give the same weight, and ordinary data the
+    same bits.
     """
     m = n - 1 - q
-    lam = resid_evals[:, ::-1] / m
+    t = _pow2_scale(np.maximum(_peaks(s_reg), _peaks(s_resid)))
+    s_reg, s_resid = s_reg / t[:, None, None], s_resid / t[:, None, None]
+    lam = resid_evals[:, ::-1] / t[:, None] / m
     tr_se = np.trace(s_resid, axis1=1, axis2=2)
     tr_sig = tr_se / m
     tr_sigma2_hat = ((np.sum(s_resid * s_resid, axis=(1, 2)) - tr_se ** 2 / m)
@@ -315,9 +327,10 @@ def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
     num, den = _w_star_terms(a_hat, b_hat, c_hat, d_hat, q)
     w_raw = np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0.0)
     w_hat = np.where(den <= 0.0, 0.0, np.minimum(np.maximum(w_raw, 0.0), WEIGHT_CAP))
-    return dict(lambda1_hat=lam[:, 0], lambda2_hat=lam[:, 1], tr_sigma2_hat=tr_sigma2_hat,
-                a_hat=a_hat, b_hat=b_hat, c_hat=c_hat, d_hat=d_hat, w_hat_raw=w_raw,
-                w_hat=w_hat, tr_sigma_hat=tr_sig)
+    return dict(lambda1_hat=lam[:, 0] * t, lambda2_hat=lam[:, 1] * t,
+                tr_sigma2_hat=tr_sigma2_hat * t * t, a_hat=a_hat * t * t, b_hat=b_hat * t,
+                c_hat=c_hat * t, d_hat=d_hat * t, w_hat_raw=w_raw, w_hat=w_hat,
+                tr_sigma_hat=tr_sig * t)
 
 
 # --------------------------------------------------------------------------
@@ -387,11 +400,12 @@ def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.nd
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
-# near a megabyte for any n and p: `_blocks` splits the leave-one-out folds,
-# the Monte Carlo replications (`harness._replicate_block`) and the batched
-# eigensolves of `_solve_axes` into ranges of that size (three fold blocks
-# at n = 50, p = 10 and ten rules).
-_BLOCK_ENTRIES = 1 << 15
+# near half a megabyte each for any n and p: `_blocks` splits the
+# leave-one-out folds, the Monte Carlo replications
+# (`harness._replicate_block`) and the batched solves of `_solve_axes` into
+# ranges of that size (two fold blocks at n = 50, p = 10 and ten rules; three
+# replications per block at table3b's p = 100).
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _blocks(count: int, entries: int):
@@ -478,10 +492,11 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     whose leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
     gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
     `oracle` weights (k,).  Each distinct (fit, weight) pair is solved once,
-    per `_blocks` range, and its two leading pairs, all that is read, are
-    checked in the space solved in.  Its gap is lambda_1 - lambda_2 of the
-    solved matrix, whose trace and nonzero spectrum are those of S(w), and a
-    tie a gap of at most TIE_TOL times that trace.
+    per `_blocks` range, by `_leading_pair_stack`, and its leading pair and
+    spectrum, all that is read, are checked in the space solved in.  Its gap
+    is lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero
+    spectrum are those of S(w), and a tie a gap of at most TIE_TOL times that
+    trace.
     """
     k, q = s_reg.shape[:2]
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
@@ -497,10 +512,11 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
             m = (1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]]
         else:
             root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[i, 0], pw[i, 0]))
-            m = root[:, :, None] * gram[pf[i]] * root[:, None, :]
-        vals, vecs = _sym_eig_stack(m)
-        _check_leading_pairs(m, vals, vecs)
-        axes = vecs[:, :, 0]
+            m = gram[pf[i]]  # scaled in place, with no temporary of its size
+            m *= root[:, :, None]
+            m *= root[:, None, :]
+        vals, axes = _leading_pair_stack(m)
+        _check_leading_pairs(m, vals, axes)
         if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
             v = np.swapaxes(rows[pf[i]], 1, 2) @ (root * axes)[:, :, None]
             nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
@@ -535,11 +551,11 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     The fold fits are shared by all rules.  Per block of folds, the
     plug-in weights come from the fit check's one batched `eigvalsh` and
     the axes of all distinct (weight, fold) pairs from one batched
-    eigensolve, in sample space when the folds, of n - 1 observations, are
-    wide (n - 2 < p).  The full design is checked once for conditioning,
-    and each fold gets the checks of what it reads: design conditioning
-    (naming the left-out row), the `_check_fit_stack` rules and the
-    leading pairs.
+    leading-pair solve, in sample space when the folds, of n - 1
+    observations, are wide (n - 2 < p).  The full design is checked once
+    for conditioning, and each fold gets the checks of what it reads: design
+    conditioning (naming the left-out row), the `_check_fit_stack` rules and
+    the leading pair and spectrum of each solved matrix.
 
     Parameters
     ----------

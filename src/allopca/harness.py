@@ -157,20 +157,22 @@ class McResult:
 def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
     """Crude wall-clock estimate used by the cost guard.
 
-    Each replication pays for its data at the order `_leading_axes` solves
-    (`_solved_size`: p or, for a wide point, the reduced n - 1), 4 n p (s + q)
-    flops, and for each per-weight eigensolve 2 s^3 flops, at 2e9 flop/s,
-    plus a fixed overhead per estimator row.  Fitted to the default grids
-    of tables 1 to 3b and to table3b at p = 400, whose estimates came within
-    0.6 to 1.8 times the wall time on a 2-core x86-64 machine.
+    Each point pays a fixed 1.2e-3 s for its blocks' set-up, and each
+    replication 8e-8 s per drawn response entry (n p: the draw and the
+    fit), 1e-5 s per estimator row, and 4e-8 s^2 + 2e-10 s^3 s for each
+    per-weight solve of order s (`_solved_size`: p or, for a wide point, the
+    reduced n - 1; the s^2 term forms, checks and lifts the matrix, the s^3
+    term is LAPACK's).  Fitted to per-point times of 1 to 200 replications
+    on the default grids of tables 1 to 3b and table3b at p = 400, on a
+    2-core x86-64 machine.
     """
     n_est = len(plan.estimators)
     seconds = 0.0
     for spec in plan.points:
-        n, p, q = spec.n, spec.p, spec.q
-        s = _solved_size(n, p)
-        flops = 4.0 * n * p * (s + q) + (n_est + 5.0) * 2.0 * s ** 3
-        seconds += plan.replications * (flops / 2e9 + (n_est + 4) * 5e-5)
+        s = _solved_size(spec.n, spec.p)
+        per_rep = (8e-8 * spec.n * spec.p + (n_est + 4) * 1e-5
+                   + (n_est + 5.0) * (4e-8 * s ** 2 + 2e-10 * s ** 3))
+        seconds += 1.2e-3 + plan.replications * per_rep
     return seconds
 
 

@@ -350,19 +350,21 @@ def test_estimate_custom_weight_grid(tmp_path, capsys):
 
 
 def test_estimate_solves_every_column_in_one_eigensolve(tmp_path, capsys, monkeypatch):
-    ypath, xpath, _ = dataset_files(tmp_path)
-    calls = []
-
-    def counted(*args, _orig=np.linalg.eigh, **kwargs):
-        calls.append(args[0].shape)
-        return _orig(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    ypath, xpath, gamma = dataset_files(tmp_path)
+    p = gamma.size
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, seen in calls.items():
+        def counted(a, *args, _orig=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(a.shape)
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
     header = next(ln for ln in out.splitlines() if not ln.startswith("#"))
     assert len(header.split(",")) == 1 + 9  # nine estimator columns
-    assert len(calls) == 1
+    # the fit check's eigenvalues of s_resid, then one stacked solve of the nine
+    # blends by `eigvalsh` and inverse iteration, with no full `eigh`
+    assert calls == {"eigh": [], "eigvalsh": [(1, 1, p, p), (9, p, p)]}
 
 
 def _estimate_reference(ypath, xpath):
@@ -399,8 +401,9 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
     code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
     # the fit check's semidefiniteness test of s_resid, whose eigenvalues the
-    # plug-in weight reuses; s_reg is a Gram, semidefinite by construction
-    assert calls == [(1, 1, p, p)] * 1
+    # plug-in weight reuses (s_reg is a Gram, semidefinite by construction),
+    # and the stacked solve of the nine blends
+    assert calls == [(1, 1, p, p), (9, p, p)]
     assert out == want
 
 
@@ -1000,17 +1003,17 @@ def test_console_script_declaration():
 def test_failed_eigendecomposition_check_exits_1(tmp_path, capsys, monkeypatch, command):
     # an eigensolver whose leading eigenvalue is off by 0.1% fails the internal checks,
     # which exit 1 ("numeric failure"), not 2 (usage or validation)
-    def skewed(a, *args, _orig=np.linalg.eigh, **kwargs):
-        vals, vecs = _orig(a, *args, **kwargs)
+    def skewed(a, *args, _orig=np.linalg.eigvalsh, **kwargs):
+        vals = _orig(a, *args, **kwargs)
         vals[..., -1] *= 1.001
-        return vals, vecs
+        return vals
 
     if command == "simulate":
         argv = ["simulate", "--scenario", "table1", "--n", "20", "--reps", "2"]
     else:
         ypath, xpath, _ = dataset_files(tmp_path)
         argv = ["estimate", "--y", ypath, "--x", xpath]
-    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    monkeypatch.setattr(np.linalg, "eigvalsh", skewed)
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert err.splitlines()[-1].startswith("numeric failure: ")

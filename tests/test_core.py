@@ -5,6 +5,8 @@ implementation with an explicit normal-equations inverse, and the residual
 cross-moment E'P E E'X is checked against zero by Monte Carlo.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from allopca import (
     sym_eig,
 )
 from allopca.cli import main
+from allopca.core import _check_leading_pairs, _leading_pair_stack
+from allopca.estimators import _solve_axes
 
 
 def rand_dataset(seed, n=20, p=6, q=3, signal=1.0):
@@ -295,7 +299,7 @@ def test_sum_of_squares_stores_exactly_symmetric_matrices():
         assert np.array_equal(m, m.T)
     for w in (0.0, 0.35, 1.0):
         reference = sym_eig((1 - w) * user.s_reg + w * user.s_resid).vectors[:, 0]
-        assert gamma1_hat(user, w).vector.tobytes() == reference.tobytes()
+        assert np.max(np.abs(gamma1_hat(user, w).vector - reference)) <= 1e-14
     # exactly symmetric matrices are stored unchanged
     again = SumOfSquares(ss.s_reg, ss.s_resid, ss.s_total, ss.n, ss.q)
     for name in ("s_reg", "s_resid", "s_total"):
@@ -311,8 +315,8 @@ def test_gamma1_hat_endpoints_are_the_scatter_axes():
     ss = sums_of_squares(rand_dataset(10))
     for w, m in ((0.0, ss.s_reg), (1.0, ss.s_resid)):
         eig, est = sym_eig(m), gamma1_hat(ss, w)
-        assert est.vector.tobytes() == eig.vectors[:, 0].tobytes()
-        assert est.leading_gap == eig.values[0] - eig.values[1]
+        assert np.max(np.abs(est.vector - eig.vectors[:, 0])) <= 1e-14
+        assert abs(est.leading_gap - (eig.values[0] - eig.values[1])) <= 1e-14 * eig.values[0]
 
 
 def test_gamma1_hat_midpoint_has_half_the_total_gap():
@@ -422,6 +426,106 @@ def test_sym_eig_rejects_bad_input():
 def test_sym_eig_zero_matrix():
     eig = sym_eig(np.zeros((3, 3)))
     assert np.array_equal(eig.values, np.zeros(3))
+
+
+# --------------------------------------------------------------------------
+# the commands' solver: every eigenvalue and the leading vector
+# --------------------------------------------------------------------------
+
+SQRT_HALF, SQRT_SIXTH = np.sqrt(0.5), np.sqrt(1.0 / 6.0)
+
+# (matrix, pinned leading vector) of matrices with a clear gap (> 1e-8 lambda_1)
+LEADING_CASES = {
+    # leading vectors orthogonal to the ones vector
+    "two-by-two": (np.array([[2.0, -1.0], [-1.0, 2.0]]), [SQRT_HALF, -SQRT_HALF]),
+    "rank-one": (np.outer([1.0, -2.0, 1.0], [1.0, -2.0, 1.0]),
+                 [-SQRT_SIXTH, 2.0 * SQRT_SIXTH, -SQRT_SIXTH]),
+    # leading vectors orthogonal to every other coordinate vector
+    **{f"diagonal-top-{j}": (np.diag(np.roll([3.0, 2.0, 1.0, 0.5], j)), np.eye(4)[j])
+       for j in range(4)},
+}
+
+
+def _leading(m):
+    """`_leading_pair_stack` of one matrix, checked: (values, vector)."""
+    vals, vecs = _leading_pair_stack(m[None])
+    _check_leading_pairs(m[None], vals, vecs)
+    return vals[0], vecs[0]
+
+
+@pytest.mark.parametrize("case", sorted(LEADING_CASES))
+def test_leading_pair_of_edge_matrices(case):
+    m, want = LEADING_CASES[case]
+    vals, vec = _leading(m)
+    eig = sym_eig(m)
+    assert eig.values[0] - eig.values[1] > 1e-8 * eig.values[0]
+    assert np.max(np.abs(vec - want)) <= 1e-14
+    assert np.max(np.abs(vec - eig.vectors[:, 0])) <= 1e-14
+    assert np.max(np.abs(vals - eig.values)) <= 1e-14 * eig.values[0]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13])
+def test_leading_pair_of_a_tie_lies_in_the_tied_plane(gap):
+    s_resid = np.diag([3.0, 3.0 - gap, 1.0])
+    _, axes, gaps, ties = _solve_axes((FixedWeight(1.0),), np.zeros((1, 3, 3)), s_resid[None])
+    assert ties[0, 0] and gaps[0, 0] <= 1e-12
+    assert abs(axes[0, 0, 2]) <= 1e-14
+    assert np.linalg.norm(axes[0, 0]) == pytest.approx(1.0, abs=1e-15)
+    _leading(s_resid)
+
+
+@pytest.mark.parametrize("m", [np.zeros((3, 3)), 5.0 * np.eye(3)], ids=["zero", "scalar"])
+def test_leading_vector_of_one_eigenvalue_is_the_last_axis(m):
+    vals, vec = _leading(m)
+    assert vec.tobytes() == np.eye(3)[-1].tobytes()
+    assert np.array_equal(vals, np.diag(m))
+
+
+def _solver_stack():
+    """Order-3 matrices with and without gaps, the near-tie taking extra solves."""
+    rng = np.random.default_rng(18)
+    b = rng.standard_normal((4, 5, 3))
+    random = np.swapaxes(b, 1, 2) @ b
+    edge = [LEADING_CASES["rank-one"][0], np.diag([3.0, 3.0, 1.0]),
+            np.diag([3.0, 3.0 - 1e-13, 1.0]), np.zeros((3, 3)), 5.0 * np.eye(3)]
+    return np.concatenate([(random + np.swapaxes(random, 1, 2)) / 2.0, edge])
+
+
+def test_leading_pair_bit_identical_under_power_of_two_rescaling():
+    m = _solver_stack()
+    vals, vecs = _leading_pair_stack(m)
+    for exponent in (-900, 900):
+        scaled = np.ldexp(m, exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_vals, got_vecs = _leading_pair_stack(scaled)
+            _check_leading_pairs(scaled, got_vals, got_vecs)
+        assert got_vecs.tobytes() == vecs.tobytes()
+        assert got_vals.tobytes() == np.ldexp(vals, exponent).tobytes()
+
+
+def test_leading_pair_bit_identical_for_any_stack():
+    m = _solver_stack()
+    vals, vecs = _leading_pair_stack(m)
+    for order in (np.arange(len(m))[::-1], np.roll(np.arange(len(m)), 3)):
+        got = _leading_pair_stack(m[order])
+        assert got[0].tobytes() == vals[order].tobytes()
+        assert got[1].tobytes() == vecs[order].tobytes()
+    for i in range(len(m)):
+        alone = _leading_pair_stack(m[i:i + 1])
+        assert alone[0].tobytes() == vals[i:i + 1].tobytes()
+        assert alone[1].tobytes() == vecs[i:i + 1].tobytes()
+
+
+def test_gamma1_hat_of_huge_data_warns_of_nothing():
+    # the leading-pair check runs on the scaled matrix, so its norms cannot overflow
+    data = rand_dataset(19)
+    huge = Dataset(1e120 * data.y, data.x)
+    base = gamma1_hat(sums_of_squares(data), 0.35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = gamma1_hat(sums_of_squares(huge), 0.35)
+    assert np.max(np.abs(est.vector - base.vector)) <= 1e-12
 
 
 # --------------------------------------------------------------------------

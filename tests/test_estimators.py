@@ -7,6 +7,7 @@ direct substitution and small Monte Carlo unbiasedness checks.
 
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,62 @@ def test_plugin_weight_approaches_oracle():
             gaps.append(abs(w_hat - oracle))
         medians.append(float(np.median(gaps)))
     assert medians[0] > medians[1] > medians[2]
+
+
+# powers of two that rescale the plug-in example's data; the terms of the weight
+# grow as y^6, so at -180 and 170 they left the float range before they were scaled
+PLUGIN_SCALES = (-180, -150, 0, 150, 170)
+
+
+def plugin_scale_data(k=0):
+    """The plug-in example (n = 30, p = 4, q = 2), its responses times 2**k."""
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((30, 4))
+    return Dataset(np.ldexp(y, k), center_columns(rng.standard_normal((30, 2))))
+
+
+@pytest.mark.parametrize("k", PLUGIN_SCALES)
+def test_plugin_weight_ignores_power_of_two_rescaling(k):
+    base = estimate_abcd(sums_of_squares(plugin_scale_data()))
+    rules = (PluginRule(), FixedWeight(0.5), FixedWeight(1.0), OlsRule())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pw = estimate_abcd(sums_of_squares(plugin_scale_data(k)))
+        scores = loo_cv_scores(plugin_scale_data(k), rules)
+    assert pw.w_hat == base.w_hat == 0.19455387524589607
+    assert pw.w_hat_raw == base.w_hat_raw
+    for name, power in (("lambda1_hat", 2), ("lambda2_hat", 2), ("tr_sigma2_hat", 4),
+                        ("a_hat", 4), ("b_hat", 2), ("c_hat", 2), ("d_hat", 2)):
+        assert getattr(pw, name) == np.ldexp(getattr(base, name), power * k), name
+    assert [v / 4.0 ** k for v in scores] == list(loo_cv_scores(plugin_scale_data(), rules))
+
+
+def _estimate_report(tmp_path, capsys, k):
+    """`estimate`'s header values and vector rows on the plug-in example times 2**k."""
+    data = plugin_scale_data(k)
+    argv = ["estimate"]
+    for flag, mat in (("--y", data.y), ("--x", data.x)):
+        path = tmp_path / f"{k}{flag[2:]}.csv"
+        np.savetxt(path, mat, delimiter=",", fmt="%.17g")
+        argv += [flag, str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = dict(line[2:].split(" = ") for line in lines[1:] if line.startswith("# "))
+    return head, [line for line in lines if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("k", PLUGIN_SCALES)
+def test_estimate_report_ignores_power_of_two_rescaling(tmp_path, capsys, k):
+    base_head, base_rows = _estimate_report(tmp_path, capsys, 0)
+    head, rows = _estimate_report(tmp_path, capsys, k)
+    assert head["w_hat"] == base_head["w_hat"] == "0.1945538752"
+    for name in ("w_hat_raw", "contribution_ratio_1", "contribution_ratio_2"):
+        assert head[name] == base_head[name], name
+    for name in ("lambda1_hat", "lambda2_hat"):
+        assert float(head[name]) == pytest.approx(float(base_head[name]) * 4.0 ** k, rel=1e-9)
+    assert rows == base_rows
 
 
 # --------------------------------------------------------------------------

@@ -202,35 +202,45 @@ def _fault_cases():
 
 
 def _corrupt(vals, vecs, part):
-    """Copies of ascending `eigh` output (..., s), (..., s, s) with one quantity moved."""
+    """Copies of ascending `eigh` output (..., s), (..., s, s) with its smallest pair moved."""
     vals, vecs = vals.copy(), vecs.copy()
-    top = np.abs(vals[..., -1:])
     if part == "smallest":
-        vals[..., 0] += 1e-6 * top[..., 0]
-    elif part == "smallest vector":  # turned 1e-4 toward the leading pair's vector
+        vals[..., 0] += 1e-6 * np.abs(vals[..., -1])
+    else:  # "smallest vector", turned 1e-4 toward the leading pair's vector
         vecs[..., 0] = np.cos(1e-4) * vecs[..., 0] + np.sin(1e-4) * vecs[..., -1]
-    elif part == "lambda1":
-        vals[..., -1] += 1e-6 * top[..., 0]
+    return vals, vecs
+
+
+def _corrupt_leading(vals, vecs, part):
+    """Copies of `core._leading_pair_stack` output, descending values (k, s) and
+    leading vectors (k, s), with one quantity moved."""
+    vals, vecs = vals.copy(), vecs.copy()
+    top = np.abs(vals[:, 0])
+    if part == "lambda1":
+        vals[:, 0] += 1e-6 * top
     elif part == "lambda2":
-        vals[..., -2] -= 1e-6 * top[..., 0]
-    elif part == "rotated vector":  # turned 1e-4 toward the smallest pair's vector
-        vecs[..., -1] = np.cos(1e-4) * vecs[..., -1] + np.sin(1e-4) * vecs[..., 0]
+        vals[:, 1] -= 1e-6 * top
+    elif part == "rotated vector":  # turned 1e-4 toward a unit vector orthogonal to it
+        off = np.eye(vecs.shape[1])[-1] - vecs[:, -1:] * vecs
+        off /= np.linalg.norm(off, axis=1, keepdims=True)
+        vecs = np.cos(1e-4) * vecs + np.sin(1e-4) * off
     else:  # "scaled vector"
-        vecs[..., -1] *= 1.0 + 1e-6
+        vecs *= 1.0 + 1e-6
     return vals, vecs
 
 
 @pytest.mark.parametrize("part, message", [
     ("lambda1", "eigenpair 1 of solved matrix 0 fails its residual check"),
-    ("lambda2", "eigenpair 2 of solved matrix 0 fails its residual check"),
+    ("lambda2", "the eigenvalues of solved matrix 0 miss its trace or Frobenius norm"),
     ("rotated vector", "eigenpair 1 of solved matrix 0 fails its residual check"),
     ("scaled vector", r"leading eigenvector\[0\] must be unit length"),
 ], ids=["lambda1", "lambda2", "rotated_vector", "scaled_vector"])
 def test_corrupted_leading_eigenpair_raises(monkeypatch, part, message):
     # a p x p block, a sample-space block and a block of leave-one-out folds
-    real = np.linalg.eigh
+    real = core._leading_pair_stack
     cases = _fault_cases()
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: _corrupt(*real(a), part))
+    monkeypatch.setattr(estimators, "_leading_pair_stack",
+                        lambda m: _corrupt_leading(*real(m), part))
     for run, _, _ in cases:
         with pytest.raises(NumericFailure, match=message):
             run()
@@ -253,8 +263,8 @@ def test_residual_mass_outside_the_kept_pairs_raises(monkeypatch):
 
 
 def test_corrupted_smallest_eigenvalue_fails_only_sym_eig(monkeypatch):
-    # only `sym_eig` reads the whole spectrum, so only it checks the whole
-    # decomposition; the commands read the two leading pairs of each solve
+    # only `sym_eig` reads the whole eigenbasis, so only it checks the whole
+    # decomposition; the commands solve for the leading vector alone, with no `eigh`
     real = np.linalg.eigh
     cases = _fault_cases()
     want = [run() for run, _, _ in cases]
@@ -277,13 +287,14 @@ def _assert_same(got, want):
 
 
 def test_commands_check_the_leading_pairs_of_every_solve(monkeypatch):
-    # the stacked solver checks nothing; every matrix it solves for a command
-    # gets the leading-pair check, and none the full orthonormality check
-    body = inspect.getsource(core._sym_eig_stack).split('"""')[-1]  # past the docstring
-    assert not re.search(r"raise|_check", body)
+    # the stacked solvers check nothing; every matrix solved for a command gets
+    # the leading-pair check, and none the full orthonormality check
+    for solver in (core._sym_eig_stack, core._leading_pair_stack):
+        body = inspect.getsource(solver).split('"""')[-1]  # past the docstring
+        assert not re.search(r"raise|_check", body)
     cases = _fault_cases()
     solved, checked = [], []
-    real_solve, real_check = estimators._sym_eig_stack, estimators._check_leading_pairs
+    real_solve, real_check = estimators._leading_pair_stack, estimators._check_leading_pairs
 
     def solve(m):
         solved.append(m.copy())
@@ -296,7 +307,7 @@ def test_commands_check_the_leading_pairs_of_every_solve(monkeypatch):
     def refuse(*args):
         raise AssertionError("full orthonormality check")
 
-    monkeypatch.setattr(estimators, "_sym_eig_stack", solve)
+    monkeypatch.setattr(estimators, "_leading_pair_stack", solve)
     monkeypatch.setattr(estimators, "_check_leading_pairs", check)
     monkeypatch.setattr(core, "_check_orthonormal", refuse)
     for run, _, _ in cases:

@@ -91,9 +91,10 @@ MESSAGE_SOURCES = {
     "additivity": "s_resid: max entry gap",
     "additivity_fit": "complement of the constant and the design span by {",
     # eigenpairs are checked where they are read: the whole decomposition by
-    # `sym_eig`, the two leading pairs by the commands' solver
+    # `sym_eig`, the leading pair and the spectrum by the commands' solver
     "reconstruct": "failed to reconstruct",
     "leading_pairs": "fails its residual check",
+    "spectrum": "miss its trace or",
 }
 
 
