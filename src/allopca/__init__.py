@@ -16,7 +16,7 @@ from .core import (
     sums_of_squares,
     sym_eig,
 )
-from .errors import CostLimitError, DegreesOfFreedomError, RankDeficiencyError
+from .errors import DegreesOfFreedomError, RankDeficiencyError
 from .estimators import (
     AbcdParams,
     FixedWeight,
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbcdParams",
-    "CostLimitError",
     "DEFAULT_ROWS",
     "Dataset",
     "DegreesOfFreedomError",

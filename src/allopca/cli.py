@@ -38,7 +38,7 @@ from .core import (
     _scatter_stack,
     center_columns,
 )
-from .errors import CostLimitError, NumericFailure
+from .errors import NumericFailure
 from .estimators import (
     AbcdParams,
     FixedWeight,
@@ -48,7 +48,14 @@ from .estimators import (
     loo_cv_scores,
     w_star,
 )
-from .harness import DEFAULT_ROWS, _csv_text, emit_table, run_experiment, scenario_plan
+from .harness import (
+    DEFAULT_ROWS,
+    _csv_text,
+    emit_table,
+    estimate_runtime_seconds,
+    run_experiment,
+    scenario_plan,
+)
 from .simgen import (
     STRONG_SPIKE,
     WEAK_SPIKE,
@@ -87,6 +94,14 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return _number_list(text, float, "number")
+
+
+def _positive_float(text: str) -> float:
+    """A number > 0, such as the `--cost-limit` in seconds; NaN is refused."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
 
 
 def _one_worker(text: str) -> int:
@@ -249,7 +264,7 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     kind = _scenario_kind(args)
     sizes = getattr(args, kind.axis) or (DEFAULT_N_GRID if kind.axis == "n" else DEFAULT_P_GRID)
-    plan = scenario_plan(kind, sizes, args.reps, args.seed, cost_limit_seconds=args.cost_limit)
+    plan = scenario_plan(kind, sizes, args.reps, args.seed)
 
     print(f"scenario {args.scenario}: replications={plan.replications} "
           f"seed={plan.master_seed}", file=sys.stderr)
@@ -259,6 +274,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"lambda1={spec.lambda1:.6g} lambda2={spec.lambda2:.6g}",
             file=sys.stderr,
         )
+    if args.cost_limit is not None:
+        seconds = estimate_runtime_seconds(plan)
+        if seconds > args.cost_limit:
+            raise CliError(f"estimated runtime {seconds:.1f}s exceeds the configured limit "
+                           f"{args.cost_limit:.1f}s; reduce replications, grid or dimensions")
     result = run_experiment(plan)
     _deliver(args, emit_table(result, args.format))
     return 0
@@ -295,7 +315,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
     print(f"data: n={data.n} p={data.p} q={data.q}", file=sys.stderr)
     rules = [*_fixed_rows(args.weights), ("plugin", PluginRule()), ("ols", OlsRule())]
     scores = loo_cv_scores(data, [rule for _, rule in rules])
-    table = [["rule", "mspe"], *([lab, f"{mspe:.3f}"] for (lab, _), mspe in zip(rules, scores))]
+    table = [["rule", "mspe"], *([lab, f"{mspe:.10g}"] for (lab, _), mspe in zip(rules, scores))]
     _deliver(args, _csv_text(table))
     return 0
 
@@ -377,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--beta2", type=float, help="second spike exponent (custom)")
     sim.add_argument("--reps", type=int, default=200,
                      help="replications per point (default %(default)s)")
-    sim.add_argument("--cost-limit", dest="cost_limit", type=float,
-                     help="refuse plans estimated to exceed this many seconds")
+    sim.add_argument("--cost-limit", dest="cost_limit", type=_positive_float,
+                     help="refuse plans estimated to exceed this many seconds (> 0)")
     sim.add_argument("--format", choices=("csv", "markdown"), default="csv",
                      help="table format (default %(default)s)")
     sim.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
@@ -429,7 +449,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except (CliError, ValueError, CostLimitError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - safety net

@@ -21,7 +21,8 @@ QR factorization of X; the explicit normal-equations inverse is never
 formed.
 
 `_scatter_stack` is the one fit builder, which returns each fit of a stack
-as row factors (`sums_of_squares` forms the Grams of a stack of one).  Two
+as row factors (`sums_of_squares` forms and checks the Grams of a stack of
+one).  Two
 symmetric eigensolvers check nothing: `_sym_eig_stack`, a full `eigh`, for
 the callers that read whole bases (`sym_eig`, a stack of one, checks the
 whole decomposition, and `simgen.random_gamma`), and `_leading_pair_stack`,
@@ -33,7 +34,8 @@ the fit's factors in the space the fit is solved in (p x p, or the Gram
 blocks of a wide fit's reduced rows), with one `eigvalsh` of the residual
 block in either space, and its additivity on the factors: the residual rows
 must be orthogonal to the constant and to the design span.  `SumOfSquares`
-checks matrices given by a user, in the Gram form.
+checks the two matrices given by a user and forms S_total = S_reg + S_resid
+from them.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
@@ -49,7 +51,7 @@ no rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,12 +64,10 @@ CENTER_TOL = 1e-9
 SYM_INPUT_TOL = 1e-8   # asymmetry allowed in sym_eig input
 SYM_STORED_TOL = 1e-10  # asymmetry allowed in given S matrices
 PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace
-ADDITIVITY_TOL = 1e-9   # |S_total - S_reg - S_resid| entrywise
+ADDITIVITY_TOL = 1e-9   # max|[1/sqrt(n), Q]'resid|, relative to max|Yc|
 COND_LIMIT = 1e12       # condition-number cap for X'X
 UNIT_TOL = 1e-8         # |norm - 1| allowed in a unit vector, and max|V'V - I|
 MAX_DRAW_ENTRIES = 1 << 28  # floats in one replication's draw, n * (p + q): 2 GiB
-
-_SCATTER_NAMES = ("s_reg", "s_resid", "s_total")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -252,42 +252,31 @@ class Dataset:
 class SumOfSquares:
     """Regression, residual and total sum-of-squares matrices.
 
-    All three are p x p, symmetric and positive semidefinite, and satisfy
-    ``s_total = s_reg + s_resid`` up to roundoff; each is stored exactly
-    symmetric, as (M + M') / 2, for the eigensolver.  `n` and `q` record the
-    sample size and design rank they came from; the residual degrees of
-    freedom are ``n - 1 - q``.
+    `s_reg` and `s_resid` must be p x p, finite, symmetric and positive
+    semidefinite; each is stored exactly symmetric, as (M + M') / 2, for the
+    eigensolver.  The total ``s_total = s_reg + s_resid`` is formed from the
+    stored pair, not given.  `n` and `q` record the sample size and design
+    rank they came from; the residual degrees of freedom are ``n - 1 - q``.
     """
 
     s_reg: np.ndarray
     s_resid: np.ndarray
-    s_total: np.ndarray
     n: int
     q: int
+    s_total: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mats = {name: np.asarray(getattr(self, name), dtype=float) for name in _SCATTER_NAMES}
-        shapes = {m.shape for m in mats.values()}
-        if len(shapes) != 1:
-            raise ValueError(f"matrix shapes disagree: {sorted(shapes)}")
+        s_reg = np.asarray(self.s_reg, dtype=float)
+        s_resid = np.asarray(self.s_resid, dtype=float)
+        if s_reg.shape != s_resid.shape:
+            raise ValueError(f"matrix shapes disagree: {s_reg.shape} and {s_resid.shape}")
         n, q = _check_sizes(self.n, self.q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
-        _check_symmetric(np.stack(list(mats.values()))[:, None],
-                         [f"`{name}`" for name in _SCATTER_NAMES])
-        s_reg, s_resid, s_total = mats.values()
-        gap = _max_abs(s_total - s_reg - s_resid)
-        if gap > ADDITIVITY_TOL * max(_max_abs(s_total), 1e-300):
-            raise ValueError(f"s_total != s_reg + s_resid: max entry gap {gap:.3e}")
-        for name, m in mats.items():
-            object.__setattr__(self, name, _readonly((m + m.T) / 2.0))
-
-    @classmethod
-    def from_parts(cls, s_reg, s_resid, n: int, q: int) -> "SumOfSquares":
-        """Build from the two components, deriving the total."""
-        s_reg = np.asarray(s_reg, dtype=float)
-        s_resid = np.asarray(s_resid, dtype=float)
-        return cls(s_reg, s_resid, s_reg + s_resid, n, q)
+        _check_symmetric(np.stack((s_reg, s_resid))[:, None], ("`s_reg`", "`s_resid`"))
+        s_reg, s_resid = (s_reg + s_reg.T) / 2.0, (s_resid + s_resid.T) / 2.0
+        for name, m in (("s_reg", s_reg), ("s_resid", s_resid), ("s_total", s_reg + s_resid)):
+            object.__setattr__(self, name, _readonly(m))
 
     @property
     def p(self) -> int:
@@ -517,9 +506,8 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
     ValueError
         If some Gram or fit fails a check.
     """
-    names = [f"`{name}`{where}" for name in _SCATTER_NAMES]
-    _check_symmetric(g_reg[None], names[:1], psd=False)
-    evals = _check_symmetric(g_resid[None], names[1:2])[0]
+    _check_symmetric(g_reg[None], [f"`s_reg`{where}"], psd=False)
+    evals = _check_symmetric(g_resid[None], [f"`s_resid`{where}"])[0]
     n = resid.shape[1]
     off_span = np.max(np.abs(np.swapaxes(basis, 1, 2) @ resid), axis=(1, 2))
     off_constant = np.max(np.abs(np.full(n, 1.0 / np.sqrt(n)) @ resid), axis=1)
@@ -622,14 +610,17 @@ def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = N
 def sums_of_squares(data: Dataset) -> SumOfSquares:
     """Decompose the centered response scatter along and off the design span.
 
-    The checked p x p Grams of the `_scatter_stack` factors of a stack of
-    one fit.
+    The p x p Grams of the `_scatter_stack` factors of a stack of one fit,
+    checked by `_check_fit_stack` like every other built fit.
 
     Raises
     ------
     RankDeficiencyError
         If cond(X'X) exceeds COND_LIMIT (1e12).
+    ValueError
+        If the fit fails a `_check_fit_stack` rule.
     """
-    reg, resid, yc, _ = _scatter_stack(center_columns(data.y)[None], data.x[None])
-    return SumOfSquares(_gram(reg)[0], _gram(resid)[0], _gram(yc)[0], data.n, data.q)
-
+    reg, resid, yc, basis = _scatter_stack(center_columns(data.y)[None], data.x[None])
+    g_reg, g_resid = _gram(reg), _gram(resid)
+    _check_fit_stack(g_reg, g_resid, resid, yc, basis)
+    return SumOfSquares(g_reg[0], g_resid[0], data.n, data.q)

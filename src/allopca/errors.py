@@ -9,9 +9,5 @@ class DegreesOfFreedomError(ValueError):
     """Sample size too small for the requested fit."""
 
 
-class CostLimitError(RuntimeError):
-    """Estimated experiment cost exceeds the configured budget."""
-
-
 class NumericFailure(ValueError):
     """An internal numeric self-check failed (the CLI exits 1)."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _check_draw_size, _check_plugin_dof, _readonly, _scatter_stack
-from .errors import CostLimitError
 from .estimators import (
     AbcdParams,
     FixedWeight,
@@ -68,8 +67,7 @@ class ExperimentPlan:
     """Scenario points x estimator rows x replication count.
 
     The points share one seed, the plan's `master_seed`.  Point and
-    estimator labels must be unique.  `cost_limit_seconds`, when set, makes
-    `run_experiment` refuse plans whose estimated runtime exceeds it.
+    estimator labels must be unique.
     """
 
     points: tuple[ModelSpec, ...]
@@ -77,7 +75,6 @@ class ExperimentPlan:
     estimators: tuple[EstimatorSpec, ...]
     estimator_labels: tuple[str, ...]
     replications: int
-    cost_limit_seconds: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -106,8 +103,6 @@ class ExperimentPlan:
         seeds = sorted({spec.master_seed for spec in self.points})
         if len(seeds) > 1:
             raise ValueError(f"the points of a plan share one seed; got seeds {seeds}")
-        if self.cost_limit_seconds is not None and not self.cost_limit_seconds > 0:
-            raise ValueError(f"`cost_limit_seconds` must be > 0, got {self.cost_limit_seconds}")
 
     @property
     def master_seed(self) -> int:
@@ -155,7 +150,8 @@ class McResult:
 
 
 def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
-    """Crude wall-clock estimate used by the cost guard.
+    """Crude wall-clock estimate, checked by `simulate --cost-limit` and
+    recorded as each result's `metadata["estimated_seconds"]`.
 
     Each point pays a fixed 1.2e-3 s for its blocks' set-up, and each
     replication 8e-8 s per drawn response entry (n p: the draw and the
@@ -224,8 +220,6 @@ def run_experiment(plan: ExperimentPlan) -> McResult:
     ValueError
         If one replication of some point would draw more than
         `core.MAX_DRAW_ENTRIES` floats; every point is checked before any draw.
-    CostLimitError
-        If the plan declares a cost limit and the estimate exceeds it.
     """
     plugin = any(isinstance(est, PluginRule) for est in plan.estimators)
     for lab, spec in zip(plan.point_labels, plan.points):
@@ -233,12 +227,6 @@ def run_experiment(plan: ExperimentPlan) -> McResult:
             _check_plugin_dof(spec.n, spec.q, f"point {lab!r}: ")
         _check_draw_size(spec.n, spec.p, spec.q, f"point {lab!r}: ")
     est_seconds = estimate_runtime_seconds(plan)
-    limit = plan.cost_limit_seconds
-    if limit is not None and est_seconds > limit:
-        raise CostLimitError(
-            f"estimated runtime {est_seconds:.1f}s exceeds the configured "
-            f"limit {limit:.1f}s; reduce replications, grid or dimensions"
-        )
     t0 = time.perf_counter()
     n_pts = len(plan.points)
     n_est = len(plan.estimators)
@@ -285,8 +273,7 @@ def run_experiment(plan: ExperimentPlan) -> McResult:
 
 
 def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
-                  replications: int, seed: int, rows=DEFAULT_ROWS,
-                  cost_limit_seconds: float | None = None) -> ExperimentPlan:
+                  replications: int, seed: int, rows=DEFAULT_ROWS) -> ExperimentPlan:
     """One regime kind at the given sizes, in the given order.
 
     `sizes` runs along `kind.axis` (sample sizes n or dimensions p); a
@@ -302,7 +289,6 @@ def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
         estimators=specs,
         estimator_labels=labels,
         replications=replications,
-        cost_limit_seconds=cost_limit_seconds,
     )
 
 
@@ -312,8 +298,7 @@ def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
 
 
 def consistency_sweep(kind: Traditional | WeakIdentifiability | LargePLargeN, grid,
-                      replications: int, seed: int, rows=DEFAULT_ROWS,
-                      cost_limit_seconds: float | None = None) -> tuple[McResult, dict]:
+                      replications: int, seed: int, rows=DEFAULT_ROWS) -> tuple[McResult, dict]:
     """Run a regime kind over a grid of sizes and classify each row's error trend.
 
     Takes `scenario_plan`'s inputs; `grid` must hold at least 3 strictly
@@ -326,7 +311,7 @@ def consistency_sweep(kind: Traditional | WeakIdentifiability | LargePLargeN, gr
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"trend classification needs at least 3 strictly increasing "
                          f"sizes, got {grid}")
-    plan = scenario_plan(kind, grid, replications, seed, rows, cost_limit_seconds)
+    plan = scenario_plan(kind, grid, replications, seed, rows)
     result = run_experiment(plan)
     verdicts = {}
     for i, lab in enumerate(result.estimator_labels):

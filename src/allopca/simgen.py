@@ -27,7 +27,7 @@ model at one size with `model_spec(size, seed)`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,44 +85,44 @@ class ModelSpec:
 
     Parameters
     ----------
-    p, q, n : int
-        Response dimension (>= 2), design rank (>= 1), sample size
-        (> 1 + q).
+    n : int
+        Sample size (> 1 + q).
     mu : ndarray of shape (p,)
         Intercept.
     alpha : ndarray of shape (q,)
-        Design coefficients of the rank-one signal.
+        Design coefficients of the rank-one signal; its length is the
+        design rank q >= 1.
     lambdas : ndarray of shape (p,)
-        Covariance eigenvalues, positive and non-increasing.
+        Covariance eigenvalues, positive and non-increasing; its length is
+        the response dimension p >= 2.
     gamma_basis : ndarray of shape (p, p)
         Orthonormal eigenvector basis; the first column is the signal axis.
     master_seed : int
         Root of the replication stream tree.
     """
 
-    p: int
-    q: int
     n: int
     mu: np.ndarray
     alpha: np.ndarray
     lambdas: np.ndarray
     gamma_basis: np.ndarray
     master_seed: int
+    p: int = field(init=False)
+    q: int = field(init=False)
 
     def __post_init__(self):
-        p = int(self.p)
-        _check_dimension(p)
-        n, q = _check_sizes(int(self.n), int(self.q))
         mu = np.asarray(self.mu, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         lam = np.asarray(self.lambdas, dtype=float)
         gamma = np.asarray(self.gamma_basis, dtype=float)
+        for name, arr in (("alpha", alpha), ("lambdas", lam)):
+            if arr.ndim != 1:
+                raise ValueError(f"`{name}` must be 1-D, got shape {arr.shape}")
+        p = lam.size
+        _check_dimension(p)
+        n, q = _check_sizes(int(self.n), alpha.size)
         if mu.shape != (p,):
             raise ValueError(f"`mu` must have shape ({p},), got {mu.shape}")
-        if alpha.shape != (q,):
-            raise ValueError(f"`alpha` must have shape ({q},), got {alpha.shape}")
-        if lam.shape != (p,):
-            raise ValueError(f"`lambdas` must have shape ({p},), got {lam.shape}")
         if gamma.shape != (p, p):
             raise ValueError(f"`gamma_basis` must have shape ({p}, {p}), got {gamma.shape}")
         for name, arr in (("mu", mu), ("alpha", alpha), ("lambdas", lam), ("gamma_basis", gamma)):
@@ -211,8 +211,7 @@ def _spiked_model(p: int, n: int, lambda1: float, lambda2: float, seed: int) -> 
     lam[0] = lambda1
     lam[1] = lambda2
     return ModelSpec(
-        p=p, q=q, n=n,
-        mu=np.zeros(p), alpha=np.ones(q),
+        n=n, mu=np.zeros(p), alpha=np.ones(q),
         lambdas=lam, gamma_basis=random_gamma(p, seed),
         master_seed=int(seed),
     )

@@ -157,7 +157,7 @@ def test_criterion_5_closed_form_optimum_matches_grid():
 
 def test_criterion_6_plugin_moments_unbiased():
     reps, p, q, n = 20000, 3, 2, 30
-    spec = ModelSpec(p=p, q=q, n=n, mu=np.zeros(p), alpha=np.array([1.0, 0.5]),
+    spec = ModelSpec(n=n, mu=np.zeros(p), alpha=np.array([1.0, 0.5]),
                      lambdas=np.array([4.0, 2.0, 1.0]),
                      gamma_basis=random_gamma(p, 7), master_seed=SEED)
     sigma = spec.sigma()
@@ -211,7 +211,8 @@ def test_criterion_8_algebraic_properties(force_blocks):
         y = np.outer(x @ rng.standard_normal(q), direction) \
             + rng.standard_normal((n, p))
         ss = sums_of_squares(Dataset(y, x))
-        add_err = np.linalg.norm(ss.s_reg + ss.s_resid - ss.s_total)
+        yc = y - y.mean(axis=0)  # s_total is formed as s_reg + s_resid: compare with Yc'Yc
+        add_err = np.linalg.norm(yc.T @ yc - ss.s_total)
         if add_err > 1e-9 * max(1.0, np.linalg.norm(ss.s_total)):
             failures.append((seed, "additivity"))
         v = rng.standard_normal(p)
@@ -224,8 +225,7 @@ def test_criterion_8_algebraic_properties(force_blocks):
         w = float(rng.uniform())
         scale = float(np.exp(rng.uniform(-6.0, 6.0)))
         base = gamma1_hat(ss, w).vector
-        scaled_ss = SumOfSquares(scale * ss.s_reg, scale * ss.s_resid,
-                                 scale * ss.s_total, ss.n, ss.q)
+        scaled_ss = SumOfSquares(scale * ss.s_reg, scale * ss.s_resid, ss.n, ss.q)
         if abs(gamma1_hat(scaled_ss, w).vector @ base) < 1.0 - 1e-10:
             failures.append((seed, "scaling"))
     assert failures == [], failures[:5]
@@ -248,7 +248,7 @@ def test_criterion_9_data_driven_weight_cv_tournament():
     plugin_scores = []
     fixed_scores = {w: [] for w in fixed_grid}
     for seed in range(50):
-        spec = ModelSpec(p=p, q=q, n=n, mu=np.zeros(p),
+        spec = ModelSpec(n=n, mu=np.zeros(p),
                          alpha=np.full(q, 1.0 / np.sqrt(q)), lambdas=lam,
                          gamma_basis=random_gamma(p, 11), master_seed=seed)
         data = gen_dataset(spec, 0)

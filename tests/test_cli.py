@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import allopca
-from allopca import LargePLargeN, Traditional, WeakIdentifiability
+from allopca import LargePLargeN, Traditional, WeakIdentifiability, cli
 from allopca.cli import _read_matrix_csv, build_parser, main
 
 
@@ -252,6 +252,40 @@ def test_simulate_cost_limit_exits_2(capsys):
          "--cost-limit", "1e-9"], capsys)
     assert code == 2
     assert "exceeds" in err
+
+
+def test_cost_guard(capsys, monkeypatch):
+    # the command refuses a plan whose estimate exceeds the limit after printing
+    # its points and before the first replication; a plan under the limit runs
+    argv = ["simulate", "--scenario", "table1", "--n", "10,12", "--reps", "1000"]
+    monkeypatch.setattr(cli, "run_experiment", lambda plan: pytest.fail("the plan ran"))
+    code, out, err = run_cli([*argv, "--cost-limit", "1e-9"], capsys)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0] == "scenario table1: replications=1000 seed=0"
+    assert [ln.split(":")[0] for ln in lines[1:3]] == ["  n=10", "  n=12"]
+    assert re.fullmatch(r"error: estimated runtime \d+\.\ds exceeds the configured limit 0\.0s; "
+                        r"reduce replications, grid or dimensions", lines[3])
+    assert len(lines) == 4
+    monkeypatch.undo()
+    code, out, err = run_cli([*argv[:-1], "2", "--cost-limit", "1000"], capsys)
+    assert code == 0, err
+    assert out.startswith("estimator,n=10,n=12\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_cost_limit_must_be_positive(tmp_path, capsys, value):
+    argv = ["simulate", "--scenario", "table1", "--n", "10", "--reps", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cost-limit", value])
+    assert exc.value.code == 2
+    assert f"expected a number > 0, got '{value}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cost_limit = {value}\n")
+    code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {cfg}:1: bad value for `cost_limit`: "
+                   f"expected a number > 0, got '{value}'\n")
 
 
 def test_workers_accepts_only_one(tmp_path, capsys):
@@ -520,7 +554,7 @@ def test_cv_default_rows(tmp_path, capsys):
         "total(w=0.5)", "residual(w=1)", "regression(w=0)", "w=0.1", "w=0.2",
         "w=0.3", "w=0.4", "w=0.6", "plugin", "ols"]
     for r in rows[1:]:
-        assert len(r[1].rsplit(".", 1)[1]) == 3  # three decimals
+        assert r[1] == f"{float(r[1]):.10g}"  # ten significant digits
 
 
 def test_cv_noiseless_everything_near_zero(tmp_path, capsys):
@@ -528,7 +562,7 @@ def test_cv_noiseless_everything_near_zero(tmp_path, capsys):
     code, out, _ = run_cli(["cv", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
     for r in parse_csv(out)[1:]:
-        assert r[1] == "0.000"
+        assert 0.0 <= float(r[1]) < 5e-4  # "0.000" at three decimals
 
 
 def test_cv_more_responses_than_fold_rows_matches_refit(tmp_path, capsys, loo_refit):
@@ -541,8 +575,28 @@ def test_cv_more_responses_than_fold_rows_matches_refit(tmp_path, capsys, loo_re
     data = allopca.Dataset(y, allopca.center_columns(x))
     rules = [allopca.FixedWeight(w) for w in (0.5, 1.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.6)]
     rules += [allopca.PluginRule(), allopca.OlsRule()]
-    printed = [r[1] for r in parse_csv(out)[1:]]
-    assert printed == [f"{loo_refit(data, rule):.3f}" for rule in rules]
+    printed = [float(r[1]) for r in parse_csv(out)[1:]]
+    assert printed == pytest.approx([loo_refit(data, rule) for rule in rules], rel=1e-8)
+
+
+def test_cv_scores_keep_their_ranking_at_any_scale(tmp_path, capsys):
+    # y * 2^-180 printed every score as 0.000 at three decimals, and y * 2^170
+    # printed 103 digits; at ten significant digits each scale ranks the rules alike
+    ypath, xpath, _ = dataset_files(tmp_path, n=30, p=4, q=2, noise=0.5)
+    y = np.loadtxt(ypath, delimiter=",")
+    cells = {}
+    for e in (0, -180, 170):
+        scaled = tmp_path / f"y{e}.csv"
+        np.savetxt(scaled, np.ldexp(y, e), delimiter=",", fmt="%.17g")
+        code, out, err = run_cli(["cv", "--y", str(scaled), "--x", xpath], capsys)
+        assert code == 0, err
+        cells[e] = [r[1] for r in parse_csv(out)[1:]]
+    ranking = sorted(range(len(cells[0])), key=lambda k: float(cells[0][k]))
+    assert len(set(cells[0])) == len(cells[0])
+    for e in (-180, 170):
+        assert len(set(cells[e])) == len(cells[e])
+        assert all(len(c) <= 16 for c in cells[e])
+        assert sorted(range(len(cells[e])), key=lambda k: float(cells[e][k])) == ranking
 
 
 def test_cv_degrees_of_freedom_exit(tmp_path, capsys):
@@ -923,10 +977,11 @@ def test_cli_import_loads_no_process_pool():
 
 def test_simulate_bits_do_not_depend_on_the_blas_thread_count():
     # the random basis of table3b at p = 100 was the first thing to move with
-    # the thread count; only each child's environment sets it
+    # the thread count; the digests reach p = 200 (at p = 400 they still move
+    # with it); only each child's environment sets it
     argv = ["simulate", "--scenario", "table3b", "--p", "20,50,100", "--reps", "20"]
     digests = ("import json; from allopca import STRONG_SPIKE, run_experiment, scenario_plan; "
-               "print(json.dumps(run_experiment(scenario_plan(STRONG_SPIKE, [20, 50, 100], "
+               "print(json.dumps(run_experiment(scenario_plan(STRONG_SPIKE, [20, 50, 100, 200], "
                "20, 0)).metadata['digests']))")
     runs = []
     for threads in ("1", "2"):

@@ -154,11 +154,13 @@ def test_self_regression_has_zero_residual():
 
 
 def test_additivity_tiny_univariate_design():
+    # s_total is formed as s_reg + s_resid, so it is compared with the dense Yc'Yc
     rng = np.random.default_rng(6)
     x = (np.array([[-3.0], [-1.0], [1.0], [3.0]]) / np.sqrt(20.0)) * 1.7
     y = rng.standard_normal((4, 2))
     ss = sums_of_squares(Dataset(y, x))
-    gap = np.abs(ss.s_total - ss.s_reg - ss.s_resid).max()
+    yc = y - y.mean(axis=0)
+    gap = np.abs(ss.s_total - yc.T @ yc).max()
     assert gap <= 1e-9 * np.abs(ss.s_total).max()
 
 
@@ -191,7 +193,8 @@ def test_additivity_and_psd_over_seeded_datasets():
         x = center_columns(rng.standard_normal((n, q)))
         y = rng.standard_normal((n, p))
         ss = sums_of_squares(Dataset(y, x))
-        fro = np.linalg.norm(ss.s_total - ss.s_reg - ss.s_resid)
+        yc = y - y.mean(axis=0)
+        fro = np.linalg.norm(ss.s_total - yc.T @ yc)
         assert fro <= 1e-9 * np.linalg.norm(ss.s_total)
         for m in (ss.s_reg, ss.s_resid):
             assert np.linalg.eigvalsh(m)[0] >= -1e-8 * np.trace(m)
@@ -265,16 +268,19 @@ def test_center_columns_gives_the_bits_of_the_plain_mean():
 
 def test_sum_of_squares_type_validation():
     ss = sums_of_squares(rand_dataset(9))
-    rebuilt = SumOfSquares.from_parts(ss.s_reg, ss.s_resid, ss.n, ss.q)
-    assert np.allclose(rebuilt.s_total, ss.s_total)
-    with pytest.raises(ValueError):
-        SumOfSquares(ss.s_reg, ss.s_resid, 2.0 * ss.s_total, ss.n, ss.q)
+    rebuilt = SumOfSquares(ss.s_reg, ss.s_resid, ss.n, ss.q)
+    assert rebuilt.s_total.tobytes() == (ss.s_reg + ss.s_resid).tobytes()
+    assert not rebuilt.s_total.flags.writeable
+    with pytest.raises(TypeError):  # the total is formed, never given
+        SumOfSquares(ss.s_reg, ss.s_resid, ss.s_total, ss.n, ss.q)
+    with pytest.raises(ValueError, match="matrix shapes disagree"):
+        SumOfSquares(ss.s_reg, ss.s_resid[:-1, :-1], ss.n, ss.q)
     bad = np.array(ss.s_reg)
     bad[0, 1] += 10.0 * np.abs(bad).max()
     with pytest.raises(ValueError):
-        SumOfSquares.from_parts(bad, ss.s_resid, ss.n, ss.q)
+        SumOfSquares(bad, ss.s_resid, ss.n, ss.q)
     with pytest.raises(ValueError):
-        SumOfSquares.from_parts(ss.s_reg, ss.s_resid, ss.q + 1, ss.q)
+        SumOfSquares(ss.s_reg, ss.s_resid, ss.q + 1, ss.q)
 
 
 def test_sum_of_squares_names_the_failing_matrix():
@@ -282,7 +288,7 @@ def test_sum_of_squares_names_the_failing_matrix():
     v = np.ones(ss.p) / np.sqrt(ss.p)
     s_resid = ss.s_resid - 10.0 * np.abs(ss.s_resid).max() * np.outer(v, v)
     with pytest.raises(ValueError, match="`s_resid`.*positive semidefinite") as exc:
-        SumOfSquares.from_parts(ss.s_reg, s_resid, ss.n, ss.q)
+        SumOfSquares(ss.s_reg, s_resid, ss.n, ss.q)
     assert "fold" not in str(exc.value)
 
 
@@ -293,7 +299,7 @@ def test_sum_of_squares_stores_exactly_symmetric_matrices():
     bump = np.zeros_like(ss.s_reg)
     bump[0, 1] = 1e-12 * np.abs(ss.s_reg).max()
     given = ss.s_reg + bump
-    user = SumOfSquares.from_parts(given, ss.s_resid, ss.n, ss.q)
+    user = SumOfSquares(given, ss.s_resid, ss.n, ss.q)
     assert np.array_equal(user.s_reg, (given + given.T) / 2.0)
     for m in (user.s_reg, user.s_resid, user.s_total):
         assert np.array_equal(m, m.T)
@@ -301,7 +307,7 @@ def test_sum_of_squares_stores_exactly_symmetric_matrices():
         reference = sym_eig((1 - w) * user.s_reg + w * user.s_resid).vectors[:, 0]
         assert np.max(np.abs(gamma1_hat(user, w).vector - reference)) <= 1e-14
     # exactly symmetric matrices are stored unchanged
-    again = SumOfSquares(ss.s_reg, ss.s_resid, ss.s_total, ss.n, ss.q)
+    again = SumOfSquares(ss.s_reg, ss.s_resid, ss.n, ss.q)
     for name in ("s_reg", "s_resid", "s_total"):
         assert getattr(again, name).tobytes() == getattr(ss, name).tobytes()
 

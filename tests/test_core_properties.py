@@ -3,7 +3,7 @@
 `sym_eig` must be a slice of `_sym_eig_stack` wherever the matrix sits in
 a stack, keep the package sign convention, and give bit-identical results
 under power-of-two rescaling; `SumOfSquares` must accept what
-`sums_of_squares` builds and refuse a triple with broken additivity.  A
+`sums_of_squares` builds, and its total must match the dense Yc'Yc.  A
 stack of estimates must score the bytes that each scores alone under
 `mse_up_to_sign`, and the plug-in weight must be `w_star` of its plug-in
 summaries.
@@ -45,11 +45,10 @@ def test_sums_of_squares_pass_the_scatter_checks(shape):
     rng = np.random.default_rng(seed)
     data = Dataset(rng.standard_normal((n, p)), center_columns(rng.standard_normal((n, q))))
     ss = sums_of_squares(data)
-    rebuilt = SumOfSquares(ss.s_reg, ss.s_resid, ss.s_total, n, q)
+    rebuilt = SumOfSquares(ss.s_reg, ss.s_resid, n, q)
     assert rebuilt.s_total.tobytes() == ss.s_total.tobytes()
-    broken = ss.s_total + 1e-6 * np.abs(ss.s_total).max() * np.eye(p)
-    with pytest.raises(ValueError, match=r"s_total != s_reg \+ s_resid: max entry gap"):
-        SumOfSquares(ss.s_reg, ss.s_resid, broken, n, q)
+    yc = data.y - data.y.mean(axis=0)
+    assert np.abs(ss.s_total - yc.T @ yc).max() <= 1e-9 * np.abs(ss.s_total).max()
 
 
 def _random_symmetric(rng, p, rank):

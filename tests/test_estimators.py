@@ -45,7 +45,7 @@ from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _leading_a
 
 
 def diag_ss(reg, resid, n=10, q=2):
-    return SumOfSquares.from_parts(np.diag(reg), np.diag(resid), n, q)
+    return SumOfSquares(np.diag(reg), np.diag(resid), n, q)
 
 
 def random_valid_params(rng):
@@ -99,7 +99,7 @@ def test_commands_flag_ties_by_the_rule_of_gamma1_hat():
         assert ties.tolist() == [[True, False], [True, False]]
         assert gaps[:, 1] == pytest.approx(12.0 * weights[:, 1], rel=1e-12)
         for i in range(2):
-            ss = SumOfSquares.from_parts(_gram(fits[0])[i], _gram(fits[1])[i], 4, 1)
+            ss = SumOfSquares(_gram(fits[0])[i], _gram(fits[1])[i], 4, 1)
             for r, rule in enumerate(rules):
                 est = gamma1_hat(ss, rule.w)
                 assert est.tie_flag == ties[r, i]
@@ -113,7 +113,7 @@ def test_gamma1_hat_scaling_invariance_bit_identical():
     ss = sums_of_squares(Dataset(y, x))
     base = gamma1_hat(ss, 0.35).vector
     for s in (0.5, 4.0, 256.0):
-        scaled = SumOfSquares(s * ss.s_reg, s * ss.s_resid, s * ss.s_total, ss.n, ss.q)
+        scaled = SumOfSquares(s * ss.s_reg, s * ss.s_resid, ss.n, ss.q)
         assert gamma1_hat(scaled, 0.35).vector.tobytes() == base.tobytes()
 
 
@@ -227,7 +227,7 @@ def test_estimate_abcd_direct_substitution():
     m = n - 1 - q
     s_resid = m * np.diag([2.0, 1.0, 1.0])
     s_reg = np.diag([1.0, 0.5, 0.25])
-    ss = SumOfSquares.from_parts(s_reg, s_resid, n, q)
+    ss = SumOfSquares(s_reg, s_resid, n, q)
     pw = estimate_abcd(ss)
     assert np.allclose(pw.sigma_hat, np.diag([2.0, 1.0, 1.0]), atol=1e-12)
     assert pw.lambda1_hat == pytest.approx(2.0)
@@ -251,7 +251,7 @@ def test_estimate_abcd_needs_degrees_of_freedom():
 
 def test_estimate_abcd_needs_two_responses():
     # lambda2_hat needs a second eigenvalue of Sigma_hat
-    ss = SumOfSquares.from_parts(np.diag([1.0]), np.diag([2.0]), n=20, q=2)
+    ss = SumOfSquares(np.diag([1.0]), np.diag([2.0]), n=20, q=2)
     with pytest.raises(ValueError, match="two response coordinates"):
         estimate_abcd(ss)
 
@@ -260,14 +260,14 @@ def test_estimate_abcd_degenerate_cases():
     # flat residual spectrum and c_hat exactly 0: raw weight undefined
     n, q = 20, 5
     m = n - 1 - q
-    ss = SumOfSquares.from_parts(np.diag([15.0, 0.0, 0.0]), m * np.eye(3), n, q)
+    ss = SumOfSquares(np.diag([15.0, 0.0, 0.0]), m * np.eye(3), n, q)
     pw = estimate_abcd(ss)
     assert pw.d_hat == 0.0
     assert pw.c_hat == pytest.approx(0.0, abs=1e-12)
     assert np.isnan(pw.w_hat_raw)
     assert pw.w_hat == 0.0
     # negative c_hat with flat spectrum: denominator < 0, weight pinned to 0
-    ss = SumOfSquares.from_parts(0.1 * np.eye(3), m * np.eye(3), n, q)
+    ss = SumOfSquares(0.1 * np.eye(3), m * np.eye(3), n, q)
     pw = estimate_abcd(ss)
     assert pw.w_hat == 0.0
 
@@ -519,7 +519,7 @@ def _no_signal_dataset(replication):
     p, q = 10, 5
     lam = np.ones(p)
     lam[0] = 2.0
-    spec = ModelSpec(p=p, q=q, n=20, mu=np.zeros(p), alpha=np.zeros(q), lambdas=lam,
+    spec = ModelSpec(n=20, mu=np.zeros(p), alpha=np.zeros(q), lambdas=lam,
                      gamma_basis=random_gamma(p, 0), master_seed=5)
     return gen_dataset(spec, replication)
 

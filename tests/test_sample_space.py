@@ -262,6 +262,17 @@ def test_residual_mass_outside_the_kept_pairs_raises(monkeypatch):
             run()
 
 
+def test_sums_of_squares_checks_its_fit_like_every_built_fit(monkeypatch):
+    # the library's one-fit path gets the fit check's additivity rule on its
+    # row factors, not a comparison of Grams
+    real = core._conditioned_qr
+    monkeypatch.setattr(core, "_conditioned_qr",
+                        lambda x, *args: (1.001 * real(x, *args)[0], None))
+    with pytest.raises(ValueError, match=r"^s_total != s_reg \+ s_resid: residual rows leave "
+                                         r"the complement of the constant and the design span"):
+        sums_of_squares(_fold_data())
+
+
 def test_corrupted_smallest_eigenvalue_fails_only_sym_eig(monkeypatch):
     # only `sym_eig` reads the whole eigenbasis, so only it checks the whole
     # decomposition; the commands solve for the leading vector alone, with no `eigh`

@@ -26,8 +26,7 @@ def small_spec(seed=0, p=3, q=2, n=15, alpha=None, lambdas=(2.0, 1.0, 0.5)):
     if alpha is None:
         alpha = np.ones(q)
     return ModelSpec(
-        p=p, q=q, n=n,
-        mu=np.zeros(p), alpha=np.asarray(alpha, dtype=float),
+        n=n, mu=np.zeros(p), alpha=np.asarray(alpha, dtype=float),
         lambdas=np.asarray(lambdas, dtype=float),
         gamma_basis=random_gamma(p, seed),
         master_seed=seed,
@@ -85,12 +84,17 @@ def test_model_spec_validation():
         small_spec(lambdas=(1.0, 2.0, 3.0))
     with pytest.raises(ValueError):  # nonpositive lambda
         small_spec(lambdas=(2.0, 1.0, 0.0))
-    with pytest.raises(ValueError):  # alpha shape
-        small_spec(alpha=np.ones(3))
+    with pytest.raises(ValueError, match="`alpha` must be 1-D"):  # q is alpha's length
+        small_spec(alpha=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="`lambdas` must be 1-D"):  # p is lambdas' length
+        small_spec(lambdas=np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"`mu` must have shape \(3,\)"):
+        ModelSpec(n=15, mu=np.zeros(2), alpha=np.ones(2), lambdas=np.array([2.0, 1.0, 0.5]),
+                  gamma_basis=np.eye(3), master_seed=0)
     with pytest.raises(ValueError):  # n too small
         small_spec(n=3)
     with pytest.raises(ValueError):  # basis not orthonormal
-        ModelSpec(p=2, q=1, n=10, mu=np.zeros(2), alpha=np.ones(1),
+        ModelSpec(n=10, mu=np.zeros(2), alpha=np.ones(1),
                   lambdas=np.array([2.0, 1.0]), gamma_basis=np.ones((2, 2)),
                   master_seed=0)
 
@@ -102,6 +106,12 @@ def test_model_spec_sigma_and_properties():
     assert np.allclose(np.sort(np.linalg.eigvalsh(sigma)), np.sort(spec.lambdas))
     assert spec.lambda1 == 2.0 and spec.lambda2 == 1.0
     assert np.allclose(spec.gamma_basis[:, 0], spec.gamma1)
+    # p and q are read from `lambdas` and `alpha`, never given
+    assert (spec.n, spec.p, spec.q) == (15, 3, 2)
+    assert small_spec(q=4).q == 4
+    with pytest.raises(TypeError):
+        ModelSpec(p=3, q=2, n=15, mu=np.zeros(3), alpha=np.ones(2), lambdas=spec.lambdas,
+                  gamma_basis=spec.gamma_basis, master_seed=0)
 
 
 def test_sigma_formed_once_and_read_only():

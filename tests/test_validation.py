@@ -66,7 +66,6 @@ RULES = {
                      r"^cond\(X'X\) = .* exceeds 1e\+12; design columns are too collinear"),
     "eigengap": (ValueError, r"lambda_1 > lambda_2 >= 1"),
     "draw_size": (ValueError, r"one replication draws n \* \(p \+ q\) = \d+ floats, more than "),
-    "additivity": (ValueError, r"^s_total != s_reg \+ s_resid: max entry gap"),
 }
 
 # rule -> the one source fragment of its message
@@ -86,9 +85,8 @@ MESSAGE_SOURCES = {
     "conditioning": "cond(X'X) = {",
     "eigengap": "need lambda_1 > lambda_2",
     "draw_size": "one replication draws n * (p + q)",
-    # the Gram form checks user-given matrices (`SumOfSquares`), the fit form
-    # the row factors of every built fit
-    "additivity": "s_resid: max entry gap",
+    # the row factors of every built fit, `sums_of_squares` too; `SumOfSquares`
+    # forms its total from the two matrices given
     "additivity_fit": "complement of the constant and the design span by {",
     # eigenpairs are checked where they are read: the whole decomposition by
     # `sym_eig`, the leading pair and the spectrum by the commands' solver
@@ -114,7 +112,7 @@ def _ss(**kw):
 
 
 def _spec(**kw):
-    args = dict(p=3, q=2, n=10, mu=np.zeros(3), alpha=np.ones(2),
+    args = dict(n=10, mu=np.zeros(3), alpha=np.ones(2),
                 lambdas=np.array([2.0, 1.0, 1.0]), gamma_basis=np.eye(3), master_seed=0)
     args.update(kw)
     return ModelSpec(**args)
@@ -127,7 +125,7 @@ def _plan(spec):
 
 
 def _scatter(m):
-    return SumOfSquares(m, np.eye(2), np.eye(2), 10, 2)
+    return SumOfSquares(m, np.eye(2), 10, 2)
 
 
 def _plugin_weights(sigma=np.eye(2), **fields):
@@ -149,18 +147,18 @@ LIBRARY_CASES = [
     ("weight", "Gamma1Estimate", lambda: Gamma1Estimate(np.array([1.0, 0.0]), 1.5, 0.0, False)),
     ("weight", "gamma1_hat", lambda: gamma1_hat(_ss(), 2.0)),
     ("sizes", "Dataset", lambda: Dataset(np.ones((4, 2)), center_columns(np.eye(4)[:, :3]))),
-    ("sizes", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 2 * np.eye(2), 3, 2)),
+    ("sizes", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 3, 2)),
     ("sizes", "AbcdParams", lambda: AbcdParams(22.0, 6.0, 40.0, 1.0, 0, 50)),
     ("sizes", "ModelSpec", lambda: _spec(n=3)),
     ("sizes", "lemma1_fluctuation", lambda: lemma1_fluctuation(10.0, 20.0, 2.0, 1.0, 3, 2, 0.5)),
-    ("ints", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 2 * np.eye(2), 10.0, 2)),
+    ("ints", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 10.0, 2)),
     ("ints", "AbcdParams", lambda: AbcdParams(22.0, 6.0, 40.0, 1.0, 2, 50.0)),
     ("ints", "lemma1_fluctuation(nan)",
      lambda: lemma1_fluctuation(10, 20, 2, 1, float("nan"), 2, 0.5)),
     ("ints", "lemma1_fluctuation(50.5)", lambda: lemma1_fluctuation(10, 20, 2, 1, 50.5, 2.5, 0.5)),
     ("plugin_dof", "estimate_abcd", lambda: estimate_abcd(_ss(n=4, q=2))),
     ("plugin_dof", "run_experiment",
-     lambda: run_experiment(_plan(_spec(q=5, n=7, alpha=np.ones(5))))),
+     lambda: run_experiment(_plan(_spec(n=7, alpha=np.ones(5))))),
     ("plugin_dof", "Traditional.model_spec", lambda: Traditional().model_spec(7, 0)),
     ("plugin_dof", "LargePLargeN.model_spec", lambda: LargePLargeN(0.5, 0.5).model_spec(30, 0)),
     ("dimension", "gamma1_hat", lambda: gamma1_hat(_ss(p=1), 0.5)),
@@ -168,7 +166,7 @@ LIBRARY_CASES = [
     ("dimension", "loo_cv_scores", lambda: loo_cv_scores(_data(p=1), (FixedWeight(0.5),))),
     ("dimension", "random_gamma", lambda: random_gamma(1, 0)),
     ("dimension", "LargePLargeN.model_spec", lambda: LargePLargeN(0.8, 0.5).model_spec(1, 0)),
-    ("dimension", "ModelSpec", lambda: _spec(p=1, mu=np.zeros(1), lambdas=np.ones(1),
+    ("dimension", "ModelSpec", lambda: _spec(mu=np.zeros(1), lambdas=np.ones(1),
                                              gamma_basis=np.eye(1))),
     ("index", "substream", lambda: substream(-1)),
     ("index", "substream(path)", lambda: substream(0, 2, -1)),
@@ -186,7 +184,7 @@ LIBRARY_CASES = [
     ("orthonormal", "SymEig(nan)", lambda: SymEig(np.array([1.0, 0.0]), np.full((2, 2), np.nan))),
     ("orthonormal", "ModelSpec", lambda: _spec(gamma_basis=2.0 * np.eye(3))),
     ("square", "sym_eig", lambda: sym_eig(np.ones((2, 3)))),
-    ("square", "SumOfSquares", lambda: SumOfSquares(*[np.ones((2, 3))] * 3, 10, 2)),
+    ("square", "SumOfSquares", lambda: SumOfSquares(*[np.ones((2, 3))] * 2, 10, 2)),
     ("square", "PluginWeights", lambda: _plugin_weights(np.ones((2, 3)))),
     ("finite", "Dataset",
      lambda: Dataset(np.full((10, 2), np.nan), center_columns(np.eye(10)[:, :2]))),
@@ -223,7 +221,6 @@ LIBRARY_CASES = [
     # n = 20^10 ~ 1.0e13 rows, refused before any draw
     ("draw_size", "run_experiment",
      lambda: run_experiment(_plan(LargePLargeN(10.0, 0.5).model_spec(20, 0)))),
-    ("additivity", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 3.0 * np.eye(2), 10, 2)),
 ]
 
 
