@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _check_finite, _check_sizes, _check_weight
+from .core import _check_finite, _check_sizes, _check_weight, _pow2_scale
 from .estimators import AbcdParams
 
 
@@ -73,15 +73,18 @@ def lemma1_fluctuation(
 
 
 def _bound_values(params: AbcdParams, w: np.ndarray) -> np.ndarray:
-    """Vectorized bound(w); `w` may be any array of weights in [0, 1]."""
-    a, b, c, d = params.a, params.b, params.c, params.d
+    """Vectorized bound(w); `w` may be any array of weights in [0, 1].  It is scale-free,
+    so taken exactly at a / t^2 and b / t, c / t, d / t, t = `_pow2_scale(max(sqrt a, b, c, d))`."""
+    t = float(_pow2_scale(np.float64(max(np.sqrt(params.a), params.b, params.c, params.d))))
+    a, b, c, d = params.a / t / t, params.b / t, params.c / t, params.d / t
     q, n = params.q, params.n
-    num = 8.0 * a * (q * (1.0 - 2.0 * w) + (n - 1.0) * w * w) \
-        + 16.0 * b * c * (1.0 - w) ** 2
-    den = d * (q + (n - 1.0 - 2.0 * q) * w) + c * (1.0 - w)
-    # normalize by n before squaring so huge n cannot overflow the square
-    den_n = den / n
-    return (num / n) / (den_n * den_n) / n
+    with np.errstate(over="ignore", divide="ignore"):  # a bound past the float range reads inf
+        num = 8.0 * a * (q * (1.0 - 2.0 * w) + (n - 1.0) * w * w) \
+            + 16.0 * b * c * (1.0 - w) ** 2
+        den = d * (q + (n - 1.0 - 2.0 * q) * w) + c * (1.0 - w)
+        # normalize by n before squaring so huge n cannot overflow the square
+        den_n = den / n
+        return (num / n) / (den_n * den_n) / n
 
 
 def mse_upper_bound(params: AbcdParams, w: float) -> float:

@@ -21,30 +21,28 @@ QR factorization of X; the explicit normal-equations inverse is never
 formed.
 
 `_scatter_stack` is the one fit builder, which returns each fit of a stack
-as row factors (`sums_of_squares` forms and checks the Grams of a stack of
-one).  Two
-symmetric eigensolvers check nothing: `_sym_eig_stack`, a full `eigh`, for
-the callers that read whole bases (`sym_eig`, a stack of one, checks the
-whole decomposition, and `simgen.random_gamma`), and `_leading_pair_stack`,
-every eigenvalue from `eigvalsh` and the leading vector by inverse
-iteration, for the commands, which read only the leading vector and the gap
-(`_check_leading_pairs` checks the leading pair and the spectrum).
-`_check_fit_stack` is the one check of a built fit: it checks the Grams of
-the fit's factors in the space the fit is solved in (p x p, or the Gram
-blocks of a wide fit's reduced rows), with one `eigvalsh` of the residual
-block in either space, and its additivity on the factors: the residual rows
-must be orthogonal to the constant and to the design span.  `SumOfSquares`
-checks the two matrices given by a user and forms S_total = S_reg + S_resid
-from them.
+as row factors.  Two symmetric eigensolvers check nothing: `_sym_eig_stack`,
+a full `eigh`, for the callers that read whole bases (`sym_eig`, a stack of
+one, checks the whole decomposition, and `simgen.random_gamma`), and
+`_leading_pair_stack`, every eigenvalue from `eigvalsh` and the leading
+vector by inverse iteration, for the commands, which read only the leading
+vector and the gap (`_check_leading_pairs` checks the leading pair and the
+spectrum).  `_check_fit_stack` is the one check of a built fit: finite Grams
+in the space the fit is solved in (p x p, or the Gram blocks of a wide
+fit's reduced rows), one `eigvalsh` of the residual block, and additivity
+on the factors.  `SumOfSquares` checks the two matrices given by a user or
+by `sums_of_squares`, and forms S_total = S_reg + S_resid from them.  Each
+fact is checked where it is first computed, and not again downstream.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
 int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_draw_size` (one
 drawn replication holds at most MAX_DRAW_ENTRIES floats), `_check_dimension` (p >= 2),
 `_check_index` (seeds and indices >= 0), `_check_unit`,
-`_check_orthonormal`, `_check_finite`, `_check_symmetric` (square, finite,
-symmetric and positive semidefinite matrices), `_check_leading_pairs` and
-`_check_design_conditioning` (cond(X'X) <=
+`_check_orthonormal`, `_check_finite`, `_check_symmetric` (a square, finite,
+symmetric matrix a user gives), `_check_psd` (semidefiniteness of any
+stack), `_check_additivity` (the residual rows of a built fit),
+`_check_leading_pairs` and `_check_design_conditioning` (cond(X'X) <=
 COND_LIMIT, read off the R factor of each fit's thin QR; `Dataset` checks
 no rank).
 """
@@ -133,10 +131,10 @@ def _check_index(value, name: str):
     return value
 
 
-def _check_unit(v: np.ndarray, name: str, tol: float = UNIT_TOL) -> None:
-    """Raise unless each vector of a stack (..., p) has |norm - 1| <= tol (NaN fails)."""
+def _check_unit(v: np.ndarray, name: str) -> None:
+    """Raise unless each vector of a stack (..., p) has |norm - 1| <= UNIT_TOL (NaN fails)."""
     nrm = np.linalg.norm(v, axis=-1)
-    bad = ~(np.abs(nrm - 1.0) <= tol)
+    bad = ~(np.abs(nrm - 1.0) <= UNIT_TOL)
     if np.any(bad):
         at = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(f"{name}{list(map(int, at)) if at else ''} must be unit length, "
@@ -155,35 +153,24 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _check_symmetric(mats: np.ndarray, names, rtol: float = SYM_STORED_TOL,
-                     psd: bool = True) -> np.ndarray | None:
-    """Check stacks of matrices `mats` (len(names), k, p, p); `names[i]` names stack i.
-
-    Each matrix must be square, finite, symmetric (max|M - M'| <= rtol
-    times its peak entry) and, if `psd`, positive semidefinite (min
-    eigenvalue >= -PSD_TOL * trace).  Returns the ascending eigenvalues
-    (len(names), k, p) when `psd`.
-    """
-    if mats.ndim != 4 or mats.shape[2] != mats.shape[3]:
-        raise ValueError(f"{names[0]} must be a square matrix, got shape {mats.shape[2:]}")
-    for name, m in zip(names, mats):
-        _check_finite(m, name)
-    peak = np.maximum(np.max(np.abs(mats), axis=(2, 3)), 1e-300)
-    asym = np.max(np.abs(mats - np.swapaxes(mats, 2, 3)), axis=(2, 3))
-    bad = np.any(asym > rtol * peak, axis=1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"{names[i]} is not symmetric: max|M - M'| = {np.max(asym[i]):.3e} "
+def _check_symmetric(m: np.ndarray, name: str, rtol: float = SYM_STORED_TOL) -> None:
+    """Raise unless a given `m` is square, finite and symmetric, max|M - M'| <= rtol max|M|."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    _check_finite(m, name)
+    asym = _max_abs(m - m.T)
+    if asym > rtol * max(_max_abs(m), 1e-300):
+        raise ValueError(f"{name} is not symmetric: max|M - M'| = {asym:.3e} "
                          f"exceeds relative tolerance {rtol:g}")
-    if not psd:
-        return None
-    evals = np.linalg.eigvalsh(mats)
-    lo = evals[:, :, 0]
-    bad = np.any(lo < -PSD_TOL * np.maximum(np.trace(mats, axis1=2, axis2=3), 0.0), axis=1)
+
+
+def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
+    """Ascending eigenvalues (..., p) of a symmetric stack; raise unless all >= -PSD_TOL * trace."""
+    evals = np.linalg.eigvalsh(m)
+    bad = evals[..., 0] < -PSD_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1), 0.0)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"{names[i]} is not positive semidefinite: "
-                         f"min eigenvalue {np.min(lo[i]):.3e}")
+        raise ValueError(f"{name} is not positive semidefinite: "
+                         f"min eigenvalue {np.min(evals[..., 0][bad]):.3e}")
     return evals
 
 
@@ -273,10 +260,12 @@ class SumOfSquares:
         n, q = _check_sizes(self.n, self.q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
-        _check_symmetric(np.stack((s_reg, s_resid))[:, None], ("`s_reg`", "`s_resid`"))
-        s_reg, s_resid = (s_reg + s_reg.T) / 2.0, (s_resid + s_resid.T) / 2.0
-        for name, m in (("s_reg", s_reg), ("s_resid", s_resid), ("s_total", s_reg + s_resid)):
+        for name, m in (("s_reg", s_reg), ("s_resid", s_resid)):
+            _check_symmetric(m, f"`{name}`")
+            m = (m + m.T) / 2.0
+            _check_psd(m, f"`{name}`")
             object.__setattr__(self, name, _readonly(m))
+        object.__setattr__(self, "s_total", _readonly(self.s_reg + self.s_resid))
 
     @property
     def p(self) -> int:
@@ -336,7 +325,7 @@ def sym_eig(m: np.ndarray) -> SymEig:
         reconstruction).
     """
     m = np.asarray(m, dtype=float)
-    _check_symmetric(m[None, None], ("`m`",), SYM_INPUT_TOL, psd=False)
+    _check_symmetric(m, "`m`", SYM_INPUT_TOL)
     m = (m + m.T) / 2.0
     vals, vecs = _sym_eig_stack(m[None])
     resid = np.linalg.norm(vecs[0] @ (vals[0, :, None] * vecs[0].T) - m)
@@ -480,34 +469,41 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
     resid = total - Q reg (k, n, p), with s_reg = reg'reg and
     s_resid = resid'resid, centered response rows `total` (k, n, p) and the
     orthonormal basis Q (`basis`, (k, n, q)) of its design span.  `g_reg`
-    and `g_resid` are the Grams of the space the fit is solved in: the p x p
-    s_reg and s_resid, or the q x q and (n - 1 - q) x (n - 1 - q) blocks of
-    the Gram of a wide fit's reduced rows (`estimators._leading_axes`),
-    which have the same nonzero eigenvalues.
+    and `g_resid` are the `_gram` outputs of the space the fit is solved in:
+    the p x p s_reg and s_resid, or the q x q and (n - 1 - q) x (n - 1 - q)
+    blocks of the Gram of a wide fit's reduced rows
+    (`estimators._leading_axes`), which have the same nonzero eigenvalues.
 
-    - finiteness and symmetry: `_check_symmetric` on g_reg and g_resid (a
-      Gram is finite exactly when its factor is, short of overflow), and
-      semidefiniteness of g_resid, from its one `eigvalsh`, whose values the
-      plug-in reads (min eigenvalue >= -PSD_TOL * trace of s_resid; `_gram`
-      makes g_reg one);
-    - additivity: the residual rows must be orthogonal to the constant and
-      to the design span, max|[1/sqrt(n), Q]'resid| <= ADDITIVITY_TOL
-      max|total|.  s_total - s_reg - s_resid is reg'(Q'resid) plus its
-      transpose, and a residual computed as total - Q(Q'total) can go wrong
-      only through Q, which Q'resid catches; orthogonality to the constant
-      as well makes the reduced rows of a wide fit carry s_resid whole.
-
-    s_total is semidefinite when s_reg and s_resid are and the gap is
-    small.  `where` follows the names in error messages.  Returns the
-    ascending eigenvalues of g_resid, (k, p) or (k, n - 1 - q).
+    It checks that g_reg and g_resid are finite (a Gram is finite exactly
+    when its factor is, short of overflow), that g_resid is semidefinite,
+    from its one `eigvalsh`, whose values the plug-in reads (`_gram` makes
+    g_reg so), and `_check_additivity`.  s_total is semidefinite when s_reg
+    and s_resid are and the gap is small.  `where` follows the names in
+    error messages.  Returns the ascending eigenvalues of g_resid, (k, p)
+    or (k, n - 1 - q).
 
     Raises
     ------
     ValueError
         If some Gram or fit fails a check.
     """
-    _check_symmetric(g_reg[None], [f"`s_reg`{where}"], psd=False)
-    evals = _check_symmetric(g_resid[None], [f"`s_resid`{where}"])[0]
+    _check_finite(g_reg, f"`s_reg`{where}")
+    _check_finite(g_resid, f"`s_resid`{where}")
+    # no symmetry test: `_gram`'s (G + G')/2 is bitwise symmetric, as IEEE addition commutes
+    evals = _check_psd(g_resid, f"`s_resid`{where}")
+    _check_additivity(resid, total, basis, where)
+    return evals
+
+
+def _check_additivity(resid: np.ndarray, total: np.ndarray, basis: np.ndarray,
+                      where: str = "") -> None:
+    """Raise unless the residual rows of `_scatter_stack` fits (arguments as in
+    `_check_fit_stack`) are orthogonal to the constant and to the design span,
+    max|[1/sqrt(n), Q]'resid| <= ADDITIVITY_TOL max|total|.  s_total - s_reg -
+    s_resid is reg'(Q'resid) plus its transpose, and a residual computed as
+    total - Q(Q'total) can go wrong only through Q, which Q'resid catches;
+    orthogonality to the constant as well makes the reduced rows of a wide
+    fit carry s_resid whole."""
     n = resid.shape[1]
     off_span = np.max(np.abs(np.swapaxes(basis, 1, 2) @ resid), axis=(1, 2))
     off_constant = np.max(np.abs(np.full(n, 1.0 / np.sqrt(n)) @ resid), axis=1)
@@ -515,7 +511,6 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
     if np.any(gap > ADDITIVITY_TOL * np.maximum(np.max(np.abs(total), axis=(1, 2)), 1e-300)):
         raise ValueError(f"s_total != s_reg + s_resid{where}: residual rows leave the "
                          f"complement of the constant and the design span by {np.max(gap):.3e}")
-    return evals
 
 
 def center_columns(x: np.ndarray) -> np.ndarray:
@@ -611,16 +606,16 @@ def sums_of_squares(data: Dataset) -> SumOfSquares:
     """Decompose the centered response scatter along and off the design span.
 
     The p x p Grams of the `_scatter_stack` factors of a stack of one fit,
-    checked by `_check_fit_stack` like every other built fit.
+    checked by `SumOfSquares` like any given pair, and its additivity.
 
     Raises
     ------
     RankDeficiencyError
         If cond(X'X) exceeds COND_LIMIT (1e12).
     ValueError
-        If the fit fails a `_check_fit_stack` rule.
+        If a Gram fails a `SumOfSquares` rule, or the fit `_check_additivity`.
     """
     reg, resid, yc, basis = _scatter_stack(center_columns(data.y)[None], data.x[None])
-    g_reg, g_resid = _gram(reg), _gram(resid)
-    _check_fit_stack(g_reg, g_resid, resid, yc, basis)
-    return SumOfSquares(g_reg[0], g_resid[0], data.n, data.q)
+    ss = SumOfSquares(_gram(reg)[0], _gram(resid)[0], data.n, data.q)
+    _check_additivity(resid, yc, basis)
+    return ss

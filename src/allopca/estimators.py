@@ -33,6 +33,7 @@ rows that it keeps, centered on their own means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,10 @@ from .core import (
     SumOfSquares,
     _check_design_conditioning,
     _check_dimension,
-    _check_finite,
     _check_fit_stack,
     _check_leading_pairs,
     _check_plugin_dof,
     _check_sizes,
-    _check_symmetric,
     _check_unit,
     _check_weight,
     _fix_signs,
@@ -127,10 +126,16 @@ def w_star(params: AbcdParams) -> float:
 
     Equals (a d q + 2 b c d) / (2 a d q + 2 b c d + a c).  Always lies in
     (0, 2/3), and equals exactly 0.5 when c = 0 (no signal through the
-    design, so the blend should fall back to total-scatter PCA).
+    design, so the blend should fall back to total-scatter PCA).  Each term is
+    formed from `frexp` mantissas and scaled by the largest, so finite summaries
+    of any spread give the weight, and ordinary ones the plain formula's bits.
     """
-    num, den = _w_star_terms(params.a, params.b, params.c, params.d, params.q)
-    return num / den
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (params.a, params.b,
+                                                            params.c, params.d))
+    terms = ((ma * md * params.q, ea + ed), (2.0 * mb * mc * md, eb + ec + ed), (ma * mc, ea + ec))
+    top = max(e for m, e in terms if m)  # a d q > 0
+    t1, t2, t3 = (math.ldexp(m, e - top) for m, e in terms)
+    return (t1 + t2) / (2.0 * t1 + t2 + t3)
 
 
 def _w_star_terms(a, b, c, d, q):
@@ -145,26 +150,13 @@ class Gamma1Estimate:
     `leading_gap` is the gap between the two largest eigenvalues of the
     blended matrix; `tie_flag` marks a numerically degenerate gap, in which
     case the returned direction is arbitrary within the tied eigenspace.
+    Made by `gamma1_hat`, whose solver and `FixedWeight` check each field.
     """
 
     vector: np.ndarray
     weight_used: float
     leading_gap: float
     tie_flag: bool
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"`vector` must be 1-D, got shape {v.shape}")
-        _check_unit(v, "`vector`", 1e-10)
-        _check_weight(self.weight_used, "`weight_used`")
-        _check_finite(self.leading_gap, "`leading_gap`")
-        if self.leading_gap < 0.0:
-            raise ValueError(f"`leading_gap` must be >= 0, got {self.leading_gap!r}")
-        object.__setattr__(self, "vector", _readonly(v))
-        object.__setattr__(self, "weight_used", float(self.weight_used))
-        object.__setattr__(self, "leading_gap", float(self.leading_gap))
-        object.__setattr__(self, "tie_flag", bool(self.tie_flag))
 
 
 def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
@@ -190,7 +182,7 @@ def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
     _check_dimension(ss.p)
     rule = FixedWeight(w)
     _, axes, gaps, ties = _solve_axes((rule,), ss.s_reg[None], ss.s_resid[None])
-    return Gamma1Estimate(axes[0, 0], rule.w, gaps[0, 0], ties[0, 0])
+    return Gamma1Estimate(_readonly(axes[0, 0]), rule.w, float(gaps[0, 0]), bool(ties[0, 0]))
 
 
 def mse_up_to_sign(g_hat: np.ndarray, g_true: np.ndarray) -> float | np.ndarray:
@@ -228,7 +220,8 @@ class PluginWeights:
     `w_hat_raw` is the closed-form weight evaluated at the plug-in
     summaries (NaN when its denominator vanishes); `w_hat` is the usable
     version, set to 0 when the denominator is non-positive and clamped
-    into [0, 2/3] otherwise.
+    into [0, 2/3] otherwise.  Made by `estimate_abcd` and not re-checked;
+    `tr_sigma2_hat` and `a_hat`, of degree 4, read inf past the float range.
     """
 
     sigma_hat: np.ndarray
@@ -241,20 +234,6 @@ class PluginWeights:
     d_hat: float
     w_hat_raw: float
     w_hat: float
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma_hat, dtype=float)
-        _check_symmetric(s[None, None], ("`sigma_hat`",))
-        object.__setattr__(self, "sigma_hat", _readonly(s))
-        for name in ("lambda1_hat", "lambda2_hat", "tr_sigma2_hat", "a_hat",
-                     "b_hat", "c_hat", "d_hat", "w_hat_raw", "w_hat"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if name != "w_hat_raw":  # NaN when the weight's denominator vanishes
-                _check_finite(getattr(self, name), f"`{name}`")
-        if self.d_hat < 0.0:
-            raise ValueError(f"`d_hat` must be >= 0, got {self.d_hat!r}")
-        if not 0.0 <= self.w_hat <= WEIGHT_CAP:
-            raise ValueError(f"`w_hat` outside [0, 2/3]: {self.w_hat!r}")
 
 
 def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
@@ -286,9 +265,8 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
     _check_plugin_dof(n, q)
     fields = _plugin_weights(ss.s_reg[None], ss.s_resid[None],
                              np.linalg.eigvalsh(ss.s_resid)[None], n, q)
-    del fields["tr_sigma_hat"]
-    return PluginWeights(sigma_hat=ss.s_resid / (n - 1 - q),
-                         **{name: v[0] for name, v in fields.items()})
+    return PluginWeights(sigma_hat=_readonly(ss.s_resid / (n - 1 - q)),
+                         **{k: float(v[0]) for k, v in fields.items() if k != "tr_sigma_hat"})
 
 
 def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
@@ -327,10 +305,11 @@ def _plugin_weights(s_reg, s_resid, resid_evals, n: int, q: int) -> dict:
     num, den = _w_star_terms(a_hat, b_hat, c_hat, d_hat, q)
     w_raw = np.divide(num, den, out=np.full(den.shape, np.nan), where=den != 0.0)
     w_hat = np.where(den <= 0.0, 0.0, np.minimum(np.maximum(w_raw, 0.0), WEIGHT_CAP))
-    return dict(lambda1_hat=lam[:, 0] * t, lambda2_hat=lam[:, 1] * t,
-                tr_sigma2_hat=tr_sigma2_hat * t * t, a_hat=a_hat * t * t, b_hat=b_hat * t,
-                c_hat=c_hat * t, d_hat=d_hat * t, w_hat_raw=w_raw, w_hat=w_hat,
-                tr_sigma_hat=tr_sig * t)
+    with np.errstate(over="ignore"):  # a summary past the float range reads inf
+        return dict(lambda1_hat=lam[:, 0] * t, lambda2_hat=lam[:, 1] * t,
+                    tr_sigma2_hat=tr_sigma2_hat * t * t, a_hat=a_hat * t * t, b_hat=b_hat * t,
+                    c_hat=c_hat * t, d_hat=d_hat * t, w_hat_raw=w_raw, w_hat=w_hat,
+                    tr_sigma_hat=tr_sig * t)
 
 
 # --------------------------------------------------------------------------

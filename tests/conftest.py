@@ -14,16 +14,19 @@ from allopca import (
     gen_dataset,
     mse_up_to_sign,
     sums_of_squares,
-    sym_eig,
     w_star,
 )
 from allopca import estimators, harness
 
 
 def _blend_axis(ss, w):
-    """Leading eigenvector of S(w), blended here and solved by the public `sym_eig`,
-    independently of `gamma1_hat` and the solver the commands share."""
-    return sym_eig((1 - w) * ss.s_reg + w * ss.s_resid).vectors[:, 0]
+    """Leading eigenvector of S(w), blended here and solved by plain `np.linalg.eigh`,
+    independently of every eigensolver of the package; the decomposition must
+    reconstruct S(w)."""
+    m = (1 - w) * ss.s_reg + w * ss.s_resid
+    vals, vecs = np.linalg.eigh(m)
+    assert np.linalg.norm(vecs * vals @ vecs.T - m) <= 1e-8 * max(np.linalg.norm(m), 1e-300)
+    return vecs[:, -1]
 
 
 def refit_loo_mspe(data, rule):

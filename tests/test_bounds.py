@@ -173,6 +173,30 @@ def test_bound_guarded_at_large_scale():
     assert np.isfinite(val) and val > 0.0
 
 
+@pytest.mark.parametrize("e", [-500, 500])
+def test_weight_and_bound_ignore_power_of_two_scaling(e):
+    # a has degree 2 and b, c, d degree 1, and both are scale-free: at 2^-500
+    # every product of the plain formulas underflowed, at 2^500 overflowed
+    rng = np.random.default_rng(47)
+    grid = np.linspace(0.0, 1.0, 11)
+    for _ in range(50):
+        base = random_valid_params(rng)
+        scaled = AbcdParams(np.ldexp(base.a, 2 * e), *np.ldexp([base.b, base.c, base.d], e),
+                            base.q, base.n)
+        assert w_star(scaled) == w_star(base)
+        assert [mse_upper_bound(scaled, w) for w in grid] == [mse_upper_bound(base, w)
+                                                               for w in grid]
+    half = AbcdParams(np.ldexp(4.0, 2 * e), *np.ldexp([2.0, 3.0, 1.0], e), 1, 10)
+    assert w_star(half) == 0.5 and grid_argmin_bound(half, 1e-3) == 0.5
+
+
+def test_w_star_keeps_every_term_of_spread_summaries():
+    # each term is scaled by the largest one, not by the largest summary, so a
+    # signal 1e200 times the noise, or summaries 2^2000 apart, lose no term
+    assert w_star(AbcdParams(1.0, 1.0, 1e200, 1.0, 1, 10)) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert w_star(AbcdParams(2.0 ** 1000, 2.0 ** -1000, 0.0, 2.0 ** -1000, 1, 10)) == 0.5
+
+
 def test_bound_theta_one_over_n_scaling():
     # fluctuating-gap regime: c = n, d = n^(-1/3); bound(0.5) ~ 1/n
     lam = [2.0, 1.0, 1.0]

@@ -398,7 +398,7 @@ def test_estimate_solves_every_column_in_one_eigensolve(tmp_path, capsys, monkey
     assert len(header.split(",")) == 1 + 9  # nine estimator columns
     # the fit check's eigenvalues of s_resid, then one stacked solve of the nine
     # blends by `eigvalsh` and inverse iteration, with no full `eigh`
-    assert calls == {"eigh": [], "eigvalsh": [(1, 1, p, p), (9, p, p)]}
+    assert calls == {"eigh": [], "eigvalsh": [(1, p, p), (9, p, p)]}
 
 
 def _estimate_reference(ypath, xpath):
@@ -437,7 +437,7 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
     # the fit check's semidefiniteness test of s_resid, whose eigenvalues the
     # plug-in weight reuses (s_reg is a Gram, semidefinite by construction),
     # and the stacked solve of the nine blends
-    assert calls == [(1, 1, p, p), (9, p, p)]
+    assert calls == [(1, p, p), (9, p, p)]
     assert out == want
 
 
@@ -599,6 +599,27 @@ def test_cv_scores_keep_their_ranking_at_any_scale(tmp_path, capsys):
         assert sorted(range(len(cells[e])), key=lambda k: float(cells[e][k])) == ranking
 
 
+def test_estimate_and_cv_of_huge_data_warn_of_nothing(tmp_path, capsys):
+    # at y * 2^300 the plug-in's tr(Sigma^2) and a_hat, of degree 4, pass the
+    # float range; no command prints them, and they scale back with no warning
+    ypath, xpath, _ = dataset_files(tmp_path)
+    huge = str(tmp_path / "huge.csv")
+    np.savetxt(huge, np.ldexp(np.loadtxt(ypath, delimiter=","), 300), delimiter=",", fmt="%.17g")
+    outs = {}
+    for path in (ypath, huge):
+        for command in ("estimate", "cv"):
+            code, out, err = run_cli([command, "--y", path, "--x", xpath], capsys)
+            assert code == 0 and err == "data: n=30 p=4 q=2\n", err
+            outs[path, command] = out
+    base, scaled = ([ln for ln in outs[path, "estimate"].splitlines() if ln.startswith("# w_hat")]
+                    for path in (ypath, huge))
+    assert scaled == base and len(base) == 2
+    base, scaled = (parse_csv(outs[path, "cv"]) for path in (ypath, huge))
+    assert [r[0] for r in scaled] == [r[0] for r in base]
+    assert ([float(r[1]) for r in scaled[1:]]
+            == pytest.approx([float(r[1]) * 4.0 ** 300 for r in base[1:]], rel=1e-9))
+
+
 def test_cv_degrees_of_freedom_exit(tmp_path, capsys):
     ypath, xpath, _ = dataset_files(tmp_path, n=5, p=3, q=2)
     code, _, err = run_cli(["cv", "--y", ypath, "--x", xpath], capsys)
@@ -632,6 +653,35 @@ def test_bound_unit_example(capsys):
     assert float(table["w_star"]) == pytest.approx(0.6, abs=1e-15)
     assert len(rows) == 1 + 3 + 11  # header, summary rows, bound grid
     assert "bound(w=0.0)" in table and "bound(w=1.0)" in table
+
+
+@pytest.mark.parametrize("summaries", [["4e300", "2e150", "3e150", "1e150"],
+                                       [str(np.ldexp(4.0, -1000)), *(str(np.ldexp(v, -500))
+                                                                     for v in (2.0, 3.0, 1.0))]],
+                         ids=["4e300", "2^-500"])
+def test_bound_of_summaries_at_any_scale(capsys, summaries):
+    # the weight and the bound are scale-free; at the ends of the float range the
+    # plain formulas gave w = nan (exit 2) or divided by zero (exit 1)
+    flags = ["--a", "--b", "--c", "--d"]
+    tables = []
+    for values in (["4", "2", "3", "1"], summaries):
+        code, out, err = run_cli(["bound", *(t for pair in zip(flags, values) for t in pair),
+                                  "--q", "1", "--n", "10"], capsys)
+        assert code == 0, err
+        assert err.startswith("params: ") and err.count("\n") == 1
+        tables.append({r[0]: float(r[1]) for r in parse_csv(out)[1:]})
+    assert tables[1]["w_star"] == tables[0]["w_star"] == 0.5
+    assert tables[1] == pytest.approx(tables[0], rel=1e-14)
+
+
+def test_bound_past_the_float_range_reads_inf(capsys):
+    # bound(1) = 8 a (n - 1 - q) / (d (n - 1 - q))^2 is about 1e600 here
+    code, out, err = run_cli(["bound", "--a", "1", "--b", "1", "--c", "1", "--d", "1e-300",
+                              "--q", "1", "--n", "10"], capsys)
+    assert code == 0
+    assert err == "params: a=1 b=1 c=1 d=1e-300 q=1 n=10\n"
+    table = {r[0]: r[1] for r in parse_csv(out)[1:]}
+    assert table["bound(w=1.0)"] == "inf" and float(table["bound(w=0.0)"]) == pytest.approx(24.0)
 
 
 def test_bound_missing_flags_are_named(capsys):

@@ -248,6 +248,15 @@ def test_sums_of_squares_reports_a_huge_finite_column_by_the_finite_rule():
         sums_of_squares(data)
 
 
+def test_sums_of_squares_decomposes_each_gram_once(eig_sizes):
+    # `SumOfSquares` checks each Gram once, as any pair a user gives, and the
+    # fit's own check is additivity alone
+    data = rand_dataset(0)
+    sizes = eig_sizes()
+    sums_of_squares(data)
+    assert sizes == [data.p, data.p]
+
+
 def test_dataset_accepts_a_centered_column_of_huge_entries():
     # +1e308 twice and -1e308 twice sum past the float range in any order but one
     x = np.array([[1e308, 0.5], [1e308, -0.5], [-1e308, 1.0], [-1e308, -1.0], [0.0, 0.0]])

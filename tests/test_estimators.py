@@ -381,6 +381,28 @@ def test_estimate_report_ignores_power_of_two_rescaling(tmp_path, capsys, k):
     assert rows == base_rows
 
 
+def test_plugin_summaries_of_degree_four_read_inf_past_the_float_range():
+    # at y * 2^300 the Grams reach 2^600, so tr(Sigma^2) and a_hat scale back
+    # past the float range: they read inf, with no warning, and the weight stays
+    base = estimate_abcd(sums_of_squares(plugin_scale_data()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pw = estimate_abcd(sums_of_squares(plugin_scale_data(300)))
+    assert pw.tr_sigma2_hat == pw.a_hat == np.inf
+    assert pw.w_hat == pytest.approx(base.w_hat, rel=1e-14)
+
+
+def test_estimate_abcd_decomposes_s_resid_once(eig_sizes):
+    # the eigenvalues of s_resid, read once; the result record re-checks nothing
+    ss = sums_of_squares(plugin_scale_data())
+    sizes = eig_sizes()
+    pw = estimate_abcd(ss)
+    assert sizes == [ss.p]
+    assert not pw.sigma_hat.flags.writeable
+    assert all(type(getattr(pw, name)) is float
+               for name in ("lambda1_hat", "a_hat", "d_hat", "w_hat_raw", "w_hat"))
+
+
 # --------------------------------------------------------------------------
 # reduced-rank coefficients
 # --------------------------------------------------------------------------

@@ -191,14 +191,16 @@ def _fold_data():
 
 
 def _fault_cases():
-    """(run, q, where) of a p x p point (table1), a sample-space point (table3b)
-    and wide leave-one-out folds; `where` names the fit in error messages."""
+    """(run, q, where) of a p x p point (table1), a sample-space point (table3b),
+    wide leave-one-out folds and the one-fit library path (`gamma1_hat` of
+    `sums_of_squares`); `where` names the fit in error messages."""
     data = _fold_data()
     table1, table3b = (kind.model_spec(50, 3) for kind in (Traditional(), STRONG_SPIKE))
     return [(lambda: _replicate_block(table1, ROWS, np.arange(2)), table1.q, ""),
             (lambda: _replicate_block(table3b, ROWS, np.arange(2)), table3b.q, ""),
             (lambda: loo_cv_scores(data, (FixedWeight(0.5),)), data.q,
-             " of a leave-one-out fold")]
+             " of a leave-one-out fold"),
+            (lambda: gamma1_hat(sums_of_squares(data), 0.3).vector, data.q, "")]
 
 
 def _corrupt(vals, vecs, part):
@@ -254,7 +256,7 @@ def test_residual_mass_outside_the_kept_pairs_raises(monkeypatch):
         reg, resid, total, qmat = _orig(*args)
         return reg, resid + 0.1 * np.max(np.abs(resid)), total, qmat
 
-    for module in (harness, estimators):
+    for module in (harness, estimators, core):
         monkeypatch.setattr(module, "_scatter_stack", shifted)
     for run, _, where in _fault_cases():
         with pytest.raises(ValueError, match=rf"s_total != s_reg \+ s_resid{where}: residual "
@@ -336,7 +338,8 @@ def test_non_psd_residual_gram_raises(monkeypatch):
                 g[:, -1, -1] -= 10.0 * np.max(np.abs(g))  # the last residual row's entry
             return g
 
-        monkeypatch.setattr(estimators, "_gram", dented)
+        for module in (estimators, core):  # the fit check's Grams, and `sums_of_squares`'
+            monkeypatch.setattr(module, "_gram", dented)
         with pytest.raises(ValueError, match=f"`s_resid`{where} is not positive semidefinite"):
             run()
         monkeypatch.undo()

@@ -19,11 +19,9 @@ from allopca import (
     DegreesOfFreedomError,
     ExperimentPlan,
     FixedWeight,
-    Gamma1Estimate,
     LargePLargeN,
     ModelSpec,
     PluginRule,
-    PluginWeights,
     RankDeficiencyError,
     SumOfSquares,
     SymEig,
@@ -128,12 +126,6 @@ def _scatter(m):
     return SumOfSquares(m, np.eye(2), 10, 2)
 
 
-def _plugin_weights(sigma=np.eye(2), **fields):
-    args = dict(lambda1_hat=1.0, lambda2_hat=1.0, tr_sigma2_hat=1.0, a_hat=1.0, b_hat=1.0,
-                c_hat=1.0, d_hat=0.5, w_hat_raw=0.5, w_hat=0.5)
-    return PluginWeights(sigma, **{**args, **fields})
-
-
 NAN2 = np.array([[1.0, np.nan], [np.nan, 1.0]])
 ASYM2 = np.array([[1.0, 0.5], [0.0, 1.0]])
 PARAMS = AbcdParams(22.0, 6.0, 40.0, 1.0, 2, 50)
@@ -144,7 +136,6 @@ LIBRARY_CASES = [
     ("weight", "FixedWeight(nan)", lambda: FixedWeight(float("nan"))),
     ("weight", "lemma1_fluctuation", lambda: lemma1_fluctuation(10.0, 20.0, 2.0, 1.0, 50, 2, 1.5)),
     ("weight", "mse_upper_bound", lambda: mse_upper_bound(PARAMS, -0.5)),
-    ("weight", "Gamma1Estimate", lambda: Gamma1Estimate(np.array([1.0, 0.0]), 1.5, 0.0, False)),
     ("weight", "gamma1_hat", lambda: gamma1_hat(_ss(), 2.0)),
     ("sizes", "Dataset", lambda: Dataset(np.ones((4, 2)), center_columns(np.eye(4)[:, :3]))),
     ("sizes", "SumOfSquares", lambda: SumOfSquares(np.eye(2), np.eye(2), 3, 2)),
@@ -172,9 +163,6 @@ LIBRARY_CASES = [
     ("index", "substream(path)", lambda: substream(0, 2, -1)),
     ("index", "ModelSpec", lambda: _spec(master_seed=-1)),
     ("index", "gen_dataset", lambda: gen_dataset(_spec(), -1)),
-    ("unit", "Gamma1Estimate", lambda: Gamma1Estimate(np.array([1.0, 1e-4]), 0.5, 0.0, False)),
-    ("unit", "Gamma1Estimate(nan)",
-     lambda: Gamma1Estimate(np.array([np.nan, 0.0]), 0.5, 0.0, False)),
     ("unit", "mse_up_to_sign", lambda: mse_up_to_sign(np.array([1.0, 1.0]), np.array([1.0, 0.0]))),
     ("unit", "mse_up_to_sign(stack)", lambda: mse_up_to_sign(np.array([[1.0, 0.0], [0.0, 2.0]]),
                                                              np.array([1.0, 0.0]))),
@@ -185,19 +173,13 @@ LIBRARY_CASES = [
     ("orthonormal", "ModelSpec", lambda: _spec(gamma_basis=2.0 * np.eye(3))),
     ("square", "sym_eig", lambda: sym_eig(np.ones((2, 3)))),
     ("square", "SumOfSquares", lambda: SumOfSquares(*[np.ones((2, 3))] * 2, 10, 2)),
-    ("square", "PluginWeights", lambda: _plugin_weights(np.ones((2, 3)))),
     ("finite", "Dataset",
      lambda: Dataset(np.full((10, 2), np.nan), center_columns(np.eye(10)[:, :2]))),
     ("finite", "sym_eig", lambda: sym_eig(NAN2)),
     ("finite", "SumOfSquares", lambda: _scatter(NAN2)),
     ("finite", "ModelSpec", lambda: _spec(mu=np.array([0.0, np.inf, 0.0]))),
-    ("finite", "PluginWeights", lambda: _plugin_weights(NAN2)),
-    ("finite", "PluginWeights(nan lambda1_hat)", lambda: _plugin_weights(lambda1_hat=np.nan)),
-    ("finite", "PluginWeights(nan d_hat)", lambda: _plugin_weights(d_hat=np.nan)),
     ("finite", "SymEig(nan values)", lambda: SymEig(np.array([np.nan, 1.0]), np.eye(2))),
     ("finite", "SymEig(inf values)", lambda: SymEig(np.array([np.inf, 1.0]), np.eye(2))),
-    ("finite", "Gamma1Estimate(nan gap)",
-     lambda: Gamma1Estimate(np.array([1.0, 0.0]), 0.5, np.nan, False)),
     ("finite", "lemma1_fluctuation(nan sigma_tr)",
      lambda: lemma1_fluctuation(np.nan, 20.0, 2.0, 1.0, 50, 2, 0.5)),
     ("finite", "lemma1_fluctuation(inf sigma_tr)",
@@ -208,9 +190,7 @@ LIBRARY_CASES = [
      lambda: lemma1_fluctuation(10.0, 20.0, 2.0, np.nan, 50, 2, 0.5)),
     ("symmetric", "sym_eig", lambda: sym_eig(ASYM2)),
     ("symmetric", "SumOfSquares", lambda: _scatter(ASYM2)),
-    ("symmetric", "PluginWeights", lambda: _plugin_weights(ASYM2)),
     ("psd", "SumOfSquares", lambda: _scatter(-np.eye(2))),
-    ("psd", "PluginWeights", lambda: _plugin_weights(np.diag([1.0, -1.0]))),
     ("conditioning", "sums_of_squares", lambda: sums_of_squares(_collinear())),
     ("conditioning", "reduced_rank_coefficients",
      lambda: reduced_rank_coefficients(_collinear(), np.array([1.0, 0.0, 0.0]))),
