@@ -22,9 +22,11 @@ a cheap independent check of the closed form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import _check_finite, _check_sizes, _check_weight, _pow2_scale
+from .core import _check_finite, _check_sizes, _check_weight
 from .estimators import AbcdParams
 
 
@@ -73,18 +75,35 @@ def lemma1_fluctuation(
 
 
 def _bound_values(params: AbcdParams, w: np.ndarray) -> np.ndarray:
-    """Vectorized bound(w); `w` may be any array of weights in [0, 1].  It is scale-free,
-    so taken exactly at a / t^2 and b / t, c / t, d / t, t = `_pow2_scale(max(sqrt a, b, c, d))`."""
-    t = float(_pow2_scale(np.float64(max(np.sqrt(params.a), params.b, params.c, params.d))))
-    a, b, c, d = params.a / t / t, params.b / t, params.c / t, params.d / t
+    """Vectorized bound(w) at an array `w` of weights in [0, 1].
+
+    It is scale-free, so each term is formed from the `frexp` mantissas of its
+    summaries, as in `w_star`, and the numerator and the denominator are each
+    scaled by the power of two of their largest summary: with c, except where
+    the c-terms vanish (w = 1), which are scaled again without it.  Summaries of
+    any spread keep every term that shows, and ordinary ones give the plain
+    formula's bits.
+    """
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (params.a, params.b,
+                                                            params.c, params.d))
     q, n = params.q, params.n
-    with np.errstate(over="ignore", divide="ignore"):  # a bound past the float range reads inf
-        num = 8.0 * a * (q * (1.0 - 2.0 * w) + (n - 1.0) * w * w) \
-            + 16.0 * b * c * (1.0 - w) ** 2
-        den = d * (q + (n - 1.0 - 2.0 * q) * w) + c * (1.0 - w)
+
+    def scaled(w, top_num, top_den):
+        num = 8.0 * math.ldexp(ma, ea - top_num) * (q * (1.0 - 2.0 * w) + (n - 1.0) * w * w) \
+            + 16.0 * math.ldexp(mb * mc, eb + ec - top_num) * (1.0 - w) ** 2
+        den = math.ldexp(md, ed - top_den) * (q + (n - 1.0 - 2.0 * q) * w) \
+            + math.ldexp(mc, ec - top_den) * (1.0 - w)
         # normalize by n before squaring so huge n cannot overflow the square
         den_n = den / n
-        return (num / n) / (den_n * den_n) / n
+        with np.errstate(over="ignore", divide="ignore"):  # a bound past the float range reads inf
+            return np.ldexp((num / n) / (den_n * den_n) / n, top_num - 2 * top_den)
+
+    if not mc:
+        return scaled(w, ea, ed)
+    out = scaled(w, max(ea, eb + ec), max(ed, ec))
+    ends = w == 1.0
+    out[ends] = scaled(w[ends], ea, ed)
+    return out
 
 
 def mse_upper_bound(params: AbcdParams, w: float) -> float:
@@ -107,7 +126,7 @@ def mse_upper_bound(params: AbcdParams, w: float) -> float:
         The bound; nonnegative, and finite for valid parameters.
     """
     w = _check_weight(float(w))
-    return float(_bound_values(params, np.asarray(w)))
+    return float(_bound_values(params, np.array([w]))[0])
 
 
 def grid_argmin_bound(params: AbcdParams, step: float) -> float:

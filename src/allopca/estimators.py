@@ -21,9 +21,9 @@ leading to a fully data-driven weight.
 
 Every command solves through `_leading_axes`, which takes stacked fits as
 the row factors of `core._scatter_stack`, checks them once and resolves
-each weight rule's weight and axis in one batched leading-pair solve
-(`core._leading_pair_stack`: every eigenvalue from `eigvalsh`, the leading
-vector by inverse iteration).  A fit of n
+each weight rule's weight and axis in one batched leading-pair solve per
+block of whole fits (`core._leading_pair_stack`: every eigenvalue from
+`eigvalsh`, the leading vector by inverse iteration).  A fit of n
 observations is solved p x p when n - 1 >= p, and otherwise on its n - 1
 reduced rows [reg; Qc'resid], with Qc an orthonormal basis of the
 complement of the constant and the design span, from one complete QR per
@@ -379,12 +379,14 @@ def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.nd
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
-# near half a megabyte each for any n and p: `_blocks` splits the
-# leave-one-out folds, the Monte Carlo replications
-# (`harness._replicate_block`) and the batched solves of `_solve_axes` into
-# ranges of that size (two fold blocks at n = 50, p = 10 and ten rules; three
-# replications per block at table3b's p = 100).
-_BLOCK_ENTRIES = 1 << 16
+# near a megabyte each for any n and p: `_blocks` splits the leave-one-out
+# folds, the Monte Carlo replications (`harness._replicate_block`) and the
+# whole fits of `_solve_axes`'s solver calls into ranges of that size.  A fit
+# counts its rows and one solved matrix per rule (`_fit_entries`), so the
+# default points each fit in one block: the 50 folds at n = 50, p = 10 and
+# ten rules, up to 15 replications at table1's n = 500, 6 at table3b's
+# p = 100 and 21 at its p = 50.
+_BLOCK_ENTRIES = 1 << 17
 
 
 def _blocks(count: int, entries: int):
@@ -434,12 +436,13 @@ def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
       (n - 1) x (n - 1) matrix D^1/2 W W' D^1/2, D = diag(1 - w, ..., w, ...),
       whose leading eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the
       snapshot method, Sirovich 1987: S(w) = W' D W has the same nonzero
-      spectrum).
+      spectrum), with one matmul per fit for all of its weights.
 
     `_check_fit_stack` checks every fit once, on the Grams of the solved
     space, and the plug-in weights come from those Grams (computed only for
-    a `PluginRule`); `_solve_axes` does the rest.  With no rules, the fits
-    are only checked.  `where` follows the matrix names in error messages.
+    a `PluginRule`); `_solve_axes` does the rest, in one leading-pair solve
+    per `_blocks` range of whole fits.  With no rules, the fits are only
+    checked.  `where` follows the matrix names in error messages.
     Returns (weights, axes, gaps, ties, plug-in fields or None), the first
     four as `_solve_axes` returns them.
     """
@@ -471,11 +474,15 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     whose leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
     gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
     `oracle` weights (k,).  Each distinct (fit, weight) pair is solved once,
-    per `_blocks` range, by `_leading_pair_stack`, and its leading pair and
-    spectrum, all that is read, are checked in the space solved in.  Its gap
-    is lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero
-    spectrum are those of S(w), and a tie a gap of at most TIE_TOL times that
-    trace.
+    and its leading pair and spectrum, all that is read, are checked in the
+    space solved in.  `np.unique` sorts the pairs by fit, so each `_blocks`
+    range of whole fits, counted at one solved matrix per rule, is one
+    `_leading_pair_stack` call.  A wide fit lifts its pairs with one matmul:
+    W' times the vectors D^1/2 u, each in its slot (the pair's index within
+    the fit) of a zero (n - 1) x rules matrix, so its bytes depend on the fit
+    alone.  Its gap is lambda_1 - lambda_2 of the solved matrix, whose trace
+    and nonzero spectrum are those of S(w), and a tie a gap of at most TIE_TOL
+    times that trace.
     """
     k, q = s_reg.shape[:2]
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
@@ -485,8 +492,10 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
                              axis=0, return_inverse=True)
     pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
+    starts = np.searchsorted(pf, np.arange(k + 1))
     solved = []
-    for i in _blocks(len(pf), (s_reg if gram is None else gram)[0].size):
+    for fits in _blocks(k, len(rules) * (s_reg if gram is None else gram)[0].size):
+        i = slice(starts[fits[0]], starts[fits[-1] + 1])
         if gram is None:
             m = (1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]]
         else:
@@ -497,7 +506,11 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
         vals, axes = _leading_pair_stack(m)
         _check_leading_pairs(m, vals, axes)
         if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
-            v = np.swapaxes(rows[pf[i]], 1, 2) @ (root * axes)[:, :, None]
+            fit, slot = pf[i] - fits[0], np.arange(i.start, i.stop) - starts[pf[i]]
+            u = np.zeros((fits.size, len(rules), gram.shape[1]))
+            u[fit, slot] = root * axes
+            v = (np.swapaxes(rows[fits[0]:fits[-1] + 1], 1, 2)
+                 @ np.swapaxes(u, 1, 2))[fit, :, slot][:, :, None]
             nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
             e_p = np.arange(v.shape[1])[:, None] == v.shape[1] - 1  # whose p x p axis is e_p
             axes = _fix_signs(np.where(nrm > 0.0, v, e_p) / np.where(nrm > 0.0, nrm, 1.0))[:, :, 0]

@@ -5,6 +5,9 @@ fixed design; the bound's closed-form minimizer against brute-force grid
 search; and the bound's n-scaling against the advertised Theta(1/n) rate.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from allopca import (
     mse_upper_bound,
     w_star,
 )
+from allopca.bounds import _bound_values
 
 
 def spectrum_params(lam, c, q, n):
@@ -195,6 +199,48 @@ def test_w_star_keeps_every_term_of_spread_summaries():
     # signal 1e200 times the noise, or summaries 2^2000 apart, lose no term
     assert w_star(AbcdParams(1.0, 1.0, 1e200, 1.0, 1, 10)) == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert w_star(AbcdParams(2.0 ** 1000, 2.0 ** -1000, 0.0, 2.0 ** -1000, 1, 10)) == 0.5
+
+
+def _exact_bound(params, w):
+    """bound(w) in exact rational arithmetic, rounded once to a float."""
+    a, b, c, d, w = map(Fraction, (params.a, params.b, params.c, params.d, w))
+    q, n = params.q, params.n
+    num = 8 * a * (q * (1 - 2 * w) + (n - 1) * w * w) + 16 * b * c * (1 - w) ** 2
+    den = d * (q + (n - 1 - 2 * q) * w) + c * (1 - w)
+    return float(num / den ** 2)
+
+
+def _one_scale_bound(params, w):
+    """bound(w) with a / t^2 and b / t, c / t, d / t for the one power of two
+    t of max(sqrt a, b, c, d): exact while no scaled summary underflows."""
+    t = math.ldexp(1.0, math.frexp(max(math.sqrt(params.a), params.b, params.c, params.d))[1] - 1)
+    a, b, c, d = params.a / t / t, params.b / t, params.c / t, params.d / t
+    q, n = params.q, params.n
+    num = 8.0 * a * (q * (1.0 - 2.0 * w) + (n - 1.0) * w * w) + 16.0 * b * c * (1.0 - w) ** 2
+    den_n = (d * (q + (n - 1.0 - 2.0 * q) * w) + c * (1.0 - w)) / n
+    return (num / n) / (den_n * den_n) / n
+
+
+@pytest.mark.parametrize("params", [
+    AbcdParams(1.0, 1.0, 1e200, 1.0, 1, 10),  # one scale underflowed a and d: nan at w = 1
+    AbcdParams(1e-200, 1e-100, 1e100, 1e-100, 3, 40),
+    AbcdParams(1e100, 1e-100, 0.0, 1e-100, 1, 10),
+    AbcdParams(22.0, 6.0, 40.0, 1.0, 2, 50),
+], ids=["c-1e200", "c-over-d-1e200", "a-over-d2-1e200", "ordinary"])
+@pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+def test_bound_of_spread_summaries_matches_exact_arithmetic(params, w):
+    # the plain formula's roundings stay: a few ulps from the exact value
+    assert mse_upper_bound(params, w) == pytest.approx(_exact_bound(params, w), rel=1e-14, abs=0.0)
+    grid = _bound_values(params, np.array([0.0, 0.5, 1.0]))
+    assert grid[int(2 * w)] == mse_upper_bound(params, w)
+
+
+def test_bound_keeps_the_one_scale_bits_of_ordinary_summaries():
+    rng = np.random.default_rng(29)
+    for _ in range(20000):
+        params = random_valid_params(rng)
+        w = np.array([0.0, rng.uniform(), 1.0])
+        assert _bound_values(params, w).tobytes() == _one_scale_bound(params, w).tobytes(), params
 
 
 def test_bound_theta_one_over_n_scaling():

@@ -166,6 +166,7 @@ ORACLE_SPECS = {
     "no-signal": _table1_shaped_spec,
     "table3b-p20": lambda: STRONG_SPIKE.model_spec(20, 3),
     "table3b-p100": lambda: STRONG_SPIKE.model_spec(100, 3),
+    "table3b-p200": lambda: STRONG_SPIKE.model_spec(200, 3),
     **{f"crossover-p{p}": lambda p=p: _table1_shaped_spec(p, 1.0) for p in (19, 20, 21)},
     "no-signal-p40": lambda: _table1_shaped_spec(40),
 }
@@ -173,9 +174,10 @@ ORACLE_SPECS = {
 
 @pytest.mark.parametrize("case, chunk", [
     ("table1", None), ("table3b", None), ("no-signal", None),
-    ("table1", 3),  # the eigensolves split into chunks of 3 matrices
+    ("table1", 3),  # a budget below one fit: one replication per block and solver call
     # solved in sample space (n - 1 < p), and the crossover n - 1 = 19 around p
-    ("table3b-p20", None), ("table3b-p100", None), ("no-signal-p40", None),
+    ("table3b-p20", None), ("table3b-p100", None), ("table3b-p200", None),
+    ("no-signal-p40", None),
     ("crossover-p19", None), ("crossover-p20", None), ("crossover-p21", None),
 ])
 def test_replication_matches_per_weight_oracle(case, chunk, replication_oracle, eig_sizes,
@@ -243,9 +245,13 @@ def test_replication_block_is_one_stacked_fit(monkeypatch, force_blocks, reps_pe
 
 def test_wide_replications_stack_by_solved_size(monkeypatch):
     # table3b p = 50 (n = 22, q = 5) is solved at n - 1 = 21, not p, so a block
-    # holds 2**16 // (22 * 55 + 21**2 * 11) = 10 replications
+    # holds _BLOCK_ENTRIES // (22 * 55 + 21**2 * 11) replications
     spec = STRONG_SPIKE.model_spec(50, 3)
     assert (spec.n, spec.q) == (22, 5)
+    rules = len(DEFAULT_ROWS)
+    per_block = estimators._BLOCK_ENTRIES // estimators._fit_entries(22, 50, 5, rules)
+    assert per_block == estimators._BLOCK_ENTRIES // (22 * 55 + 21 ** 2 * rules)
+    assert per_block > max(1, estimators._BLOCK_ENTRIES // (22 * 55 + 50 ** 2 * rules))
     sizes = []
 
     def recording(y, x, _orig=harness._scatter_stack):
@@ -253,8 +259,8 @@ def test_wide_replications_stack_by_solved_size(monkeypatch):
         return _orig(y, x)
 
     monkeypatch.setattr(harness, "_scatter_stack", recording)
-    _replicate_block(spec, tuple(est for _, est in DEFAULT_ROWS), np.arange(12))
-    assert sizes == [10, 2]
+    _replicate_block(spec, tuple(est for _, est in DEFAULT_ROWS), np.arange(per_block + 2))
+    assert sizes == [per_block, 2]
 
 
 def test_replication_block_bypasses_single_fit_functions(monkeypatch, replication_oracle):
@@ -271,20 +277,47 @@ def test_replication_block_bypasses_single_fit_functions(monkeypatch, replicatio
     assert np.max(np.abs(mse - want[0])) <= 1e-12 and wts.tobytes() == want[1].tobytes()
 
 
-@pytest.mark.parametrize("case", ["table1", "table3b"])
+@pytest.mark.parametrize("case", ["table1", "table3b", "table3b-p100", "table3b-p200",
+                                  "no-signal-p40"])
 def test_replication_block_split_invariance(case, eig_sizes):
-    spec = (Traditional() if case == "table1" else STRONG_SPIKE).model_spec(50, 3)
+    spec = ORACLE_SPECS[case]()
     rows = tuple(est for _, est in DEFAULT_ROWS)
     sizes = eig_sizes()
     whole = _replicate_block(spec, rows, np.arange(12))
-    # table1 solves p x p matrices, table3b (p = 50, n = 22, q = 5) one residual
-    # block of order n - 1 - q = 16 per replication and reduced ones of order n - 1 = 21
-    assert set(sizes) == ({spec.p} if case == "table1" else {spec.n - 1 - spec.q, spec.n - 1})
+    # table1 solves p x p matrices, the wide points one residual block of order
+    # n - 1 - q per replication and reduced ones of order n - 1
+    wide = {spec.n - 1 - spec.q, spec.n - 1}
+    assert set(sizes) == ({spec.p} if case == "table1" else wide)
     halves = [_replicate_block(spec, rows, r) for r in (np.arange(5), np.arange(5, 12))]
     singles = [_replicate_block(spec, rows, np.array([r])) for r in range(12)]
     for parts in (halves, singles):
         for k in range(2):
             assert np.concatenate([part[k] for part in parts]).tobytes() == whole[k].tobytes()
+
+
+@pytest.mark.parametrize("case", ["table1", "table3b", "no-signal-p40"])
+def test_solver_calls_hold_the_distinct_pairs_of_whole_fits(case, monkeypatch, force_blocks):
+    # DEFAULT_ROWS has w = 0.5 twice, and at the no-signal point the plug-in
+    # fallback w_hat = 0 repeats regression(w=0): fits with fewer distinct
+    # weights than rules, whose unused lift slots must not show
+    spec = ORACLE_SPECS[case]()
+    rows = tuple(est for _, est in DEFAULT_ROWS)
+    whole = _replicate_block(spec, rows, np.arange(7))
+    blocks = force_blocks(3)
+    calls = []
+
+    def recording(m, _orig=estimators._leading_pair_stack):
+        calls.append(len(m))
+        return _orig(m)
+
+    monkeypatch.setattr(estimators, "_leading_pair_stack", recording)
+    mse, wts = _replicate_block(spec, rows, np.arange(7))
+    distinct = [len(set(row)) for row in wts]
+    assert blocks == [3, 3, 1] and max(distinct) < len(rows)
+    assert calls == [sum(distinct[:3]), sum(distinct[3:6]), distinct[6]]
+    if case == "no-signal-p40":
+        assert min(distinct) < max(distinct)  # some fit's plug-in weight fell back to 0
+    assert mse.tobytes() == whole[0].tobytes() and wts.tobytes() == whole[1].tobytes()
 
 
 def test_replication_block_checks_design_conditioning(monkeypatch):
