@@ -79,30 +79,33 @@ def _bound_values(params: AbcdParams, w: np.ndarray) -> np.ndarray:
 
     It is scale-free, so each term is formed from the `frexp` mantissas of its
     summaries, as in `w_star`, and the numerator and the denominator are each
-    scaled by the power of two of their largest summary: with c, except where
-    the c-terms vanish (w = 1), which are scaled again without it.  Summaries of
-    any spread keep every term that shows, and ordinary ones give the plain
-    formula's bits.
+    scaled by the power of two of their largest summary: with c, except at
+    w = 1, where the c-terms vanish and are left out, so neither c nor its
+    scale can hide or overflow the a- and d-terms.  Summaries of any spread
+    keep every term that shows, and ordinary ones give the plain formula's
+    bits.
     """
     (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (params.a, params.b,
                                                             params.c, params.d))
     q, n = params.q, params.n
 
-    def scaled(w, top_num, top_den):
-        num = 8.0 * math.ldexp(ma, ea - top_num) * (q * (1.0 - 2.0 * w) + (n - 1.0) * w * w) \
-            + 16.0 * math.ldexp(mb * mc, eb + ec - top_num) * (1.0 - w) ** 2
-        den = math.ldexp(md, ed - top_den) * (q + (n - 1.0 - 2.0 * q) * w) \
-            + math.ldexp(mc, ec - top_den) * (1.0 - w)
+    def scaled(w, top_num, top_den, with_c):
+        num = 8.0 * math.ldexp(ma, ea - top_num) * (q * (1.0 - 2.0 * w) + (n - 1.0) * w * w)
+        den = math.ldexp(md, ed - top_den) * (q + (n - 1.0 - 2.0 * q) * w)
+        if with_c:
+            num = num + 16.0 * math.ldexp(mb * mc, eb + ec - top_num) * (1.0 - w) ** 2
+            den = den + math.ldexp(mc, ec - top_den) * (1.0 - w)
         # normalize by n before squaring so huge n cannot overflow the square
         den_n = den / n
         with np.errstate(over="ignore", divide="ignore"):  # a bound past the float range reads inf
             return np.ldexp((num / n) / (den_n * den_n) / n, top_num - 2 * top_den)
 
     if not mc:
-        return scaled(w, ea, ed)
-    out = scaled(w, max(ea, eb + ec), max(ed, ec))
+        return scaled(w, ea, ed, False)
+    with np.errstate(invalid="ignore"):  # a 0 / 0 at w = 1 is replaced below
+        out = scaled(w, max(ea, eb + ec), max(ed, ec), True)
     ends = w == 1.0
-    out[ends] = scaled(w[ends], ea, ed)
+    out[ends] = scaled(w[ends], ea, ed, False)
     return out
 
 

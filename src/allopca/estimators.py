@@ -379,13 +379,15 @@ def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.nd
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
-# near a megabyte each for any n and p: `_blocks` splits the leave-one-out
-# folds, the Monte Carlo replications (`harness._replicate_block`) and the
-# whole fits of `_solve_axes`'s solver calls into ranges of that size.  A fit
-# counts its rows and one solved matrix per rule (`_fit_entries`), so the
-# default points each fit in one block: the 50 folds at n = 50, p = 10 and
-# ten rules, up to 15 replications at table1's n = 500, 6 at table3b's
-# p = 100 and 21 at its p = 50.
+# near a megabyte each: `_blocks` splits the leave-one-out folds, the Monte
+# Carlo replications (`harness._replicate_block`) and the whole fits of
+# `_solve_axes`'s solver calls into ranges of that size.  A fit counts its
+# rows and one solved matrix per rule (`_fit_entries`), so the default points
+# each fit in one block: the 50 folds at n = 50, p = 10 and ten rules, up to
+# 15 replications at table1's n = 500, 6 at table3b's p = 100 and 21 at its
+# p = 50.  A range holds at least one item, so a fit above the budget holds
+# one solved matrix per distinct weight in its solver call: 9 of order
+# p = 1000, 72 MB, for `estimate` on a p x p fit.
 _BLOCK_ENTRIES = 1 << 17
 
 

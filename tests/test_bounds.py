@@ -225,8 +225,11 @@ def _one_scale_bound(params, w):
     AbcdParams(1.0, 1.0, 1e200, 1.0, 1, 10),  # one scale underflowed a and d: nan at w = 1
     AbcdParams(1e-200, 1e-100, 1e100, 1e-100, 3, 40),
     AbcdParams(1e100, 1e-100, 0.0, 1e-100, 1, 10),
+    AbcdParams(1.0, 1.0, 1e300, 1e-10, 1, 10),  # c / d past the float range: raised at every w
+    AbcdParams(1e-30, 1.0, 1e300, 1e-30, 1, 10),  # a / bc and d / c below it: 0 / 0 at w = 1
     AbcdParams(22.0, 6.0, 40.0, 1.0, 2, 50),
-], ids=["c-1e200", "c-over-d-1e200", "a-over-d2-1e200", "ordinary"])
+], ids=["c-1e200", "c-over-d-1e200", "a-over-d2-1e200", "c-over-d-1e310", "c-over-d-1e330",
+        "ordinary"])
 @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
 def test_bound_of_spread_summaries_matches_exact_arithmetic(params, w):
     # the plain formula's roundings stay: a few ulps from the exact value

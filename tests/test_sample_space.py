@@ -172,31 +172,6 @@ def test_axes_bit_identical_for_any_stack():
         assert alone.tobytes() == whole[:, i:i + 1].tobytes()
 
 
-@pytest.mark.parametrize("p", [10, 40])
-def test_solver_calls_hold_whole_fits_at_any_budget(p, monkeypatch):
-    # p = 10 is solved p x p, p = 40 at n - 1 = 14; w = 0.5 twice, so each fit
-    # has fewer distinct weights than rules and leaves a lift slot unused
-    rules = RULES + (FixedWeight(0.5),)
-    y, x, n, q = _wide_fits(k=5, p=p)
-    fits = _scatter_stack(y, x)
-    whole = _leading_axes(rules, *fits)
-    calls = []
-
-    def recording(m, _orig=estimators._leading_pair_stack):
-        calls.append(len(m))
-        return _orig(m)
-
-    monkeypatch.setattr(estimators, "_leading_pair_stack", recording)
-    size = min(p, n - 1)
-    monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", 2 * len(rules) * size ** 2)
-    split = _leading_axes(rules, *fits)
-    distinct = [len(set(column)) for column in whole[0].T]
-    assert max(distinct) < len(rules)
-    assert calls == [sum(distinct[:2]), sum(distinct[2:4]), distinct[4]]
-    for got, want in zip(split[:4], whole[:4]):
-        assert got.tobytes() == want.tobytes()
-
-
 # --------------------------------------------------------------------------
 # the fit check: one fault per rule
 # --------------------------------------------------------------------------
