@@ -530,16 +530,15 @@ def center_columns(x: np.ndarray) -> np.ndarray:
     return x - (x / scale).mean(axis=0) * scale
 
 
-def _conditioned_qr(x: np.ndarray, left_out: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factors (Q, R) of stacked designs (k, n, q), each well conditioned.
+def _conditioned_qr(x: np.ndarray, left_out: np.ndarray | None = None) -> np.ndarray:
+    """Thin-QR bases Q (k, n, q) of stacked designs (k, n, q), each well conditioned.
 
     The q x q factor R has the singular values of X, so the check runs on R;
     `left_out` is passed on to `_check_design_conditioning`.
     """
     qmat, rmat = np.linalg.qr(x, mode="reduced")
     _check_design_conditioning(rmat, left_out)
-    return qmat, rmat
+    return qmat
 
 
 def _check_design_conditioning(x: np.ndarray, left_out: np.ndarray | None = None) -> None:
@@ -596,7 +595,7 @@ def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = N
     RankDeficiencyError
         If some design has cond(X'X) > COND_LIMIT.
     """
-    qmat = _conditioned_qr(x, left_out)[0]
+    qmat = _conditioned_qr(x, left_out)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the fit check's finite rule
         proj = np.swapaxes(qmat, 1, 2) @ y
         return proj, y - qmat @ proj, y, qmat

@@ -204,8 +204,13 @@ def mse_up_to_sign(g_hat: np.ndarray, g_true: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"inputs must be (..., p) and (p,), got {g_hat.shape} and {g_true.shape}")
     _check_unit(g_hat, "`g_hat`")
     _check_unit(g_true, "`g_true`")
-    err = np.maximum(0.0, 2.0 - 2.0 * np.abs(_dots(g_hat, g_true)))
+    err = _sign_free_errors(g_hat, g_true)
     return float(err) if g_hat.ndim == 1 else err
+
+
+def _sign_free_errors(g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
+    """`mse_up_to_sign` of trusted unit vectors (..., p) and (p,), unchecked."""
+    return np.maximum(0.0, 2.0 - 2.0 * np.abs(_dots(g_hat, g_true)))
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -379,15 +384,15 @@ def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.nd
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
-# near a megabyte each: `_blocks` splits the leave-one-out folds, the Monte
-# Carlo replications (`harness._replicate_block`) and the whole fits of
-# `_solve_axes`'s solver calls into ranges of that size.  A fit counts its
-# rows and one solved matrix per rule (`_fit_entries`), so the default points
-# each fit in one block: the 50 folds at n = 50, p = 10 and ten rules, up to
-# 15 replications at table1's n = 500, 6 at table3b's p = 100 and 21 at its
-# p = 50.  A range holds at least one item, so a fit above the budget holds
-# one solved matrix per distinct weight in its solver call: 9 of order
-# p = 1000, 72 MB, for `estimate` on a p x p fit.
+# near a megabyte each: `_blocks` splits the leave-one-out folds
+# (`loo_cv_scores`) and the Monte Carlo replications (`harness._replicate_block`)
+# into ranges of that size, and `_solve_axes` solves each range whole, in one
+# call.  A fit counts its rows and one solved matrix per rule (`_fit_entries`),
+# so the default points each fit in one block: the 50 folds at n = 50, p = 10
+# and ten rules, up to 15 replications at table1's n = 500, 6 at table3b's
+# p = 100 and 21 at its p = 50.  A range holds at least one item, so a fit
+# above the budget holds one solved matrix per distinct weight in its solver
+# call: 9 of order p = 1000, 72 MB, for `estimate` on a p x p fit.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -438,13 +443,14 @@ def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
       (n - 1) x (n - 1) matrix D^1/2 W W' D^1/2, D = diag(1 - w, ..., w, ...),
       whose leading eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the
       snapshot method, Sirovich 1987: S(w) = W' D W has the same nonzero
-      spectrum), with one matmul per fit for all of its weights.
+      spectrum), with one batched matmul for all fits and weights.
 
     `_check_fit_stack` checks every fit once, on the Grams of the solved
     space, and the plug-in weights come from those Grams (computed only for
-    a `PluginRule`); `_solve_axes` does the rest, in one leading-pair solve
-    per `_blocks` range of whole fits.  With no rules, the fits are only
-    checked.  `where` follows the matrix names in error messages.
+    a `PluginRule`); `_solve_axes` does the rest, in one `_leading_pair_stack`
+    call for the stack, which the caller sizes as one `_blocks` range of whole
+    fits.  With no rules, the fits are only checked.  `where` follows the
+    matrix names in error messages.
     Returns (weights, axes, gaps, ties, plug-in fields or None), the first
     four as `_solve_axes` returns them.
     """
@@ -477,14 +483,14 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
     `oracle` weights (k,).  Each distinct (fit, weight) pair is solved once,
     and its leading pair and spectrum, all that is read, are checked in the
-    space solved in.  `np.unique` sorts the pairs by fit, so each `_blocks`
-    range of whole fits, counted at one solved matrix per rule, is one
-    `_leading_pair_stack` call.  A wide fit lifts its pairs with one matmul:
-    W' times the vectors D^1/2 u, each in its slot (the pair's index within
-    the fit) of a zero (n - 1) x rules matrix, so its bytes depend on the fit
-    alone.  Its gap is lambda_1 - lambda_2 of the solved matrix, whose trace
-    and nonzero spectrum are those of S(w), and a tie a gap of at most TIE_TOL
-    times that trace.
+    space solved in, all in one `_leading_pair_stack` call: the caller sizes
+    the stack (a `_blocks` range of whole fits).  `np.unique` sorts the pairs
+    by fit, and the wide fits lift with one batched matmul: each fit's W'
+    times the vectors D^1/2 u, each in its slot (the pair's index within its
+    fit) of a zero (n - 1) x rules matrix, so a fit's bytes depend on the fit
+    alone.  A pair's gap is lambda_1 - lambda_2 of the solved matrix, whose
+    trace and nonzero spectrum are those of S(w), and a tie a gap of at most
+    TIE_TOL times that trace.
     """
     k, q = s_reg.shape[:2]
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
@@ -494,32 +500,26 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
                              axis=0, return_inverse=True)
     pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
-    starts = np.searchsorted(pf, np.arange(k + 1))
-    solved = []
-    for fits in _blocks(k, len(rules) * (s_reg if gram is None else gram)[0].size):
-        i = slice(starts[fits[0]], starts[fits[-1] + 1])
-        if gram is None:
-            m = (1.0 - pw[i]) * s_reg[pf[i]] + pw[i] * s_resid[pf[i]]
-        else:
-            root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[i, 0], pw[i, 0]))
-            m = gram[pf[i]]  # scaled in place, with no temporary of its size
-            m *= root[:, :, None]
-            m *= root[:, None, :]
-        vals, axes = _leading_pair_stack(m)
-        _check_leading_pairs(m, vals, axes)
-        if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
-            fit, slot = pf[i] - fits[0], np.arange(i.start, i.stop) - starts[pf[i]]
-            u = np.zeros((fits.size, len(rules), gram.shape[1]))
-            u[fit, slot] = root * axes
-            v = (np.swapaxes(rows[fits[0]:fits[-1] + 1], 1, 2)
-                 @ np.swapaxes(u, 1, 2))[fit, :, slot][:, :, None]
-            nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
-            e_p = np.arange(v.shape[1])[:, None] == v.shape[1] - 1  # whose p x p axis is e_p
-            axes = _fix_signs(np.where(nrm > 0.0, v, e_p) / np.where(nrm > 0.0, nrm, 1.0))[:, :, 0]
-        gaps = vals[:, 0] - vals[:, 1]
-        solved.append((axes, gaps, gaps <= TIE_TOL * np.trace(m, axis1=1, axis2=2)))
-    return (weights, *(np.concatenate(part)[which.reshape(weights.shape)]
-                       for part in zip(*solved)))
+    if gram is None:
+        m = (1.0 - pw) * s_reg[pf] + pw * s_resid[pf]
+    else:
+        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[:, 0], pw[:, 0]))
+        m = gram[pf]  # scaled in place, with no temporary of its size
+        m *= root[:, :, None]
+        m *= root[:, None, :]
+    vals, axes = _leading_pair_stack(m)
+    _check_leading_pairs(m, vals, axes)
+    if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
+        slot = np.arange(pf.size) - np.searchsorted(pf, pf)
+        u = np.zeros((k, len(rules), gram.shape[1]))
+        u[pf, slot] = root * axes
+        v = (np.swapaxes(rows, 1, 2) @ np.swapaxes(u, 1, 2))[pf, :, slot][:, :, None]
+        nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
+        e_p = np.arange(v.shape[1])[:, None] == v.shape[1] - 1  # whose p x p axis is e_p
+        axes = _fix_signs(np.where(nrm > 0.0, v, e_p) / np.where(nrm > 0.0, nrm, 1.0))[:, :, 0]
+    gaps = vals[:, 0] - vals[:, 1]
+    ties = gaps <= TIE_TOL * np.trace(m, axis1=1, axis2=2)
+    return (weights, *(part[which.reshape(weights.shape)] for part in (axes, gaps, ties)))
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:

@@ -30,9 +30,9 @@ from .estimators import (
     _dots,
     _fit_entries,
     _leading_axes,
+    _sign_free_errors,
     _solved_size,
     _w_star_terms,
-    mse_up_to_sign,
 )
 from .simgen import (
     LargePLargeN,
@@ -153,22 +153,22 @@ def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
     """Crude wall-clock estimate, checked by `simulate --cost-limit` and
     recorded as each result's `metadata["estimated_seconds"]`.
 
-    Each point pays a fixed 1.2e-3 s for its blocks' set-up, and each
-    replication 8e-8 s per drawn response entry (n p: the draw and the
-    fit), 1e-5 s per estimator row, and 4e-8 s^2 + 2e-10 s^3 s for each
+    Each point pays a fixed 6.5e-4 s for its blocks' set-up, and each
+    replication 5e-8 s per drawn response entry (n p: the draw and the
+    fit), 6e-6 s per estimator row, and 3.2e-8 s^2 + 1.6e-11 s^3 s for each
     per-weight solve of order s (`_solved_size`: p or, for a wide point, the
     reduced n - 1; the s^2 term forms, checks and lifts the matrix, the s^3
-    term is LAPACK's).  Fitted to per-point times of 1 to 200 replications
-    on the default grids of tables 1 to 3b and table3b at p = 400, on a
-    2-core x86-64 machine.
+    term is LAPACK's).  Fitted, about 10% high, to best-of-3 per-point times
+    of 1 to 200 replications on the default grids of tables 1 to 3b, table1
+    at n = 5000 and table3b at p = 200 to 1600, on a 2-core x86-64 machine.
     """
     n_est = len(plan.estimators)
     seconds = 0.0
     for spec in plan.points:
         s = _solved_size(spec.n, spec.p)
-        per_rep = (8e-8 * spec.n * spec.p + (n_est + 4) * 1e-5
-                   + (n_est + 5.0) * (4e-8 * s ** 2 + 2e-10 * s ** 3))
-        seconds += 1.2e-3 + plan.replications * per_rep
+        per_rep = (5e-8 * spec.n * spec.p + (n_est + 4) * 6e-6
+                   + (n_est + 5.0) * (3.2e-8 * s ** 2 + 1.6e-11 * s ** 3))
+        seconds += 6.5e-4 + plan.replications * per_rep
     return seconds
 
 
@@ -183,9 +183,9 @@ def _replicate_block(
     weights from the model's (a, b, d) and the designs' c = ||X alpha||^2,
     one `_leading_axes` call that checks the fits and resolves every row's
     weight and axis (in sample space when n - 1 < p: every weight at the
-    reduced order n - 1), and one `mse_up_to_sign` call.  Every replication
-    is computed as if it were alone, so results do not depend on how `reps`
-    is split.
+    reduced order n - 1), and one `_sign_free_errors` call, which scores the
+    checked axes unchecked.  Every replication is computed as if it were
+    alone, so results do not depend on how `reps` is split.
     """
     n, p, q = spec.n, spec.p, spec.q
     model = oracle = None
@@ -203,7 +203,7 @@ def _replicate_block(
         fits = _scatter_stack(y - y.mean(axis=1, keepdims=True), x)
         weights, axes, *_ = _leading_axes(estimators, *fits, oracle)
         wts.append(weights.T)
-        mse.append(mse_up_to_sign(axes, spec.gamma1).T)
+        mse.append(_sign_free_errors(axes, spec.gamma1).T)
     return np.concatenate(mse), np.concatenate(wts)
 
 

@@ -29,7 +29,7 @@ from allopca import (
 )
 from allopca import RankDeficiencyError, core, estimators, harness
 from allopca.harness import DEFAULT_ROWS, _replicate_block
-from allopca.simgen import STRONG_SPIKE
+from allopca.simgen import STRONG_SPIKE, gen_dataset
 
 BASIC_ROWS = (
     ("total(w=0.5)", FixedWeight(0.5)),
@@ -320,6 +320,35 @@ def test_solver_calls_hold_the_distinct_pairs_of_whole_fits(case, monkeypatch, f
     assert mse.tobytes() == whole[0].tobytes() and wts.tobytes() == whole[1].tobytes()
 
 
+@pytest.mark.parametrize("case", ["table1", "table3b-p100"])
+def test_one_solver_call_per_leading_axes_call_whatever_the_budget(case, monkeypatch):
+    # the callers size the blocks; `_solve_axes` takes its stack whole, even
+    # under a budget below one solved matrix.  The oracle weights repeat a
+    # fixed weight in two fits and lie off the grid in the others.
+    spec = ORACLE_SPECS[case]()
+    rules = [est for _, est in DEFAULT_ROWS]
+    draws = [gen_dataset(spec, r) for r in range(5)]
+    y = np.stack([d.y for d in draws])
+    fits = core._scatter_stack(y - y.mean(axis=1, keepdims=True), np.stack([d.x for d in draws]))
+    oracle = np.array([0.3, 0.25, 0.0, 0.65, 0.45])
+    alone = [estimators._leading_axes(rules, *(f[i:i + 1] for f in fits), oracle[i:i + 1])[:4]
+             for i in range(5)]
+    monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", 1)
+    calls = []
+
+    def recording(m, _orig=estimators._leading_pair_stack):
+        calls.append(len(m))
+        return _orig(m)
+
+    monkeypatch.setattr(estimators, "_leading_pair_stack", recording)
+    weights, *got = estimators._leading_axes(rules, *fits, oracle)[:4]
+    assert calls == [sum(len(set(weights[:, i])) for i in range(5))]
+    assert calls[0] < 5 * len(rules)  # w = 0.5 twice, and the oracle's 0.3 and 0.0
+    for i, one in enumerate(alone):
+        for part, part_alone in zip((weights, *got), one):
+            assert part[:, i].tobytes() == part_alone[:, 0].tobytes()
+
+
 def test_replication_block_checks_design_conditioning(monkeypatch):
     spec = Traditional().model_spec(50, 3)
     monkeypatch.setattr(core, "COND_LIMIT", 1.0)
@@ -399,12 +428,14 @@ def test_cost_model_charges_the_solved_size():
     assert (plan.points[0].n, plan.points[0].p, plan.points[0].q) == (n, p, q)
     rows = len(DEFAULT_ROWS)
     s = n - 1
-    per_rep = 8e-8 * n * p + (rows + 4) * 1e-5 + (rows + 5.0) * (4e-8 * s ** 2 + 2e-10 * s ** 3)
-    assert estimate_runtime_seconds(plan) == 1.2e-3 + 3 * per_rep
+    per_rep = (5e-8 * n * p + (rows + 4) * 6e-6
+               + (rows + 5.0) * (3.2e-8 * s ** 2 + 1.6e-11 * s ** 3))
+    assert estimate_runtime_seconds(plan) == 6.5e-4 + 3 * per_rep
     narrow = scenario_plan(Traditional(), [50], replications=3, seed=0)
     s = 10
-    per_rep = 8e-8 * 50 * 10 + (rows + 4) * 1e-5 + (rows + 5.0) * (4e-8 * s ** 2 + 2e-10 * s ** 3)
-    assert estimate_runtime_seconds(narrow) == 1.2e-3 + 3 * per_rep
+    per_rep = (5e-8 * 50 * 10 + (rows + 4) * 6e-6
+               + (rows + 5.0) * (3.2e-8 * s ** 2 + 1.6e-11 * s ** 3))
+    assert estimate_runtime_seconds(narrow) == 6.5e-4 + 3 * per_rep
 
 
 def test_result_records_the_cost_estimate():

@@ -268,8 +268,7 @@ def test_sums_of_squares_checks_its_fit_like_every_built_fit(monkeypatch):
     # the library's one-fit path gets the fit check's additivity rule on its
     # row factors, not a comparison of Grams
     real = core._conditioned_qr
-    monkeypatch.setattr(core, "_conditioned_qr",
-                        lambda x, *args: (1.001 * real(x, *args)[0], None))
+    monkeypatch.setattr(core, "_conditioned_qr", lambda x, *args: 1.001 * real(x, *args))
     with pytest.raises(ValueError, match=r"^s_total != s_reg \+ s_resid: residual rows leave "
                                          r"the complement of the constant and the design span"):
         sums_of_squares(_fold_data())
@@ -352,8 +351,7 @@ def test_non_orthonormal_design_basis_raises(monkeypatch):
     cases = _fault_cases()
     cases.append((lambda: loo_cv_scores(_fold_data(), (OlsRule(),)), 2,
                   " of a leave-one-out fold"))
-    monkeypatch.setattr(core, "_conditioned_qr",
-                        lambda x, *args: (1.001 * real(x, *args)[0], None))
+    monkeypatch.setattr(core, "_conditioned_qr", lambda x, *args: 1.001 * real(x, *args))
     for run, _, where in cases:
         with pytest.raises(ValueError,
                            match=rf"s_total != s_reg \+ s_resid{where}: residual rows"):
