@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -381,11 +383,14 @@ def _add_common(sub: argparse.ArgumentParser, func) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser: `main` turns a config file's values into its subcommand's defaults."""
-    parser = argparse.ArgumentParser(
+    # one help width for every parser: argparse queries the terminal once, not per argument
+    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2))
+    parser = new_parser(
         prog="allopca",
         description="Weighted sum-of-squares estimators of a shared principal axis",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     sim = subs.add_parser("simulate", help="run a Monte Carlo scenario")
     sim.add_argument("--scenario", help=f"one of {_SCENARIO_NAMES}")
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="accepts only 1: replications run in one process")
     _add_common(sim, _cmd_simulate)
 
-    data = argparse.ArgumentParser(add_help=False)
+    data = new_parser(add_help=False)
     data.add_argument("--y", help="response matrix CSV (n rows, p columns)")
     data.add_argument("--x", help="design matrix CSV (n rows, q columns)")
     data.add_argument("--weights", type=_float_list, default=DEFAULT_WEIGHT_GRID,

@@ -348,28 +348,29 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, ::-1] * scale[:, None], _fix_signs(vecs[:, :, ::-1])
 
 
-def _leading_pair_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leading_pair_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue and the leading eigenvector of each exactly symmetric
-    matrix of a stack (k, s, s).
+    matrix of a stack (k, s, s), each divided by `_pow2_scale` of its peak entry.
 
-    Each matrix is divided by `_pow2_scale` of its peak entry, as in
-    `_sym_eig_stack`, so power-of-two rescalings give bit-identical vectors.
-    The eigenvalues come from one batched `eigvalsh`, and the leading vector
-    from inverse iteration (Parlett 1980, ch. 4; Ipsen 1997) with the shift
-    sigma = lambda_1 + delta, delta = 4 s eps max|lambda|: one power step a g
-    from a fixed generic unit vector g, then one LU solve per matrix.  Up to
-    two more solves go to the matrices whose residual ||a v - lambda_1 v|| is
-    not yet at rounding level (8 s eps ||a||_F), or whose gap lambda_1 -
-    lambda_2 is too small for the solves so far to have shrunk the other
-    components below 1e-13.  A matrix with a single distinct eigenvalue (zero
-    or scalar) gives e_s, as `eigh` does.  Each matrix is solved as if it
-    were alone, so it gives the same bytes in any stack; callers check what
-    they read (`_check_leading_pairs`).  Returns (values (k, s) descending,
-    vectors (k, s) under `_fix_signs`).
+    The caller divides (`estimators._solve_axes`), so power-of-two rescalings
+    of a matrix give the same scaled matrix and bit-identical vectors, and no
+    norm overflows.  The eigenvalues come from one batched `eigvalsh`, and the
+    leading vector from inverse iteration (Parlett 1980, ch. 4; Ipsen 1997)
+    with the shift sigma = lambda_1 + delta, delta = 4 s eps max|lambda|: one
+    power step a g from a fixed generic unit vector g, then one LU solve per
+    matrix.  Up to two more solves go to the matrices whose residual
+    ||a v - lambda_1 v|| is not yet at rounding level (8 s eps ||a||_F), or
+    whose gap lambda_1 - lambda_2 is too small for the solves so far to have
+    shrunk the other components below 1e-13.  The solves read sigma I - a,
+    formed in place and turned back into `a`, byte for byte, before returning
+    (negation is exact, and the diagonal is saved), with a gather only of a
+    strict subset.  A matrix with a single distinct eigenvalue (zero or
+    scalar) gives e_s, as `eigh` does.  Each matrix is solved as if it were
+    alone, so it gives the same bytes in any stack; callers check what they
+    read (`_check_leading_pairs`).  Returns (values (k, s) descending, of the
+    scaled matrices, and vectors (k, s) under `_fix_signs`).
     """
-    k, s = m.shape[:2]
-    scale = _pow2_scale(_peaks(m))
-    a = m / scale[:, None, None]
+    k, s = a.shape[:2]
     vals = np.linalg.eigvalsh(a)[:, ::-1]
     eps = np.finfo(float).eps
     # the scaled matrix has max|lambda| >= its peak entry >= 1 unless it is zero
@@ -389,21 +390,26 @@ def _leading_pair_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = a @ g
     nrm = np.linalg.norm(v, axis=1, keepdims=True)
     v = np.where(nrm > 0.0, v / np.where(nrm > 0.0, nrm, 1.0), g)
-    shifted = np.negative(a, out=a)  # sigma I - a, in place of a
-    shifted.reshape(k, s * s)[:, ::s + 1] += sigma[:, None]
-    todo = slice(None)  # every matrix, then those that need another solve
+    diag = np.arange(s)
+    saved = a[:, diag, diag]
+    np.negative(a, out=a)  # sigma I - a, in place of a
+    a[:, diag, diag] += sigma[:, None]
+    todo = np.arange(k)  # every matrix, then those that need another solve
     for _ in range(3):
-        x = np.linalg.solve(shifted[todo], v[todo, :, None])[:, :, 0]
+        shifted = a if todo.size == k else a[todo]
+        x = np.linalg.solve(shifted, v[todo, :, None])[:, :, 0]
         v[todo] = x / np.linalg.norm(x, axis=1, keepdims=True)
         left[todo] *= shrink[todo]
         # a v - lambda_1 v = (sigma - lambda_1) v - (sigma I - a) v
         resid = np.linalg.norm(above[todo, None] * v[todo]
-                               - (shifted[todo] @ v[todo, :, None])[:, :, 0], axis=1)
-        todo = np.arange(k)[todo][(resid > tol[todo]) | (left[todo] > 1e-13)]
+                               - (shifted @ v[todo, :, None])[:, :, 0], axis=1)
+        todo = todo[(resid > tol[todo]) | (left[todo] > 1e-13)]
         if not todo.size:
             break
-    v[flat] = np.eye(s)[-1]
-    return vals * scale[:, None], _fix_signs(v[:, :, None])[:, :, 0]
+    np.negative(a, out=a)
+    a[:, diag, diag] = saved
+    v[flat] = diag == s - 1
+    return vals, _fix_signs(v[:, :, None])[:, :, 0]
 
 
 def _peaks(m: np.ndarray) -> np.ndarray:
@@ -416,26 +422,22 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("kij,kij->k", m, m))
 
 
-def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Raise `NumericFailure` unless each matrix M of a stack (k, s, s) has a sound
+def _check_leading_pairs(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise `NumericFailure` unless each matrix A of a stack (k, s, s) has a sound
     spectrum and leading pair.
 
-    (vals, vecs) is `_leading_pair_stack(m)`.  Checked on M and its
-    eigenvalues divided by `_pow2_scale` of M's peak entry, so no norm
-    overflows:
+    (vals, vecs) is `_leading_pair_stack(a)`, of the same stack, each matrix
+    divided by `_pow2_scale` of its peak entry, so no norm overflows:
 
-    - the leading pair needs ||M v - lambda_1 v|| <= 1e-8 ||M||_F and v unit
+    - the leading pair needs ||A v - lambda_1 v|| <= 1e-8 ||A||_F and v unit
       norm (NaN fails); with the gap, these bound the axis error (Parlett
       1980; Davis & Kahan 1970);
-    - the eigenvalues need |sum lambda - tr M| <= 1e-8 ||M||_F and
-      |sqrt(sum lambda^2) - ||M||_F| <= 1e-8 ||M||_F, which hold for the
-      spectrum of M and check lambda_2, read only through the gap.
+    - the eigenvalues need |sum lambda - tr A| <= 1e-8 ||A||_F and
+      |sqrt(sum lambda^2) - ||A||_F| <= 1e-8 ||A||_F, which hold for the
+      spectrum of A and check lambda_2, read only through the gap.
     """
-    scale = _pow2_scale(_peaks(m))
-    a = m / scale[:, None, None]
-    lam = vals / scale[:, None]
     frob = _frobenius(a)
-    err = np.linalg.norm((a @ vecs[:, :, None])[:, :, 0] - lam[:, :1] * vecs, axis=1)
+    err = np.linalg.norm((a @ vecs[:, :, None])[:, :, 0] - vals[:, :1] * vecs, axis=1)
     bad = ~(err <= 1e-8 * frob)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -445,8 +447,8 @@ def _check_leading_pairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> N
         _check_unit(vecs, "leading eigenvector")
     except ValueError as exc:
         raise NumericFailure(str(exc)) from None
-    off = np.maximum(np.abs(np.sum(lam, axis=1) - np.trace(a, axis1=1, axis2=2)),
-                     np.abs(np.linalg.norm(lam, axis=1) - frob))
+    off = np.maximum(np.abs(np.sum(vals, axis=1) - np.trace(a, axis1=1, axis2=2)),
+                     np.abs(np.linalg.norm(vals, axis=1) - frob))
     bad = ~(off <= 1e-8 * frob)
     if np.any(bad):
         k = int(np.argmax(bad))

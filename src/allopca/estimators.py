@@ -390,9 +390,9 @@ def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.nd
 # call.  A fit counts its rows and one solved matrix per rule (`_fit_entries`),
 # so the default points each fit in one block: the 50 folds at n = 50, p = 10
 # and ten rules, up to 15 replications at table1's n = 500, 6 at table3b's
-# p = 100 and 21 at its p = 50.  A range holds at least one item, so a fit
-# above the budget holds one solved matrix per distinct weight in its solver
-# call: 9 of order p = 1000, 72 MB, for `estimate` on a p x p fit.
+# p = 100 and 21 at its p = 50.  A range holds at least one item, so a fit above
+# the budget holds one solved matrix per distinct weight in its solver call (9
+# of order 1000, 72 MB, for `estimate` at p = 1000), and 2.2 times that at peak.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -481,32 +481,35 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     blocks of the (n - 1) x (n - 1) Grams `gram` of the reduced rows `rows`,
     whose leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
     gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
-    `oracle` weights (k,).  Each distinct (fit, weight) pair is solved once,
-    and its leading pair and spectrum, all that is read, are checked in the
-    space solved in, all in one `_leading_pair_stack` call: the caller sizes
-    the stack (a `_blocks` range of whole fits).  `np.unique` sorts the pairs
-    by fit, and the wide fits lift with one batched matmul: each fit's W'
-    times the vectors D^1/2 u, each in its slot (the pair's index within its
-    fit) of a zero (n - 1) x rules matrix, so a fit's bytes depend on the fit
-    alone.  A pair's gap is lambda_1 - lambda_2 of the solved matrix, whose
-    trace and nonzero spectrum are those of S(w), and a tie a gap of at most
-    TIE_TOL times that trace.
+    `oracle` weights (k,).  Each distinct (fit, weight) pair (`_weight_pairs`)
+    is solved and checked (its leading pair and spectrum, all that is read) in
+    the space solved in, in one `_leading_pair_stack` call on one copy of the
+    pairs' matrices, blended (or scaled by D^1/2) and divided by their powers
+    of two in place; the caller sizes it (a `_blocks` range of whole fits).
+    Wide fits lift with one batched matmul: each fit's W' times the vectors
+    D^1/2 u, each in its slot (its index within its fit) of a zero (n - 1) x
+    rules matrix, so a fit's bytes depend on the fit alone.  A pair's gap is
+    lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero spectrum
+    are S(w)'s, and a tie a gap of at most TIE_TOL times that trace (scaled).
     """
     k, q = s_reg.shape[:2]
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
                         else plugin["w_hat"] if isinstance(rule, PluginRule) else oracle
                         for rule in rules])
-    fit_of = np.broadcast_to(np.arange(k), weights.shape)
-    pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
-                             axis=0, return_inverse=True)
-    pf, pw = pairs[:, 0].astype(int), pairs[:, 1, None, None]
-    if gram is None:
-        m = (1.0 - pw) * s_reg[pf] + pw * s_resid[pf]
+    pf, pw, which = _weight_pairs(weights)
+    if gram is None:  # (1 - w) s_reg + w s_resid, blended in place
+        m, w_resid = s_reg[pf], s_resid[pf]
+        m *= 1.0 - pw[:, None, None]
+        w_resid *= pw[:, None, None]
+        m += w_resid
+        del w_resid  # so the solver holds one copy of the stack
     else:
-        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[:, 0], pw[:, 0]))
+        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[:, None], pw[:, None]))
         m = gram[pf]  # scaled in place, with no temporary of its size
         m *= root[:, :, None]
         m *= root[:, None, :]
+    scale = _pow2_scale(_peaks(m))
+    m /= scale[:, None, None]  # exact
     vals, axes = _leading_pair_stack(m)
     _check_leading_pairs(m, vals, axes)
     if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
@@ -517,9 +520,19 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
         nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
         e_p = np.arange(v.shape[1])[:, None] == v.shape[1] - 1  # whose p x p axis is e_p
         axes = _fix_signs(np.where(nrm > 0.0, v, e_p) / np.where(nrm > 0.0, nrm, 1.0))[:, :, 0]
-    gaps = vals[:, 0] - vals[:, 1]
+    gaps = vals[:, 0] - vals[:, 1]  # both sides of the tie rule on the scaled matrix
     ties = gaps <= TIE_TOL * np.trace(m, axis1=1, axis2=2)
-    return (weights, *(part[which.reshape(weights.shape)] for part in (axes, gaps, ties)))
+    return (weights, *(part[which] for part in (axes, gaps * scale, ties)))
+
+
+def _weight_pairs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`np.unique` of the (fit, weight) rows of a (rules, k) weight table, from one stable
+    argsort per fit: each pair's fit and weight (pairs,), and the pair of each entry."""
+    order = np.argsort(weights.T, axis=1, kind="stable")
+    ranked = np.take_along_axis(weights.T, order, axis=1)
+    first = np.insert(ranked[:, 1:] != ranked[:, :-1], 0, True, axis=1)  # a new weight
+    pair = np.cumsum(first).reshape(first.shape) - 1
+    return np.nonzero(first)[0], ranked[first], np.take_along_axis(pair, order.argsort(1), 1).T
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:

@@ -136,8 +136,9 @@ class ModelSpec:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "master_seed", seed)
         sigma = (gamma * lam) @ gamma.T
+        # `gen_dataset` draws the noise as z @ root', with root = Gamma diag(lambdas)^1/2
         for name, arr in (("mu", mu), ("alpha", alpha), ("lambdas", lam), ("gamma_basis", gamma),
-                          ("_sigma", (sigma + sigma.T) / 2.0)):
+                          ("_sigma", (sigma + sigma.T) / 2.0), ("_root", gamma * np.sqrt(lam))):
             object.__setattr__(self, name, _readonly(arr))
 
     @property
@@ -182,8 +183,7 @@ def gen_dataset(spec: ModelSpec, replication: int = 0) -> Dataset:
     x -= x.mean(axis=0)
     rng_e = substream(spec.master_seed, replication, _STREAM_E)
     z = rng_e.standard_normal((n, p))
-    root = spec.gamma_basis * np.sqrt(spec.lambdas)
-    e = z @ root.T
+    e = z @ spec._root.T
     y = spec.mu + np.outer(x @ spec.alpha, spec.gamma1) + e
     return Dataset(y, x)
 

@@ -1088,6 +1088,27 @@ def test_help_shows_each_declared_default():
     assert shown == 6  # --reps, --format, --seed; --weights twice; --step
 
 
+def test_parser_takes_one_terminal_width_and_wraps_help_at_it(monkeypatch):
+    # argparse's default formatter would query the terminal for each argument;
+    # the parser queries once, and its help is the default formatter's at COLUMNS
+    queries = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: queries.append(a) or real(*a))
+    build_parser()
+    assert len(queries) == 1
+    longest = {}
+    for columns in (40, 80, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        parser = build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, each in (("allopca", parser), *subs.choices.items()):
+            text = each.format_help()
+            each.formatter_class = argparse.HelpFormatter
+            assert text == each.format_help(), (columns, name)
+            longest[columns, name] = max(map(len, text.splitlines()))
+    assert longest[80, "simulate"] <= 78 < longest[200, "simulate"]
+
+
 @pytest.mark.skipif(shutil.which("allopca") is None,
                     reason="allopca console script not installed")
 def test_console_script_runs():

@@ -25,7 +25,7 @@ from allopca import (
     sym_eig,
 )
 from allopca.cli import main
-from allopca.core import _check_leading_pairs, _leading_pair_stack
+from allopca.core import _check_leading_pairs, _leading_pair_stack, _peaks, _pow2_scale
 from allopca.estimators import _solve_axes
 
 
@@ -461,11 +461,19 @@ LEADING_CASES = {
 }
 
 
+def _scaled(m):
+    """A stack (k, s, s) with each matrix divided by `_pow2_scale` of its peak, as
+    `_solve_axes` hands it to the solver, and those scales (k,)."""
+    scale = _pow2_scale(_peaks(m))
+    return m / scale[:, None, None], scale
+
+
 def _leading(m):
-    """`_leading_pair_stack` of one matrix, checked: (values, vector)."""
-    vals, vecs = _leading_pair_stack(m[None])
-    _check_leading_pairs(m[None], vals, vecs)
-    return vals[0], vecs[0]
+    """`_leading_pair_stack` of one matrix, scaled and checked: (values, vector)."""
+    a, scale = _scaled(m[None])
+    vals, vecs = _leading_pair_stack(a)
+    _check_leading_pairs(a, vals, vecs)
+    return vals[0] * scale[0], vecs[0]
 
 
 @pytest.mark.parametrize("case", sorted(LEADING_CASES))
@@ -506,21 +514,24 @@ def _solver_stack():
     return np.concatenate([(random + np.swapaxes(random, 1, 2)) / 2.0, edge])
 
 
-def test_leading_pair_bit_identical_under_power_of_two_rescaling():
+def test_solved_pairs_bit_identical_under_power_of_two_rescaling():
+    # `_solve_axes` divides each solved matrix by its power of two before the
+    # solver and its check read it; w = 1 solves each matrix as it is given
     m = _solver_stack()
-    vals, vecs = _leading_pair_stack(m)
+    zero, rule = np.zeros_like(m), (FixedWeight(1.0),)
+    _, axes, gaps, ties = _solve_axes(rule, zero, m)
+    assert ties[0].tolist() == [False] * 5 + [True] * 4
     for exponent in (-900, 900):
-        scaled = np.ldexp(m, exponent)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got_vals, got_vecs = _leading_pair_stack(scaled)
-            _check_leading_pairs(scaled, got_vals, got_vecs)
-        assert got_vecs.tobytes() == vecs.tobytes()
-        assert got_vals.tobytes() == np.ldexp(vals, exponent).tobytes()
+            _, got_axes, got_gaps, got_ties = _solve_axes(rule, zero, np.ldexp(m, exponent))
+        assert got_axes.tobytes() == axes.tobytes()
+        assert got_gaps.tobytes() == np.ldexp(gaps, exponent).tobytes()
+        assert got_ties.tobytes() == ties.tobytes()
 
 
 def test_leading_pair_bit_identical_for_any_stack():
-    m = _solver_stack()
+    m = _scaled(_solver_stack())[0]
     vals, vecs = _leading_pair_stack(m)
     for order in (np.arange(len(m))[::-1], np.roll(np.arange(len(m)), 3)):
         got = _leading_pair_stack(m[order])
@@ -530,6 +541,18 @@ def test_leading_pair_bit_identical_for_any_stack():
         alone = _leading_pair_stack(m[i:i + 1])
         assert alone[0].tobytes() == vals[i:i + 1].tobytes()
         assert alone[1].tobytes() == vecs[i:i + 1].tobytes()
+
+
+def test_leading_pair_leaves_its_stack_as_it_was():
+    # the solves read sigma I - a, formed inside the stack and turned back into a
+    # (negation is exact, and the saved diagonal is written back), when some, all
+    # or none of the matrices take another solve; a -0.0 keeps its sign
+    a = _scaled(_solver_stack())[0]
+    signed_zero = np.where(np.eye(3) > 0.0, np.diag([1.5, 1.0, 0.5]), -0.0)
+    for stack in (np.concatenate([a, signed_zero[None]]), a[5:7], a[4:5]):
+        before = stack.tobytes()
+        _leading_pair_stack(stack)
+        assert stack.tobytes() == before
 
 
 def test_gamma1_hat_of_huge_data_warns_of_nothing():

@@ -7,6 +7,7 @@ direct substitution and small Monte Carlo unbiasedness checks.
 
 import inspect
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -38,10 +39,11 @@ from allopca import (
 )
 import allopca
 from allopca import core, estimators, harness
-from allopca.cli import main
+from allopca.cli import DEFAULT_WEIGHT_GRID, _fixed_rows, main
 from allopca.core import _gram, _scatter_stack
 from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _leading_axes,
-                                _plugin_weights)
+                                _plugin_weights, _weight_pairs)
+from allopca.harness import DEFAULT_ROWS
 
 
 def diag_ss(reg, resid, n=10, q=2):
@@ -115,6 +117,35 @@ def test_gamma1_hat_scaling_invariance_bit_identical():
     for s in (0.5, 4.0, 256.0):
         scaled = SumOfSquares(s * ss.s_reg, s * ss.s_resid, ss.n, ss.q)
         assert gamma1_hat(scaled, 0.35).vector.tobytes() == base.tobytes()
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13])
+def test_gaps_and_ties_survive_power_of_two_rescaling(gap):
+    # the tie rule compares the gap with TIE_TOL times the trace on one scale;
+    # near-ties at 2^e keep the bits of their gaps (times 2^e) and their flags,
+    # for a p x p fit (gamma1_hat) and for a wide fit (n - 1 = 3 < p = 40)
+    h = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+    y = np.zeros((1, 4, 40))  # two columns orthogonal to the design: S(w) = w s_resid
+    y[0, :, 0], y[0, :, 1] = h[:, 0], h[:, 1] * np.sqrt(1.0 - gap / 4.0)
+    rules = (FixedWeight(1.0), FixedWeight(0.5))
+
+    def solved(e):
+        ss = SumOfSquares(np.ldexp(np.diag([1.0, 1.0, 2.0]), e),
+                          np.ldexp(np.diag([3.0, 3.0 - gap, 1.0]), e), 10, 1)
+        ests = [gamma1_hat(ss, rule.w) for rule in rules]
+        wide = _leading_axes(rules, *_scatter_stack(np.ldexp(y, e // 2), h[None, :, 2:]))
+        return (np.array([est.leading_gap for est in ests]),
+                np.array([est.tie_flag for est in ests]), wide[2][:, 0], wide[3][:, 0])
+
+    base = solved(0)
+    assert base[1].all() and base[3].all()
+    for e in (40, -40, 300, -300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps, ties, wide_gaps, wide_ties = solved(e)
+        assert gaps.tobytes() == np.ldexp(base[0], e).tobytes()
+        assert wide_gaps.tobytes() == np.ldexp(base[2], e).tobytes()
+        assert ties.tolist() == base[1].tolist() and wide_ties.tolist() == base[3].tolist()
 
 
 def test_gamma1_hat_weight_validation():
@@ -663,6 +694,43 @@ def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block
     _assert_matches_refit(data, loo_refit)
 
 
+def test_weight_pairs_are_those_of_np_unique():
+    # DEFAULT_ROWS holds w = 0.5 twice; fit 1's plug-in weight fell back to 0
+    # beside the w = 0 row, fit 2's oracle weight equals the fixed 0.3, and fit 3's
+    # oracle weight equals its plug-in weight; then tables drawn from few values
+    fixed = [rule.w for _, rule in DEFAULT_ROWS if isinstance(rule, FixedWeight)]
+    plugin, oracle = [0.41, 0.0, 0.2, 0.66], [0.37, 0.52, 0.3, 0.66]
+    tables = [np.array([*([w] * 4 for w in fixed), plugin, oracle])]
+    rng = np.random.default_rng(25)
+    tables += [rng.choice([0.0, 0.25, 0.5, 1.0], size=(r, k)) for r, k in ((1, 1), (3, 7), (11, 5))]
+    for weights in tables:
+        fit_of = np.broadcast_to(np.arange(weights.shape[1]), weights.shape)
+        pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
+                                 axis=0, return_inverse=True)
+        pf, pw, got_which = _weight_pairs(weights)
+        assert pf.tolist() == pairs[:, 0].astype(int).tolist()
+        assert pw.tobytes() == pairs[:, 1].tobytes()
+        assert got_which.tolist() == which.reshape(weights.shape).tolist()
+
+
+def test_leading_axes_of_a_large_fit_holds_its_stack_about_twice():
+    # one p x p fit with `estimate`'s rules: the blend holds s_reg[pf] and
+    # s_resid[pf], and the solver and its check add no copy of the stack
+    rng = np.random.default_rng(26)
+    x = center_columns(rng.standard_normal((400, 3)))
+    y = center_columns(rng.standard_normal((400, 300)))
+    fit = _scatter_stack(y[None], x[None])
+    rules = [rule for _, rule in _fixed_rows(DEFAULT_WEIGHT_GRID)] + [PluginRule()]
+    tracemalloc.start()
+    try:
+        weights = _leading_axes(rules, *fit)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = len(set(weights[:, 0])) * 300 * 300 * 8
+    assert peak <= 2.5 * stack
+
+
 def test_loo_cv_scores_computes_plugin_weights_only_for_a_plugin_rule(monkeypatch):
     data = Dataset(*_rank_one_data(45, 11, 4, 2))
     rules = (FixedWeight(0.5), FixedWeight(1.0), OlsRule())
@@ -691,12 +759,15 @@ def test_block_size_and_weight_rules_are_defined_once():
 
 
 def test_blend_and_tie_rule_are_defined_once():
-    # one p x p blend (1 - w) s_reg + w s_resid and one tie comparison, in the shared
-    # solve; gamma1_hat neither blends nor calls sym_eig
+    # one p x p blend (1 - w) s_reg + w s_resid, formed in place, and one tie
+    # comparison, in the shared solve; gamma1_hat neither blends nor calls sym_eig
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
-    blends = [line for text in sources for line in text.splitlines()
-              if re.search(r"\* s_reg\b.*\+.*\* s_resid\b", line)]
-    assert len(blends) == 1
+    one_line = [line for text in sources for line in text.splitlines()
+                if re.search(r"\* s_reg\b.*\+.*\* s_resid\b", line)]
+    blends = [found.group(0) for text in sources for found in re.finditer(
+        r"(\w+), (\w+) = s_reg\[\w+\], s_resid\[\w+\]\n\s+\1 \*= 1\.0 - (.+)\n"
+        r"\s+\2 \*= \3\n\s+\1 \+= \2\n", text)]
+    assert not one_line and len(blends) == 1
     assert sum(text.count("<= TIE_TOL *") for text in sources) == 1
     solve = inspect.getsource(estimators._solve_axes)
     assert blends[0] in solve and "<= TIE_TOL *" in solve

@@ -125,6 +125,24 @@ def test_sigma_formed_once_and_read_only():
     assert spec.sigma() is sigma
 
 
+def test_noise_root_formed_once_and_read_only():
+    # `gen_dataset` reads the spec's root Gamma diag(lambdas)^1/2, and draws the
+    # bits it drew when it formed the root on every call
+    for spec in (small_spec(seed=8, n=12), STRONG_SPIKE.model_spec(100, 3)):
+        root = spec._root
+        assert not root.flags.writeable
+        assert root.tobytes() == (spec.gamma_basis * np.sqrt(spec.lambdas)).tobytes()
+        for r in (0, 5):
+            x = substream(spec.master_seed, r, 0).standard_normal((spec.n, spec.q))
+            x -= x.mean(axis=0)
+            z = substream(spec.master_seed, r, 1).standard_normal((spec.n, spec.p))
+            e = z @ (spec.gamma_basis * np.sqrt(spec.lambdas)).T
+            y = spec.mu + np.outer(x @ spec.alpha, spec.gamma1) + e
+            data = gen_dataset(spec, r)
+            assert data.x.tobytes() == x.tobytes() and data.y.tobytes() == y.tobytes()
+        assert spec._root is root
+
+
 # --------------------------------------------------------------------------
 # gen_dataset
 # --------------------------------------------------------------------------
