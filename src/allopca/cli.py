@@ -59,6 +59,7 @@ from .harness import (
     scenario_plan,
 )
 from .simgen import (
+    DESIGN_ALPHA,
     STRONG_SPIKE,
     WEAK_SPIKE,
     LargePLargeN,
@@ -145,7 +146,8 @@ def _load_config(path: str, command: str, actions) -> dict:
 
 
 def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
-    """Read a numeric CSV matrix, skipping a UTF-8 byte-order mark and one header row if present."""
+    """Read a numeric CSV matrix, skipping a UTF-8 byte-order mark and one header row if present:
+    a first row none of whose cells is a number, so that a typo in a data row is reported."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             raw_rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
@@ -157,11 +159,14 @@ def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
     def _parse(row):
         return [float(cell) for cell in row]
 
-    start = 0
-    try:
-        _parse(raw_rows[0])
-    except ValueError:
-        start = 1  # header row
+    def _is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    start = 0 if any(map(_is_number, raw_rows[0])) else 1  # skip a header row
     if start == len(raw_rows):
         raise CliError(f"`{flag}` file {path} has a header but no data rows")
     width = len(raw_rows[start])
@@ -328,11 +333,11 @@ def _derive_bound_params(args: argparse.Namespace) -> AbcdParams:
         sizes = getattr(args, kind.axis)
         if not sizes or len(sizes) != 1:
             raise CliError(f"scenario {args.scenario} needs a single `--{kind.axis}` value")
-        spec = kind.model_spec(sizes[0], args.seed if args.seed is not None else 0)
-        # expected signal energy for a centered standard-normal design
-        c = float(spec.alpha @ spec.alpha) * (spec.n - 1)
-        return AbcdParams.from_spectrum(spec.lambdas, c, spec.q, spec.n)
-    for name in ("p", "eta", "seed"):
+        n, lambdas = kind.spectrum(sizes[0])
+        # expected signal energy ||X alpha||^2 for a centered standard-normal design
+        c = sum(a * a for a in DESIGN_ALPHA) * (n - 1)
+        return AbcdParams.from_spectrum(lambdas, c, len(DESIGN_ALPHA), n)
+    for name in ("p", "eta"):
         if getattr(args, name) is not None:
             raise CliError(f"`--{name}` (config key `{name}`) needs `--scenario`")
     missing = [f"--{k}" for k in ("a", "b", "c", "d", "q") if getattr(args, k) is None]
@@ -433,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--scenario", help="derive parameters from a scenario")
     bnd.add_argument("--step", type=float, default=1e-4,
                      help="grid spacing (default %(default)s)")
-    bnd.add_argument("--seed", type=int, help="basis seed of a scenario (default 0)")
     _add_common(bnd, _cmd_bound)
 
     return parser

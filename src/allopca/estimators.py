@@ -391,8 +391,8 @@ def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.nd
 # so the default points each fit in one block: the 50 folds at n = 50, p = 10
 # and ten rules, up to 15 replications at table1's n = 500, 6 at table3b's
 # p = 100 and 21 at its p = 50.  A range holds at least one item, so a fit above
-# the budget holds one solved matrix per distinct weight in its solver call (9
-# of order 1000, 72 MB, for `estimate` at p = 1000), and 2.2 times that at peak.
+# the budget holds one solved matrix per distinct rule in its solver call (9 of
+# order 1000, 72 MB, for `estimate` at p = 1000), and 2.2 times that at peak.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -443,14 +443,14 @@ def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
       (n - 1) x (n - 1) matrix D^1/2 W W' D^1/2, D = diag(1 - w, ..., w, ...),
       whose leading eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the
       snapshot method, Sirovich 1987: S(w) = W' D W has the same nonzero
-      spectrum), with one batched matmul for all fits and weights.
+      spectrum), with one batched matmul for all fits and rules.
 
     `_check_fit_stack` checks every fit once, on the Grams of the solved
     space, and the plug-in weights come from those Grams (computed only for
     a `PluginRule`); `_solve_axes` does the rest, in one `_leading_pair_stack`
-    call for the stack, which the caller sizes as one `_blocks` range of whole
-    fits.  With no rules, the fits are only checked.  `where` follows the
-    matrix names in error messages.
+    call on the stack's fits by their distinct rules, which the caller sizes as
+    one `_blocks` range of whole fits.  With no rules, the fits are only
+    checked.  `where` follows the matrix names in error messages.
     Returns (weights, axes, gaps, ties, plug-in fields or None), the first
     four as `_solve_axes` returns them.
     """
@@ -481,14 +481,13 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     blocks of the (n - 1) x (n - 1) Grams `gram` of the reduced rows `rows`,
     whose leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
     gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
-    `oracle` weights (k,).  Each distinct (fit, weight) pair (`_weight_pairs`)
-    is solved and checked (its leading pair and spectrum, all that is read) in
-    the space solved in, in one `_leading_pair_stack` call on one copy of the
-    pairs' matrices, blended (or scaled by D^1/2) and divided by their powers
-    of two in place; the caller sizes it (a `_blocks` range of whole fits).
-    Wide fits lift with one batched matmul: each fit's W' times the vectors
-    D^1/2 u, each in its slot (its index within its fit) of a zero (n - 1) x
-    rules matrix, so a fit's bytes depend on the fit alone.  A pair's gap is
+    `oracle` weights (k,).  The k fits by their r distinct rules (equal rules
+    are solved once) are solved and checked (leading pair and spectrum, all
+    that is read) in the space solved in, in one `_leading_pair_stack` call on
+    one stack of k r matrices, blended (or scaled by D^1/2) and divided by
+    their powers of two in place; the caller sizes it (a `_blocks` range of
+    whole fits).  Wide fits lift with one batched matmul, each fit's W' times
+    its r vectors D^1/2 u, so a fit's bytes depend on the fit alone.  A gap is
     lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero spectrum
     are S(w)'s, and a tie a gap of at most TIE_TOL times that trace (scaled).
     """
@@ -496,43 +495,34 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
                         else plugin["w_hat"] if isinstance(rule, PluginRule) else oracle
                         for rule in rules])
-    pf, pw, which = _weight_pairs(weights)
-    if gram is None:  # (1 - w) s_reg + w s_resid, blended in place
-        m, w_resid = s_reg[pf], s_resid[pf]
-        m *= 1.0 - pw[:, None, None]
-        w_resid *= pw[:, None, None]
-        m += w_resid
-        del w_resid  # so the solver holds one copy of the stack
+    distinct = list(dict.fromkeys(rules))
+    cols = [distinct.index(rule) for rule in rules]
+    # C-ordered (k, r, 1, 1), so that the stacks below come out C-ordered, with no copy
+    w = np.stack([weights[rules.index(rule)] for rule in distinct], axis=1)[:, :, None, None]
+    if gram is None:  # (1 - w) s_reg + w s_resid, summed in place
+        m = s_reg[:, None] * (1.0 - w)
+        m += s_resid[:, None] * w
     else:
-        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - pw[:, None], pw[:, None]))
-        m = gram[pf]  # scaled in place, with no temporary of its size
-        m *= root[:, :, None]
-        m *= root[:, None, :]
+        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - w[..., 0], w[..., 0]))
+        m = gram[:, None] * root[..., None]  # (k, r, s, s), scaled with no further temporary
+        m *= root[..., None, :]
+    m = m.reshape(-1, *m.shape[2:])
     scale = _pow2_scale(_peaks(m))
     m /= scale[:, None, None]  # exact
     vals, axes = _leading_pair_stack(m)
     _check_leading_pairs(m, vals, axes)
     if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
-        slot = np.arange(pf.size) - np.searchsorted(pf, pf)
-        u = np.zeros((k, len(rules), gram.shape[1]))
-        u[pf, slot] = root * axes
-        v = (np.swapaxes(rows, 1, 2) @ np.swapaxes(u, 1, 2))[pf, :, slot][:, :, None]
+        u = root * axes.reshape(root.shape)
+        v = np.swapaxes(rows, 1, 2) @ np.swapaxes(u, 1, 2)  # (k, p, r)
+        # contiguous, so that the norm sums each axis in one order whatever k is
+        v = np.ascontiguousarray(np.swapaxes(v, 1, 2)).reshape(-1, v.shape[1], 1)
         nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
         e_p = np.arange(v.shape[1])[:, None] == v.shape[1] - 1  # whose p x p axis is e_p
         axes = _fix_signs(np.where(nrm > 0.0, v, e_p) / np.where(nrm > 0.0, nrm, 1.0))[:, :, 0]
     gaps = vals[:, 0] - vals[:, 1]  # both sides of the tie rule on the scaled matrix
     ties = gaps <= TIE_TOL * np.trace(m, axis1=1, axis2=2)
-    return (weights, *(part[which] for part in (axes, gaps * scale, ties)))
-
-
-def _weight_pairs(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`np.unique` of the (fit, weight) rows of a (rules, k) weight table, from one stable
-    argsort per fit: each pair's fit and weight (pairs,), and the pair of each entry."""
-    order = np.argsort(weights.T, axis=1, kind="stable")
-    ranked = np.take_along_axis(weights.T, order, axis=1)
-    first = np.insert(ranked[:, 1:] != ranked[:, :-1], 0, True, axis=1)  # a new weight
-    pair = np.cumsum(first).reshape(first.shape) - 1
-    return np.nonzero(first)[0], ranked[first], np.take_along_axis(pair, order.argsort(1), 1).T
+    return (weights, *(np.swapaxes(part.reshape(k, len(distinct), *part.shape[1:]), 0, 1)[cols]
+                       for part in (axes, gaps * scale, ties)))
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
@@ -557,7 +547,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
 
     The fold fits are shared by all rules.  Per block of folds, the
     plug-in weights come from the fit check's one batched `eigvalsh` and
-    the axes of all distinct (weight, fold) pairs from one batched
+    the axes of each fold's distinct rules from one batched
     leading-pair solve, in sample space when the folds, of n - 1
     observations, are wide (n - 2 < p).  The full design is checked once
     for conditioning, and each fold gets the checks of what it reads: design

@@ -20,8 +20,9 @@ family of the paper: `Traditional` (fixed dimension, table 1),
 `WeakIdentifiability(eta)` (shrinking eigengap, table 2) and
 `LargePLargeN(delta, beta, beta2)` (growing dimension with a spiked
 spectrum; `WEAK_SPIKE` and `STRONG_SPIKE` are tables 3a and 3b).  Each
-kind names the size it grows along (`axis`, "n" or "p") and builds the
-model at one size with `model_spec(size, seed)`.
+kind names the size it grows along (`axis`, "n" or "p"), gives the
+spectrum at one size, (n, lambdas), with `spectrum(size)`, and builds the
+model on it with `model_spec(size, seed)`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .core import (
 _STREAM_X = 0
 _STREAM_E = 1
 _STREAM_GAMMA = 2
+
+# The design coefficients of every regime kind's model: q = 5 columns, each 1.
+DESIGN_ALPHA = (1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -193,42 +197,44 @@ def gen_dataset(spec: ModelSpec, replication: int = 0) -> Dataset:
 # --------------------------------------------------------------------------
 
 
-def _spiked_model(p: int, n: int, lambda1: float, lambda2: float, seed: int) -> ModelSpec:
-    """The model recipe shared by every regime kind.
+def _spiked_spectrum(p: int, n: int, lambda1: float, lambda2: float) -> tuple[int, np.ndarray]:
+    """The spectrum shared by every regime kind: (n, lambdas), with lambdas =
+    (lambda1, lambda2, 1, ..., 1) of length p.
 
-    q = 5, lambdas = (lambda1, lambda2, 1, ..., 1), mu = 0, alpha = 1 and
-    the basis `random_gamma(p, seed)`.  Requires n > 2 + q, so that the
+    Requires n > 2 + q, q = 5 design columns (`DESIGN_ALPHA`), so that the
     plug-in weight is defined, and lambda1 > lambda2 >= 1, so that the
     signal axis is identified (for every regime kind: 1 + n^(-eta) rounds
     to 1 at large n).
     """
-    q = 5
-    _check_plugin_dof(n, q, f"model with p = {p}: ")
+    _check_plugin_dof(n, len(DESIGN_ALPHA), f"model with p = {p}: ")
     if not lambda1 > lambda2 >= 1.0:
         raise ValueError(f"model with p = {p}, n = {n} has lambda_1 = {lambda1}, "
                          f"lambda_2 = {lambda2}; need lambda_1 > lambda_2 >= 1")
-    lam = np.ones(p)
-    lam[0] = lambda1
-    lam[1] = lambda2
-    return ModelSpec(
-        n=n, mu=np.zeros(p), alpha=np.ones(q),
-        lambdas=lam, gamma_basis=random_gamma(p, seed),
-        master_seed=int(seed),
-    )
+    return n, np.concatenate(([lambda1, lambda2], np.ones(p - 2)))
+
+
+class _RegimeKind:
+    """The model recipe shared by every regime kind, built on its `spectrum`."""
+
+    def model_spec(self, size: int, seed: int) -> ModelSpec:
+        """`spectrum(size)` with mu = 0, `DESIGN_ALPHA` and the basis `random_gamma(p, seed)`."""
+        n, lam = self.spectrum(size)
+        return ModelSpec(n=n, mu=np.zeros(lam.size), alpha=np.array(DESIGN_ALPHA), lambdas=lam,
+                         gamma_basis=random_gamma(lam.size, seed), master_seed=int(seed))
 
 
 @dataclass(frozen=True)
-class Traditional:
+class Traditional(_RegimeKind):
     """Fixed model (table 1): p = 10, lambdas = (2, 1, ..., 1); n grows."""
 
     axis = "n"
 
-    def model_spec(self, n: int, seed: int) -> ModelSpec:
-        return _spiked_model(10, int(n), 2.0, 1.0, seed)
+    def spectrum(self, n: int) -> tuple[int, np.ndarray]:
+        return _spiked_spectrum(10, int(n), 2.0, 1.0)
 
 
 @dataclass(frozen=True)
-class WeakIdentifiability:
+class WeakIdentifiability(_RegimeKind):
     """Eigengap shrinks with n (table 2): p = 10, lambda_1 = 1 + n^(-eta)."""
 
     eta: float
@@ -239,12 +245,12 @@ class WeakIdentifiability:
             raise ValueError(f"`eta` must be > 0, got {self.eta}")
         object.__setattr__(self, "eta", float(self.eta))
 
-    def model_spec(self, n: int, seed: int) -> ModelSpec:
-        return _spiked_model(10, int(n), 1.0 + float(n) ** (-self.eta), 1.0, seed)
+    def spectrum(self, n: int) -> tuple[int, np.ndarray]:
+        return _spiked_spectrum(10, int(n), 1.0 + float(n) ** (-self.eta), 1.0)
 
 
 @dataclass(frozen=True)
-class LargePLargeN:
+class LargePLargeN(_RegimeKind):
     """Dimension grows with n = floor(p^delta); spikes are powers of p.
 
     lambda_1 = p^beta (or 1 + p^beta when beta <= 0, keeping the spectrum
@@ -272,7 +278,7 @@ class LargePLargeN:
         for name in ("delta", "beta", "beta2"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    def model_spec(self, p: int, seed: int) -> ModelSpec:
+    def spectrum(self, p: int) -> tuple[int, np.ndarray]:
         p = int(p)
         _check_dimension(p)
         lam1 = float(p) ** self.beta if self.beta > 0 else 1.0 + float(p) ** self.beta
@@ -281,7 +287,7 @@ class LargePLargeN:
             n = math.floor(float(p) ** self.delta)
         except OverflowError:
             raise ValueError(f"n = p^delta overflows at p = {p}, delta = {self.delta}") from None
-        return _spiked_model(p, n, lam1, lam2, seed)
+        return _spiked_spectrum(p, n, lam1, lam2)
 
 
 # The growing-dimension cases of tables 3a and 3b: n = floor(p^0.8) with a

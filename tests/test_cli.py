@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import allopca
-from allopca import LargePLargeN, Traditional, WeakIdentifiability, cli
-from allopca.cli import _read_matrix_csv, build_parser, main
+from allopca import AbcdParams, cli, simgen
+from allopca.cli import CliError, _read_matrix_csv, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -215,20 +215,26 @@ def test_simulate_refuses_off_axis_size(capsys, argv, axis, off_axis):
     ["--scenario", "table3b", "--p", "30"],
 ])
 def test_simulate_and_bound_build_the_same_model(argv, capsys, monkeypatch):
-    built = []
-    for kind in (Traditional, WeakIdentifiability, LargePLargeN):
-        def recording(self, size, seed, _model_spec=kind.model_spec):
-            spec = _model_spec(self, size, seed)
-            built.append(spec)
-            return spec
-        monkeypatch.setattr(kind, "model_spec", recording)
+    # bound reads the spectrum of the model that simulate builds, and draws no basis
+    specs, params = [], []
+
+    def recording(self, size, seed, _model_spec=simgen._RegimeKind.model_spec):
+        specs.append(_model_spec(self, size, seed))
+        return specs[-1]
+
+    monkeypatch.setattr(simgen._RegimeKind, "model_spec", recording)
+    monkeypatch.setattr(cli, "w_star", lambda p, _w=cli.w_star: params.append(p) or _w(p))
     assert main(["simulate", *argv, "--seed", "4", "--reps", "1", "--workers", "1"]) == 0
-    assert main(["bound", *argv, "--seed", "4"]) == 0
+
+    def refuse(*args):
+        raise AssertionError("random_gamma called")
+
+    monkeypatch.setattr(simgen, "random_gamma", refuse)
+    assert main(["bound", *argv]) == 0
     capsys.readouterr()
-    sim, bnd = built
-    assert (sim.p, sim.q, sim.n, sim.master_seed) == (bnd.p, bnd.q, bnd.n, bnd.master_seed)
-    assert sim.lambdas.tobytes() == bnd.lambdas.tobytes()
-    assert sim.gamma_basis.tobytes() == bnd.gamma_basis.tobytes()
+    (spec,), (got,) = specs, params
+    c = float(spec.alpha @ spec.alpha) * (spec.n - 1)
+    assert got == AbcdParams.from_spectrum(spec.lambdas, c, spec.q, spec.n)
 
 
 def test_simulate_markdown(capsys):
@@ -799,7 +805,7 @@ def test_config_off_axis_size_is_refused(tmp_path, capsys, command, scenario, ax
     (["bound", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--q", "1", "--n", "12",
       "--eta", "3"], "eta"),
     (["bound", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--q", "1", "--n", "12",
-      "--seed", "3"], "seed"),
+      "--p", "30"], "p"),
 ])
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_unread_scenario_option_is_refused(tmp_path, capsys, argv, option, source):
@@ -937,10 +943,28 @@ def test_matrix_round_trip_full_precision(tmp_path):
 
 
 def test_matrix_header_autodetect(tmp_path):
+    # the first row is a header only if none of its cells is a number
     path = tmp_path / "m.csv"
-    path.write_text("height,width\n1.5,2.5\n3.5,4.5\n")
-    mat = _read_matrix_csv(str(path), "--y")
-    assert np.array_equal(mat, [[1.5, 2.5], [3.5, 4.5]])
+    data = b"1.5,2.5\n3.5,4.5\n"
+    for head, rows in ((b"height,width\n", 2), (b"\xef\xbb\xbfheight,width\n", 2),
+                       (b"\xef\xbb\xbf1.0,2.0\n", 3), (b"1.0,2.0\n", 3)):
+        path.write_bytes(head + data)
+        mat = _read_matrix_csv(str(path), "--y")
+        assert mat.tolist() == [[1.0, 2.0], [1.5, 2.5], [3.5, 4.5]][3 - rows:]
+
+
+def test_typo_in_the_first_row_is_reported_not_skipped(tmp_path, capsys):
+    # `2.o` leaves the row's other cell a number, so the row is data, not a header
+    path = tmp_path / "y.csv"
+    path.write_text("1.0,2.o\n3.0,4.0\n5.0,6.5\n")
+    want = f"`--y` file {path}: row 1: could not convert string to float: '2.o'"
+    with pytest.raises(CliError) as exc:
+        _read_matrix_csv(str(path), "--y")
+    assert str(exc.value) == want
+    xpath = tmp_path / "x.csv"
+    xpath.write_text("0.1\n-0.2\n0.1\n")
+    assert run_cli(["estimate", "--y", str(path), "--x", str(xpath)], capsys) == (
+        2, "", f"error: {want}\n")
 
 
 @pytest.mark.parametrize("command", ["estimate", "cv"])

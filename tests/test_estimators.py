@@ -42,7 +42,7 @@ from allopca import core, estimators, harness
 from allopca.cli import DEFAULT_WEIGHT_GRID, _fixed_rows, main
 from allopca.core import _gram, _scatter_stack
 from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _leading_axes,
-                                _plugin_weights, _weight_pairs)
+                                _plugin_weights)
 from allopca.harness import DEFAULT_ROWS
 
 
@@ -694,41 +694,66 @@ def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block
     _assert_matches_refit(data, loo_refit)
 
 
-def test_weight_pairs_are_those_of_np_unique():
-    # DEFAULT_ROWS holds w = 0.5 twice; fit 1's plug-in weight fell back to 0
-    # beside the w = 0 row, fit 2's oracle weight equals the fixed 0.3, and fit 3's
-    # oracle weight equals its plug-in weight; then tables drawn from few values
-    fixed = [rule.w for _, rule in DEFAULT_ROWS if isinstance(rule, FixedWeight)]
-    plugin, oracle = [0.41, 0.0, 0.2, 0.66], [0.37, 0.52, 0.3, 0.66]
-    tables = [np.array([*([w] * 4 for w in fixed), plugin, oracle])]
-    rng = np.random.default_rng(25)
-    tables += [rng.choice([0.0, 0.25, 0.5, 1.0], size=(r, k)) for r, k in ((1, 1), (3, 7), (11, 5))]
-    for weights in tables:
-        fit_of = np.broadcast_to(np.arange(weights.shape[1]), weights.shape)
-        pairs, which = np.unique(np.stack([fit_of.ravel(), weights.ravel()], axis=1),
-                                 axis=0, return_inverse=True)
-        pf, pw, got_which = _weight_pairs(weights)
-        assert pf.tolist() == pairs[:, 0].astype(int).tolist()
-        assert pw.tobytes() == pairs[:, 1].tobytes()
-        assert got_which.tolist() == which.reshape(weights.shape).tolist()
+def _null_fits(k, n, p, q, seed):
+    """k built fits of n centered rows with no signal: p x p when n - 1 >= p, else wide."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, n, q))
+    y = rng.standard_normal((k, n, p))
+    return _scatter_stack(y - y.mean(axis=1, keepdims=True), x - x.mean(axis=1, keepdims=True))
+
+
+# five distinct rules, two of them repeated; the oracle weights of GRID_ORACLE
+# equal a fixed weight in some fits
+GRID_RULES = (FixedWeight(0.5), PluginRule(), FixedWeight(1.0), allopca.OracleWeight(),
+              FixedWeight(0.5), FixedWeight(0.0), PluginRule())
+GRID_ORACLE = np.array([0.5, 0.0, 0.3, 0.5, 1.0, 0.25])
+
+
+@pytest.mark.parametrize("n, p", [(20, 10), (12, 30)])
+def test_leading_axes_gives_each_rule_its_bytes_in_any_order(n, p):
+    # a rule's weight, axis, gap and tie flag do not depend on the order of the
+    # rules or on a repeat of one of them
+    fits = _null_fits(GRID_ORACLE.size, n, p, 5, 28)
+    rules = list(GRID_RULES)
+    base = _leading_axes(rules, *fits, GRID_ORACLE)[:4]
+    for order in (rules[::-1], [*rules, rules[1]]):
+        got = _leading_axes(order, *fits, GRID_ORACLE)[:4]
+        for part, want in zip(got, base):
+            assert part.tobytes() == want[[rules.index(rule) for rule in order]].tobytes()
+    for part in base:  # the repeated rules' rows
+        assert part[0].tobytes() == part[4].tobytes() and part[1].tobytes() == part[6].tobytes()
+
+
+@pytest.mark.parametrize("n, p", [(20, 10), (12, 30)])
+def test_plugin_fallback_to_zero_gives_the_w0_rows_bytes(n, p):
+    # a plug-in weight that falls back to 0 is solved beside FixedWeight(0.0),
+    # on a matrix of the same bytes, so the two rows agree bit for bit
+    fits = _null_fits(20, n, p, 5, 26)
+    weights, *parts = _leading_axes((FixedWeight(0.0), PluginRule()), *fits)[:4]
+    fell = weights[1] == 0.0
+    assert 0 < fell.sum() < fell.size
+    for part in parts:
+        assert part[1, fell].tobytes() == part[0, fell].tobytes()
 
 
 def test_leading_axes_of_a_large_fit_holds_its_stack_about_twice():
-    # one p x p fit with `estimate`'s rules: the blend holds s_reg[pf] and
-    # s_resid[pf], and the solver and its check add no copy of the stack
+    # one p x p fit with `estimate`'s rules: the blend holds its two terms, one
+    # matrix per distinct rule each, and the solver and its check add no copy;
+    # nor does a wide stack of two fits, whose grid is scaled with no reordering copy
     rng = np.random.default_rng(26)
-    x = center_columns(rng.standard_normal((400, 3)))
-    y = center_columns(rng.standard_normal((400, 300)))
-    fit = _scatter_stack(y[None], x[None])
     rules = [rule for _, rule in _fixed_rows(DEFAULT_WEIGHT_GRID)] + [PluginRule()]
-    tracemalloc.start()
-    try:
-        weights = _leading_axes(rules, *fit)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    stack = len(set(weights[:, 0])) * 300 * 300 * 8
-    assert peak <= 2.5 * stack
+    for k, n, p in ((1, 400, 300), (2, 200, 1000)):
+        x = np.stack([center_columns(rng.standard_normal((n, 3))) for _ in range(k)])
+        y = np.stack([center_columns(rng.standard_normal((n, p))) for _ in range(k)])
+        fit = _scatter_stack(y, x)
+        tracemalloc.start()
+        try:
+            _leading_axes(rules, *fit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = k * len(set(rules)) * min(p, n - 1) ** 2 * 8
+        assert peak <= 2.5 * stack, (k, n, p, peak / stack)
 
 
 def test_loo_cv_scores_computes_plugin_weights_only_for_a_plugin_rule(monkeypatch):
@@ -759,14 +784,14 @@ def test_block_size_and_weight_rules_are_defined_once():
 
 
 def test_blend_and_tie_rule_are_defined_once():
-    # one p x p blend (1 - w) s_reg + w s_resid, formed in place, and one tie
+    # one p x p blend (1 - w) s_reg + w s_resid, summed in place, and one tie
     # comparison, in the shared solve; gamma1_hat neither blends nor calls sym_eig
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     one_line = [line for text in sources for line in text.splitlines()
                 if re.search(r"\* s_reg\b.*\+.*\* s_resid\b", line)]
     blends = [found.group(0) for text in sources for found in re.finditer(
-        r"(\w+), (\w+) = s_reg\[\w+\], s_resid\[\w+\]\n\s+\1 \*= 1\.0 - (.+)\n"
-        r"\s+\2 \*= \3\n\s+\1 \+= \2\n", text)]
+        r"(\w+) = s_reg\[.+?\] \* \(1\.0 - (\w+)\)\n\s+\1 \+= s_resid\[.+?\] \* \2\n",
+        text)]
     assert not one_line and len(blends) == 1
     assert sum(text.count("<= TIE_TOL *") for text in sources) == 1
     solve = inspect.getsource(estimators._solve_axes)

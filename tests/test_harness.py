@@ -297,9 +297,9 @@ def test_replication_block_split_invariance(case, eig_sizes):
 
 @pytest.mark.parametrize("case", ["table1", "table3b", "no-signal-p40"])
 def test_solver_calls_hold_the_distinct_pairs_of_whole_fits(case, monkeypatch, force_blocks):
-    # DEFAULT_ROWS has w = 0.5 twice, and at the no-signal point the plug-in
-    # fallback w_hat = 0 repeats regression(w=0): fits with fewer distinct
-    # weights than rules, whose unused lift slots must not show
+    # each call solves its fits by the distinct rules: DEFAULT_ROWS' two w = 0.5
+    # rows once per fit, and at the no-signal point a plug-in fallback w_hat = 0
+    # apart from regression(w=0)
     spec = ORACLE_SPECS[case]()
     rows = tuple(est for _, est in DEFAULT_ROWS)
     whole = _replicate_block(spec, rows, np.arange(7))
@@ -312,19 +312,21 @@ def test_solver_calls_hold_the_distinct_pairs_of_whole_fits(case, monkeypatch, f
 
     monkeypatch.setattr(estimators, "_leading_pair_stack", recording)
     mse, wts = _replicate_block(spec, rows, np.arange(7))
-    distinct = [len(set(row)) for row in wts]
-    assert blocks == [3, 3, 1] and max(distinct) < len(rows)
-    assert calls == [sum(distinct[:3]), sum(distinct[3:6]), distinct[6]]
+    r = len(set(rows))
+    assert blocks == [3, 3, 1] and r < len(rows)
+    assert calls == [3 * r, 3 * r, r]
     if case == "no-signal-p40":
-        assert min(distinct) < max(distinct)  # some fit's plug-in weight fell back to 0
+        fell = wts[:, rows.index(PluginRule())] == 0.0
+        assert 0 < fell.sum() < fell.size
     assert mse.tobytes() == whole[0].tobytes() and wts.tobytes() == whole[1].tobytes()
 
 
 @pytest.mark.parametrize("case", ["table1", "table3b-p100"])
 def test_one_solver_call_per_leading_axes_call_whatever_the_budget(case, monkeypatch):
     # the callers size the blocks; `_solve_axes` takes its stack whole, even
-    # under a budget below one solved matrix.  The oracle weights repeat a
-    # fixed weight in two fits and lie off the grid in the others.
+    # under a budget below one solved matrix: the 5 fits by the distinct rules.
+    # The oracle weights repeat a fixed weight in two fits, whose bytes they
+    # give, and lie off the grid in the others.
     spec = ORACLE_SPECS[case]()
     rules = [est for _, est in DEFAULT_ROWS]
     draws = [gen_dataset(spec, r) for r in range(5)]
@@ -342,8 +344,12 @@ def test_one_solver_call_per_leading_axes_call_whatever_the_budget(case, monkeyp
 
     monkeypatch.setattr(estimators, "_leading_pair_stack", recording)
     weights, *got = estimators._leading_axes(rules, *fits, oracle)[:4]
-    assert calls == [sum(len(set(weights[:, i])) for i in range(5))]
-    assert calls[0] < 5 * len(rules)  # w = 0.5 twice, and the oracle's 0.3 and 0.0
+    assert calls == [5 * len(set(rules))] and len(set(rules)) < len(rules)  # w = 0.5 twice
+    oracle_row = rules.index(OracleWeight())
+    for i, w in ((0, 0.3), (2, 0.0)):
+        fixed = rules.index(FixedWeight(w))
+        for part in (weights, *got):
+            assert part[oracle_row, i].tobytes() == part[fixed, i].tobytes()
     for i, one in enumerate(alone):
         for part, part_alone in zip((weights, *got), one):
             assert part[:, i].tobytes() == part_alone[:, 0].tobytes()

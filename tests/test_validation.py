@@ -234,7 +234,7 @@ CLI_CASES = [
     ("dimension", ["cv", lambda: _data(p=1)]),
     ("dimension", ["simulate", "--scenario", "table3a", "--p", "1", "--reps", "1"]),
     ("index", ["simulate", "--scenario", "table1", "--n", "20", "--seed", "-1", "--reps", "1"]),
-    ("index", ["bound", "--scenario", "table1", "--n", "20", "--seed", "-1"]),
+    ("dimension", ["bound", "--scenario", "table3a", "--p", "1"]),
     ("conditioning", ["estimate", _collinear]),
     ("conditioning", ["cv", _collinear]),
     ("eigengap", ["simulate", "--scenario", "table2", "--eta", "6", "--reps", "1"]),
