@@ -299,7 +299,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     _check_plugin_dof(data.n, data.q)
     labels, rules = zip(*_fixed_rows(args.weights), ("plugin", PluginRule()))
     _, vectors, _, _, plugin = _leading_axes(rules, *fit)
-    vectors = vectors[:, 0]
+    vectors = vectors[0]
     lam1, lam2, tr_sig = (float(plugin[name][0])
                           for name in ("lambda1_hat", "lambda2_hat", "tr_sigma_hat"))
     # with no residual scatter (tr Sigma_hat = 0) the ratios are undefined, like w_hat_raw

@@ -36,8 +36,8 @@ fact is checked where it is first computed, and not again downstream.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
-int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_draw_size` (one
-drawn replication holds at most MAX_DRAW_ENTRIES floats), `_check_dimension` (p >= 2),
+int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_draw_size` (an
+array drawn or filled holds at most MAX_DRAW_ENTRIES floats), `_check_dimension` (p >= 2),
 `_check_index` (seeds and indices >= 0), `_check_unit`,
 `_check_orthonormal`, `_check_finite`, `_check_symmetric` (a square, finite,
 symmetric matrix a user gives), `_check_psd` (semidefiniteness of any
@@ -65,7 +65,7 @@ PSD_TOL = 1e-8          # min eigenvalue >= -PSD_TOL * trace
 ADDITIVITY_TOL = 1e-9   # max|[1/sqrt(n), Q]'resid|, relative to max|Yc|
 COND_LIMIT = 1e12       # condition-number cap for X'X
 UNIT_TOL = 1e-8         # |norm - 1| allowed in a unit vector, and max|V'V - I|
-MAX_DRAW_ENTRIES = 1 << 28  # floats in one replication's draw, n * (p + q): 2 GiB
+MAX_DRAW_ENTRIES = 1 << 28  # floats in one array drawn or filled: 2 GiB
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -110,12 +110,11 @@ def _check_plugin_dof(n, q, where: str = "") -> None:
             f"{where}the plug-in weight needs n > q + 2; got n = {n}, q = {q}")
 
 
-def _check_draw_size(n, p, q, where: str = "") -> None:
-    """Raise unless one draw of n rows, p responses and q design columns holds
-    at most MAX_DRAW_ENTRIES floats; `where` prefixes the message."""
-    if n * (p + q) > MAX_DRAW_ENTRIES:
-        raise ValueError(f"{where}one replication draws n * (p + q) = {n * (p + q)} floats, "
-                         f"more than {MAX_DRAW_ENTRIES}; got n = {n}, p = {p}, q = {q}")
+def _check_draw_size(entries: int, what: str, got: str = "") -> None:
+    """Raise, before it is allocated, unless `what`, an array drawn or filled,
+    holds at most MAX_DRAW_ENTRIES floats, `entries`; `got` ends the message."""
+    if entries > MAX_DRAW_ENTRIES:
+        raise ValueError(f"{what} = {entries} floats, more than {MAX_DRAW_ENTRIES}{got}")
 
 
 def _check_dimension(p) -> None:

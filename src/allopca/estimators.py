@@ -20,15 +20,14 @@ and each of those summaries has a natural plug-in estimate from the data,
 leading to a fully data-driven weight.
 
 Every command solves through `_leading_axes`, which takes stacked fits as
-the row factors of `core._scatter_stack`, checks them once and resolves
-each weight rule's weight and axis in one batched leading-pair solve per
-block of whole fits (`core._leading_pair_stack`: every eigenvalue from
-`eigvalsh`, the leading vector by inverse iteration).  A fit of n
-observations is solved p x p when n - 1 >= p, and otherwise on its n - 1
-reduced rows [reg; Qc'resid], with Qc an orthonormal basis of the
-complement of the constant and the design span, from one complete QR per
-fit.  A leave-one-out fold (`loo_cv_scores`) is an ordinary fit: the n - 1
-rows that it keeps, centered on their own means.
+the row factors of `core._scatter_stack`, checks them once and turns the
+weight rules into one weight table (fits by distinct rules) for
+`_solve_axes`: one batched leading-pair solve per block of whole fits
+(`core._leading_pair_stack`).  A fit of n observations is solved p x p when
+n - 1 >= p, and otherwise on its n - 1 reduced rows [reg; Qc'resid] (Qc an
+orthonormal basis of the complement of the constant and the design span),
+each (fit, rule) axis lifted alone.  A leave-one-out fold (`loo_cv_scores`)
+is an ordinary fit: the n - 1 rows that it keeps, centered on their means.
 """
 
 from __future__ import annotations
@@ -162,8 +161,8 @@ class Gamma1Estimate:
 def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
     """Leading eigenvector of the blended scatter S(w).
 
-    One fit and one `FixedWeight(w)` through `_solve_axes`, the commands'
-    solver, which gives the gap and the tie flag.
+    One fit and the weight of `FixedWeight(w)`, a 1 x 1 weight table, through
+    `_solve_axes`, the commands' solver, which gives the gap and the tie flag.
 
     Parameters
     ----------
@@ -180,9 +179,9 @@ def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
         positive rescaling.
     """
     _check_dimension(ss.p)
-    rule = FixedWeight(w)
-    _, axes, gaps, ties = _solve_axes((rule,), ss.s_reg[None], ss.s_resid[None])
-    return Gamma1Estimate(_readonly(axes[0, 0]), rule.w, float(gaps[0, 0]), bool(ties[0, 0]))
+    w = FixedWeight(w).w
+    axes, gaps, ties = _solve_axes(np.full((1, 1), w), ss.s_reg[None], ss.s_resid[None])
+    return Gamma1Estimate(_readonly(axes[0, 0]), w, float(gaps[0, 0]), bool(ties[0, 0]))
 
 
 def mse_up_to_sign(g_hat: np.ndarray, g_true: np.ndarray) -> float | np.ndarray:
@@ -443,16 +442,18 @@ def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
       (n - 1) x (n - 1) matrix D^1/2 W W' D^1/2, D = diag(1 - w, ..., w, ...),
       whose leading eigenvector u lifts to the axis W' D^1/2 u / ||.|| (the
       snapshot method, Sirovich 1987: S(w) = W' D W has the same nonzero
-      spectrum), with one batched matmul for all fits and rules.
+      spectrum).
 
     `_check_fit_stack` checks every fit once, on the Grams of the solved
     space, and the plug-in weights come from those Grams (computed only for
-    a `PluginRule`); `_solve_axes` does the rest, in one `_leading_pair_stack`
-    call on the stack's fits by their distinct rules, which the caller sizes as
-    one `_blocks` range of whole fits.  With no rules, the fits are only
-    checked.  `where` follows the matrix names in error messages.
-    Returns (weights, axes, gaps, ties, plug-in fields or None), the first
-    four as `_solve_axes` returns them.
+    a `PluginRule`).  Here, and only here, rules become weights: a
+    `FixedWeight` gives its w, a `PluginRule` the plug-in `w_hat` and an
+    `OracleWeight` the `oracle` weights (k,), one column of the (k, r) weight
+    table per distinct rule, which `_solve_axes` solves whole; the caller
+    sizes the stack (a `_blocks` range of whole fits).  With no rules, the
+    fits are only checked.  `where` follows the matrix names in error
+    messages.  Returns weights, axes, gaps and ties, fit-major (k, rules, ...),
+    and the plug-in fields or None.
     """
     k, q, p = reg.shape
     n = total.shape[1]
@@ -468,42 +469,38 @@ def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
     resid_evals = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)
     if not rules:
         return (None,) * 5
-    plugin = None
-    if any(isinstance(rule, PluginRule) for rule in rules):
-        plugin = _plugin_weights(s_reg, s_resid, resid_evals, n, q)
-    return (*_solve_axes(rules, s_reg, s_resid, plugin, oracle, rows, gram), plugin)
+    plugin = (_plugin_weights(s_reg, s_resid, resid_evals, n, q)
+              if any(isinstance(rule, PluginRule) for rule in rules) else None)
+    distinct = list(dict.fromkeys(rules))
+    w = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
+                  else plugin["w_hat"] if isinstance(rule, PluginRule) else oracle
+                  for rule in distinct], axis=1)  # C-ordered (k, r)
+    cols = [distinct.index(rule) for rule in rules]
+    return (*(part[:, cols] for part in (w, *_solve_axes(w, s_reg, s_resid, rows, gram))), plugin)
 
 
-def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram=None):
-    """Weights, axes (rules, k, p), gaps and tie flags (rules, k) of checked fits.
+def _solve_axes(w, s_reg, s_resid, rows=None, gram=None):
+    """Axes (k, r, p), gaps and tie flags (k, r) of checked fits, solved at the
+    weights of the C-ordered (k, r) table `w`, r per fit, in the order solved.
 
     `s_reg` and `s_resid` are k trusted p x p Grams, or, for wide fits, the
     blocks of the (n - 1) x (n - 1) Grams `gram` of the reduced rows `rows`,
-    whose leading q x q block is `s_reg` (see `_leading_axes`).  A `FixedWeight`
-    gives its w, a `PluginRule` `plugin["w_hat"]` and an `OracleWeight` the
-    `oracle` weights (k,).  The k fits by their r distinct rules (equal rules
-    are solved once) are solved and checked (leading pair and spectrum, all
-    that is read) in the space solved in, in one `_leading_pair_stack` call on
-    one stack of k r matrices, blended (or scaled by D^1/2) and divided by
-    their powers of two in place; the caller sizes it (a `_blocks` range of
-    whole fits).  Wide fits lift with one batched matmul, each fit's W' times
-    its r vectors D^1/2 u, so a fit's bytes depend on the fit alone.  A gap is
+    whose leading q x q block is `s_reg` (see `_leading_axes`).  The k r
+    matrices, blended (or scaled by D^1/2) and divided by their powers of two
+    in place, are solved and checked (leading pair and spectrum, all that is
+    read) in one `_leading_pair_stack` call, which the caller sizes.  A wide
+    fit lifts each of its vectors with one vector-matrix product (D^1/2 u)' W,
+    so an axis's bytes depend on its fit and weight alone.  A gap is
     lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero spectrum
     are S(w)'s, and a tie a gap of at most TIE_TOL times that trace (scaled).
     """
-    k, q = s_reg.shape[:2]
-    weights = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
-                        else plugin["w_hat"] if isinstance(rule, PluginRule) else oracle
-                        for rule in rules])
-    distinct = list(dict.fromkeys(rules))
-    cols = [distinct.index(rule) for rule in rules]
-    # C-ordered (k, r, 1, 1), so that the stacks below come out C-ordered, with no copy
-    w = np.stack([weights[rules.index(rule)] for rule in distinct], axis=1)[:, :, None, None]
+    q = s_reg.shape[1]
+    wm = w[:, :, None, None]  # C-ordered (k, r, 1, 1), so that the stacks below are too
     if gram is None:  # (1 - w) s_reg + w s_resid, summed in place
-        m = s_reg[:, None] * (1.0 - w)
-        m += s_resid[:, None] * w
+        m = s_reg[:, None] * (1.0 - wm)
+        m += s_resid[:, None] * wm
     else:
-        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - w[..., 0], w[..., 0]))
+        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - wm[..., 0], wm[..., 0]))
         m = gram[:, None] * root[..., None]  # (k, r, s, s), scaled with no further temporary
         m *= root[..., None, :]
     m = m.reshape(-1, *m.shape[2:])
@@ -511,18 +508,15 @@ def _solve_axes(rules, s_reg, s_resid, plugin=None, oracle=None, rows=None, gram
     m /= scale[:, None, None]  # exact
     vals, axes = _leading_pair_stack(m)
     _check_leading_pairs(m, vals, axes)
-    if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||
+    if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||, (k r, p, 1)
         u = root * axes.reshape(root.shape)
-        v = np.swapaxes(rows, 1, 2) @ np.swapaxes(u, 1, 2)  # (k, p, r)
-        # contiguous, so that the norm sums each axis in one order whatever k is
-        v = np.ascontiguousarray(np.swapaxes(v, 1, 2)).reshape(-1, v.shape[1], 1)
+        v = (u[:, :, None, :] @ rows[:, None]).reshape(-1, rows.shape[2], 1)
         nrm = np.linalg.norm(v, axis=1, keepdims=True)  # sqrt(lambda_1), 0 when S(w) = 0,
         e_p = np.arange(v.shape[1])[:, None] == v.shape[1] - 1  # whose p x p axis is e_p
         axes = _fix_signs(np.where(nrm > 0.0, v, e_p) / np.where(nrm > 0.0, nrm, 1.0))[:, :, 0]
     gaps = vals[:, 0] - vals[:, 1]  # both sides of the tie rule on the scaled matrix
     ties = gaps <= TIE_TOL * np.trace(m, axis1=1, axis2=2)
-    return (weights, *(np.swapaxes(part.reshape(k, len(distinct), *part.shape[1:]), 0, 1)[cols]
-                       for part in (axes, gaps * scale, ties)))
+    return tuple(part.reshape(*w.shape, *part.shape[1:]) for part in (axes, gaps * scale, ties))
 
 
 def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
@@ -605,6 +599,7 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
         sse[ols] += float(np.sum(err * err))
         if not projected:
             continue
+        g = np.swapaxes(g, 0, 1)  # rule-major (rules, folds, p), as each rule sums its errors
         pred = base + np.sum(shift * g, axis=-1, keepdims=True) * g
         err = y[folds] - pred
         sse[projected] += np.sum(err * err, axis=(1, 2))

@@ -184,8 +184,8 @@ def _replicate_block(
     one `_leading_axes` call that checks the fits and resolves every row's
     weight and axis (in sample space when n - 1 < p: every weight at the
     reduced order n - 1), and one `_sign_free_errors` call, which scores the
-    checked axes unchecked.  Every replication is computed as if it were
-    alone, so results do not depend on how `reps` is split.
+    checked axes unchecked, fit-major as stored.  Every replication is
+    computed as if alone, so results do not depend on how `reps` is split.
     """
     n, p, q = spec.n, spec.p, spec.q
     model = oracle = None
@@ -202,8 +202,8 @@ def _replicate_block(
         y = np.stack([d.y for d in draws])
         fits = _scatter_stack(y - y.mean(axis=1, keepdims=True), x)
         weights, axes, *_ = _leading_axes(estimators, *fits, oracle)
-        wts.append(weights.T)
-        mse.append(_sign_free_errors(axes, spec.gamma1).T)
+        wts.append(weights)
+        mse.append(_sign_free_errors(axes, spec.gamma1))
     return np.concatenate(mse), np.concatenate(wts)
 
 
@@ -225,7 +225,9 @@ def run_experiment(plan: ExperimentPlan) -> McResult:
     for lab, spec in zip(plan.point_labels, plan.points):
         if plugin:
             _check_plugin_dof(spec.n, spec.q, f"point {lab!r}: ")
-        _check_draw_size(spec.n, spec.p, spec.q, f"point {lab!r}: ")
+        n, p, q = spec.n, spec.p, spec.q
+        _check_draw_size(n * (p + q), f"point {lab!r}: one replication draws n * (p + q)",
+                         f"; got n = {n}, p = {p}, q = {q}")
     est_seconds = estimate_runtime_seconds(plan)
     t0 = time.perf_counter()
     n_pts = len(plan.points)

@@ -35,6 +35,7 @@ import numpy as np
 from .core import (
     Dataset,
     _check_dimension,
+    _check_draw_size,
     _check_finite,
     _check_index,
     _check_orthonormal,
@@ -76,6 +77,7 @@ def random_gamma(p: int, seed: int) -> np.ndarray:
     `ModelSpec` checks the basis for orthonormality.
     """
     _check_dimension(p)
+    _check_draw_size(2 * p * p, "the random basis draws 2p * p", f"; got p = {p}")
     rng = substream(seed, _STREAM_GAMMA)
     z = rng.standard_normal((2 * p, p))
     zc = z - z.mean(axis=0)
@@ -210,6 +212,7 @@ def _spiked_spectrum(p: int, n: int, lambda1: float, lambda2: float) -> tuple[in
     if not lambda1 > lambda2 >= 1.0:
         raise ValueError(f"model with p = {p}, n = {n} has lambda_1 = {lambda1}, "
                          f"lambda_2 = {lambda2}; need lambda_1 > lambda_2 >= 1")
+    _check_draw_size(p, f"model with p = {p}: its spectrum holds p")
     return n, np.concatenate(([lambda1, lambda2], np.ones(p - 2)))
 
 

@@ -490,7 +490,7 @@ def test_leading_pair_of_edge_matrices(case):
 @pytest.mark.parametrize("gap", [0.0, 1e-13])
 def test_leading_pair_of_a_tie_lies_in_the_tied_plane(gap):
     s_resid = np.diag([3.0, 3.0 - gap, 1.0])
-    _, axes, gaps, ties = _solve_axes((FixedWeight(1.0),), np.zeros((1, 3, 3)), s_resid[None])
+    axes, gaps, ties = _solve_axes(np.ones((1, 1)), np.zeros((1, 3, 3)), s_resid[None])
     assert ties[0, 0] and gaps[0, 0] <= 1e-12
     assert abs(axes[0, 0, 2]) <= 1e-14
     assert np.linalg.norm(axes[0, 0]) == pytest.approx(1.0, abs=1e-15)
@@ -518,13 +518,13 @@ def test_solved_pairs_bit_identical_under_power_of_two_rescaling():
     # `_solve_axes` divides each solved matrix by its power of two before the
     # solver and its check read it; w = 1 solves each matrix as it is given
     m = _solver_stack()
-    zero, rule = np.zeros_like(m), (FixedWeight(1.0),)
-    _, axes, gaps, ties = _solve_axes(rule, zero, m)
-    assert ties[0].tolist() == [False] * 5 + [True] * 4
+    zero, w = np.zeros_like(m), np.ones((len(m), 1))
+    axes, gaps, ties = _solve_axes(w, zero, m)
+    assert ties[:, 0].tolist() == [False] * 5 + [True] * 4
     for exponent in (-900, 900):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, got_axes, got_gaps, got_ties = _solve_axes(rule, zero, np.ldexp(m, exponent))
+            got_axes, got_gaps, got_ties = _solve_axes(w, zero, np.ldexp(m, exponent))
         assert got_axes.tobytes() == axes.tobytes()
         assert got_gaps.tobytes() == np.ldexp(gaps, exponent).tobytes()
         assert got_ties.tobytes() == ties.tobytes()

@@ -98,14 +98,14 @@ def test_commands_flag_ties_by_the_rule_of_gamma1_hat():
         y[1, :, 1] *= 2.0
         fits = _scatter_stack(y, x)
         weights, axes, gaps, ties, _ = _leading_axes(rules, *fits)
-        assert ties.tolist() == [[True, False], [True, False]]
-        assert gaps[:, 1] == pytest.approx(12.0 * weights[:, 1], rel=1e-12)
+        assert ties.tolist() == [[True, True], [False, False]]
+        assert gaps[1] == pytest.approx(12.0 * weights[1], rel=1e-12)
         for i in range(2):
             ss = SumOfSquares(_gram(fits[0])[i], _gram(fits[1])[i], 4, 1)
             for r, rule in enumerate(rules):
                 est = gamma1_hat(ss, rule.w)
-                assert est.tie_flag == ties[r, i]
-                assert est.leading_gap == pytest.approx(gaps[r, i], rel=1e-12, abs=1e-12)
+                assert est.tie_flag == ties[i, r]
+                assert est.leading_gap == pytest.approx(gaps[i, r], rel=1e-12, abs=1e-12)
 
 
 def test_gamma1_hat_scaling_invariance_bit_identical():
@@ -135,7 +135,7 @@ def test_gaps_and_ties_survive_power_of_two_rescaling(gap):
         ests = [gamma1_hat(ss, rule.w) for rule in rules]
         wide = _leading_axes(rules, *_scatter_stack(np.ldexp(y, e // 2), h[None, :, 2:]))
         return (np.array([est.leading_gap for est in ests]),
-                np.array([est.tie_flag for est in ests]), wide[2][:, 0], wide[3][:, 0])
+                np.array([est.tie_flag for est in ests]), wide[2][0], wide[3][0])
 
     base = solved(0)
     assert base[1].all() and base[3].all()
@@ -712,16 +712,20 @@ GRID_ORACLE = np.array([0.5, 0.0, 0.3, 0.5, 1.0, 0.25])
 @pytest.mark.parametrize("n, p", [(20, 10), (12, 30)])
 def test_leading_axes_gives_each_rule_its_bytes_in_any_order(n, p):
     # a rule's weight, axis, gap and tie flag do not depend on the order of the
-    # rules or on a repeat of one of them
+    # rules, on a repeat of one of them, or on the other rules in the call
     fits = _null_fits(GRID_ORACLE.size, n, p, 5, 28)
     rules = list(GRID_RULES)
     base = _leading_axes(rules, *fits, GRID_ORACLE)[:4]
-    for order in (rules[::-1], [*rules, rules[1]]):
+    distinct = list(dict.fromkeys(rules))
+    subsets = [[distinct[(start + j) % len(distinct)] for j in range(size)]
+               for size in (1, 2, 3, 5) for start in range(len(distinct))]
+    for order in (rules[::-1], [*rules, rules[1]], *subsets):
         got = _leading_axes(order, *fits, GRID_ORACLE)[:4]
         for part, want in zip(got, base):
-            assert part.tobytes() == want[[rules.index(rule) for rule in order]].tobytes()
-    for part in base:  # the repeated rules' rows
-        assert part[0].tobytes() == part[4].tobytes() and part[1].tobytes() == part[6].tobytes()
+            assert part.tobytes() == want[:, [rules.index(rule) for rule in order]].tobytes()
+    for part in base:  # the repeated rules' columns
+        assert part[:, 0].tobytes() == part[:, 4].tobytes()
+        assert part[:, 1].tobytes() == part[:, 6].tobytes()
 
 
 @pytest.mark.parametrize("n, p", [(20, 10), (12, 30)])
@@ -730,10 +734,10 @@ def test_plugin_fallback_to_zero_gives_the_w0_rows_bytes(n, p):
     # on a matrix of the same bytes, so the two rows agree bit for bit
     fits = _null_fits(20, n, p, 5, 26)
     weights, *parts = _leading_axes((FixedWeight(0.0), PluginRule()), *fits)[:4]
-    fell = weights[1] == 0.0
+    fell = weights[:, 1] == 0.0
     assert 0 < fell.sum() < fell.size
     for part in parts:
-        assert part[1, fell].tobytes() == part[0, fell].tobytes()
+        assert part[fell, 1].tobytes() == part[fell, 0].tobytes()
 
 
 def test_leading_axes_of_a_large_fit_holds_its_stack_about_twice():
@@ -785,7 +789,9 @@ def test_block_size_and_weight_rules_are_defined_once():
 
 def test_blend_and_tie_rule_are_defined_once():
     # one p x p blend (1 - w) s_reg + w s_resid, summed in place, and one tie
-    # comparison, in the shared solve; gamma1_hat neither blends nor calls sym_eig
+    # comparison, in the shared solve, which reads weights, not rules: rules
+    # become weights in one stack, in `_leading_axes`; gamma1_hat neither
+    # blends nor calls sym_eig
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     one_line = [line for text in sources for line in text.splitlines()
                 if re.search(r"\* s_reg\b.*\+.*\* s_resid\b", line)]
@@ -796,6 +802,10 @@ def test_blend_and_tie_rule_are_defined_once():
     assert sum(text.count("<= TIE_TOL *") for text in sources) == 1
     solve = inspect.getsource(estimators._solve_axes)
     assert blends[0] in solve and "<= TIE_TOL *" in solve
+    assert not re.search(r"FixedWeight|PluginRule|OracleWeight", solve)
+    stack = "np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)"
+    assert sum(text.count(stack) for text in sources) == 1
+    assert stack in inspect.getsource(estimators._leading_axes)
     library = inspect.getsource(estimators.gamma1_hat)
     assert "sym_eig(" not in library and "s_resid +" not in library and "_solve_axes(" in library
     assert not hasattr(estimators, "sym_eig") and not hasattr(estimators, "weighted_matrix")

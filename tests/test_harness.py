@@ -349,10 +349,10 @@ def test_one_solver_call_per_leading_axes_call_whatever_the_budget(case, monkeyp
     for i, w in ((0, 0.3), (2, 0.0)):
         fixed = rules.index(FixedWeight(w))
         for part in (weights, *got):
-            assert part[oracle_row, i].tobytes() == part[fixed, i].tobytes()
+            assert part[i, oracle_row].tobytes() == part[i, fixed].tobytes()
     for i, one in enumerate(alone):
         for part, part_alone in zip((weights, *got), one):
-            assert part[:, i].tobytes() == part_alone[:, 0].tobytes()
+            assert part[i].tobytes() == part_alone[0].tobytes()
 
 
 def test_replication_block_checks_design_conditioning(monkeypatch):

@@ -103,7 +103,7 @@ def test_wide_fit_matches_library_path():
     pw = estimate_abcd(ss)
     for name in ("lambda1_hat", "lambda2_hat", "a_hat", "b_hat", "c_hat", "d_hat", "w_hat"):
         assert plugin[name][0] == pytest.approx(getattr(pw, name), rel=1e-12), name
-    for w, axis, gap, tie in zip(weights[:, 0], axes[:, 0], gaps[:, 0], ties[:, 0]):
+    for w, axis, gap, tie in zip(weights[0], axes[0], gaps[0], ties[0]):
         est = gamma1_hat(ss, w)
         assert 1.0 - abs(axis @ est.vector) <= 1e-13
         assert axis[np.argmax(np.abs(axis))] > 0.0
@@ -131,7 +131,7 @@ def test_zero_blend_gives_the_last_axis_in_both_spaces(p):
     weights, axes, gaps, ties, _ = _leading_axes(rules, *_scatter_stack(y[None], x[None]))
     assert axes[0, 0].tobytes() == np.eye(p)[-1].tobytes()
     assert gaps[0, 0] == 0.0 and ties[0, 0]
-    assert not ties[1, 0]
+    assert not ties[0, 1]
     est = gamma1_hat(sums_of_squares(Dataset(y, x)), 0.0)
     assert est.vector.tobytes() == axes[0, 0].tobytes() and est.tie_flag
 
@@ -169,7 +169,7 @@ def test_axes_bit_identical_for_any_stack():
     whole = _leading_axes(RULES, *_scatter_stack(y, x))[1]
     for i in range(5):
         alone = _leading_axes(RULES, *_scatter_stack(y[i:i + 1], x[i:i + 1]))[1]
-        assert alone.tobytes() == whole[:, i:i + 1].tobytes()
+        assert alone.tobytes() == whole[i:i + 1].tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -64,6 +64,9 @@ RULES = {
                      r"^cond\(X'X\) = .* exceeds 1e\+12; design columns are too collinear"),
     "eigengap": (ValueError, r"lambda_1 > lambda_2 >= 1"),
     "draw_size": (ValueError, r"one replication draws n \* \(p \+ q\) = \d+ floats, more than "),
+    "spectrum_size": (ValueError, r"its spectrum holds p = \d+ floats, more than 268435456$"),
+    "basis_size": (ValueError,
+                   r"the random basis draws 2p \* p = \d+ floats, more than 268435456; got p = "),
 }
 
 # rule -> the one source fragment of its message
@@ -83,6 +86,10 @@ MESSAGE_SOURCES = {
     "conditioning": "cond(X'X) = {",
     "eigengap": "need lambda_1 > lambda_2",
     "draw_size": "one replication draws n * (p + q)",
+    "spectrum_size": "its spectrum holds p",
+    "basis_size": "the random basis draws 2p * p",
+    # the one size rule behind the three
+    "size_limit": "floats, more than {MAX_DRAW_ENTRIES}",
     # the row factors of every built fit, `sums_of_squares` too; `SumOfSquares`
     # forms its total from the two matrices given
     "additivity_fit": "complement of the constant and the design span by {",
@@ -201,6 +208,15 @@ LIBRARY_CASES = [
     # n = 20^10 ~ 1.0e13 rows, refused before any draw
     ("draw_size", "run_experiment",
      lambda: run_experiment(_plan(LargePLargeN(10.0, 0.5).model_spec(20, 0)))),
+    # a spectrum of p = 10^11 floats, and a 2p x p basis draw at p = 10^6, each refused
+    # before it is allocated
+    ("spectrum_size", "LargePLargeN.spectrum",
+     lambda: LargePLargeN(0.8, 0.8, 0.4).spectrum(10**11)),
+    ("spectrum_size", "LargePLargeN.model_spec",
+     lambda: LargePLargeN(0.8, 0.8, 0.4).model_spec(10**11, 0)),
+    ("basis_size", "random_gamma", lambda: random_gamma(10**6, 0)),
+    ("basis_size", "LargePLargeN.model_spec",
+     lambda: LargePLargeN(0.8, 0.8, 0.4).model_spec(10**6, 0)),
 ]
 
 
@@ -239,6 +255,9 @@ CLI_CASES = [
     ("conditioning", ["cv", _collinear]),
     ("eigengap", ["simulate", "--scenario", "table2", "--eta", "6", "--reps", "1"]),
     ("eigengap", ["bound", "--scenario", "table2", "--eta", "6", "--n", "500"]),
+    ("spectrum_size", ["bound", "--scenario", "table3b", "--p", "100000000000"]),
+    ("basis_size", ["simulate", "--scenario", "table3b", "--p", "1000000", "--reps", "1"]),
+    ("spectrum_size", ["simulate", "--scenario", "table3b", "--p", "100000000000"]),
 ]
 
 
