@@ -53,8 +53,8 @@ from .estimators import (
 from .harness import (
     DEFAULT_ROWS,
     _csv_text,
+    _scenario_seconds,
     emit_table,
-    estimate_runtime_seconds,
     run_experiment,
     scenario_plan,
 )
@@ -145,27 +145,51 @@ def _load_config(path: str, command: str, actions) -> dict:
     return values
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
     """Read a numeric CSV matrix, skipping a UTF-8 byte-order mark and one header row if present:
-    a first row none of whose cells is a number, so that a typo in a data row is reported."""
+    a first row none of whose cells is a number, so that a typo in a data row is reported.
+
+    The file is read once, and one `np.loadtxt` converts its non-blank rows
+    past a header.  It parses a cell as `float` does, or refuses it (a quoted
+    cell, `1_000`, a non-ASCII digit, an empty cell, a ragged row); then the
+    lines are read cell by cell through `csv` and `float`
+    (`_parse_matrix_rows`), which gives the values or the error that names
+    the row.
+    """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw_rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+            lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read `{flag}` file: {exc}")
+    # without a quote, a line's `csv` cells are its text split at the commas, so
+    # these are the rows that `csv` finds not blank; a quote fails `np.loadtxt`
+    rows = [line for line in lines if line.replace(",", "").strip()]
+    if rows and '"' not in rows[0]:
+        start = 0 if any(map(_is_number, rows[0].rstrip("\r\n").split(","))) else 1
+        if start < len(rows):
+            try:
+                return np.loadtxt(rows[start:], delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                pass
+    return _parse_matrix_rows(lines, path, flag)
+
+
+def _parse_matrix_rows(lines: list[str], path: str, flag: str) -> np.ndarray:
+    """`_read_matrix_csv` of the lines of a file, cell by cell through `csv` and `float`."""
+    try:
+        raw_rows = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
+    except csv.Error as exc:  # such as a cell longer than `csv.field_size_limit()`
+        raise CliError(f"`{flag}` file {path}: {exc}")
     if not raw_rows:
         raise CliError(f"`{flag}` file {path} is empty")
-
-    def _parse(row):
-        return [float(cell) for cell in row]
-
-    def _is_number(cell):
-        try:
-            float(cell)
-        except ValueError:
-            return False
-        return True
-
     start = 0 if any(map(_is_number, raw_rows[0])) else 1  # skip a header row
     if start == len(raw_rows):
         raise CliError(f"`{flag}` file {path} has a header but no data rows")
@@ -177,7 +201,7 @@ def _read_matrix_csv(path: str, flag: str) -> np.ndarray:
                 f"`{flag}` file {path}: row {i} has {len(row)} fields, expected {width}"
             )
         try:
-            data.append(_parse(row))
+            data.append([float(cell) for cell in row])
         except ValueError as exc:
             raise CliError(f"`{flag}` file {path}: row {i}: {exc}")
     return np.asarray(data, dtype=float)
@@ -271,6 +295,11 @@ def _scenario_kind(args: argparse.Namespace, custom_ok: bool = True):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     kind = _scenario_kind(args)
     sizes = getattr(args, kind.axis) or (DEFAULT_N_GRID if kind.axis == "n" else DEFAULT_P_GRID)
+    if args.cost_limit is not None:
+        seconds = _scenario_seconds(kind, sizes, args.reps)
+        if seconds > args.cost_limit:
+            raise CliError(f"estimated runtime {seconds:.1f}s exceeds the configured limit "
+                           f"{args.cost_limit:.1f}s; reduce replications, grid or dimensions")
     plan = scenario_plan(kind, sizes, args.reps, args.seed)
 
     print(f"scenario {args.scenario}: replications={plan.replications} "
@@ -281,11 +310,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"lambda1={spec.lambda1:.6g} lambda2={spec.lambda2:.6g}",
             file=sys.stderr,
         )
-    if args.cost_limit is not None:
-        seconds = estimate_runtime_seconds(plan)
-        if seconds > args.cost_limit:
-            raise CliError(f"estimated runtime {seconds:.1f}s exceeds the configured limit "
-                           f"{args.cost_limit:.1f}s; reduce replications, grid or dimensions")
     result = run_experiment(plan)
     _deliver(args, emit_table(result, args.format))
     return 0
@@ -386,18 +410,7 @@ def _add_common(sub: argparse.ArgumentParser, func) -> None:
     sub.set_defaults(func=func, parser=sub)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser: `main` turns a config file's values into its subcommand's defaults."""
-    # one help width for every parser: argparse queries the terminal once, not per argument
-    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2))
-    parser = new_parser(
-        prog="allopca",
-        description="Weighted sum-of-squares estimators of a shared principal axis",
-    )
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
-
-    sim = subs.add_parser("simulate", help="run a Monte Carlo scenario")
+def _add_simulate(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--scenario", help=f"one of {_SCENARIO_NAMES}")
     sim.add_argument("--n", type=_int_list, help="comma-separated sample sizes")
     sim.add_argument("--p", type=_int_list, help="comma-separated dimensions")
@@ -414,19 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     sim.add_argument("--workers", type=_one_worker,
                      help="accepts only 1: replications run in one process")
-    _add_common(sim, _cmd_simulate)
 
-    data = new_parser(add_help=False)
-    data.add_argument("--y", help="response matrix CSV (n rows, p columns)")
-    data.add_argument("--x", help="design matrix CSV (n rows, q columns)")
-    data.add_argument("--weights", type=_float_list, default=DEFAULT_WEIGHT_GRID,
-                      help=f"fixed weight grid (default {','.join(map(str, DEFAULT_WEIGHT_GRID))})")
-    _add_common(subs.add_parser("estimate", parents=[data], help="fit estimators to CSV data"),
-                _cmd_estimate)
-    _add_common(subs.add_parser("cv", parents=[data],
-                                help="leave-one-out comparison of weight rules"), _cmd_cv)
 
-    bnd = subs.add_parser("bound", help="closed-form error bound and its optimum")
+def _add_data(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--y", help="response matrix CSV (n rows, p columns)")
+    sub.add_argument("--x", help="design matrix CSV (n rows, q columns)")
+    sub.add_argument("--weights", type=_float_list, default=DEFAULT_WEIGHT_GRID,
+                     help=f"fixed weight grid (default {','.join(map(str, DEFAULT_WEIGHT_GRID))})")
+
+
+def _add_bound(bnd: argparse.ArgumentParser) -> None:
     bnd.add_argument("--a", type=float, help="tr(Sigma^2) + (tr Sigma)^2")
     bnd.add_argument("--b", type=float, help="lambda1 + tr Sigma")
     bnd.add_argument("--c", type=float, help="signal energy ||X alpha||^2")
@@ -438,13 +448,44 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--scenario", help="derive parameters from a scenario")
     bnd.add_argument("--step", type=float, default=1e-4,
                      help="grid spacing (default %(default)s)")
-    _add_common(bnd, _cmd_bound)
 
+
+# each subcommand: name, help line, the function adding its own options, and its command
+_COMMANDS = (
+    ("simulate", "run a Monte Carlo scenario", _add_simulate, _cmd_simulate),
+    ("estimate", "fit estimators to CSV data", _add_data, _cmd_estimate),
+    ("cv", "leave-one-out comparison of weight rules", _add_data, _cmd_cv),
+    ("bound", "closed-form error bound and its optimum", _add_bound, _cmd_bound),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A new parser: `main` turns a config file's values into its subcommand's defaults.
+
+    Every subcommand is listed.  When `command` (`main` passes its first
+    argument) names one, only that one gets its options: an argument list
+    that starts with it reads no other.
+    """
+    # one help width for every parser: argparse queries the terminal once, not per argument
+    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2))
+    parser = new_parser(
+        prog="allopca",
+        description="Weighted sum-of-squares estimators of a shared principal axis",
+    )
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
+    named = any(command == name for name, *_ in _COMMANDS)
+    for name, text, add_options, func in _COMMANDS:
+        sub = subs.add_parser(name, help=text)
+        if not named or command == name:
+            add_options(sub)
+            _add_common(sub, func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

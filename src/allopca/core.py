@@ -163,14 +163,24 @@ def _check_symmetric(m: np.ndarray, name: str, rtol: float = SYM_STORED_TOL) -> 
                          f"exceeds relative tolerance {rtol:g}")
 
 
-def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
-    """Ascending eigenvalues (..., p) of a symmetric stack; raise unless all >= -PSD_TOL * trace."""
-    evals = np.linalg.eigvalsh(m)
-    bad = evals[..., 0] < -PSD_TOL * np.maximum(np.trace(m, axis1=-2, axis2=-1), 0.0)
+def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Raise unless each matrix of a symmetric stack (..., p, p) has every eigenvalue
+    >= -PSD_TOL * trace.
+
+    The one `eigvalsh` runs on each matrix divided by `_pow2_scale` of its
+    peak entry (exact), so no trace overflows and power-of-two rescalings
+    give the same values; at ordinary scales the values times their scales
+    are the plain matrix's, bit for bit.  Returns those ascending values
+    (..., p) of the scaled matrices, and the scales (...).
+    """
+    scale = _pow2_scale(_peaks(m))
+    a = m / scale[..., None, None]
+    evals = np.linalg.eigvalsh(a)
+    bad = evals[..., 0] < -PSD_TOL * np.maximum(np.trace(a, axis1=-2, axis2=-1), 0.0)
     if np.any(bad):
         raise ValueError(f"{name} is not positive semidefinite: "
-                         f"min eigenvalue {np.min(evals[..., 0][bad]):.3e}")
-    return evals
+                         f"min eigenvalue {np.min((evals[..., 0] * scale)[bad]):.3e}")
+    return evals, scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,13 +357,15 @@ def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, ::-1] * scale[:, None], _fix_signs(vecs[:, :, ::-1])
 
 
-def _leading_pair_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leading_pair_stack(a: np.ndarray, known=None) -> tuple[np.ndarray, np.ndarray]:
     """Every eigenvalue and the leading eigenvector of each exactly symmetric
     matrix of a stack (k, s, s), each divided by `_pow2_scale` of its peak entry.
 
     The caller divides (`estimators._solve_axes`), so power-of-two rescalings
     of a matrix give the same scaled matrix and bit-identical vectors, and no
-    norm overflows.  The eigenvalues come from one batched `eigvalsh`, and the
+    norm overflows.  The eigenvalues come from one batched `eigvalsh` of the
+    matrices whose values the caller does not pass in `known`, a pair (mask
+    (k,), ascending `eigvalsh` values of the masked matrices), and the
     leading vector from inverse iteration (Parlett 1980, ch. 4; Ipsen 1997)
     with the shift sigma = lambda_1 + delta, delta = 4 s eps max|lambda|: one
     power step a g from a fixed generic unit vector g, then one LU solve per
@@ -370,7 +382,14 @@ def _leading_pair_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled matrices, and vectors (k, s) under `_fix_signs`).
     """
     k, s = a.shape[:2]
-    vals = np.linalg.eigvalsh(a)[:, ::-1]
+    if known is None:
+        vals = np.linalg.eigvalsh(a)
+    else:
+        have, vals = known[0], np.empty((k, s))
+        vals[have] = known[1]
+        if not np.all(have):
+            vals[~have] = np.linalg.eigvalsh(a[~have])
+    vals = vals[:, ::-1]
     eps = np.finfo(float).eps
     # the scaled matrix has max|lambda| >= its peak entry >= 1 unless it is zero
     sigma = vals[:, 0] + 4.0 * s * eps * np.maximum(np.maximum(vals[:, 0], -vals[:, -1]), 1.0)
@@ -412,8 +431,8 @@ def _leading_pair_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _peaks(m: np.ndarray) -> np.ndarray:
-    """max|M| of each matrix of a stack (k, s, s), with no temporary the size of the stack."""
-    return np.maximum(np.max(m, axis=(1, 2)), -np.min(m, axis=(1, 2)))
+    """max|M| of each matrix of a stack (..., s, s), with no temporary the size of the stack."""
+    return np.maximum(np.max(m, axis=(-2, -1)), -np.min(m, axis=(-2, -1)))
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -463,7 +482,8 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
-                     total: np.ndarray, basis: np.ndarray, where: str = "") -> np.ndarray:
+                     total: np.ndarray, basis: np.ndarray,
+                     where: str = "") -> tuple[np.ndarray, np.ndarray]:
     """The one check of stacked fits built by `_scatter_stack`, in either solve space.
 
     A fit of n observations has row factors reg = Q'total and
@@ -476,12 +496,13 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
     (`estimators._leading_axes`), which have the same nonzero eigenvalues.
 
     It checks that g_reg and g_resid are finite (a Gram is finite exactly
-    when its factor is, short of overflow), that g_resid is semidefinite,
-    from its one `eigvalsh`, whose values the plug-in reads (`_gram` makes
-    g_reg so), and `_check_additivity`.  s_total is semidefinite when s_reg
-    and s_resid are and the gap is small.  `where` follows the names in
-    error messages.  Returns the ascending eigenvalues of g_resid, (k, p)
-    or (k, n - 1 - q).
+    when its factor is, short of overflow), that g_resid is semidefinite
+    (`_gram` makes g_reg so), from its one `eigvalsh` (`_check_psd`), whose
+    values the plug-in and the solver read, and `_check_additivity`.
+    s_total is semidefinite when s_reg and s_resid are and the gap is small.
+    `where` follows the names in error messages.  Returns the ascending
+    eigenvalues of g_resid divided by `_pow2_scale` of its peak entry,
+    (k, p) or (k, n - 1 - q), and those scales (k,).
 
     Raises
     ------

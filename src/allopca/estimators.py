@@ -466,20 +466,21 @@ def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
     else:
         rows = gram = None
         s_reg, s_resid = _gram(reg), _gram(resid)
-    resid_evals = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)
+    resid_evals, resid_scale = _check_fit_stack(s_reg, s_resid, resid, total, basis, where)
     if not rules:
         return (None,) * 5
-    plugin = (_plugin_weights(s_reg, s_resid, resid_evals, n, q)
+    plugin = (_plugin_weights(s_reg, s_resid, resid_evals * resid_scale[:, None], n, q)
               if any(isinstance(rule, PluginRule) for rule in rules) else None)
     distinct = list(dict.fromkeys(rules))
     w = np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)
                   else plugin["w_hat"] if isinstance(rule, PluginRule) else oracle
                   for rule in distinct], axis=1)  # C-ordered (k, r)
     cols = [distinct.index(rule) for rule in rules]
-    return (*(part[:, cols] for part in (w, *_solve_axes(w, s_reg, s_resid, rows, gram))), plugin)
+    solved = _solve_axes(w, s_reg, s_resid, rows, gram, None if gram is not None else resid_evals)
+    return (*(part[:, cols] for part in (w, *solved)), plugin)
 
 
-def _solve_axes(w, s_reg, s_resid, rows=None, gram=None):
+def _solve_axes(w, s_reg, s_resid, rows=None, gram=None, resid_vals=None):
     """Axes (k, r, p), gaps and tie flags (k, r) of checked fits, solved at the
     weights of the C-ordered (k, r) table `w`, r per fit, in the order solved.
 
@@ -488,7 +489,13 @@ def _solve_axes(w, s_reg, s_resid, rows=None, gram=None):
     whose leading q x q block is `s_reg` (see `_leading_axes`).  The k r
     matrices, blended (or scaled by D^1/2) and divided by their powers of two
     in place, are solved and checked (leading pair and spectrum, all that is
-    read) in one `_leading_pair_stack` call, which the caller sizes.  A wide
+    read) in one `_leading_pair_stack` call, which the caller sizes.  A p x p
+    matrix of weight exactly 1 is s_resid, bit for bit, divided by the same
+    power of two as in the fit check, so `resid_vals`, the check's ascending
+    eigenvalues of each scaled s_resid (`_check_fit_stack`), are its spectrum
+    and only the other matrices go to `eigvalsh`.  A wide fit's weight-1
+    matrix, diag(0, g_resid), is solved like the others: its spectrum is the
+    check's and q zeros only in exact arithmetic.  A wide
     fit lifts each of its vectors with one vector-matrix product (D^1/2 u)' W,
     so an axis's bytes depend on its fit and weight alone.  A gap is
     lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero spectrum
@@ -506,7 +513,11 @@ def _solve_axes(w, s_reg, s_resid, rows=None, gram=None):
     m = m.reshape(-1, *m.shape[2:])
     scale = _pow2_scale(_peaks(m))
     m /= scale[:, None, None]  # exact
-    vals, axes = _leading_pair_stack(m)
+    one = w == 1.0
+    known = None
+    if resid_vals is not None and one.any():
+        known = one.ravel(), resid_vals[one.nonzero()[0]]
+    vals, axes = _leading_pair_stack(m, known)
     _check_leading_pairs(m, vals, axes)
     if gram is not None:  # lift each u to the unit axis W' D^1/2 u / ||.||, (k r, p, 1)
         u = root * axes.reshape(root.shape)

@@ -150,10 +150,18 @@ class McResult:
 
 
 def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
-    """Crude wall-clock estimate, checked by `simulate --cost-limit` and
-    recorded as each result's `metadata["estimated_seconds"]`.
+    """Crude wall-clock estimate of `run_experiment(plan)`, recorded as each
+    result's `metadata["estimated_seconds"]`: the sum of `_point_seconds`
+    over the plan's points."""
+    return sum(_point_seconds(spec.n, spec.p, len(plan.estimators), plan.replications)
+               for spec in plan.points)
 
-    Each point pays a fixed 6.5e-4 s for its blocks' set-up, and each
+
+def _point_seconds(n: int, p: int, rows: int, replications: int) -> float:
+    """Estimated seconds to run one point of n observations and p responses
+    with `rows` estimator rows.
+
+    The point pays a fixed 6.5e-4 s for its blocks' set-up, and each
     replication 5e-8 s per drawn response entry (n p: the draw and the
     fit), 6e-6 s per estimator row, and 3.2e-8 s^2 + 1.6e-11 s^3 s for each
     per-weight solve of order s (`_solved_size`: p or, for a wide point, the
@@ -162,13 +170,29 @@ def estimate_runtime_seconds(plan: ExperimentPlan) -> float:
     of 1 to 200 replications on the default grids of tables 1 to 3b, table1
     at n = 5000 and table3b at p = 200 to 1600, on a 2-core x86-64 machine.
     """
-    n_est = len(plan.estimators)
+    s = _solved_size(n, p)
+    per_rep = (5e-8 * n * p + (rows + 4) * 6e-6
+               + (rows + 5.0) * (3.2e-8 * s ** 2 + 1.6e-11 * s ** 3))
+    return 6.5e-4 + replications * per_rep
+
+
+def _scenario_seconds(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
+                      replications: int) -> float:
+    """Crude wall-clock estimate of building `scenario_plan(kind, sizes,
+    replications, seed)` and running it, from the sizes alone
+    (`kind.spectrum`), so that `simulate --cost-limit` is checked before any
+    basis is drawn.
+
+    Each point's model costs 1.3e-9 s p^3: `simgen.random_gamma`'s basis (a
+    p x p `eigh`) and `ModelSpec`'s checks took 1.0e-9 to 1.2e-9 s p^3 in
+    best-of-2 builds at p = 400 to 1200 on the same machine.  Its run costs
+    `_point_seconds`.
+    """
     seconds = 0.0
-    for spec in plan.points:
-        s = _solved_size(spec.n, spec.p)
-        per_rep = (5e-8 * spec.n * spec.p + (n_est + 4) * 6e-6
-                   + (n_est + 5.0) * (3.2e-8 * s ** 2 + 1.6e-11 * s ** 3))
-        seconds += 6.5e-4 + plan.replications * per_rep
+    for size in sizes:
+        n, lambdas = kind.spectrum(size)
+        seconds += 1.3e-9 * lambdas.size ** 3 + _point_seconds(n, lambdas.size,
+                                                               len(DEFAULT_ROWS), replications)
     return seconds
 
 

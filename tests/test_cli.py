@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import allopca
-from allopca import AbcdParams, cli, simgen
+from allopca import AbcdParams, cli, harness, simgen
 from allopca.cli import CliError, _read_matrix_csv, build_parser, main
+from allopca.errors import NumericFailure
 
 
 def run_cli(argv, capsys):
@@ -260,23 +261,53 @@ def test_simulate_cost_limit_exits_2(capsys):
     assert "exceeds" in err
 
 
+def _refuse_to_draw(*args):
+    raise AssertionError("a basis was drawn")
+
+
 def test_cost_guard(capsys, monkeypatch):
-    # the command refuses a plan whose estimate exceeds the limit after printing
-    # its points and before the first replication; a plan under the limit runs
+    # the command refuses a plan whose estimate exceeds the limit from its sizes,
+    # before any line is printed and any basis drawn; a plan under the limit runs
     argv = ["simulate", "--scenario", "table1", "--n", "10,12", "--reps", "1000"]
+    monkeypatch.setattr(simgen, "random_gamma", _refuse_to_draw)
     monkeypatch.setattr(cli, "run_experiment", lambda plan: pytest.fail("the plan ran"))
     code, out, err = run_cli([*argv, "--cost-limit", "1e-9"], capsys)
     assert (code, out) == (2, "")
-    lines = err.splitlines()
-    assert lines[0] == "scenario table1: replications=1000 seed=0"
-    assert [ln.split(":")[0] for ln in lines[1:3]] == ["  n=10", "  n=12"]
     assert re.fullmatch(r"error: estimated runtime \d+\.\ds exceeds the configured limit 0\.0s; "
-                        r"reduce replications, grid or dimensions", lines[3])
-    assert len(lines) == 4
+                        r"reduce replications, grid or dimensions\n", err)
     monkeypatch.undo()
     code, out, err = run_cli([*argv[:-1], "2", "--cost-limit", "1000"], capsys)
     assert code == 0, err
     assert out.startswith("estimator,n=10,n=12\n")
+
+
+def test_cost_guard_prices_the_basis_before_drawing_it(capsys, monkeypatch):
+    # table3b at p = 2400 spends about 18 s on its basis alone (a p x p `eigh`)
+    monkeypatch.setattr(simgen, "random_gamma", _refuse_to_draw)
+    code, out, err = run_cli(["simulate", "--scenario", "table3b", "--p", "2400", "--reps", "1",
+                              "--cost-limit", "0.001"], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: estimated runtime (1[5-9]|2\d)\.\ds exceeds the configured "
+                        r"limit 0\.0s; reduce replications, grid or dimensions\n", err)
+
+
+def test_cost_guard_compares_the_scenarios_estimate(capsys, monkeypatch):
+    # a limit equal to the scenario's estimate runs the plan, and the float just
+    # below refuses it
+    seconds = harness._scenario_seconds(allopca.STRONG_SPIKE, [20, 50], 2)
+    argv = ["simulate", "--scenario", "table3b", "--p", "20,50", "--reps", "2"]
+    ran = []
+
+    def record(plan):
+        ran.append(plan)
+        raise NumericFailure("recorded")
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert run_cli([*argv, "--cost-limit", repr(seconds)], capsys)[0] == 1
+    assert [spec.p for spec in ran[0].points] == [20, 50] and ran[0].replications == 2
+    code, _, err = run_cli([*argv, "--cost-limit", repr(float(np.nextafter(seconds, 0.0)))],
+                           capsys)
+    assert code == 2 and err.startswith("error: estimated runtime ")
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan"])
@@ -403,8 +434,9 @@ def test_estimate_solves_every_column_in_one_eigensolve(tmp_path, capsys, monkey
     header = next(ln for ln in out.splitlines() if not ln.startswith("#"))
     assert len(header.split(",")) == 1 + 9  # nine estimator columns
     # the fit check's eigenvalues of s_resid, then one stacked solve of the nine
-    # blends by `eigvalsh` and inverse iteration, with no full `eigh`
-    assert calls == {"eigh": [], "eigvalsh": [(1, p, p), (9, p, p)]}
+    # blends by `eigvalsh` and inverse iteration, with no full `eigh`; the
+    # residual(w=1) blend is s_resid, whose spectrum the check has computed
+    assert calls == {"eigh": [], "eigvalsh": [(1, p, p), (8, p, p)]}
 
 
 def _estimate_reference(ypath, xpath):
@@ -441,11 +473,28 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
     code, out, _ = run_cli(["estimate", "--y", ypath, "--x", xpath], capsys)
     assert code == 0
     # the fit check's semidefiniteness test of s_resid, whose eigenvalues the
-    # plug-in weight reuses (s_reg is a Gram, semidefinite by construction),
-    # and the stacked solve of the nine blends
-    assert calls == [(1, p, p), (9, p, p)]
+    # plug-in weight and the w = 1 blend reuse (s_reg is a Gram, semidefinite
+    # by construction), and the stacked solve of the other eight blends
+    assert calls == [(1, p, p), (8, p, p)]
     assert out == want
 
+
+
+def test_cv_decomposes_each_fold_spectrum_once(tmp_path, capsys, monkeypatch):
+    # the bench's shape, n = 50, p = 10, q = 5: the fit check's eigenvalues of the
+    # 50 folds' s_resid, then one stacked solve of the 50 folds by the 9 projected
+    # rules' blends, less the 50 residual(w=1) blends, which are the checked s_resid
+    ypath, xpath, _ = dataset_files(tmp_path, n=50, p=10, q=5)
+    calls = []
+
+    def counted(a, *args, _orig=np.linalg.eigvalsh, **kwargs):
+        calls.append(a.shape)
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, out, _ = run_cli(["cv", "--y", ypath, "--x", xpath], capsys)
+    assert code == 0 and out.count("\n") == 1 + 10
+    assert calls == [(50, 10, 10), (400, 10, 10)]
 
 def test_estimate_wide_fit_solves_in_sample_space(tmp_path, capsys, eig_sizes):
     # n - 1 = 11 < p = 40: no eigensolve sees a 40 x 40 matrix; one eigvalsh of
@@ -869,6 +918,61 @@ def test_subcommands_take_only_their_options(tmp_path, argv):
     assert exc.value.code == 2
 
 
+
+def _exit_and_output(argv, capsys):
+    """`main(argv)`'s exit code, stdout and stderr, through argparse's exits too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_main_prints_the_full_parsers_bytes(tmp_path, capsys, monkeypatch, columns):
+    # `main` builds only the invoked subcommand's options; every help and usage
+    # error is the full parser's, byte for byte, at any terminal width
+    monkeypatch.setenv("COLUMNS", columns)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps = 2\n")  # a `simulate` key
+    cases = [["--help"], ["-h"], ["-h", "cv"],
+             *([name, "--help"] for name in ("simulate", "estimate", "cv", "bound")),
+             [], ["frobnicate"], ["cv", "--bogus"], ["cv", "--config", str(cfg)],
+             ["bound", "--reps", "2"], ["estimate", "--weights"]]
+    lazy = [_exit_and_output(argv, capsys) for argv in cases]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None, _full=build_parser: _full())
+    full = [_exit_and_output(argv, capsys) for argv in cases]
+    assert lazy == full
+    assert [code for code, *_ in full] == [0] * 7 + [2] * 6
+    assert full[2][1] == full[0][1] and "{simulate,estimate,cv,bound}" in full[0][1]
+    assert full[7][2].endswith("error: the following arguments are required: command\n")
+    assert "invalid choice: 'frobnicate'" in full[8][2]
+    assert full[9][2].endswith("error: unrecognized arguments: --bogus\n")
+    assert full[10][2] == f"error: {cfg}:1: `cv` takes no config key `reps`\n"
+
+
+def test_a_cv_call_builds_no_other_subcommands_options(tmp_path, capsys, monkeypatch):
+    ypath, xpath, _ = dataset_files(tmp_path)
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None, _real=build_parser: built.append(_real(command))
+                        or built[-1])
+    assert run_cli(["cv", "--y", ypath, "--x", xpath], capsys)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    options = []
+    for parser in built:
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options.append({name: [a.dest for a in each._actions]
+                        for name, each in subs.choices.items()})
+    data = ["help", "y", "x", "weights", "config", "out"]
+    assert options[0] == {"simulate": ["help"], "estimate": ["help"], "cv": data,
+                          "bound": ["help"]}
+    assert options[1]["estimate"] == options[1]["cv"] == data
+    assert len(options[1]["simulate"]) == 15 and len(options[1]["bound"]) == 13
+
 @pytest.mark.parametrize("command, key", [
     ("estimate", "reps"), ("estimate", "scenario"), ("estimate", "cost_limit"),
     ("cv", "workers"), ("cv", "format"), ("bound", "format"), ("bound", "reps"),
@@ -1002,6 +1106,106 @@ def test_garbage_file_never_panics(tmp_path, capsys):
         ["estimate", "--y", str(ypath), "--x", str(xpath)], capsys)
     assert code == 2
     assert "row 3" in err
+
+
+# file bytes -> the matrix read, or the error after "`--y` file PATH"
+CSV_CASES = {
+    "plain": (b"1.5,2.5\n3.5,4.5\n", [[1.5, 2.5], [3.5, 4.5]]),
+    "crlf and cr line ends": (b"1.5,2.5\r\n3.5,4.5\r5,6", [[1.5, 2.5], [3.5, 4.5], [5.0, 6.0]]),
+    "byte-order mark": (b"\xef\xbb\xbf1.5,2.5\n", [[1.5, 2.5]]),
+    "header": (b"height,width\n1.5,2.5\n", [[1.5, 2.5]]),
+    "mark and header": (b"\xef\xbb\xbfheight,width\n1.5,2.5\n", [[1.5, 2.5]]),
+    "blank rows": (b"\n1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "whitespace-only rows": (b" \t\n1,2\n   \n3,4\n\x0c\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "all-comma rows": (b",,\nh,w\n , \n1,2\n,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "padded cells": (b" 1 ,\t2\n3,4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+    "one column": (b"1\n-2e-3\n", [[1.0], [-2e-3]]),
+    "specials": (b"nan,inf,-0,1e999,-Infinity,1e-400\n",
+                 [[np.nan, np.inf, -0.0, np.inf, -np.inf, 0.0]]),
+    "quoted cells": (b'"1.5","2"\n3,"4"\n', [[1.5, 2.0], [3.0, 4.0]]),
+    "quoted header": (b'"h","w"\n1,2\n', [[1.0, 2.0]]),
+    "underscores": (b"1_000,2\n3,4_5.5\n", [[1000.0, 2.0], [3.0, 45.5]]),
+    "non-ASCII digits": ("\u0661\u0662,\uff13\n4,5\n".encode(), [[12.0, 3.0], [4.0, 5.0]]),
+    "comment mark": (b"1,2 # note\n3,4\n",
+                     ": row 1: could not convert string to float: '2 # note'"),
+    "hash only": (b"1,2\n#,4\n", ": row 2: could not convert string to float: '#'"),
+    "trailing comma": (b"1,2,\n3,4,\n", ": row 1: could not convert string to float: ''"),
+    "trailing comma in row 2": (b"1,2\n3,4,\n", ": row 2 has 3 fields, expected 2"),
+    "ragged row": (b"1,2\n3\n", ": row 2 has 1 fields, expected 2"),
+    "typo in row 1": (b"1.0,2.o\n3.0,4.0\n", ": row 1: could not convert string to float: '2.o'"),
+    "typo past a header": (b"h,w\n1,2\nx,3\n", ": row 3: could not convert string to float: 'x'"),
+    "hexadecimal": (b"0x10,2\n", ": row 1: could not convert string to float: '0x10'"),
+    "quote never closed": (b'"h\n1,2\n3,4\n', " has a header but no data rows"),
+    "empty file": (b"", " is empty"),
+    "blank file": (b"\xef\xbb\xbf\n \n,,\n", " is empty"),
+    "header only": (b"h,w\n", " has a header but no data rows"),
+    "header and blank rows": (b"h,w\n\n,\n", " has a header but no data rows"),
+}
+
+
+def _read_or_message(path):
+    try:
+        return _read_matrix_csv(str(path), "--y")
+    except CliError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_matrix_csv_cases(tmp_path, case):
+    # one `np.loadtxt` reads the files it can; every file gives the values, bit
+    # for bit, or the message of the cell-by-cell `csv` and `float` reader, and
+    # no numpy warning
+    data, want = CSV_CASES[case]
+    path = tmp_path / "y.csv"
+    path.write_bytes(data)
+    got = _read_or_message(path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            cell_by_cell = cli._parse_matrix_rows(fh.readlines(), str(path), "--y")
+        except CliError as exc:
+            cell_by_cell = str(exc)
+    if isinstance(want, str):
+        assert got == cell_by_cell == f"`--y` file {path}{want}"
+    else:
+        want = np.array(want, dtype=float)
+        for mat in (got, cell_by_cell):
+            assert mat.dtype == np.float64 and mat.flags.c_contiguous
+            assert mat.shape == want.shape and mat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["plain", "mark and header", "blank rows", "specials"])
+def test_matrix_csv_is_parsed_in_one_pass(tmp_path, monkeypatch, case):
+    # a file of plain numbers, past a header, never reaches the cell-by-cell reader
+    path = tmp_path / "y.csv"
+    path.write_bytes(CSV_CASES[case][0])
+    monkeypatch.setattr(cli, "_parse_matrix_rows", lambda *a: pytest.fail("read cell by cell"))
+    loads = []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, _real=np.loadtxt, **k: loads.append(a) or
+                        _real(*a, **k))
+    assert _read_matrix_csv(str(path), "--y").shape == np.array(CSV_CASES[case][1]).shape
+    assert len(loads) == 1
+
+
+def test_matrix_csv_cell_past_the_csv_field_limit(tmp_path):
+    # `csv` refuses a cell longer than its field limit, which is a usage error
+    # naming the file; a number that long with no quote is read as `float` reads it
+    digits = "1." + "0" * 200_000
+    path = tmp_path / "y.csv"
+    path.write_text(f'"{digits}",2\n3,4\n')
+    assert _read_or_message(path) == (f"`--y` file {path}: field larger than field limit "
+                                       f"({csv.field_size_limit()})")
+    path.write_text(f"{digits},2\n3,4\n")
+    assert _read_or_message(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_matrix_csv_read_error_is_the_decoders(tmp_path):
+    # bytes that are not UTF-8 are reported as the decoder reports them,
+    # at their position in the decoded chunk
+    path = tmp_path / "y.csv"
+    path.write_bytes(b"1,2\n" * 3000 + b"\xff,3\n")
+    with pytest.raises(UnicodeDecodeError, match="in position 3808: invalid start byte"):
+        _read_matrix_csv(str(path), "--y")
 
 
 # --------------------------------------------------------------------------

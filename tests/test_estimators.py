@@ -740,6 +740,84 @@ def test_plugin_fallback_to_zero_gives_the_w0_rows_bytes(n, p):
         assert part[fell, 1].tobytes() == part[fell, 0].tobytes()
 
 
+
+# a fit's weight-1 matrices: FixedWeight(1.0) in every fit, and the oracle
+# weight where it is exactly 1
+W1_RULES = (FixedWeight(1.0), FixedWeight(0.5), PluginRule(), allopca.OracleWeight(),
+            FixedWeight(0.0))
+W1_ORACLE = np.array([1.0, 0.3, 1.0, 0.0, 0.7, 1.0])
+
+
+def _record_solves(monkeypatch, drop_known=False):
+    """Record each `_leading_pair_stack` call's stack, as the solver sees it, and
+    its `known` pair; with `drop_known` every spectrum comes from `eigvalsh`."""
+    calls = []
+
+    def record(m, known=None, _real=core._leading_pair_stack):
+        calls.append((m.copy(), known))
+        return _real(m, None if drop_known else known)
+
+    monkeypatch.setattr(estimators, "_leading_pair_stack", record)
+    return calls
+
+
+def _w1_fits(case, e):
+    """Centered p x p fits (n - 1 >= p) with their responses scaled by 2^e."""
+    if case == "ties":  # S(1) = s_resid = diag(4, 4, 0) in each fit: a tie
+        h = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+        y = np.zeros((6, 4, 3))
+        y[:, :, :2] = h[:, :2]
+        x = np.stack([h[:, 2:]] * 6)
+    else:
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((6, 20, 3))
+        y = rng.standard_normal((6, 20, 8)) * np.linspace(2.0, 0.5, 8)
+        y, x = y - y.mean(axis=1, keepdims=True), x - x.mean(axis=1, keepdims=True)
+    return _scatter_stack(np.ldexp(y, e), x)
+
+
+@pytest.mark.parametrize("case", ["random", "ties"])
+def test_w1_matrices_take_the_fit_checks_spectrum(monkeypatch, case):
+    # a p x p fit's weight-1 matrix is its s_resid divided by the power of two of
+    # the fit check, whose eigenvalues are those `eigvalsh` gives the scaled matrix
+    # the solver sees, bit for bit (the oracle); weights, axes, gaps and ties are
+    # those of a solve that decomposes every matrix, also for responses scaled by
+    # 2^e, whose Grams are scaled by 2^2e, up to 2^+-900
+    def solved(e, drop_known):
+        calls = _record_solves(monkeypatch, drop_known)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _leading_axes(W1_RULES, *_w1_fits(case, e), W1_ORACLE)[:4]
+        monkeypatch.undo()
+        return got, calls
+
+    base, _ = solved(0, True)
+    if case == "ties":
+        assert base[3][:, 0].all()
+    for e in (0, 150, -150, 450, -450):
+        (weights, axes, gaps, ties), calls = solved(e, False)
+        [(m, (have, vals))] = calls
+        assert have.tolist() == (weights == 1.0).ravel().tolist() and 6 < have.sum() < have.size
+        assert vals.tobytes() == np.linalg.eigvalsh(m[have]).tobytes()
+        assert weights.tobytes() == base[0].tobytes()
+        assert axes.tobytes() == base[1].tobytes()
+        assert gaps.tobytes() == np.ldexp(base[2], 2 * e).tobytes()
+        assert ties.tobytes() == base[3].tobytes()
+
+
+def test_wide_w1_matrices_solve_their_own_spectrum(monkeypatch, eig_sizes):
+    # a wide fit's weight-1 matrix diag(0_q, g_resid) has the check's spectrum and
+    # q zeros only in exact arithmetic, so it is decomposed with the other matrices:
+    # n - 1 = 11 < p = 30, the check's g_resid of order n - 1 - q = 8
+    fits = _null_fits(6, 12, 30, 3, 32)
+    calls = _record_solves(monkeypatch)
+    sizes = eig_sizes()
+    weights = _leading_axes(W1_RULES, *fits, W1_ORACLE)[0]
+    assert (weights == 1.0).sum() == 9
+    assert [known for _, known in calls] == [None]
+    assert sizes == [8] * 6 + [11] * 6 * len(W1_RULES)
+
+
 def test_leading_axes_of_a_large_fit_holds_its_stack_about_twice():
     # one p x p fit with `estimate`'s rules: the blend holds its two terms, one
     # matrix per distinct rule each, and the solver and its check add no copy;

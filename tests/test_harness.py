@@ -306,9 +306,9 @@ def test_solver_calls_hold_the_distinct_pairs_of_whole_fits(case, monkeypatch, f
     blocks = force_blocks(3)
     calls = []
 
-    def recording(m, _orig=estimators._leading_pair_stack):
+    def recording(m, known=None, _orig=estimators._leading_pair_stack):
         calls.append(len(m))
-        return _orig(m)
+        return _orig(m, known)
 
     monkeypatch.setattr(estimators, "_leading_pair_stack", recording)
     mse, wts = _replicate_block(spec, rows, np.arange(7))
@@ -338,9 +338,9 @@ def test_one_solver_call_per_leading_axes_call_whatever_the_budget(case, monkeyp
     monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", 1)
     calls = []
 
-    def recording(m, _orig=estimators._leading_pair_stack):
+    def recording(m, known=None, _orig=estimators._leading_pair_stack):
         calls.append(len(m))
-        return _orig(m)
+        return _orig(m, known)
 
     monkeypatch.setattr(estimators, "_leading_pair_stack", recording)
     weights, *got = estimators._leading_axes(rules, *fits, oracle)[:4]
@@ -443,6 +443,15 @@ def test_cost_model_charges_the_solved_size():
                + (rows + 5.0) * (3.2e-8 * s ** 2 + 1.6e-11 * s ** 3))
     assert estimate_runtime_seconds(narrow) == 6.5e-4 + 3 * per_rep
 
+
+def test_scenario_estimate_adds_each_models_basis_to_the_run():
+    # `simulate --cost-limit` reads the scenario's sizes alone: each point's
+    # model at 1.3e-9 s p^3 and the run that `estimate_runtime_seconds` prices
+    plan = scenario_plan(STRONG_SPIKE, [20, 100], replications=3, seed=0)
+    seconds = harness._scenario_seconds(STRONG_SPIKE, [20, 100], 3)
+    assert seconds == pytest.approx(estimate_runtime_seconds(plan) + 1.3e-9 * (20 ** 3 + 100 ** 3),
+                                    rel=1e-14)
+    assert harness._scenario_seconds(STRONG_SPIKE, [2400], 1) > 17.9
 
 def test_result_records_the_cost_estimate():
     # the library runs any plan; `simulate --cost-limit` compares the estimate with its limit

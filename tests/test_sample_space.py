@@ -242,7 +242,7 @@ def test_corrupted_leading_eigenpair_raises(monkeypatch, part, message):
     real = core._leading_pair_stack
     cases = _fault_cases()
     monkeypatch.setattr(estimators, "_leading_pair_stack",
-                        lambda m: _corrupt_leading(*real(m), part))
+                        lambda m, known=None: _corrupt_leading(*real(m, known), part))
     for run, _, _ in cases:
         with pytest.raises(NumericFailure, match=message):
             run()
@@ -308,9 +308,9 @@ def test_commands_check_the_leading_pairs_of_every_solve(monkeypatch):
     solved, checked = [], []
     real_solve, real_check = estimators._leading_pair_stack, estimators._check_leading_pairs
 
-    def solve(m):
+    def solve(m, known=None):
         solved.append(m.copy())
-        return real_solve(m)
+        return real_solve(m, known)
 
     def check(m, *args):
         checked.append(m.copy())
