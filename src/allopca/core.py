@@ -31,8 +31,9 @@ spectrum).  `_check_fit_stack` is the one check of a built fit: finite Grams
 in the space the fit is solved in (p x p, or the Gram blocks of a wide
 fit's reduced rows), one `eigvalsh` of the residual block, and additivity
 on the factors.  `SumOfSquares` checks the two matrices given by a user or
-by `sums_of_squares`, and forms S_total = S_reg + S_resid from them.  Each
-fact is checked where it is first computed, and not again downstream.
+by `sums_of_squares`, keeps its check's spectrum of S_resid, and forms
+S_total = S_reg + S_resid from them.  Each fact is checked where it is
+first computed, and not again downstream.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
@@ -169,9 +170,12 @@ def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
     The one `eigvalsh` runs on each matrix divided by `_pow2_scale` of its
     peak entry (exact), so no trace overflows and power-of-two rescalings
-    give the same values; at ordinary scales the values times their scales
-    are the plain matrix's, bit for bit.  Returns those ascending values
-    (..., p) of the scaled matrices, and the scales (...).
+    give the same values.  Where the peak entry lies between about 2^-405
+    and 2^485, the values times their scales are the plain matrix's, bit for
+    bit; outside that range LAPACK rescales a plain matrix by a factor that
+    is not a power of two, and its values move in the last bits.  Returns
+    those ascending values (..., p) of the scaled matrices, and the scales
+    (...), which `SumOfSquares` and `_check_fit_stack` pass on.
     """
     scale = _pow2_scale(_peaks(m))
     a = m / scale[..., None, None]
@@ -253,6 +257,12 @@ class SumOfSquares:
     eigensolver.  The total ``s_total = s_reg + s_resid`` is formed from the
     stored pair, not given.  `n` and `q` record the sample size and design
     rank they came from; the residual degrees of freedom are ``n - 1 - q``.
+
+    The semidefiniteness check of s_resid (`_check_psd`) is its one
+    eigendecomposition: `_resid_spectrum` keeps the pair it returns, the
+    ascending eigenvalues of s_resid divided by `_pow2_scale` of its peak
+    entry and that scale, which `estimate_abcd` and `gamma1_hat` at w = 1
+    read, as the commands read `_check_fit_stack`'s.
     """
 
     s_reg: np.ndarray
@@ -260,6 +270,7 @@ class SumOfSquares:
     n: int
     q: int
     s_total: np.ndarray = field(init=False)
+    _resid_spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         s_reg = np.asarray(self.s_reg, dtype=float)
@@ -272,8 +283,10 @@ class SumOfSquares:
         for name, m in (("s_reg", s_reg), ("s_resid", s_resid)):
             _check_symmetric(m, f"`{name}`")
             m = (m + m.T) / 2.0
-            _check_psd(m, f"`{name}`")
+            evals, scale = _check_psd(m, f"`{name}`")
             object.__setattr__(self, name, _readonly(m))
+        # the loop ends on s_resid
+        object.__setattr__(self, "_resid_spectrum", (_readonly(evals), float(scale)))
         object.__setattr__(self, "s_total", _readonly(self.s_reg + self.s_resid))
 
     @property

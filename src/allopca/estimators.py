@@ -163,6 +163,9 @@ def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
 
     One fit and the weight of `FixedWeight(w)`, a 1 x 1 weight table, through
     `_solve_axes`, the commands' solver, which gives the gap and the tie flag.
+    At w = 1 the solved matrix is s_resid, whose spectrum the `SumOfSquares`
+    check computed, so it is not decomposed again; any other w takes one
+    `eigvalsh`.
 
     Parameters
     ----------
@@ -180,7 +183,8 @@ def gamma1_hat(ss: SumOfSquares, w: float) -> Gamma1Estimate:
     """
     _check_dimension(ss.p)
     w = FixedWeight(w).w
-    axes, gaps, ties = _solve_axes(np.full((1, 1), w), ss.s_reg[None], ss.s_resid[None])
+    axes, gaps, ties = _solve_axes(np.full((1, 1), w), ss.s_reg[None], ss.s_resid[None],
+                                   resid_vals=ss._resid_spectrum[0][None])
     return Gamma1Estimate(_readonly(axes[0, 0]), w, float(gaps[0, 0]), bool(ties[0, 0]))
 
 
@@ -255,7 +259,10 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
     - d_hat = lambda1_hat - lambda2_hat.
 
     Requires p >= 2 (lambda2_hat needs a second eigenvalue) and n > 2 + q
-    so the variance-correction factor is positive.
+    so the variance-correction factor is positive.  The eigenvalues are
+    those the `SumOfSquares` check computed for s_resid, so no matrix is
+    decomposed here, and the summaries are the `estimate` command's, bit for
+    bit.
 
     Raises
     ------
@@ -267,8 +274,8 @@ def estimate_abcd(ss: SumOfSquares) -> PluginWeights:
     n, q = ss.n, ss.q
     _check_dimension(ss.p)
     _check_plugin_dof(n, q)
-    fields = _plugin_weights(ss.s_reg[None], ss.s_resid[None],
-                             np.linalg.eigvalsh(ss.s_resid)[None], n, q)
+    vals, scale = ss._resid_spectrum
+    fields = _plugin_weights(ss.s_reg[None], ss.s_resid[None], (vals * scale)[None], n, q)
     return PluginWeights(sigma_hat=_readonly(ss.s_resid / (n - 1 - q)),
                          **{k: float(v[0]) for k, v in fields.items() if k != "tr_sigma_hat"})
 
@@ -492,12 +499,13 @@ def _solve_axes(w, s_reg, s_resid, rows=None, gram=None, resid_vals=None):
     read) in one `_leading_pair_stack` call, which the caller sizes.  A p x p
     matrix of weight exactly 1 is s_resid, bit for bit, divided by the same
     power of two as in the fit check, so `resid_vals`, the check's ascending
-    eigenvalues of each scaled s_resid (`_check_fit_stack`), are its spectrum
-    and only the other matrices go to `eigvalsh`.  A wide fit's weight-1
-    matrix, diag(0, g_resid), is solved like the others: its spectrum is the
-    check's and q zeros only in exact arithmetic.  A wide
-    fit lifts each of its vectors with one vector-matrix product (D^1/2 u)' W,
-    so an axis's bytes depend on its fit and weight alone.  A gap is
+    eigenvalues of each scaled s_resid (`_check_fit_stack` for the commands,
+    `SumOfSquares` for `gamma1_hat`), are its spectrum and only the other
+    matrices go to `eigvalsh`.  A wide fit's weight-1 matrix, diag(0, g_resid),
+    is solved like the others: its spectrum is the check's and q zeros only in
+    exact arithmetic.  A wide fit lifts each of its vectors with one
+    vector-matrix product (D^1/2 u)' W, so an axis's bytes depend on its fit
+    and weight alone.  A gap is
     lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero spectrum
     are S(w)'s, and a tie a gap of at most TIE_TOL times that trace (scaled).
     """

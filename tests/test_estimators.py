@@ -357,8 +357,10 @@ def test_plugin_weight_approaches_oracle():
 
 
 # powers of two that rescale the plug-in example's data; the terms of the weight
-# grow as y^6, so at -180 and 170 they left the float range before they were scaled
-PLUGIN_SCALES = (-180, -150, 0, 150, 170)
+# grow as y^6, so at -180 and 170 they left the float range before they were scaled,
+# and at -250 and 250 LAPACK rescales an unscaled s_resid by a factor other than a
+# power of two, so its plain `eigvalsh` moved lambda1_hat, d_hat and the weight
+PLUGIN_SCALES = (-250, -180, -150, 0, 150, 170, 250)
 
 
 def plugin_scale_data(k=0):
@@ -420,18 +422,67 @@ def test_plugin_summaries_of_degree_four_read_inf_past_the_float_range():
         warnings.simplefilter("error")
         pw = estimate_abcd(sums_of_squares(plugin_scale_data(300)))
     assert pw.tr_sigma2_hat == pw.a_hat == np.inf
-    assert pw.w_hat == pytest.approx(base.w_hat, rel=1e-14)
+    assert pw.w_hat == base.w_hat and pw.w_hat_raw == base.w_hat_raw
 
 
-def test_estimate_abcd_decomposes_s_resid_once(eig_sizes):
-    # the eigenvalues of s_resid, read once; the result record re-checks nothing
+def test_estimate_abcd_reads_the_fit_checks_spectrum(eig_sizes):
+    # the eigenvalues of s_resid come from the `SumOfSquares` check, which
+    # computed them; the result record re-checks nothing
     ss = sums_of_squares(plugin_scale_data())
     sizes = eig_sizes()
     pw = estimate_abcd(ss)
-    assert sizes == [ss.p]
+    assert sizes == []
     assert not pw.sigma_hat.flags.writeable
     assert all(type(getattr(pw, name)) is float
                for name in ("lambda1_hat", "a_hat", "d_hat", "w_hat_raw", "w_hat"))
+
+
+def test_gamma1_hat_decomposes_only_a_matrix_off_weight_one(eig_sizes):
+    # S(1) is s_resid, whose spectrum the `SumOfSquares` check computed
+    ss = sums_of_squares(plugin_scale_data())
+    sizes = eig_sizes()
+    gamma1_hat(ss, 1.0)
+    assert sizes == []
+    gamma1_hat(ss, 0.3)
+    assert sizes == [ss.p]
+
+
+PARITY_RULES = tuple(FixedWeight(w) for w in (0.0, 0.3, 0.5, 1.0)) + (PluginRule(),)
+
+
+def _parity_datasets(k):
+    """p x p datasets with their responses times 2**k: four with a rank-one signal
+    (n = 30, p = 6, q = 2) and eight with none (n = 20, p = 10, q = 5), some of
+    whose plug-in weights fall back to 0."""
+    rng = np.random.default_rng(29)
+    sets = [_rank_one_data(60 + j, 30, 6, 2) for j in range(4)]
+    sets += [(rng.standard_normal((20, 10)), center_columns(rng.standard_normal((20, 5))))
+             for _ in range(8)]
+    return [Dataset(np.ldexp(y, k), x) for y, x in sets]
+
+
+@pytest.mark.parametrize("k", (-300, -250, 0, 250, 300))
+def test_library_path_gives_the_commands_bits(k):
+    # `estimate_abcd(sums_of_squares(d))` and `gamma1_hat` give every plug-in
+    # field, vector, gap and tie flag that `_leading_axes` gives the command
+    # that fits d, at every scale: one spectrum of s_resid on both paths
+    fell = 0
+    for data in _parity_datasets(k):
+        ss = sums_of_squares(data)
+        pw = estimate_abcd(ss)
+        fit = _scatter_stack(center_columns(data.y)[None], data.x[None])
+        weights, axes, gaps, ties, plugin = _leading_axes(PARITY_RULES, *fit)
+        for name, want in plugin.items():
+            if name != "tr_sigma_hat":
+                assert np.float64(getattr(pw, name)).tobytes() == want[0].tobytes(), name
+        assert weights[0, -1] == pw.w_hat
+        fell += pw.w_hat == 0.0
+        for j, w in enumerate(weights[0]):
+            est = gamma1_hat(ss, float(w))
+            assert est.vector.tobytes() == axes[0, j].tobytes(), w
+            assert np.float64(est.leading_gap).tobytes() == gaps[0, j].tobytes(), w
+            assert est.tie_flag == ties[0, j], w
+    assert 0 < fell < 8
 
 
 # --------------------------------------------------------------------------
@@ -888,3 +939,6 @@ def test_blend_and_tie_rule_are_defined_once():
     assert "sym_eig(" not in library and "s_resid +" not in library and "_solve_axes(" in library
     assert not hasattr(estimators, "sym_eig") and not hasattr(estimators, "weighted_matrix")
     assert not hasattr(core, "weighted_matrix") and not hasattr(allopca, "weighted_matrix")
+    # every spectrum the estimators read comes from core's checks and solver
+    assert not re.search(r"linalg\.eig|\beig(?:h|vals|valsh)?\(",
+                         (SRC / "estimators.py").read_text(encoding="utf-8"))
