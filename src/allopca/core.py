@@ -23,11 +23,14 @@ formed.
 `_scatter_stack` is the one fit builder, which returns each fit of a stack
 as row factors.  Two symmetric eigensolvers check nothing: `_sym_eig_stack`,
 a full `eigh`, for the callers that read whole bases (`sym_eig`, a stack of
-one, checks the whole decomposition, and `simgen.random_gamma`), and
+one, checks the whole decomposition, and `simgen.random_gamma`; the
+leave-one-out update path checks its bases with `_check_eigenbases`), and
 `_leading_pair_stack`, every eigenvalue from `eigvalsh` and the leading
 vector by inverse iteration, for the commands, which read only the leading
 vector and the gap (`_check_leading_pairs` checks the leading pair and the
-spectrum).  `_check_fit_stack` is the one check of a built fit: finite Grams
+spectrum).  `_leading_pair_update` gives the leading pairs of a diagonal
+plus a rank-two update by a secular equation, and certifies each pair
+itself.  `_check_fit_stack` is the one check of a built fit: finite Grams
 in the space the fit is solved in (p x p, or the Gram blocks of a wide
 fit's reduced rows), one `eigvalsh` of the residual block, and additivity
 on the factors.  `SumOfSquares` checks the two matrices given by a user or
@@ -253,10 +256,12 @@ class SumOfSquares:
     """Regression, residual and total sum-of-squares matrices.
 
     `s_reg` and `s_resid` must be p x p, finite, symmetric and positive
-    semidefinite; each is stored exactly symmetric, as (M + M') / 2, for the
-    eigensolver.  The total ``s_total = s_reg + s_resid`` is formed from the
-    stored pair, not given.  `n` and `q` record the sample size and design
-    rank they came from; the residual degrees of freedom are ``n - 1 - q``.
+    semidefinite; each is stored exactly symmetric, as (M + M') / 2 formed on
+    M divided by `_pow2_scale` of its peak entry (so finite entries near the
+    float range do not overflow), for the eigensolver.  The total
+    ``s_total = s_reg + s_resid`` is formed from the stored pair, not given.
+    `n` and `q` record the sample size and design rank they came from; the
+    residual degrees of freedom are ``n - 1 - q``.
 
     The semidefiniteness check of s_resid (`_check_psd`) is its one
     eigendecomposition: `_resid_spectrum` keeps the pair it returns, the
@@ -282,7 +287,8 @@ class SumOfSquares:
         object.__setattr__(self, "q", q)
         for name, m in (("s_reg", s_reg), ("s_resid", s_resid)):
             _check_symmetric(m, f"`{name}`")
-            m = (m + m.T) / 2.0
+            t = _pow2_scale(_max_abs(m))  # exact, so no sum of entries overflows
+            m = (m / t + m.T / t) / 2.0 * t
             evals, scale = _check_psd(m, f"`{name}`")
             object.__setattr__(self, name, _readonly(m))
         # the loop ends on s_resid
@@ -487,6 +493,127 @@ def _check_leading_pairs(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> N
                              f"Frobenius norm by {off[k]:.3e}")
 
 
+def _check_eigenbases(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Raise `NumericFailure` unless each (values, vectors) of `_sym_eig_stack(m)`
+    decomposes its matrix M of the stack (k, s, s): max|V'V - I| <= UNIT_TOL and
+    ||M V - V diag(values)||_F <= 1e-8 ||M||_F (NaN fails)."""
+    off = np.linalg.norm(m @ vecs - vecs * vals[:, None, :], axis=(1, 2))
+    orth = np.max(np.abs(np.swapaxes(vecs, 1, 2) @ vecs - np.eye(m.shape[1])), axis=(1, 2))
+    bad = ~((off <= 1e-8 * _frobenius(m)) & (orth <= UNIT_TOL))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NumericFailure(f"the eigendecomposition of matrix {k} misses it by "
+                             f"{off[k]:.3e} (max|V'V - I| = {orth[k]:.3e})")
+
+
+# Newton steps of `_leading_pair_update`; a pair still moving after them is not certified.
+_UPDATE_STEPS = 12
+
+
+def _leading_pair_update(lam: np.ndarray, g: np.ndarray, c: np.ndarray):
+    """Certified leading eigenpairs of A = diag(lam) + G diag(c) G', stacked last.
+
+    `lam` (s, ...) holds descending values, `g` (2, s, ...) the update's two
+    columns and `c` (2, ...) its coefficients, of either sign; a zero c_k
+    drops its column.  The trailing axes broadcast, so one spectrum serves
+    many updates, and each step is a few operations on whole rows of pairs.
+    With a = G's first row, its rows G_j and R(mu) = sum_{j >= 2} G_j' G_j /
+    (mu - lam_j), the leading eigenvalue is the largest root of the secular
+    function with its lam_1 pole removed (Bunch, Nielsen & Sorensen 1978;
+    Arbenz, Gander & Golub 1988),
+
+        h(mu) = mu - lam_1 - a' z,     z = (I - C R(mu))^-1 C a,
+
+    with slope ||x||^2 = 1 + z' S(mu) z, S(mu) = sum_{j >= 2} G_j' G_j /
+    (mu - lam_j)^2, and eigenvector x = (1, G_j z / (mu - lam_j)) (Gu &
+    Eisenstat 1995).  Newton's method keeps to a bracket: the Rayleigh
+    quotient of e_1, lam_1 + a' C a, and, by interlacing, lam_{1 + m} (m the
+    negative c_k) below, Weyl's bound lam_1 + sum max(c_k, 0) ||G_k||^2
+    above, each iterate moving the side that the count of eigenvalues above
+    it gives; a step that leaves the bracket bisects, and a converged pair
+    stays where it is, as it would alone.
+
+    The count of eigenvalues above t is, by Haynsworth inertia additivity,
+    #{lam_j > t} + nu_+(W(t) - C^-1) - #{c_k < 0}, W(t) = G'(tI -
+    diag(lam))^-1 G, the 2 x 2 inertia read from its determinant and trace.
+    A pair is certified (`ok`) when its last Newton step is at rounding
+    level, ||A x - mu x|| <= 1e-8 ||A||_F (the norm in closed form, O(s)),
+    x is unit to UNIT_TOL, and the count above mu + 1e-8 ||A||_F is 0 (a
+    zero or non-finite determinant fails).  Returns (mu (...), x (s, ...),
+    ok (...)); callers solve the uncertified pairs another way.  Each pair
+    is computed as if alone.
+    """
+    shape, size = g.shape[2:], lam.shape[0]
+    lam = np.broadcast_to(lam, (size, *shape)).reshape(size, -1)
+    live = c != 0.0  # a dropped column reads G_k = 0 and c_k = -1
+    g = (g * live[:, None] if not np.all(live) else g).reshape(2, size, -1)
+    c = np.broadcast_to(np.where(live, c, -1.0), (2, *shape)).reshape(2, -1)
+    with np.errstate(all="ignore"):  # an uncertified pair may hold inf or NaN
+        (c1, c2), (a1, a2), lead, rest = c, g[:, 0], lam[0], lam[1:]
+        t1, t2 = g[:, 1:]
+        prods = np.stack((t1 * t1, t1 * t2, t2 * t2), axis=1)  # (s - 1, 3, pairs)
+        ca1, ca2, c12 = c1 * a1, c2 * a2, c1 * c2
+        negative = (c1 < 0.0).astype(int) + (c2 < 0.0)
+
+        def above(t, r11, r12, r22):
+            """How many eigenvalues of A exceed each t, from R(t); -1 where the 2 x 2
+            inertia is unclear.  W(t) - C^-1 = N + a a' / (t - lam_1), N = R(t) - C^-1."""
+            n11, n22, tau = r11 - 1.0 / c1, r22 - 1.0 / c2, t - lead
+            det = (n11 * n22 - r12 * r12
+                   + (n22 * a1 * a1 - 2.0 * r12 * a1 * a2 + n11 * a2 * a2) / tau)
+            trace = n11 + n22 + (a1 * a1 + a2 * a2) / tau
+            count = (np.sum(lam > t, axis=0) - negative
+                     + np.where(det < 0.0, 1, np.where(trace > 0.0, 2, 0)))
+            return np.where((det != 0.0) & np.isfinite(det) & np.isfinite(trace), count, -1)
+
+        def secular(mu):
+            """h(mu), its slope, z and the count above mu."""
+            inv = 1.0 / (mu - rest)
+            r11, r12, r22 = np.einsum("jp,jkp->kp", inv, prods)
+            s11, s12, s22 = np.einsum("jp,jkp->kp", inv * inv, prods)
+            b11, b22 = 1.0 - c1 * r11, 1.0 - c2 * r22
+            det = b11 * b22 - c12 * r12 * r12
+            z1 = (b22 * ca1 + c1 * r12 * ca2) / det
+            z2 = (b11 * ca2 + c2 * r12 * ca1) / det
+            slope = 1.0 + z1 * (s11 * z1 + 2.0 * s12 * z2) + s22 * z2 * z2
+            return mu - lead - a1 * z1 - a2 * z2, slope, z1, z2, above(mu, r11, r12, r22)
+
+        gg1, gg2 = np.einsum("kjp,kjp->kp", g, g)
+        m = ((c1 < 0.0) & (gg1 > 0.0)).astype(int) + ((c2 < 0.0) & (gg2 > 0.0))
+        low = np.where(m < size, np.take_along_axis(lam, np.minimum(m, size - 1)[None], 0)[0],
+                       -np.inf)
+        rayleigh = lead + ca1 * a1 + ca2 * a2
+        lo = np.maximum(rayleigh, low)
+        hi = lead + np.maximum(c1, 0.0) * gg1 + np.maximum(c2, 0.0) * gg2
+        mu = np.where(rayleigh >= low, rayleigh, 0.5 * (lo + hi))
+        eps = np.finfo(float).eps
+        for k in range(_UPDATE_STEPS + 1):
+            h, slope, z1, z2, count = secular(mu)
+            step = h / slope
+            moving = np.abs(step) > 4.0 * eps * np.abs(mu)
+            if k == _UPDATE_STEPS or not np.any(moving):
+                break
+            lo, hi = np.where(count > 0, mu, lo), np.where(count == 0, mu, hi)
+            new = mu - step
+            mu = np.where(moving, np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi)), mu)
+        x = np.concatenate((np.ones((1, mu.size)), (t1 * z1 + t2 * z2) / (mu - rest)))
+        x /= np.sqrt(slope)
+        # ||A||_F^2 = sum lam^2 + 2 sum_k c_k G_k' diag(lam) G_k + sum_kl c_k c_l (G_k'G_l)^2
+        lg1, lg2 = np.einsum("jp,kjp,kjp->kp", lam, g, g)
+        g12 = a1 * a2 + np.sum(prods[:, 1], axis=0)
+        frob = np.sqrt(np.maximum(np.einsum("jp,jp->p", lam, lam)
+                                  + 2.0 * (c1 * lg1 + c2 * lg2) + (c1 * gg1) ** 2
+                                  + 2.0 * c12 * g12 * g12 + (c2 * gg2) ** 2, 0.0))
+        resid = (lam - mu) * x
+        resid += np.einsum("kjp,kp->jp", g, c * np.einsum("kjp,jp->kp", g, x))
+        t = mu + 1e-8 * frob
+        ok = ((np.abs(step) <= 4.0 * eps * np.abs(mu))
+              & (np.sqrt(np.einsum("jp,jp->p", resid, resid)) <= 1e-8 * frob)
+              & (np.abs(np.sqrt(np.einsum("jp,jp->p", x, x)) - 1.0) <= UNIT_TOL)
+              & (above(t, *np.einsum("jp,jkp->kp", 1.0 / (t - rest), prods)) == 0))
+    return mu.reshape(shape), x.reshape(size, *shape), ok.reshape(shape)
+
+
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Column vectors of a stack (k, p, c), each negated if needed so that its
     largest-magnitude entry is positive (ties toward the lowest index)."""
@@ -615,8 +742,9 @@ def _scatter_stack(y: np.ndarray, x: np.ndarray, left_out: np.ndarray | None = N
         total = y              (k, n, p),   s_total = y'y,
 
     so each scatter matrix is a Gram matrix (`_gram`) and semidefinite by
-    construction.  Replications, the `estimate` command and leave-one-out
-    folds all build their fits here, and `_check_fit_stack` checks them.
+    construction.  Replications, the `estimate` command, `cv`'s full fit
+    and its refit leave-one-out folds all build their fits here, and
+    `_check_fit_stack` checks them.
     The p x p matrices are formed only where they are the cheaper space to
     solve in: `estimators._leading_axes` forms them when n - 1 >= p, and
     otherwise solves every weight from the (n - 1) x (n - 1) Gram of the

@@ -26,8 +26,12 @@ weight rules into one weight table (fits by distinct rules) for
 (`core._leading_pair_stack`).  A fit of n observations is solved p x p when
 n - 1 >= p, and otherwise on its n - 1 reduced rows [reg; Qc'resid] (Qc an
 orthonormal basis of the complement of the constant and the design span),
-each (fit, rule) axis lifted alone.  A leave-one-out fold (`loo_cv_scores`)
-is an ordinary fit: the n - 1 rows that it keeps, centered on their means.
+each (fit, rule) axis lifted alone.  A p x p leave-one-out fold
+(`loo_cv_scores`) comes from the full fit by case deletion, its fixed-weight
+axes from one eigendecomposition of the full S(w) per weight and a
+certified rank-two update per fold (`core._leading_pair_update`); a wide
+fold, or one the update cannot certify, is an ordinary fit of the n - 1 rows
+that it keeps, centered on their means.
 """
 
 from __future__ import annotations
@@ -42,19 +46,25 @@ from .core import (
     SumOfSquares,
     _check_design_conditioning,
     _check_dimension,
+    _check_eigenbases,
+    _check_finite,
     _check_fit_stack,
     _check_leading_pairs,
     _check_plugin_dof,
+    _check_psd,
     _check_sizes,
     _check_unit,
     _check_weight,
     _fix_signs,
     _gram,
     _leading_pair_stack,
+    _leading_pair_update,
+    _max_abs,
     _peaks,
     _pow2_scale,
     _readonly,
     _scatter_stack,
+    _sym_eig_stack,
     center_columns,
 )
 from .errors import DegreesOfFreedomError
@@ -390,13 +400,16 @@ def _ols_coefficients(x: np.ndarray, reg: np.ndarray, qmat: np.ndarray) -> np.nd
 
 
 # Stacked arrays hold about this many entries, so their temporaries stay
-# near a megabyte each: `_blocks` splits the leave-one-out folds
-# (`loo_cv_scores`) and the Monte Carlo replications (`harness._replicate_block`)
-# into ranges of that size, and `_solve_axes` solves each range whole, in one
-# call.  A fit counts its rows and one solved matrix per rule (`_fit_entries`),
-# so the default points each fit in one block: the 50 folds at n = 50, p = 10
-# and ten rules, up to 15 replications at table1's n = 500, 6 at table3b's
-# p = 100 and 21 at its p = 50.  A range holds at least one item, so a fit above
+# near a megabyte each: `_blocks` splits the Monte Carlo replications
+# (`harness._replicate_block`), and the leave-one-out folds and fixed weights
+# of `loo_cv_scores`, into ranges of that size, and `_solve_axes` solves each
+# range whole, in one call.  A fit counts its rows and one solved matrix per
+# rule (`_fit_entries`), so the default points each fit in one block: up to 15
+# replications at table1's n = 500, 6 at table3b's p = 100 and 21 at its
+# p = 50.  A p x p fold taken from the full fit builds no rows and solves only
+# the plug-in rule, so that count bounds it from above: at n = 50, p = 10 and
+# ten rules all 50 folds form one block, and all eight fixed weights one
+# `_leading_pair_update` call.  A range holds at least one item, so a fit above
 # the budget holds one solved matrix per distinct rule in its solver call (9 of
 # order 1000, 72 MB, for `estimate` at p = 1000), and 2.2 times that at peak.
 _BLOCK_ENTRIES = 1 << 17
@@ -544,28 +557,23 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
     Each fold leaves out one observation, refits the model on the other
     n - 1 rows (re-centered) under each rule, and predicts the left-out
     response; the score of a rule is the average of ||y_i - yhat_i||^2
-    over the n folds.  A fold is the data without its row: `_fold_rows`
-    gathers the n - 1 rows that it keeps and centers them on their own
-    means, and each block of folds is built and checked like a block of
-    Monte Carlo replications: `_scatter_stack` fits it in one batched thin
-    QR, and `_leading_axes` checks every fold fit, whatever the rules, and
-    resolves each projected rule's weight and axis.  Each fold predicts
-    from its own fit and its own means: with mu_i and x-bar_i the fold's
-    response and design means and x~_i = x_i - x-bar_i,
+    over the n folds.  With mu_i and x-bar_i the fold's response and design
+    means and x~_i = x_i - x-bar_i,
 
     - the OLS prediction is mu_i + x~_i' B, with the fold's least-squares
-      coefficients B = R^-1 Q'y from its thin QR (`_ols_coefficients`);
+      coefficients B;
     - a rank-one rule with fold axis g predicts
       mu_i + ((yhat_ols_i - mu_i) . g) g.
 
-    The fold fits are shared by all rules.  Per block of folds, the
-    plug-in weights come from the fit check's one batched `eigvalsh` and
-    the axes of each fold's distinct rules from one batched
-    leading-pair solve, in sample space when the folds, of n - 1
-    observations, are wide (n - 2 < p).  The full design is checked once
-    for conditioning, and each fold gets the checks of what it reads: design
-    conditioning (naming the left-out row), the `_check_fit_stack` rules and
-    the leading pair and spectrum of each solved matrix.
+    A p x p fold (n - 2 >= p) comes from the full fit by case deletion
+    (`_update_fold_errors`); a wide fold (n - 2 < p), or one the update
+    cannot certify, is refit from its own rows (`_refit_fold_errors`).  Each
+    fold gets the checks of what it reads: design conditioning (naming the
+    left-out row), finite and semidefinite scatter, and the leading pair of
+    each axis.  The squared errors are summed once, fold by fold, so the
+    scores do not depend on how the folds are blocked; p x p responses are
+    first divided by a power of two of their peak, so data rescaled by 2^k
+    score 4^k times as much, bit for bit.
 
     Parameters
     ----------
@@ -597,32 +605,164 @@ def loo_cv_scores(data: Dataset, rules) -> tuple[float, ...]:
             f"leave-one-out folds have {n - 1} training rows but need more "
             f"than {q + 2} (n > q + 3); got n = {n}, q = {q}"
         )
-    projected = [k for k, rule in enumerate(rules) if not isinstance(rule, OlsRule)]
-    if projected:
+    if any(not isinstance(rule, OlsRule) for rule in rules):
         _check_dimension(p)
-    _check_design_conditioning(x[None])
-    sse = np.zeros(len(rules))
-    ols = [k for k in range(len(rules)) if k not in projected]
+    err, refit, power = np.empty((n, len(rules))), np.arange(n), 0  # errors fold by rule
+    if n - 2 >= p:  # the full fit checks the design's conditioning
+        y = center_columns(y)
+        power = int(np.frexp(_max_abs(y))[1])
+        y = np.ldexp(y, -power)  # exact: peak in [1/2, 1)
+        err, refit = _update_fold_errors(y, center_columns(x), rules, 2 * power)
+    else:
+        _check_design_conditioning(x[None])
     yx = np.concatenate((y, x), axis=1)
-    for folds in _blocks(n, _fit_entries(n - 1, p, q, len(rules))):
-        rows, means = _fold_rows(yx, folds)
-        fold_x = rows[:, :, p:]
-        fits = _scatter_stack(rows[:, :, :p], fold_x, folds)
-        # checks every fold fit, whatever the rules, and gives the projected rules' axes
-        g = _leading_axes([rules[k] for k in projected], *fits,
-                          where=" of a leave-one-out fold")[1]
-        left = x[folds] - means[:, 0, p:]  # x~_i; shift is yhat_ols_i - mu_i
-        shift = (left[:, None, :] @ _ols_coefficients(fold_x, fits[0], fits[3]))[:, 0]
-        base = means[:, 0, :p]
-        err = y[folds] - (base + shift)
-        sse[ols] += float(np.sum(err * err))
-        if not projected:
-            continue
-        g = np.swapaxes(g, 0, 1)  # rule-major (rules, folds, p), as each rule sums its errors
-        pred = base + np.sum(shift * g, axis=-1, keepdims=True) * g
-        err = y[folds] - pred
-        sse[projected] += np.sum(err * err, axis=(1, 2))
-    return tuple(float(v) / n for v in sse)
+    for folds in _blocks(refit.size, _fit_entries(n - 1, p, q, len(rules))):
+        err[refit[folds]] = _refit_fold_errors(yx, p, refit[folds], rules)
+    with np.errstate(over="ignore"):  # a score past the float range reads inf
+        return tuple(float(v) for v in np.ldexp(np.sum(err, axis=0) / n, 2 * power))
+
+
+_FOLD = " of a leave-one-out fold"
+
+
+def _refit_fold_errors(yx: np.ndarray, p: int, folds: np.ndarray, rules) -> np.ndarray:
+    """Squared prediction errors (folds, rules) of the leave-one-out folds that
+    leave out rows `folds` of [y, x] (`yx`, y of p columns), each refit from
+    its own rows.
+
+    `_fold_rows` gathers the n - 1 rows a fold keeps and centers them on
+    their own means; `_scatter_stack` fits the folds in one batched thin QR
+    (naming the left-out row of an ill-conditioned fold design), and
+    `_leading_axes` checks every fold fit, whatever the rules, and resolves
+    each projected rule's weight and axis, in sample space when the folds
+    are wide.  The OLS shift yhat_ols_i - mu_i is x~_i' B, with the fold's
+    coefficients B = R^-1 Q'y (`_ols_coefficients`).
+    """
+    projected = [k for k, rule in enumerate(rules) if not isinstance(rule, OlsRule)]
+    ols = [k for k in range(len(rules)) if k not in projected]
+    rows, means = _fold_rows(yx, folds)
+    fold_x = rows[:, :, p:]
+    fits = _scatter_stack(rows[:, :, :p], fold_x, folds)
+    g = _leading_axes([rules[k] for k in projected], *fits, where=_FOLD)[1]
+    left = yx[folds, p:] - means[:, 0, p:]  # x~_i; shift is yhat_ols_i - mu_i
+    shift = (left[:, None, :] @ _ols_coefficients(fold_x, fits[0], fits[3]))[:, 0]
+    base, y = means[:, 0, :p], yx[folds, :p]
+    out = np.empty((folds.size, len(rules)))
+    out[:, ols] = np.sum((y - (base + shift)) ** 2, axis=1)[:, None]
+    if projected:
+        pred = base[:, None] + np.sum(shift[:, None] * g, axis=-1, keepdims=True) * g
+        out[:, projected] = np.sum((y[:, None] - pred) ** 2, axis=-1)
+    return out
+
+
+def _rank_one_errors(miss: np.ndarray, shift: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """||miss - (shift . g) g||^2 of stacked misses y_i - mu_i, OLS shifts
+    yhat_ols_i - mu_i and unit axes g (..., p), all in one orthonormal basis."""
+    err = miss - _dots(shift, g)[..., None] * g
+    return np.sum(err * err, axis=-1)
+
+
+def _update_fold_errors(y: np.ndarray, x: np.ndarray, rules, power: int):
+    """Squared prediction errors (n, rules) of the p x p leave-one-out folds of
+    centered responses `y` and centered design `x`, from the full fit by case
+    deletion, and the folds whose rows are left to fill, by a refit.
+
+    With d_i = y_i, e_i the full fit's residual row, h_i its leverage
+    1/n + ||Q_i||^2 and c = n / (n - 1) (Belsley, Kuh & Welsch 1980):
+
+    - S_T(-i) = S_T - c d_i d_i' and S_E(-i) = S_E - e_i e_i' / (1 - h_i),
+      so S_(-i)(w) = S(w) - (1 - w) c d_i d_i' - (2w - 1) e_i e_i' / (1 - h_i);
+    - the fold's design Gram is X'X - c x_i x_i' = F_i'F_i, with
+      F_i = (I - gamma_i Q_i Q_i') R and gamma_i = c / (1 + sqrt(1 - c ||Q_i||^2)),
+      whose conditioning names the left-out row;
+    - the fold's OLS error is the PRESS residual e_i / (1 - h_i) (Allen
+      1974), and a rank-one rule with fold axis g misses by
+      c d_i - (s_i . g) g, with shift s_i = c d_i - e_i / (1 - h_i).
+
+    The full fit is checked once (`_check_fit_stack`), and every fold's Gram
+    diagonals are checked finite in the data's units (times 2^`power`).  A
+    fold is refit when its case deletion could lose more than the solver's
+    rounding target, 8 p eps (`_leading_pair_stack`), to cancellation: when
+    the traces of the terms a downdate of S_X sums, plus sqrt(tr S_T tr S_X)
+    for the rounding its rows carry, pass 8 p times the trace it leaves, or
+    when 1 - c ||Q_i||^2 < 1 / (8 p).  Only a left-out row that carries most
+    of a scatter, a leverage near 1 or a scatter at the rounding level of the
+    responses does that.
+
+    Each distinct fixed weight takes one `eigh` of the full S(w) =
+    V diag(lam) V', the Gram of the full fit's rows [reg; resid] scaled by
+    sqrt(1 - w) and sqrt(w), checked whole (`_check_eigenbases`).  Each
+    fold's leading pair is that of diag(lam) + U C U', U = V'[d_i e_i] and
+    C = diag(-(1 - w) c, -(2w - 1) / (1 - h_i)), from `_leading_pair_update`,
+    and its misses are read in V's coordinates; a fold with an uncertified
+    pair is refit.  The folds kept form S_E(-i) and S_R(-i) in blocks:
+    S_E(-i) is checked semidefinite (`_check_psd`), and a plug-in rule reads
+    its eigenvalues (`_plugin_weights`) and is solved by `_solve_axes`.
+    """
+    n, p = y.shape
+    q = x.shape[1]
+    c = n / (n - 1)
+    reg, resid, total, basis = _scatter_stack(y[None], x[None])
+    s_reg, s_resid = _gram(reg), _gram(resid)
+    _check_fit_stack(s_reg, s_resid, resid, total, basis)
+    reg, e, basis, s_reg, s_resid = reg[0], resid[0], basis[0], s_reg[0], s_resid[0]
+    spread = np.maximum(1.0 - c * np.sum(basis * basis, axis=1), 0.0)  # c (1 - h_i)
+    gamma = c / (1.0 + np.sqrt(spread))
+    fold_r = basis.T @ x - gamma[:, None, None] * basis[:, :, None] * x[:, None, :]  # F_i
+    _check_design_conditioning(fold_r, np.arange(n))
+    drop = c / spread  # 1 / (1 - h_i)
+    with np.errstate(over="ignore"):  # in the data's units a Gram may pass the float range
+        _check_finite(np.ldexp(np.diagonal(s_reg) - c * y * y + drop[:, None] * e * e, power),
+                      f"`s_reg`{_FOLD}")
+        _check_finite(np.ldexp(np.diagonal(s_resid) - drop[:, None] * e * e, power),
+                      f"`s_resid`{_FOLD}")
+    cut_d, cut_e = c * np.einsum("ij,ij->i", y, y), drop * np.einsum("ij,ij->i", e, e)
+    tr_reg, tr_resid = np.trace(s_reg), np.trace(s_resid)
+    tr_total = tr_reg + tr_resid
+    keep = ((tr_reg + cut_d + cut_e + np.sqrt(tr_total * tr_reg)
+             <= 8 * p * (tr_reg - cut_d + cut_e))
+            & (tr_resid + cut_e + np.sqrt(tr_total * tr_resid) <= 8 * p * (tr_resid - cut_e))
+            & (1.0 <= 8 * p * spread))
+    err = np.empty((n, len(rules)))
+    err[:, [isinstance(rule, OlsRule) for rule in rules]] = (cut_e * drop)[:, None]
+    weights = list(dict.fromkeys(rule.w for rule in rules if isinstance(rule, FixedWeight)))
+    fixed = np.empty((len(weights), n))
+    # a weight holds its scaled rows, S(w) and its eigendecomposition, and its
+    # updates: about 16 (n, p) arrays in all, inside `_leading_pair_update`
+    for ws in _blocks(len(weights), (n + q) * p + 4 * p * p + 16 * n * p):
+        w = np.array(weights)[ws]
+        root = np.sqrt(np.where(np.arange(q + n) < q, 1.0 - w[:, None], w[:, None]))
+        full = _gram(root[..., None] * np.concatenate((reg, e)))
+        lam, vecs = _sym_eig_stack(full)
+        _check_eigenbases(full, lam, vecs)
+        # (2, p, ws, n): each V'd_i and V'e_i, one product each per weight
+        u = np.stack((np.swapaxes(vecs, 1, 2) @ y.T, np.swapaxes(vecs, 1, 2) @ e.T), axis=1)
+        u = u.transpose(1, 2, 0, 3)
+        del full, vecs
+        coef = np.stack(np.broadcast_arrays((w[:, None] - 1.0) * c,
+                                            (1.0 - 2.0 * w[:, None]) * drop))
+        axes, ok = _leading_pair_update(lam.T[:, :, None], u, coef)[1:]
+        keep &= np.all(ok, axis=0)
+        miss = c * u[0]
+        fixed[ws] = _rank_one_errors(miss.T, (miss - drop * u[1]).T, axes.T).T
+    for k, rule in enumerate(rules):
+        if isinstance(rule, FixedWeight):
+            err[:, k] = fixed[weights.index(rule.w)]
+    plugin = [k for k, rule in enumerate(rules) if isinstance(rule, PluginRule)]
+    update = np.flatnonzero(keep)
+    for block in _blocks(update.size, _fit_entries(n - 1, p, q, len(rules))):
+        i = update[block]
+        cut = drop[i, None, None] * (e[i, :, None] * e[i, None, :])
+        fold_resid = s_resid - cut
+        vals, scale = _check_psd(fold_resid, f"`s_resid`{_FOLD}")
+        if plugin:
+            fold_reg = s_reg - c * (y[i, :, None] * y[i, None, :]) + cut
+            w_hat = _plugin_weights(fold_reg, fold_resid, vals * scale[:, None], n - 1, q)["w_hat"]
+            g = _solve_axes(w_hat[:, None], fold_reg, fold_resid)[0][:, 0]
+            miss = c * y[i]
+            err[i[:, None], plugin] = _rank_one_errors(miss, miss - drop[i, None] * e[i],
+                                                       g)[:, None]
+    return err, np.flatnonzero(~keep)
 
 
 def loo_cv_mspe(data: Dataset, rule) -> float:

@@ -481,20 +481,23 @@ def test_estimate_computes_residual_eigenvalues_once(tmp_path, capsys, monkeypat
 
 
 def test_cv_decomposes_each_fold_spectrum_once(tmp_path, capsys, monkeypatch):
-    # the bench's shape, n = 50, p = 10, q = 5: the fit check's eigenvalues of the
-    # 50 folds' s_resid, then one stacked solve of the 50 folds by the 9 projected
-    # rules' blends, less the 50 residual(w=1) blends, which are the checked s_resid
+    # the bench's shape, n = 50, p = 10, q = 5: the full fit's check of s_resid,
+    # one eigh of the full S(w) per distinct fixed weight (8), whose rank-two
+    # updates give every fold's fixed-weight axes, then the semidefiniteness
+    # check of the 50 folds' s_resid and the plug-in rule's 50 blends; no
+    # (fold, fixed weight) matrix is decomposed
     ypath, xpath, _ = dataset_files(tmp_path, n=50, p=10, q=5)
     calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, a.shape))
+            return _orig(a, *args, **kwargs)
 
-    def counted(a, *args, _orig=np.linalg.eigvalsh, **kwargs):
-        calls.append(a.shape)
-        return _orig(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     code, out, _ = run_cli(["cv", "--y", ypath, "--x", xpath], capsys)
     assert code == 0 and out.count("\n") == 1 + 10
-    assert calls == [(50, 10, 10), (400, 10, 10)]
+    assert calls == [("eigvalsh", (1, 10, 10)), ("eigh", (8, 10, 10)),
+                     ("eigvalsh", (50, 10, 10)), ("eigvalsh", (50, 10, 10))]
 
 def test_estimate_wide_fit_solves_in_sample_space(tmp_path, capsys, eig_sizes):
     # n - 1 = 11 < p = 40: no eigensolve sees a 40 x 40 matrix; one eigvalsh of

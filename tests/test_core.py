@@ -25,7 +25,8 @@ from allopca import (
     sym_eig,
 )
 from allopca.cli import main
-from allopca.core import _check_leading_pairs, _leading_pair_stack, _peaks, _pow2_scale
+from allopca.core import (_check_leading_pairs, _leading_pair_stack, _leading_pair_update, _peaks,
+                          _pow2_scale)
 from allopca.estimators import _solve_axes
 
 
@@ -321,6 +322,16 @@ def test_sum_of_squares_stores_exactly_symmetric_matrices():
         assert getattr(again, name).tobytes() == getattr(ss, name).tobytes()
 
 
+def test_sum_of_squares_symmetrizes_huge_entries_without_overflow():
+    # (M + M') / 2 is formed on M over a power of two of its peak, so finite
+    # entries near the float range neither warn nor turn into inf
+    huge = np.array([[1e308, 1e307], [1e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ss = SumOfSquares(np.eye(2), huge, 10, 2)
+    assert ss.s_resid.tobytes() == huge.tobytes()
+
+
 # --------------------------------------------------------------------------
 # the blend S(w) = (1 - w) s_reg + w s_resid, through gamma1_hat
 # --------------------------------------------------------------------------
@@ -587,3 +598,68 @@ def test_projected_noise_cross_moment_vanishes():
     mean = stat.mean(axis=0)
     se = stat.std(axis=0, ddof=1) / np.sqrt(reps)
     assert np.all(np.abs(mean) <= 4.0 * se)
+
+
+# --------------------------------------------------------------------------
+# the certified leading pair of a diagonal plus a rank-two update
+# --------------------------------------------------------------------------
+
+
+def _updated(lam, g, c):
+    """The matrices diag(lam) + G diag(c) G' of a pairs-last stack, (pairs, s, s)."""
+    return (np.eye(lam.shape[0]) * lam.T[:, None, :]
+            + np.einsum("kjp,kp,klp->pjl", g, c, g))
+
+
+@pytest.mark.parametrize("s", [2, 3, 10])
+def test_leading_pair_update_certifies_only_leading_pairs(s):
+    # random spectra and updates of either sign, some with a dropped column
+    # (c_k = 0): every certified pair is the leading pair of `eigh`, to rounding,
+    # and most pairs are certified
+    rng = np.random.default_rng(s)
+    pairs = 300
+    lam = np.sort(rng.standard_normal((s, pairs)), axis=0)[::-1]
+    g = rng.standard_normal((2, s, pairs)) * rng.choice([0.1, 1.0], (1, 1, pairs))
+    c = rng.standard_normal((2, pairs))
+    c[0, :30] = c[1, 30:60] = 0.0
+    mu, x, ok = _leading_pair_update(lam, g, c)
+    vals, vecs = np.linalg.eigh(_updated(lam, g, c))
+    frob = np.linalg.norm(vals, axis=1)
+    assert np.mean(ok) >= 0.9
+    assert np.all(np.abs(mu - vals[:, -1])[ok] <= 1e-12 * frob[ok])
+    assert np.all(1.0 - np.abs(np.sum(x.T * vecs[:, :, -1], axis=1))[ok] <= 1e-12)
+
+
+def test_leading_pair_update_brackets_from_interlacing():
+    # the Rayleigh quotient of e_1, 1.9 - 0.53 * 0.83^2 = 1.535, lies below
+    # lam_2 = 1.6, a pole; interlacing puts the root above lam_2, where h rises
+    lam = np.array([1.9, 1.6, 0.9])
+    g = np.array([[0.83, 0.3, 0.2], [0.0, 0.0, 0.0]])
+    c = np.array([-0.53, 0.0])
+    mu, x, ok = _leading_pair_update(lam, g, c)
+    vals, vecs = np.linalg.eigh(_updated(lam[:, None], g[..., None], c[:, None])[0])
+    assert ok and mu == pytest.approx(vals[-1], rel=1e-14, abs=0)
+    assert 1.0 - abs(x @ vecs[:, -1]) <= 1e-14
+
+
+def test_leading_pair_update_refuses_a_tie_the_update_leaves():
+    # lam_1 = lam_2: a rank-one downdate leaves a direction of the tied plane,
+    # so the leading eigenvalue stays on the pole, and the pair is not certified
+    lam = np.array([2.0, 2.0, 1.0])
+    g = np.array([[0.5, 0.3, 0.2], [0.0, 0.0, 0.0]])
+    mu, x, ok = _leading_pair_update(lam, g, np.array([-0.5, 0.0]))
+    assert not ok
+
+
+def test_leading_pair_update_bit_identical_for_any_stack():
+    # each pair is computed as if alone: one spectrum broadcast over many updates
+    # gives each update the bytes it gets alone
+    rng = np.random.default_rng(5)
+    lam = np.sort(rng.standard_normal((6, 1)), axis=0)[::-1]
+    g = rng.standard_normal((2, 6, 40))
+    c = rng.standard_normal((2, 40))
+    whole = _leading_pair_update(lam, g, c)
+    for i in (0, 17, 39):
+        alone = _leading_pair_update(lam, g[..., i:i + 1], c[:, i:i + 1])
+        for part, one in zip(whole, alone):
+            assert part[..., i:i + 1].tobytes() == one.tobytes()

@@ -741,8 +741,122 @@ def test_loo_cv_scores_fold_blocks_agree(monkeypatch, loo_refit, folds_per_block
     per_fold = _fit_entries(n - 1, p, q, len(ALL_RULES))
     monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", folds_per_block * per_fold)
     blocked = loo_cv_scores(data, ALL_RULES)
-    assert np.allclose(blocked, whole, rtol=1e-12, atol=0)
+    assert blocked == whole  # each fold's errors alone, summed once
     _assert_matches_refit(data, loo_refit)
+
+
+def _outlier_data(scale):
+    """The rank-one (15, 6, 2) example with row 4 of y times `scale`."""
+    y, x = _rank_one_data(41, 15, 6, 2)
+    y[4] *= scale
+    return Dataset(y, x)
+
+
+def _leverage_data(one_minus_h=1e-6):
+    """n = 20, p = 5, q = 3 data whose row 6 has leverage 1 - `one_minus_h` (to 1%):
+    the third design column is e_6 plus delta times noise, delta set by bisection."""
+    rng = np.random.default_rng(3)
+    n = 20
+    base, noise = rng.standard_normal((n, 2)), rng.standard_normal(n)
+    lo, hi = 1e-9, 1.0
+    for _ in range(60):
+        delta = np.sqrt(lo * hi)
+        x = center_columns(np.column_stack([base, delta * noise + (np.arange(n) == 6)]))
+        left = 1.0 - 1.0 / n - np.sum(np.linalg.qr(x)[0][6] ** 2)
+        lo, hi = (lo, delta) if left > one_minus_h else (delta, hi)
+    assert left == pytest.approx(one_minus_h, rel=1e-2)
+    return Dataset(rng.standard_normal((n, 5)) + np.outer(x @ np.ones(3), np.ones(5)), x)
+
+
+def _tied_data():
+    """n = 16, p = 3, q = 1 dyadic data whose S(w) has an exact double leading
+    eigenvalue 4w for w > 0.2: s_reg = diag(0, 0, 1) and s_resid = diag(4, 4, 0)."""
+    x = np.tile([1.0, -1.0], 8)[:, None]
+    y = np.zeros((16, 3))
+    y[:4, 0] = y[4:8, 1] = [1.0, 1.0, -1.0, -1.0]
+    y[:, 2] = x[:, 0] / 4.0
+    return Dataset(y, x)
+
+
+@pytest.fixture
+def refit_folds(monkeypatch):
+    """The folds `loo_cv_scores` refits from their own rows, in the order refit."""
+    folds, refit = [], estimators._refit_fold_errors
+
+    def recording(yx, p, which, rules):
+        folds.extend(int(i) for i in which)
+        return refit(yx, p, which, rules)
+
+    monkeypatch.setattr(estimators, "_refit_fold_errors", recording)
+    return folds
+
+
+def test_loo_cv_p_by_p_folds_build_no_fold_rows(monkeypatch, loo_refit, refit_folds):
+    # the bench's shape: every fold comes from the full fit, none from its rows
+    data = Dataset(*_rank_one_data(46, 50, 10, 5))
+
+    def refuse(*args):
+        raise AssertionError("fold rows built")
+
+    monkeypatch.setattr(estimators, "_fold_rows", refuse)
+    scores = loo_cv_scores(data, ALL_RULES)
+    monkeypatch.undo()
+    assert refit_folds == []
+    assert scores == loo_cv_scores(data, ALL_RULES)
+    _assert_matches_refit(data, loo_refit)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_loo_cv_scores_match_refit_with_an_outlying_row(loo_refit, refit_folds, scale):
+    # leaving out the outlier subtracts most of each scatter, which would cancel
+    # to about scale^2 eps; that fold alone is refit from its rows
+    _assert_matches_refit(_outlier_data(scale), loo_refit)
+    assert refit_folds == [4]
+
+
+def test_loo_cv_scores_match_refit_at_leverage_near_one(loo_refit, refit_folds):
+    # 1 - h_6 = 1e-6 would carry eps / 1e-6 into the PRESS residual; that fold is refit
+    _assert_matches_refit(_leverage_data(), loo_refit)
+    assert refit_folds == [6]
+
+
+def test_loo_cv_scores_of_an_exact_tie_fall_back_to_the_refit(loo_refit, refit_folds):
+    # for w > 0.2 the full S(w) has a double leading eigenvalue, which every
+    # fold's update either keeps (the leading value on a pole) or splits with
+    # a pole at the root: no pair is certified, and every fold is refit
+    _assert_matches_refit(_tied_data(), loo_refit)
+    assert refit_folds == list(range(16))
+
+
+def test_loo_cv_scores_of_no_signal_data_refit_few_folds(loo_refit, refit_folds):
+    # close leading eigenvalues: interlacing brackets most roots (of the 60
+    # folds, 3 are left uncertified here), and those folds are refit
+    for rep in range(3):
+        _assert_matches_refit(_no_signal_dataset(rep), loo_refit)
+    assert len(refit_folds) < 20
+
+
+@pytest.mark.parametrize("n, p, q, refit", [(12, 10, 2, False), (11, 10, 2, True),
+                                            (5, 2, 1, False), (6, 3, 1, False)])
+def test_loo_cv_scores_at_the_solve_space_crossover(loo_refit, refit_folds, n, p, q, refit):
+    # n - 2 = p folds are the smallest p x p ones, from the full fit; n - 2 = p - 1
+    # folds are wide and all refit; p = 2 and q = 1 are the smallest shapes (at
+    # n = 5 a row may carry most of a fold's scatter, and that fold is refit)
+    data = Dataset(*_rank_one_data(47 + n + p, n, p, q))
+    _assert_matches_refit(data, loo_refit)
+    assert (refit_folds == list(range(n))) == refit
+
+
+@pytest.mark.parametrize("folds_per_block", [1, 3])
+@pytest.mark.parametrize("case", ["outlier", "tie", "wide"])
+def test_loo_cv_scores_of_refit_folds_do_not_depend_on_blocks(monkeypatch, case,
+                                                              folds_per_block):
+    data = {"outlier": lambda: _outlier_data(1e4), "tie": _tied_data,
+            "wide": lambda: Dataset(*_rank_one_data(48, 9, 12, 2))}[case]()
+    whole = loo_cv_scores(data, ALL_RULES)
+    per_fold = _fit_entries(data.n - 1, data.p, data.q, len(ALL_RULES))
+    monkeypatch.setattr(estimators, "_BLOCK_ENTRIES", folds_per_block * per_fold)
+    assert loo_cv_scores(data, ALL_RULES) == whole
 
 
 def _null_fits(k, n, p, q, seed):
