@@ -462,9 +462,11 @@ _COMMANDS = (
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """A new parser: `main` turns a config file's values into its subcommand's defaults.
 
-    Every subcommand is listed.  When `command` (`main` passes its first
-    argument) names one, only that one gets its options: an argument list
-    that starts with it reads no other.
+    When `command` (`main` passes its first argument) names a subcommand,
+    only that one is built: an argument list that starts with it reads no
+    other, and the subcommands' metavar lists all four, so usage and error
+    text are the full parser's byte for byte.  Otherwise every subcommand is
+    built, and the help lists them.
     """
     # one help width for every parser: argparse queries the terminal once, not per argument
     new_parser = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(
@@ -473,13 +475,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="allopca",
         description="Weighted sum-of-squares estimators of a shared principal axis",
     )
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
-    named = any(command == name for name, *_ in _COMMANDS)
-    for name, text, add_options, func in _COMMANDS:
+    named = [entry for entry in _COMMANDS if entry[0] == command]
+    # a parser of one subcommand shows the full parser's choices through a metavar; the
+    # full parser sets none, as argparse would put it in place of `command` in its errors
+    metavar = {"metavar": "{" + ",".join(name for name, *_ in _COMMANDS) + "}"} if named else {}
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=new_parser, **metavar)
+    for name, text, add_options, func in named or _COMMANDS:
         sub = subs.add_parser(name, help=text)
-        if not named or command == name:
-            add_options(sub)
-            _add_common(sub, func)
+        add_options(sub)
+        _add_common(sub, func)
     return parser
 
 

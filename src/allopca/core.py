@@ -36,7 +36,9 @@ fit's reduced rows), one `eigvalsh` of the residual block, and additivity
 on the factors.  `SumOfSquares` checks the two matrices given by a user or
 by `sums_of_squares`, keeps its check's spectrum of S_resid, and forms
 S_total = S_reg + S_resid from them.  Each fact is checked where it is
-first computed, and not again downstream.
+first computed, and not again downstream: `Dataset` checks every pair a
+caller gives, and `_drawn_dataset` builds `simgen.gen_dataset`'s draws,
+which hold those facts by construction, without the checks.
 
 Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
@@ -208,7 +210,13 @@ class Dataset:
     Raises
     ------
     ValueError
-        If shapes are inconsistent, n <= 1 + q, or `x` is not centered.
+        If shapes are inconsistent, an entry is not finite, n <= 1 + q, or
+        `x` is not centered.
+
+    Every `Dataset` built by a caller runs these checks.  `simgen.gen_dataset`
+    alone builds its draws through `_drawn_dataset`, which skips them: a draw
+    is centered and shaped by construction, and checks its one property that
+    can fail, a finite `y`, itself.
     """
 
     y: np.ndarray
@@ -251,6 +259,19 @@ class Dataset:
         return self.x.shape[1]
 
 
+def _drawn_dataset(y: np.ndarray, x: np.ndarray) -> Dataset:
+    """A `Dataset` of a draw, built without `Dataset`'s checks.
+
+    `simgen.gen_dataset` alone calls it, with read-only float arrays that
+    hold every property the checks test: `x` column-centered, the shapes
+    (n, p) and (n, q) with n > 1 + q, and both arrays finite.
+    """
+    data = object.__new__(Dataset)
+    object.__setattr__(data, "y", y)
+    object.__setattr__(data, "x", x)
+    return data
+
+
 @dataclass(frozen=True, eq=False)
 class SumOfSquares:
     """Regression, residual and total sum-of-squares matrices.
@@ -259,7 +280,9 @@ class SumOfSquares:
     semidefinite; each is stored exactly symmetric, as (M + M') / 2 formed on
     M divided by `_pow2_scale` of its peak entry (so finite entries near the
     float range do not overflow), for the eigensolver.  The total
-    ``s_total = s_reg + s_resid`` is formed from the stored pair, not given.
+    ``s_total = s_reg + s_resid`` is formed from the stored pair, not given,
+    and must be finite: a sum past the float range is reported by the
+    finite rule (`ValueError` naming `s_total`), not by a numpy warning.
     `n` and `q` record the sample size and design rank they came from; the
     residual degrees of freedom are ``n - 1 - q``.
 
@@ -293,7 +316,10 @@ class SumOfSquares:
             object.__setattr__(self, name, _readonly(m))
         # the loop ends on s_resid
         object.__setattr__(self, "_resid_spectrum", (_readonly(evals), float(scale)))
-        object.__setattr__(self, "s_total", _readonly(self.s_reg + self.s_resid))
+        with np.errstate(over="ignore"):  # a total past the float range is refused below
+            s_total = self.s_reg + self.s_resid
+        _check_finite(s_total, "`s_total`")
+        object.__setattr__(self, "s_total", _readonly(s_total))
 
     @property
     def p(self) -> int:
@@ -330,11 +356,14 @@ class SymEig:
 def sym_eig(m: np.ndarray) -> SymEig:
     """Eigendecompose a symmetric matrix deterministically.
 
-    The input is symmetrized as (M + M') / 2 and passed to `_sym_eig_stack`
-    as a stack of one, so positive power-of-two rescalings of M produce
-    bit-identical eigenvectors.  Eigenvalues are returned in descending
-    order under the package sign convention.  V diag(values) V' must
-    reconstruct the input, and `SymEig` checks order and orthonormality.
+    The input is divided by `_pow2_scale` of its peak entry (exact, so
+    finite entries near the float range do not overflow), symmetrized as
+    (M + M') / 2 and passed to `_sym_eig_stack` as a stack of one, so
+    positive power-of-two rescalings of M produce bit-identical
+    eigenvectors; the eigenvalues are scaled back.  Eigenvalues are
+    returned in descending order under the package sign convention.
+    V diag(values) V' must reconstruct the scaled input, and `SymEig`
+    checks order and orthonormality.
 
     Parameters
     ----------
@@ -354,12 +383,13 @@ def sym_eig(m: np.ndarray) -> SymEig:
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m, "`m`", SYM_INPUT_TOL)
-    m = (m + m.T) / 2.0
-    vals, vecs = _sym_eig_stack(m[None])
-    resid = np.linalg.norm(vecs[0] @ (vals[0, :, None] * vecs[0].T) - m)
-    if not resid <= 1e-8 * max(np.linalg.norm(m), 1e-300):  # a numerically pathological m
+    t = _pow2_scale(_max_abs(m))  # exact, so neither the sum nor a norm below overflows
+    a = (m / t + m.T / t) / 2.0
+    vals, vecs = _sym_eig_stack(a[None])
+    resid = np.linalg.norm(vecs[0] @ (vals[0, :, None] * vecs[0].T) - a)
+    if not resid <= 1e-8 * max(np.linalg.norm(a), 1e-300):  # a numerically pathological m
         raise NumericFailure("eigendecomposition failed to reconstruct the input")
-    return SymEig(vals[0], vecs[0])
+    return SymEig(vals[0] * t, vecs[0])
 
 
 def _sym_eig_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

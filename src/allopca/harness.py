@@ -183,16 +183,22 @@ def _scenario_seconds(kind: Traditional | WeakIdentifiability | LargePLargeN, si
     (`kind.spectrum`), so that `simulate --cost-limit` is checked before any
     basis is drawn.
 
-    Each point's model costs 1.3e-9 s p^3: `simgen.random_gamma`'s basis (a
-    p x p `eigh`) and `ModelSpec`'s checks took 1.0e-9 to 1.2e-9 s p^3 in
-    best-of-2 builds at p = 400 to 1200 on the same machine.  Its run costs
-    `_point_seconds`.
+    Each distinct p pays 1.2e-9 s p^3 for `simgen.random_gamma`'s basis (a
+    p x p `eigh`), which the plan draws once and builds each point of that p
+    on, and each point 1e-10 s p^3 for `ModelSpec`'s checks and products:
+    together 1.0e-9 to 1.2e-9 s p^3 in best-of-2 builds at p = 400 to 1200
+    on the same machine, about a tenth of it the spec's.  Each point's run
+    costs `_point_seconds`.
     """
     seconds = 0.0
+    drawn = set()
     for size in sizes:
         n, lambdas = kind.spectrum(size)
-        seconds += 1.3e-9 * lambdas.size ** 3 + _point_seconds(n, lambdas.size,
-                                                               len(DEFAULT_ROWS), replications)
+        p = lambdas.size
+        if p not in drawn:
+            drawn.add(p)
+            seconds += 1.2e-9 * p ** 3
+        seconds += 1e-10 * p ** 3 + _point_seconds(n, p, len(DEFAULT_ROWS), replications)
     return seconds
 
 
@@ -304,13 +310,15 @@ def scenario_plan(kind: Traditional | WeakIdentifiability | LargePLargeN, sizes,
 
     `sizes` runs along `kind.axis` (sample sizes n or dimensions p); a
     single size is allowed.  `rows` is a sequence of (label, estimator).
-    Every point is built with `seed`.
+    Every point is built with `seed`, as `kind.model_spec(size, seed)`
+    builds it, and the points of one p share one basis draw: table1 and
+    table2 draw one `random_gamma(10, seed)` for all their points.
     """
     if not isinstance(kind, (Traditional, WeakIdentifiability, LargePLargeN)):
         raise ValueError(f"unknown regime kind: {kind!r}")
     labels, specs = zip(*rows)
     return ExperimentPlan(
-        points=tuple(kind.model_spec(int(s), seed) for s in sizes),
+        points=kind._model_specs([int(s) for s in sizes], seed),
         point_labels=tuple(f"{kind.axis}={int(s)}" for s in sizes),
         estimators=specs,
         estimator_labels=labels,

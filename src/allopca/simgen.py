@@ -41,6 +41,7 @@ from .core import (
     _check_orthonormal,
     _check_plugin_dof,
     _check_sizes,
+    _drawn_dataset,
     _readonly,
     _sym_eig_stack,
 )
@@ -62,7 +63,12 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     _check_index(master_seed, "`master_seed`")
     for k in path:
         _check_index(k, "stream path entry")
-    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
+    return _stream(master_seed, *path)
+
+
+def _stream(master_seed: int, *path: int) -> np.random.Generator:
+    """`substream` of a key the caller has checked."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=path)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -180,18 +186,31 @@ def gen_dataset(spec: ModelSpec, replication: int = 0) -> Dataset:
     Returns
     -------
     Dataset
-        The drawn data; the ground truth is `spec.gamma1` and `spec.sigma()`.
+        The drawn data, read-only; the ground truth is `spec.gamma1` and
+        `spec.sigma()`.  The draw holds `Dataset`'s properties by
+        construction: `x` is centered as it is drawn, the shapes are the
+        spec's (n, p) and (n, q), and n > 1 + q is the validated spec's.  So
+        it skips `Dataset`'s checks but one: a `y` that overflows, from
+        extreme spec values, is refused by the finite rule (`ValueError`
+        naming `y`).  The points of a `harness.scenario_plan` with the same p
+        are built on one basis draw.
+
+    Raises
+    ------
+    ValueError
+        If `replication` < 0, or if `y` is not finite.
     """
     _check_index(replication, "`replication`")
     n, p, q = spec.n, spec.p, spec.q
-    rng_x = substream(spec.master_seed, replication, _STREAM_X)
-    x = rng_x.standard_normal((n, q))
-    x -= x.mean(axis=0)
-    rng_e = substream(spec.master_seed, replication, _STREAM_E)
-    z = rng_e.standard_normal((n, p))
-    e = z @ spec._root.T
-    y = spec.mu + np.outer(x @ spec.alpha, spec.gamma1) + e
-    return Dataset(y, x)
+    x = _stream(spec.master_seed, replication, _STREAM_X).standard_normal((n, q))
+    x -= x.sum(axis=0) / n  # `x.mean(axis=0)`, bit for bit
+    e = _stream(spec.master_seed, replication, _STREAM_E).standard_normal((n, p)) @ spec._root.T
+    y = (x @ spec.alpha)[:, None] * spec.gamma1  # the signal; then (mu + signal) + e
+    y += spec.mu
+    y += e
+    _check_finite(y, "`y`")
+    x.flags.writeable = y.flags.writeable = False
+    return _drawn_dataset(y, x)
 
 
 # --------------------------------------------------------------------------
@@ -221,9 +240,21 @@ class _RegimeKind:
 
     def model_spec(self, size: int, seed: int) -> ModelSpec:
         """`spectrum(size)` with mu = 0, `DESIGN_ALPHA` and the basis `random_gamma(p, seed)`."""
-        n, lam = self.spectrum(size)
-        return ModelSpec(n=n, mu=np.zeros(lam.size), alpha=np.array(DESIGN_ALPHA), lambdas=lam,
-                         gamma_basis=random_gamma(lam.size, seed), master_seed=int(seed))
+        return self._model_specs((size,), seed)[0]
+
+    def _model_specs(self, sizes, seed: int) -> tuple[ModelSpec, ...]:
+        """`model_spec(size, seed)` at each size, in order, with one `random_gamma(p, seed)`
+        drawn per distinct p and read by every model of that p."""
+        bases = {}
+        specs = []
+        for size in sizes:
+            n, lam = self.spectrum(size)
+            p = lam.size
+            if p not in bases:
+                bases[p] = random_gamma(p, seed)
+            specs.append(ModelSpec(n=n, mu=np.zeros(p), alpha=np.array(DESIGN_ALPHA), lambdas=lam,
+                                   gamma_basis=bases[p], master_seed=int(seed)))
+        return tuple(specs)
 
 
 @dataclass(frozen=True)

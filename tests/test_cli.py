@@ -218,12 +218,8 @@ def test_simulate_refuses_off_axis_size(capsys, argv, axis, off_axis):
 def test_simulate_and_bound_build_the_same_model(argv, capsys, monkeypatch):
     # bound reads the spectrum of the model that simulate builds, and draws no basis
     specs, params = [], []
-
-    def recording(self, size, seed, _model_spec=simgen._RegimeKind.model_spec):
-        specs.append(_model_spec(self, size, seed))
-        return specs[-1]
-
-    monkeypatch.setattr(simgen._RegimeKind, "model_spec", recording)
+    run = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda plan: specs.extend(plan.points) or run(plan))
     monkeypatch.setattr(cli, "w_star", lambda p, _w=cli.w_star: params.append(p) or _w(p))
     assert main(["simulate", *argv, "--seed", "4", "--reps", "1", "--workers", "1"]) == 0
 
@@ -942,20 +938,29 @@ def test_main_prints_the_full_parsers_bytes(tmp_path, capsys, monkeypatch, colum
     cases = [["--help"], ["-h"], ["-h", "cv"],
              *([name, "--help"] for name in ("simulate", "estimate", "cv", "bound")),
              [], ["frobnicate"], ["cv", "--bogus"], ["cv", "--config", str(cfg)],
-             ["bound", "--reps", "2"], ["estimate", "--weights"]]
+             ["bound", "--reps", "2"], ["estimate", "--weights"],
+             ["simulate", "--reps", "many"], ["cv", "stray"], ["simulate", "--format", "html"]]
     lazy = [_exit_and_output(argv, capsys) for argv in cases]
     monkeypatch.setattr(cli, "build_parser", lambda command=None, _full=build_parser: _full())
     full = [_exit_and_output(argv, capsys) for argv in cases]
     assert lazy == full
-    assert [code for code, *_ in full] == [0] * 7 + [2] * 6
+    assert [code for code, *_ in full] == [0] * 7 + [2] * 9
     assert full[2][1] == full[0][1] and "{simulate,estimate,cv,bound}" in full[0][1]
     assert full[7][2].endswith("error: the following arguments are required: command\n")
     assert "invalid choice: 'frobnicate'" in full[8][2]
     assert full[9][2].endswith("error: unrecognized arguments: --bogus\n")
     assert full[10][2] == f"error: {cfg}:1: `cv` takes no config key `reps`\n"
+    # a bad value and a bad choice are the subcommand's errors; a stray positional is
+    # the top level's, under a usage that lists every subcommand
+    assert "argument --reps: invalid int value: 'many'" in full[13][2]
+    assert full[14][2].startswith("usage: allopca [-h]")
+    assert "{simulate,estimate,cv,bound}" in full[14][2]
+    assert full[14][2].endswith("error: unrecognized arguments: stray\n")
+    assert "argument --format: invalid choice: 'html'" in full[15][2]
 
 
 def test_a_cv_call_builds_no_other_subcommands_options(tmp_path, capsys, monkeypatch):
+    # a named command's parser holds that subcommand alone; `--help` builds all four
     ypath, xpath, _ = dataset_files(tmp_path)
     built = []
     monkeypatch.setattr(cli, "build_parser",
@@ -971,8 +976,7 @@ def test_a_cv_call_builds_no_other_subcommands_options(tmp_path, capsys, monkeyp
         options.append({name: [a.dest for a in each._actions]
                         for name, each in subs.choices.items()})
     data = ["help", "y", "x", "weights", "config", "out"]
-    assert options[0] == {"simulate": ["help"], "estimate": ["help"], "cv": data,
-                          "bound": ["help"]}
+    assert options[0] == {"cv": data}
     assert options[1]["estimate"] == options[1]["cv"] == data
     assert len(options[1]["simulate"]) == 15 and len(options[1]["bound"]) == 13
 

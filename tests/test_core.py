@@ -332,6 +332,16 @@ def test_sum_of_squares_symmetrizes_huge_entries_without_overflow():
     assert ss.s_resid.tobytes() == huge.tobytes()
 
 
+def test_sum_of_squares_refuses_a_total_past_the_float_range_by_the_finite_rule():
+    # each matrix is finite, but their sum is not: no warning, and a check names s_total
+    huge = np.array([[1e308, 1e307], [1e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="`s_total` contains non-finite entries"):
+            SumOfSquares(huge, huge, 10, 2)
+        assert SumOfSquares(huge / 2, huge / 2, 10, 2).s_total.tobytes() == huge.tobytes()
+
+
 # --------------------------------------------------------------------------
 # the blend S(w) = (1 - w) s_reg + w s_resid, through gamma1_hat
 # --------------------------------------------------------------------------
@@ -447,6 +457,19 @@ def test_sym_eig_rejects_bad_input():
         sym_eig(bad)
     with pytest.raises(ValueError):
         sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_sym_eig_decomposes_huge_entries_without_overflow():
+    # (M + M') / 2 and the reconstruction check are formed on M over a power of
+    # two of its peak, so finite entries near the float range raise no warning
+    huge = np.array([[1e308, 1e307], [1e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = sym_eig(huge)
+        base = sym_eig(huge / 2.0 ** 1020)
+    assert eig.vectors.tobytes() == base.vectors.tobytes()
+    assert np.array_equal(eig.values, base.values * 2.0 ** 1020)
+    assert eig.values == pytest.approx([1.1e308, 9e307], rel=1e-15)
 
 
 def test_sym_eig_zero_matrix():

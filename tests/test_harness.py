@@ -453,6 +453,15 @@ def test_scenario_estimate_adds_each_models_basis_to_the_run():
                                     rel=1e-14)
     assert harness._scenario_seconds(STRONG_SPIKE, [2400], 1) > 17.9
 
+
+def test_scenario_estimate_prices_one_basis_per_distinct_p():
+    # table1's points share p = 10: one basis draw (1.2e-9 s p^3), and each
+    # point's spec (1e-10 s p^3) and run
+    plan = scenario_plan(Traditional(), [20, 50, 100], replications=3, seed=0)
+    seconds = harness._scenario_seconds(Traditional(), [20, 50, 100], 3)
+    assert seconds == pytest.approx(estimate_runtime_seconds(plan) + 1.2e-9 * 10 ** 3
+                                    + 3 * 1e-10 * 10 ** 3, rel=1e-14)
+
 def test_result_records_the_cost_estimate():
     # the library runs any plan; `simulate --cost-limit` compares the estimate with its limit
     plan = tiny_plan(reps=2)

@@ -1,5 +1,7 @@
 """Generator determinism, distributional checks, and scenario parameters."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -7,6 +9,7 @@ from scipy.stats import chi2
 from allopca import (
     STRONG_SPIKE,
     WEAK_SPIKE,
+    Dataset,
     DegreesOfFreedomError,
     LargePLargeN,
     ModelSpec,
@@ -19,6 +22,7 @@ from allopca import (
     substream,
     sums_of_squares,
 )
+from allopca import simgen
 from allopca.core import _gram, _scatter_stack
 
 
@@ -155,6 +159,37 @@ def test_gen_dataset_shapes_and_centering():
     assert np.abs(data.x.sum(axis=0)).max() <= 1e-9 * 25 * np.abs(data.x).max()
 
 
+@pytest.mark.parametrize("spec", [
+    Traditional().model_spec(20, 0),
+    WeakIdentifiability(0.5).model_spec(50, 1),
+    WEAK_SPIKE.model_spec(20, 2),
+    STRONG_SPIKE.model_spec(50, 3),
+    ModelSpec(n=12, mu=np.array([3.0, -1e3, 0.25, 7.0]), alpha=np.array([2.0, -0.5, 1e-3]),
+              lambdas=np.array([4.0, 2.0, 0.5, 1e-4]), gamma_basis=random_gamma(4, 6),
+              master_seed=9),
+], ids=["table1", "table2", "table3a", "table3b", "custom-mu"])
+def test_a_draw_passes_every_dataset_check_and_is_read_only(spec):
+    # a draw skips `Dataset`'s checks; the checked constructor accepts it as it is
+    for r in range(5):
+        data = gen_dataset(spec, r)
+        checked = Dataset(data.y, data.x)
+        assert checked.y.tobytes() == data.y.tobytes() and checked.x.tobytes() == data.x.tobytes()
+        assert (data.n, data.p, data.q) == (spec.n, spec.p, spec.q)
+        for a in (data.y, data.x):
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+
+def test_an_overflowing_draw_is_refused_by_the_finite_rule():
+    # the one property a draw can lose: alpha entries of 1e308 overflow the signal
+    spec = small_spec(seed=2, q=2, alpha=[1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        with pytest.raises(ValueError, match="^`y` contains non-finite entries$"):
+            gen_dataset(spec, 0)
+
+
 def test_gen_dataset_deterministic_per_replication():
     spec = small_spec(seed=5)
     d1 = gen_dataset(spec, 3)
@@ -247,6 +282,28 @@ def test_scenario_table3_settings():
         WEAK_SPIKE.model_spec(10, 0)
     with pytest.raises(DegreesOfFreedomError):
         WEAK_SPIKE.model_spec(11, 0)
+
+
+@pytest.mark.parametrize("kind, sizes, drawn", [
+    (Traditional(), (20, 50, 100, 200, 500), [10]),
+    (WeakIdentifiability(0.5), (20, 50, 100, 200, 500), [10]),
+    (STRONG_SPIKE, (20, 50, 100), [20, 50, 100]),
+], ids=["table1", "table2", "table3b"])
+def test_a_plan_draws_one_basis_per_distinct_p(kind, sizes, drawn, monkeypatch):
+    # every point of one p is built on one `random_gamma(p, seed)`, as `model_spec` builds it
+    expected = [kind.model_spec(s, 4) for s in sizes]
+    calls = []
+    draw = simgen.random_gamma
+    monkeypatch.setattr(simgen, "random_gamma", lambda p, seed: calls.append(p) or draw(p, seed))
+    plan = scenario_plan(kind, sizes, 1, 4)
+    assert calls == drawn
+    monkeypatch.undo()
+    for spec, alone in zip(plan.points, expected):
+        assert spec.gamma_basis.tobytes() == random_gamma(spec.p, 4).tobytes()
+        for name in ("n", "p", "q", "master_seed"):
+            assert getattr(spec, name) == getattr(alone, name)
+        for name in ("mu", "alpha", "lambdas", "gamma_basis", "_sigma", "_root"):
+            assert getattr(spec, name).tobytes() == getattr(alone, name).tobytes()
 
 
 def test_scenario_grids_all_valid():

@@ -73,6 +73,18 @@ def test_each_private_module_name_is_referenced_in_the_package():
     assert orphans == []
 
 
+def test_only_gen_dataset_builds_an_unchecked_dataset():
+    # `core._drawn_dataset` skips `Dataset`'s checks; only the draw, whose
+    # properties hold by construction, may call it
+    callers = []
+    for path in MODULES:
+        for top in _tree(path).body:
+            callers += [f"{path.name}:{getattr(top, 'name', '<module>')}" for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_drawn_dataset"]
+    assert callers == ["simgen.py:gen_dataset"]
+
+
 def test_the_checks_see_a_planted_leftover():
     tree = ast.parse("import os\nfrom .core import _gone, _used\n"
                      "def _orphan():\n    return _used\n")
