@@ -16,8 +16,8 @@ leading eigenvector of S(w),
 
 in the scalar summaries a, b, c, d of `AbcdParams`.  bound(w) is strictly
 decreasing up to the closed-form optimum `w_star` and strictly increasing
-after it, so a fine grid search must land within one step of the optimum,
-a cheap independent check of the closed form.
+after it, so no grid point's bound lies below bound(w_star): a cheap
+independent check of the closed form, up to the evaluation's rounding.
 """
 
 from __future__ import annotations
@@ -59,8 +59,10 @@ def lemma1_fluctuation(
     Returns
     -------
     float
-        The expected squared fluctuation; always >= 0.
+        The expected squared fluctuation; always >= 0, inf past the float range.
     """
+    # Python floats, whose products read inf past the float range with no warning
+    sigma_tr, sigma_tr2, lambda1, c = map(float, (sigma_tr, sigma_tr2, lambda1, c))
     _check_finite(np.array([sigma_tr, sigma_tr2, lambda1, c]), "(sigma_tr, sigma_tr2, lambda1, c)")
     if sigma_tr <= 0 or sigma_tr2 <= 0:
         raise ValueError(f"traces must be positive, got {sigma_tr}, {sigma_tr2}")
@@ -68,10 +70,12 @@ def lemma1_fluctuation(
         raise ValueError(f"`lambda1` must lie in (0, tr Sigma], got {lambda1}")
     if c < 0:
         raise ValueError(f"`c` must be >= 0, got {c}")
-    _check_sizes(n, q)
-    _check_weight(w)
+    n, q = _check_sizes(n, q)
+    w = _check_weight(float(w))
     lead = q * (1.0 - 2.0 * w) + (n - 1.0) * w * w
-    return lead * (sigma_tr2 + sigma_tr ** 2) + 2.0 * (1.0 - w) ** 2 * (lambda1 + sigma_tr) * c
+    # a zero signal term is left out, so that no inf meets it
+    signal = 2.0 * (1.0 - w) * (1.0 - w) * (lambda1 + sigma_tr) * c if c and w < 1.0 else 0.0
+    return lead * (sigma_tr2 + sigma_tr * sigma_tr) + signal
 
 
 def _bound_values(params: AbcdParams, w: np.ndarray) -> np.ndarray:
@@ -136,9 +140,9 @@ def grid_argmin_bound(params: AbcdParams, step: float) -> float:
     """Brute-force minimizer of the bound over a uniform grid on [0, 1].
 
     The grid is {0, step, 2 step, ...} capped at 1, with 1 appended when
-    step does not divide it; ties resolve to the smallest weight.  Because
-    the bound is strictly unimodal, the result is within one step of the
-    closed-form optimum.
+    step does not divide it; ties resolve to the smallest weight.  The bound
+    is strictly unimodal, so in exact arithmetic the result is within one step
+    of the closed-form optimum; where it is flat to rounding, it is not.
 
     Parameters
     ----------
@@ -158,7 +162,6 @@ def grid_argmin_bound(params: AbcdParams, step: float) -> float:
     if abs(count * step - 1.0) < 1e-12:
         grid = np.linspace(0.0, 1.0, count + 1)
     else:
-        grid = np.arange(0.0, 1.0, step)
-        grid = np.append(grid, 1.0)
+        grid = np.append(np.arange(0.0, 1.0, step), 1.0)
     values = _bound_values(params, grid)
     return float(grid[int(np.argmin(values))])

@@ -7,7 +7,7 @@ Four subcommands:
 - ``estimate``: fit the weighted estimators to response/design CSV files;
 - ``cv``: leave-one-out prediction-error comparison of weight rules;
 - ``bound``: evaluate the closed-form error bound and cross-check its
-  minimizer against a grid search.
+  minimum, bound(w_star), against a grid search.
 
 Exit codes: 0 on success, 2 for usage or validation problems (bad flags,
 malformed files, infeasible sizes), 1 for internal numeric failures.
@@ -377,12 +377,14 @@ def _derive_bound_params(args: argparse.Namespace) -> AbcdParams:
 def _cmd_bound(args: argparse.Namespace) -> int:
     params = _derive_bound_params(args)
     ws = w_star(params)
+    at_star = mse_upper_bound(params, ws)
     argmin = grid_argmin_bound(params, args.step)
-    if abs(argmin - ws) > 2.0 * args.step:
-        raise NumericFailure(
-            f"bound grid argmin {argmin:.6g} disagrees with the closed-form "
-            f"optimum {ws:.6g} beyond 2 * step"
-        )
+    # no grid point's bound may fall below bound(w*) beyond the evaluation's rounding (where
+    # c >> a, d the bound is flat to double precision near w*, and the argmin is noise)
+    low = mse_upper_bound(params, argmin)
+    if low < at_star * (1.0 - 64.0 * np.finfo(float).eps):
+        raise NumericFailure(f"bound grid minimum {low:.6g} at w = {argmin:.6g} falls below "
+                             f"bound(w_star = {ws:.6g}) = {at_star:.6g} beyond rounding")
     print(
         f"params: a={params.a:.6g} b={params.b:.6g} c={params.c:.6g} "
         f"d={params.d:.6g} q={params.q} n={params.n}",
@@ -392,7 +394,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         ["quantity", "value"],
         ["w_star", f"{ws:.17g}"],
         ["grid_argmin", f"{argmin:.17g}"],
-        ["bound_at_w_star", f"{mse_upper_bound(params, ws):.17g}"],
+        ["bound_at_w_star", f"{at_star:.17g}"],
         *([f"bound(w={w:.1f})", f"{mse_upper_bound(params, float(w)):.17g}"]
           for w in np.linspace(0.0, 1.0, 11)),
     ]))

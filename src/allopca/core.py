@@ -44,10 +44,10 @@ Each validation rule of the package is one helper here, which takes the
 name to report: `_check_weight` (w in [0, 1]), `_check_sizes` (int q >= 1,
 int n > 1 + q), `_check_plugin_dof` (n > q + 2), `_check_draw_size` (an
 array drawn or filled holds at most MAX_DRAW_ENTRIES floats), `_check_dimension` (p >= 2),
-`_check_index` (seeds and indices >= 0), `_check_unit`,
-`_check_orthonormal`, `_check_finite`, `_check_symmetric` (a square, finite,
-symmetric matrix a user gives), `_check_psd` (semidefiniteness of any
-stack), `_check_additivity` (the residual rows of a built fit),
+`_check_index` (seeds and indices >= 0), `_check_unit`, `_check_orthonormal`,
+`_check_finite`, `_symmetric_part` (a square, finite, symmetric matrix a user
+gives, checked on the copy that it symmetrizes), `_check_psd` (semidefiniteness
+of any stack), `_check_additivity` (the residual rows of a built fit),
 `_check_leading_pairs` and `_check_design_conditioning` (cond(X'X) <=
 COND_LIMIT, read off the R factor of each fit's thin QR; `Dataset` checks
 no rank).
@@ -136,14 +136,14 @@ def _check_index(value, name: str):
     return value
 
 
-def _check_unit(v: np.ndarray, name: str) -> None:
-    """Raise unless each vector of a stack (..., p) has |norm - 1| <= UNIT_TOL (NaN fails)."""
-    nrm = np.linalg.norm(v, axis=-1)
+def _check_unit(v: np.ndarray, name: str, error=ValueError) -> None:
+    """Raise `error` unless each vector (..., p) has |norm - 1| <= UNIT_TOL (NaN fails)."""
+    nrm = np.sqrt(np.einsum("...i,...i->...", v, v))  # past the float range: inf, no warning
     bad = ~(np.abs(nrm - 1.0) <= UNIT_TOL)
     if np.any(bad):
         at = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"{name}{list(map(int, at)) if at else ''} must be unit length, "
-                         f"got norm {float(nrm[at])!r}")
+        raise error(f"{name}{list(map(int, at)) if at else ''} must be unit length, "
+                    f"got norm {float(nrm[at])!r}")
 
 
 def _check_orthonormal(v: np.ndarray, name: str) -> None:
@@ -158,15 +158,24 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _check_symmetric(m: np.ndarray, name: str, rtol: float = SYM_STORED_TOL) -> None:
-    """Raise unless a given `m` is square, finite and symmetric, max|M - M'| <= rtol max|M|."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    _check_finite(m, name)
-    asym = _max_abs(m - m.T)
-    if asym > rtol * max(_max_abs(m), 1e-300):
-        raise ValueError(f"{name} is not symmetric: max|M - M'| = {asym:.3e} "
-                         f"exceeds relative tolerance {rtol:g}")
+def _symmetric_part(m: np.ndarray, name: str | None = None, rtol: float = SYM_STORED_TOL):
+    """(A + A') / 2 and t, for A = M / t, t = `_pow2_scale` of the peak entry of a p x p `m`.
+
+    The one symmetrization of a given or formed matrix, exact in its scaling, so
+    entries near the float range neither overflow nor warn.  With a `name`, a user
+    gives `m`: square, finite and symmetric, max|A - A'| <= rtol max|A|.
+    """
+    t = float(_pow2_scale(_max_abs(m)))
+    a = m / t
+    if name is not None:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+        _check_finite(m, name)
+        asym, peak = _max_abs(a - a.T), _max_abs(a)
+        if asym > rtol * peak:
+            raise ValueError(f"{name} is not symmetric: max|M - M'| = {asym / peak:.3e} "
+                             f"max|M| exceeds relative tolerance {rtol:g}")
+    return (a + a.T) / 2.0, t
 
 
 def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +286,9 @@ class SumOfSquares:
     """Regression, residual and total sum-of-squares matrices.
 
     `s_reg` and `s_resid` must be p x p, finite, symmetric and positive
-    semidefinite; each is stored exactly symmetric, as (M + M') / 2 formed on
-    M divided by `_pow2_scale` of its peak entry (so finite entries near the
-    float range do not overflow), for the eigensolver.  The total
+    semidefinite; each is stored exactly symmetric, as `_symmetric_part`
+    forms it (so finite entries near the float range do not overflow), for
+    the eigensolver.  The total
     ``s_total = s_reg + s_resid`` is formed from the stored pair, not given,
     and must be finite: a sum past the float range is reported by the
     finite rule (`ValueError` naming `s_total`), not by a numpy warning.
@@ -309,9 +318,7 @@ class SumOfSquares:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
         for name, m in (("s_reg", s_reg), ("s_resid", s_resid)):
-            _check_symmetric(m, f"`{name}`")
-            t = _pow2_scale(_max_abs(m))  # exact, so no sum of entries overflows
-            m = (m / t + m.T / t) / 2.0 * t
+            m = np.multiply(*_symmetric_part(m, f"`{name}`"))
             evals, scale = _check_psd(m, f"`{name}`")
             object.__setattr__(self, name, _readonly(m))
         # the loop ends on s_resid
@@ -356,10 +363,9 @@ class SymEig:
 def sym_eig(m: np.ndarray) -> SymEig:
     """Eigendecompose a symmetric matrix deterministically.
 
-    The input is divided by `_pow2_scale` of its peak entry (exact, so
-    finite entries near the float range do not overflow), symmetrized as
-    (M + M') / 2 and passed to `_sym_eig_stack` as a stack of one, so
-    positive power-of-two rescalings of M produce bit-identical
+    `_symmetric_part` checks the input and symmetrizes it divided by the
+    power of two of its peak entry, for `_sym_eig_stack`, as a stack of one,
+    so positive power-of-two rescalings of M produce bit-identical
     eigenvectors; the eigenvalues are scaled back.  Eigenvalues are
     returned in descending order under the package sign convention.
     V diag(values) V' must reconstruct the scaled input, and `SymEig`
@@ -381,10 +387,7 @@ def sym_eig(m: np.ndarray) -> SymEig:
         decomposition fails a check (`NumericFailure` for the
         reconstruction).
     """
-    m = np.asarray(m, dtype=float)
-    _check_symmetric(m, "`m`", SYM_INPUT_TOL)
-    t = _pow2_scale(_max_abs(m))  # exact, so neither the sum nor a norm below overflows
-    a = (m / t + m.T / t) / 2.0
+    a, t = _symmetric_part(np.asarray(m, dtype=float), "`m`", SYM_INPUT_TOL)
     vals, vecs = _sym_eig_stack(a[None])
     resid = np.linalg.norm(vecs[0] @ (vals[0, :, None] * vecs[0].T) - a)
     if not resid <= 1e-8 * max(np.linalg.norm(a), 1e-300):  # a numerically pathological m
@@ -510,10 +513,7 @@ def _check_leading_pairs(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> N
         k = int(np.argmax(bad))
         raise NumericFailure(f"eigenpair 1 of solved matrix {k} "
                              f"fails its residual check: ||M v - lambda v|| = {err[k]:.3e}")
-    try:
-        _check_unit(vecs, "leading eigenvector")
-    except ValueError as exc:
-        raise NumericFailure(str(exc)) from None
+    _check_unit(vecs, "leading eigenvector", NumericFailure)
     off = np.maximum(np.abs(np.sum(vals, axis=1) - np.trace(a, axis1=1, axis2=2)),
                      np.abs(np.linalg.norm(vals, axis=1) - frob))
     bad = ~(off <= 1e-8 * frob)
@@ -672,12 +672,8 @@ def _check_fit_stack(g_reg: np.ndarray, g_resid: np.ndarray, resid: np.ndarray,
     s_total is semidefinite when s_reg and s_resid are and the gap is small.
     `where` follows the names in error messages.  Returns the ascending
     eigenvalues of g_resid divided by `_pow2_scale` of its peak entry,
-    (k, p) or (k, n - 1 - q), and those scales (k,).
-
-    Raises
-    ------
-    ValueError
-        If some Gram or fit fails a check.
+    (k, p) or (k, n - 1 - q), and those scales (k,); a failed check raises
+    `ValueError`.
     """
     _check_finite(g_reg, f"`s_reg`{where}")
     _check_finite(g_resid, f"`s_resid`{where}")

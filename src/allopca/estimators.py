@@ -36,7 +36,6 @@ that it keeps, centered on their means.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +98,9 @@ class AbcdParams:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        n, q = _check_sizes(self.n, self.q)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        vals = (self.a, self.b, self.c, self.d)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"parameters must be finite, got {vals}")
+        for name, value in zip(("n", "q"), _check_sizes(self.n, self.q)):
+            object.__setattr__(self, name, value)
+        _check_finite(np.array([self.a, self.b, self.c, self.d]), "(a, b, c, d)")
         if self.a <= 0 or self.b <= 0 or self.d <= 0:
             raise ValueError(f"need a, b, d > 0; got a={self.a}, b={self.b}, d={self.d}")
         if self.c < 0:
@@ -123,11 +119,9 @@ class AbcdParams:
             raise ValueError("`lambdas` must be 1-D with at least two entries")
         if np.any(lam < 0) or np.any(np.diff(lam) > 0):
             raise ValueError("`lambdas` must be non-negative and non-increasing")
-        tr = float(lam.sum())
-        a = float((lam ** 2).sum()) + tr * tr
-        b = float(lam[0]) + tr
-        d = float(lam[0] - lam[1])
-        return cls(a, b, float(c), d, q, n)
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            tr, tr2 = float(lam.sum()), float((lam ** 2).sum())
+        return cls(tr2 + tr * tr, float(lam[0]) + tr, float(c), float(lam[0] - lam[1]), q, n)
 
 
 def w_star(params: AbcdParams) -> float:
@@ -135,21 +129,21 @@ def w_star(params: AbcdParams) -> float:
 
     Equals (a d q + 2 b c d) / (2 a d q + 2 b c d + a c).  Always lies in
     (0, 2/3), and equals exactly 0.5 when c = 0 (no signal through the
-    design, so the blend should fall back to total-scatter PCA).  Each term is
-    formed from `frexp` mantissas and scaled by the largest, so finite summaries
-    of any spread give the weight, and ordinary ones the plain formula's bits.
+    design, so the blend should fall back to total-scatter PCA).
     """
-    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (params.a, params.b,
-                                                            params.c, params.d))
-    terms = ((ma * md * params.q, ea + ed), (2.0 * mb * mc * md, eb + ec + ed), (ma * mc, ea + ec))
-    top = max(e for m, e in terms if m)  # a d q > 0
-    t1, t2, t3 = (math.ldexp(m, e - top) for m, e in terms)
-    return (t1 + t2) / (2.0 * t1 + t2 + t3)
+    return float(np.divide(*_w_star_terms(params.a, params.b, params.c, params.d, params.q)))
 
 
 def _w_star_terms(a, b, c, d, q):
-    """Numerator and denominator of `w_star`, broadcast over array summaries."""
-    return a * d * q + 2.0 * b * c * d, 2.0 * a * d * q + 2.0 * b * c * d + a * c
+    """Numerator and denominator of `w_star`, broadcast over array summaries, each
+    term formed from `frexp` mantissas and scaled by the largest nonzero term, so
+    finite summaries of any spread give the weight, and ordinary ones its bits."""
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(np.frexp, (a, b, c, d))
+    terms = ((ma * md * q, ea + ed), (2.0 * mb * mc * md, eb + ec + ed), (ma * mc, ea + ec))
+    e1, e2, e3 = (np.where(m != 0.0, e, -4096) for m, e in terms)  # a zero term sets no scale
+    top = np.maximum(np.maximum(e1, e2), e3)
+    t1, t2, t3 = (np.ldexp(m, e - top) for m, e in terms)
+    return t1 + t2, 2.0 * t1 + t2 + t3
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,6 +494,15 @@ def _leading_axes(rules, reg, resid, total, basis, oracle=None, where=""):
     return (*(part[:, cols] for part in (w, *solved)), plugin)
 
 
+def _blend(w, s_reg, s_resid):
+    """S(w) = (1 - w) s_reg + w s_resid (k, r, p, p) of k p x p fits at the weights
+    of the C-ordered (k, r) table `w`, summed in place, so the stack is C-ordered too."""
+    wm = w[:, :, None, None]
+    m = s_reg[:, None] * (1.0 - wm)
+    m += s_resid[:, None] * wm
+    return m
+
+
 def _solve_axes(w, s_reg, s_resid, rows=None, gram=None, resid_vals=None):
     """Axes (k, r, p), gaps and tie flags (k, r) of checked fits, solved at the
     weights of the C-ordered (k, r) table `w`, r per fit, in the order solved.
@@ -507,9 +510,9 @@ def _solve_axes(w, s_reg, s_resid, rows=None, gram=None, resid_vals=None):
     `s_reg` and `s_resid` are k trusted p x p Grams, or, for wide fits, the
     blocks of the (n - 1) x (n - 1) Grams `gram` of the reduced rows `rows`,
     whose leading q x q block is `s_reg` (see `_leading_axes`).  The k r
-    matrices, blended (or scaled by D^1/2) and divided by their powers of two
-    in place, are solved and checked (leading pair and spectrum, all that is
-    read) in one `_leading_pair_stack` call, which the caller sizes.  A p x p
+    matrices, blended (`_blend`) or scaled by D^1/2, and divided by their powers
+    of two in place, are solved and checked (leading pair and spectrum, all that
+    is read) in one `_leading_pair_stack` call, which the caller sizes.  A p x p
     matrix of weight exactly 1 is s_resid, bit for bit, divided by the same
     power of two as in the fit check, so `resid_vals`, the check's ascending
     eigenvalues of each scaled s_resid (`_check_fit_stack` for the commands,
@@ -518,17 +521,15 @@ def _solve_axes(w, s_reg, s_resid, rows=None, gram=None, resid_vals=None):
     is solved like the others: its spectrum is the check's and q zeros only in
     exact arithmetic.  A wide fit lifts each of its vectors with one
     vector-matrix product (D^1/2 u)' W, so an axis's bytes depend on its fit
-    and weight alone.  A gap is
-    lambda_1 - lambda_2 of the solved matrix, whose trace and nonzero spectrum
-    are S(w)'s, and a tie a gap of at most TIE_TOL times that trace (scaled).
+    and weight alone.  A gap is lambda_1 - lambda_2 of the solved matrix, whose
+    trace and nonzero spectrum are S(w)'s, and a tie a gap of at most TIE_TOL
+    times that trace (scaled).
     """
     q = s_reg.shape[1]
-    wm = w[:, :, None, None]  # C-ordered (k, r, 1, 1), so that the stacks below are too
-    if gram is None:  # (1 - w) s_reg + w s_resid, summed in place
-        m = s_reg[:, None] * (1.0 - wm)
-        m += s_resid[:, None] * wm
+    if gram is None:
+        m = _blend(w, s_reg, s_resid)
     else:
-        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - wm[..., 0], wm[..., 0]))
+        root = np.sqrt(np.where(np.arange(gram.shape[1]) < q, 1.0 - w[..., None], w[..., None]))
         m = gram[:, None] * root[..., None]  # (k, r, s, s), scaled with no further temporary
         m *= root[..., None, :]
     m = m.reshape(-1, *m.shape[2:])
@@ -646,12 +647,11 @@ def _refit_fold_errors(yx: np.ndarray, p: int, folds: np.ndarray, rules) -> np.n
     g = _leading_axes([rules[k] for k in projected], *fits, where=_FOLD)[1]
     left = yx[folds, p:] - means[:, 0, p:]  # x~_i; shift is yhat_ols_i - mu_i
     shift = (left[:, None, :] @ _ols_coefficients(fold_x, fits[0], fits[3]))[:, 0]
-    base, y = means[:, 0, :p], yx[folds, :p]
+    miss = yx[folds, :p] - means[:, 0, :p]  # y_i - mu_i
     out = np.empty((folds.size, len(rules)))
-    out[:, ols] = np.sum((y - (base + shift)) ** 2, axis=1)[:, None]
+    out[:, ols] = np.sum((miss - shift) ** 2, axis=1)[:, None]
     if projected:
-        pred = base[:, None] + np.sum(shift[:, None] * g, axis=-1, keepdims=True) * g
-        out[:, projected] = np.sum((y[:, None] - pred) ** 2, axis=-1)
+        out[:, projected] = _rank_one_errors(miss[:, None], shift[:, None], g)
     return out
 
 
@@ -689,15 +689,14 @@ def _update_fold_errors(y: np.ndarray, x: np.ndarray, rules, power: int):
     of a scatter, a leverage near 1 or a scatter at the rounding level of the
     responses does that.
 
-    Each distinct fixed weight takes one `eigh` of the full S(w) =
-    V diag(lam) V', the Gram of the full fit's rows [reg; resid] scaled by
-    sqrt(1 - w) and sqrt(w), checked whole (`_check_eigenbases`).  Each
-    fold's leading pair is that of diag(lam) + U C U', U = V'[d_i e_i] and
-    C = diag(-(1 - w) c, -(2w - 1) / (1 - h_i)), from `_leading_pair_update`,
-    and its misses are read in V's coordinates; a fold with an uncertified
-    pair is refit.  The folds kept form S_E(-i) and S_R(-i) in blocks:
-    S_E(-i) is checked semidefinite (`_check_psd`), and a plug-in rule reads
-    its eigenvalues (`_plugin_weights`) and is solved by `_solve_axes`.
+    Each distinct fixed weight takes one `eigh` of the full S(w) = V diag(lam) V', the
+    commands' blend (`_blend`) of the full fit's s_reg and s_resid, checked whole
+    (`_check_eigenbases`).  Each fold's leading pair is that of diag(lam) + U C U',
+    U = V'[d_i e_i] and C = diag(-(1 - w) c, -(2w - 1) / (1 - h_i)), from
+    `_leading_pair_update`, and its misses are read in V's coordinates; a fold with an
+    uncertified pair is refit.  The folds kept form S_E(-i) and S_R(-i) in blocks:
+    S_E(-i) is checked semidefinite (`_check_psd`), and a plug-in rule reads its
+    eigenvalues (`_plugin_weights`) and is solved by `_solve_axes`.
     """
     n, p = y.shape
     q = x.shape[1]
@@ -705,7 +704,7 @@ def _update_fold_errors(y: np.ndarray, x: np.ndarray, rules, power: int):
     reg, resid, total, basis = _scatter_stack(y[None], x[None])
     s_reg, s_resid = _gram(reg), _gram(resid)
     _check_fit_stack(s_reg, s_resid, resid, total, basis)
-    reg, e, basis, s_reg, s_resid = reg[0], resid[0], basis[0], s_reg[0], s_resid[0]
+    e, basis, s_reg, s_resid = resid[0], basis[0], s_reg[0], s_resid[0]
     spread = np.maximum(1.0 - c * np.sum(basis * basis, axis=1), 0.0)  # c (1 - h_i)
     gamma = c / (1.0 + np.sqrt(spread))
     fold_r = basis.T @ x - gamma[:, None, None] * basis[:, :, None] * x[:, None, :]  # F_i
@@ -727,12 +726,11 @@ def _update_fold_errors(y: np.ndarray, x: np.ndarray, rules, power: int):
     err[:, [isinstance(rule, OlsRule) for rule in rules]] = (cut_e * drop)[:, None]
     weights = list(dict.fromkeys(rule.w for rule in rules if isinstance(rule, FixedWeight)))
     fixed = np.empty((len(weights), n))
-    # a weight holds its scaled rows, S(w) and its eigendecomposition, and its
-    # updates: about 16 (n, p) arrays in all, inside `_leading_pair_update`
-    for ws in _blocks(len(weights), (n + q) * p + 4 * p * p + 16 * n * p):
+    # a weight holds S(w) and its eigendecomposition, and its updates: about
+    # 16 (n, p) arrays in all, inside `_leading_pair_update`
+    for ws in _blocks(len(weights), 4 * p * p + 16 * n * p):
         w = np.array(weights)[ws]
-        root = np.sqrt(np.where(np.arange(q + n) < q, 1.0 - w[:, None], w[:, None]))
-        full = _gram(root[..., None] * np.concatenate((reg, e)))
+        full = _blend(w[None], s_reg[None], s_resid[None])[0]
         lam, vecs = _sym_eig_stack(full)
         _check_eigenbases(full, lam, vecs)
         # (2, p, ws, n): each V'd_i and V'e_i, one product each per weight

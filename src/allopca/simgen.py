@@ -44,6 +44,7 @@ from .core import (
     _drawn_dataset,
     _readonly,
     _sym_eig_stack,
+    _symmetric_part,
 )
 
 _STREAM_X = 0
@@ -147,10 +148,10 @@ class ModelSpec:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "master_seed", seed)
-        sigma = (gamma * lam) @ gamma.T
         # `gen_dataset` draws the noise as z @ root', with root = Gamma diag(lambdas)^1/2
         for name, arr in (("mu", mu), ("alpha", alpha), ("lambdas", lam), ("gamma_basis", gamma),
-                          ("_sigma", (sigma + sigma.T) / 2.0), ("_root", gamma * np.sqrt(lam))):
+                          ("_sigma", np.multiply(*_symmetric_part((gamma * lam) @ gamma.T))),
+                          ("_root", gamma * np.sqrt(lam))):
             object.__setattr__(self, name, _readonly(arr))
 
     @property

@@ -738,6 +738,28 @@ def test_bound_past_the_float_range_reads_inf(capsys):
     assert table["bound(w=1.0)"] == "inf" and float(table["bound(w=0.0)"]) == pytest.approx(24.0)
 
 
+UNIT_BOUND = ["bound", "--a", "1", "--b", "1", "--d", "1", "--q", "1", "--n", "50"]
+
+
+@pytest.mark.parametrize("c", ["1e13", "1e14", "1e20", "1e200"])
+def test_bound_of_a_strong_signal_passes_its_cross_check(capsys, c):
+    # with c much larger than a and d the bound is flat to double precision over
+    # a band around w*, where the grid argmin is rounding noise: the check reads
+    # bound values, and no grid point falls below bound(w*) beyond rounding
+    code, out, err = run_cli([*UNIT_BOUND, "--c", c], capsys)
+    assert code == 0, err
+    table = {r[0]: float(r[1]) for r in parse_csv(out)[1:]}
+    low = min(v for k, v in table.items() if k.startswith("bound(w="))
+    assert low == pytest.approx(table["bound_at_w_star"], rel=1e-14)
+
+
+def test_bound_cross_check_refuses_a_wrong_optimum(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "w_star", lambda params, _w=cli.w_star: _w(params) + 0.05)
+    code, out, err = run_cli([*UNIT_BOUND, "--c", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("numeric failure: bound grid minimum ")
+
+
 def test_bound_missing_flags_are_named(capsys):
     code, _, err = run_cli(["bound", "--a", "1", "--b", "1", "--n", "12"], capsys)
     assert code == 2

@@ -38,7 +38,7 @@ from allopca import (
     w_star,
 )
 import allopca
-from allopca import core, estimators, harness
+from allopca import core, estimators, harness, simgen
 from allopca.cli import DEFAULT_WEIGHT_GRID, _fixed_rows, main
 from allopca.core import _gram, _scatter_stack
 from allopca.estimators import (WEIGHT_CAP, _fit_entries, _fold_rows, _leading_axes,
@@ -1030,11 +1030,41 @@ def test_block_size_and_weight_rules_are_defined_once():
     assert allopca.OracleWeight is harness.OracleWeight is estimators.OracleWeight
 
 
+def test_symmetric_part_fold_error_and_w_star_are_defined_once():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    # one (A + A') / 2 of a given or formed p x p matrix, which also holds the
+    # one asymmetry test, besides `_gram`'s of a product
+    halves = [found.group(0) for text in sources.values()
+              for found in re.finditer(r"\((\w+) \+ (?:\1\.T|np\.swapaxes\(\1\b)", text)]
+    assert halves == ["(a + a.T", "(g + np.swapaxes(g"]
+    assert halves[0] in inspect.getsource(core._symmetric_part)
+    assert halves[1] in inspect.getsource(core._gram)
+    asymmetries = [found.group(0) for text in sources.values()
+                   for found in re.finditer(r"(\w+) - \1\.T\b", text)]
+    assert asymmetries == ["a - a.T"] and "a - a.T" in inspect.getsource(core._symmetric_part)
+    for caller in (core.SumOfSquares.__post_init__, core.sym_eig, simgen.ModelSpec.__post_init__):
+        assert "_symmetric_part(" in inspect.getsource(caller)
+    # one rank-one fold error ||miss - (shift . g) g||^2, read by both fold paths
+    axis_terms = re.findall(r"\* g\b", sources["estimators.py"])
+    assert axis_terms == ["* g"] and "* g" in inspect.getsource(estimators._rank_one_errors)
+    for fold_errors in (estimators._refit_fold_errors, estimators._update_fold_errors):
+        assert "_rank_one_errors(" in inspect.getsource(fold_errors)
+    # one w* formula, scaled from `frexp` mantissas, behind the weight, the
+    # plug-in weight and the oracle weights
+    terms = [found.group(0) for text in sources.values()
+             for found in re.finditer(r"\w+ \* \w+ \* (?:params\.)?q\b", text)]
+    assert terms == ["ma * md * q"]
+    assert terms[0] in inspect.getsource(estimators._w_star_terms)
+    for caller in (estimators.w_star, estimators._plugin_weights, harness._replicate_block):
+        assert "_w_star_terms(" in inspect.getsource(caller)
+
+
 def test_blend_and_tie_rule_are_defined_once():
-    # one p x p blend (1 - w) s_reg + w s_resid, summed in place, and one tie
-    # comparison, in the shared solve, which reads weights, not rules: rules
-    # become weights in one stack, in `_leading_axes`; gamma1_hat neither
-    # blends nor calls sym_eig
+    # one p x p blend (1 - w) s_reg + w s_resid, summed in place, in `_blend`,
+    # which the shared solve and the leave-one-out update both call, and one
+    # tie comparison, in the shared solve, which reads weights, not rules:
+    # rules become weights in one stack, in `_leading_axes`; gamma1_hat
+    # neither blends nor calls sym_eig
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     one_line = [line for text in sources for line in text.splitlines()
                 if re.search(r"\* s_reg\b.*\+.*\* s_resid\b", line)]
@@ -1042,9 +1072,16 @@ def test_blend_and_tie_rule_are_defined_once():
         r"(\w+) = s_reg\[.+?\] \* \(1\.0 - (\w+)\)\n\s+\1 \+= s_resid\[.+?\] \* \2\n",
         text)]
     assert not one_line and len(blends) == 1
+    assert blends[0] in inspect.getsource(estimators._blend)
     assert sum(text.count("<= TIE_TOL *") for text in sources) == 1
     solve = inspect.getsource(estimators._solve_axes)
-    assert blends[0] in solve and "<= TIE_TOL *" in solve
+    assert "_blend(" in solve and "<= TIE_TOL *" in solve
+    assert "_blend(" in inspect.getsource(estimators._update_fold_errors)
+    # no S(w) is built as a Gram of weight-scaled rows: every Gram in the
+    # estimators is of unscaled row factors
+    grams = [line for line in (SRC / "estimators.py").read_text(encoding="utf-8").splitlines()
+             if "_gram(" in line]
+    assert grams and not any(re.search(r"root|sqrt|\bw\b", line) for line in grams)
     assert not re.search(r"FixedWeight|PluginRule|OracleWeight", solve)
     stack = "np.stack([np.full(k, rule.w) if isinstance(rule, FixedWeight)"
     assert sum(text.count(stack) for text in sources) == 1

@@ -8,6 +8,7 @@ single place in the package.
 """
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,7 @@ def _scatter(m):
 
 NAN2 = np.array([[1.0, np.nan], [np.nan, 1.0]])
 ASYM2 = np.array([[1.0, 0.5], [0.0, 1.0]])
+HUGE_ASYM = np.array([[1e308, -1e308], [1e308, 1e308]])
 PARAMS = AbcdParams(22.0, 6.0, 40.0, 1.0, 2, 50)
 
 # (rule, entry point, call with an input that breaks the rule)
@@ -217,15 +219,40 @@ LIBRARY_CASES = [
     ("basis_size", "random_gamma", lambda: random_gamma(10**6, 0)),
     ("basis_size", "LargePLargeN.model_spec",
      lambda: LargePLargeN(0.8, 0.8, 0.4).model_spec(10**6, 0)),
+    # finite inputs whose plain arithmetic overflows
+    ("finite", "AbcdParams.from_spectrum(sum)",
+     lambda: AbcdParams.from_spectrum([1e308, 1e308], 1.0, 2, 10)),
+    ("finite", "AbcdParams.from_spectrum(square)",
+     lambda: AbcdParams.from_spectrum([1e200, 1.0], 1.0, 2, 10)),
+    ("unit", "mse_up_to_sign(huge)",
+     lambda: mse_up_to_sign(np.array([1e308, 1e308]), np.array([1.0, 0.0]))),
+    ("unit", "reduced_rank_coefficients(huge)",
+     lambda: reduced_rank_coefficients(_data(), np.full(3, 1e308))),
+    ("symmetric", "sym_eig(huge)", lambda: sym_eig(HUGE_ASYM)),
+    ("symmetric", "SumOfSquares(huge)", lambda: _scatter(HUGE_ASYM)),
 ]
 
 
 @pytest.mark.parametrize("rule, entry, call", LIBRARY_CASES,
                          ids=[f"{rule}-{entry}" for rule, entry, _ in LIBRARY_CASES])
 def test_library_entry_points_report_the_rule(rule, entry, call):
+    # by the rule, not by a numpy warning, also for finite input near the float range
     exc_type, pattern = RULES[rule]
-    with pytest.raises(exc_type, match=pattern):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc_type, match=pattern):
+            call()
+
+
+def test_huge_finite_input_reads_inf_or_builds_with_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lemma1_fluctuation(1e200, 1e200, 1e200, 1.0, 10, 2, 0.5) == np.inf
+        # with no signal, the overflowing lambda1 + tr Sigma meets no zero
+        assert lemma1_fluctuation(1e308, 1.0, 1e308, 0.0, 10, 2, 0.5) == np.inf
+        spec = _spec(mu=np.zeros(2), alpha=np.ones(2), lambdas=np.array([1e308, 1e308]),
+                     gamma_basis=np.eye(2))
+        assert np.array_equal(spec.sigma(), np.diag([1e308, 1e308]))
 
 
 def _files(tmp_path, data):
